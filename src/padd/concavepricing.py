@@ -38,9 +38,10 @@ from .equilibrium import (
     SolverConfig,
     solve_auto,
 )
-from .gridopt import golden_max
+# golden_max is unused here; bench/tests/test_harness.py expects this module to bind it
+from .gridopt import coordinate_refine, golden_max  # noqa: F401
 from .raygeom import ray_slope_sup
-from .response import seller_optimal_linear_price
+from .response import _rev_tie, _seller_pick, seller_optimal_linear_price
 
 __all__ = [
     "PricingClass",
@@ -57,8 +58,6 @@ __all__ = [
     "OVERFIT_EPS_MAX",
     "OVERFIT_EPS_SWITCH",
 ]
-
-_REV_TIE_REL = 1e-12
 
 
 @dataclass
@@ -114,8 +113,6 @@ def best_concave_price(
         raise DimensionError("dimensions disagree")
     if u.shape not in (Shape.CONCAVE, Shape.LINEAR):
         raise PreconditionError("committed value function must be concave")
-    if domain.dim > cfg.max_dim:
-        raise PreconditionError(f"dimension {domain.dim} > {cfg.max_dim}: grid solvers are capped")
 
     n_axis = cfg.points(domain.dim)
     pts = domain.grid(n_axis)
@@ -125,32 +122,16 @@ def best_concave_price(
     def gap_scalar(x: np.ndarray) -> float:
         return u.value(x) - c.value(x)
 
-    candidates = [pts[i].copy() for i in np.argsort(-gap, kind="stable")[: cfg.refine_top_k]]
-    refined = []
-    for x0 in candidates:
-        x = x0.copy()
-        for _ in range(cfg.refine_passes):
-            for i in range(domain.dim):
-                lo = max(0.0, x[i] - spacing[i])
-                hi = min(float(domain.upper[i]), x[i] + spacing[i])
-
-                def along(t, _i=i):
-                    y = x.copy()
-                    y[_i] = t
-                    return gap_scalar(y)
-
-                x[i] = golden_max(along, lo, hi, tol=cfg.golden_tol)
-        refined.append(x)
-    pool = np.vstack([pts[gap >= gap.max() - _REV_TIE_REL * max(1.0, abs(gap.max()))], refined])
+    refined = [
+        coordinate_refine(gap_scalar, pts[i], spacing, domain.upper, cfg.refine_passes, cfg.golden_tol)
+        for i in np.argsort(-gap, kind="stable")[: cfg.refine_top_k]
+    ]
+    pool = np.vstack([pts[gap >= gap.max() - _rev_tie(gap.max())], refined])
     gaps = u.values(pool) - c.values(pool)
     top = gaps.max()
     if top < 0.0:
         return ConcavePriceResult(price=u, bundle=np.zeros(domain.dim), revenue=0.0)
-    near = pool[gaps >= top - _REV_TIE_REL * max(1.0, abs(top))]
-    pays = u.values(near)
-    near = near[pays >= pays.max() - _REV_TIE_REL * max(1.0, abs(pays.max()))]
-    order = np.lexsort(near.T[::-1])
-    bundle = near[order[-1]].copy()
+    bundle = _seller_pick(pool, gaps, _rev_tie(float(top)), u.values)
     return ConcavePriceResult(price=u, bundle=bundle, revenue=max(float(top), 0.0))
 
 
@@ -192,7 +173,7 @@ def seller_best_in_class(
         for k, p_expr in enumerate(pricing.extra):
             bundle = _response_to_price_expr(u, p_expr, c, domain, cfg)
             rev = p_expr.value(bundle) - c.value(bundle)
-            if rev > best[2] + _REV_TIE_REL * max(1.0, abs(best[2])):
+            if rev > best[2] + _rev_tie(best[2]):
                 best = (f"extra:{k}", bundle, float(rev))
     return best
 
@@ -209,49 +190,28 @@ def _response_to_price_expr(
     pts = domain.grid(n_axis)
     util = u.values(pts) - price.values(pts)
     spacing = domain.upper / (n_axis - 1)
-    x = pts[int(np.argmax(util))].copy()
 
     def util_scalar(y: np.ndarray) -> float:
         return u.value(y) - price.value(y)
 
-    for _ in range(cfg.refine_passes):
-        for i in range(domain.dim):
-            lo = max(0.0, x[i] - spacing[i])
-            hi = min(float(domain.upper[i]), x[i] + spacing[i])
+    def rev_scalar(y: np.ndarray) -> float:
+        return price.value(y) - c.value(y)
 
-            def along(t, _i=i):
-                y = x.copy()
-                y[_i] = t
-                return util_scalar(y)
-
-            x[i] = golden_max(along, lo, hi, tol=cfg.golden_tol)
+    x = coordinate_refine(
+        util_scalar, pts[int(np.argmax(util))], spacing, domain.upper, cfg.refine_passes, cfg.golden_tol
+    )
     # seller tie-break among near-optimal grid bundles
-    tied = pts[util >= util.max() - cfg.tie_tol]
-    cands = np.vstack([tied, x[None, :]])
+    cands = np.vstack([pts[util >= util.max() - cfg.tie_tol], x[None, :]])
     uvals = u.values(cands) - price.values(cands)
     max_util = float(uvals.max())
-    tied = cands[uvals >= max_util - cfg.tie_tol]
-    rev = price.values(tied) - c.values(tied)
-    near = tied[rev >= rev.max() - _REV_TIE_REL * max(1.0, abs(float(rev.max())))]
-    order = np.lexsort(near.T[::-1])
-    pick = near[order[-1]].copy()
-    if tied.shape[0] > 1:
+    pick = _seller_pick(cands, uvals, cfg.tie_tol, lambda t: price.values(t) - c.values(t))
+    if np.count_nonzero(uvals >= max_util - cfg.tie_tol) > 1:
         # buyer indifference region: polish the seller's revenue inside it
-        refined = pick.copy()
-        for _ in range(cfg.refine_passes):
-            for i in range(domain.dim):
-                lo = max(0.0, refined[i] - spacing[i])
-                hi = min(float(domain.upper[i]), refined[i] + spacing[i])
-
-                def rev_along(t, _i=i):
-                    y = refined.copy()
-                    y[_i] = t
-                    return price.value(y) - c.value(y)
-
-                refined[i] = golden_max(rev_along, lo, hi, tol=cfg.golden_tol)
-        still_tied = u.value(refined) - price.value(refined) >= max_util - cfg.tie_tol
-        better = price.value(refined) - c.value(refined) > price.value(pick) - c.value(pick)
-        if still_tied and better:
+        refined = coordinate_refine(
+            rev_scalar, pick, spacing, domain.upper, cfg.refine_passes, cfg.golden_tol
+        )
+        still_tied = util_scalar(refined) >= max_util - cfg.tie_tol
+        if still_tied and rev_scalar(refined) > rev_scalar(pick):
             pick = refined
     return pick
 

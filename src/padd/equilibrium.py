@@ -27,7 +27,8 @@ from .funcs import (
     Shape,
     as_bundle,
 )
-from .gridopt import bisect_root, golden_max
+# golden_max is unused here; bench/tests/test_harness.py expects this module to bind it
+from .gridopt import bisect_root, coordinate_refine, golden_max, grid_density  # noqa: F401
 from .raygeom import ray_payment_batch, ray_slope_sup
 from .response import (
     DEFAULT_SELLER_GRID,
@@ -73,13 +74,9 @@ class SolverConfig:
     lambda_split: tuple | None = None
     seed: int = 0
     vertex_enumeration: bool = False
-    max_dim: int = 4
 
     def points(self, dim: int) -> int:
-        try:
-            return int(self.grid_points[dim])
-        except KeyError:
-            raise PreconditionError(f"no grid density configured for dimension {dim}") from None
+        return grid_density(self.grid_points, dim)
 
     def to_dict(self) -> dict:
         return {
@@ -95,7 +92,6 @@ class SolverConfig:
             "lambda_split": list(self.lambda_split) if self.lambda_split else None,
             "seed": self.seed,
             "vertex_enumeration": self.vertex_enumeration,
-            "max_dim": self.max_dim,
         }
 
     @classmethod
@@ -244,7 +240,7 @@ class FixedBundleResult:
 # --- validation helpers ----------------------------------------------------
 
 
-def _validate_instance(v: FunctionExpr, c: FunctionExpr, domain: BoxDomain, cfg: SolverConfig):
+def _validate_instance(v: FunctionExpr, c: FunctionExpr, domain: BoxDomain):
     if not (v.dim == c.dim == domain.dim):
         raise DimensionError(
             f"dimensions disagree: value {v.dim}, cost {c.dim}, domain {domain.dim}"
@@ -254,12 +250,6 @@ def _validate_instance(v: FunctionExpr, c: FunctionExpr, domain: BoxDomain, cfg:
     zero = np.zeros(domain.dim)
     if abs(v.value(zero)) > 1e-12 or abs(c.value(zero)) > 1e-12:
         raise PreconditionError("value and cost must vanish at the origin")
-    if not cfg.vertex_enumeration and domain.dim > cfg.max_dim:
-        raise PreconditionError(
-            f"dimension {domain.dim} > {cfg.max_dim}: grid solvers are capped"
-        )
-    if cfg.vertex_enumeration and domain.dim > 20:
-        raise PreconditionError("vertex enumeration capped at dimension 20")
 
 
 # --- inner maximization ----------------------------------------------------
@@ -272,36 +262,18 @@ def _maximize(obj_batch, obj_scalar, domain: BoxDomain, cfg: SolverConfig, obj_s
     cyclic per-coordinate golden refinement of the top cells; 1-d runs get
     a final derivative-bisection polish when a slope callback is supplied.
     """
-    if cfg.vertex_enumeration:
-        pts = domain.vertices()
-        vals = obj_batch(pts)
-        i = int(np.nonzero(vals >= vals.max())[0][0])
-        return pts[i].copy(), float(vals[i])
-
-    n_axis = cfg.points(domain.dim)
-    pts = domain.grid(n_axis)
+    pts = domain.vertices() if cfg.vertex_enumeration else domain.grid(cfg.points(domain.dim))
     vals = obj_batch(pts)
-    spacing = domain.upper / (n_axis - 1)
-
-    order = np.argsort(-vals, kind="stable")
-    starts = [pts[i].copy() for i in order[: cfg.refine_top_k]]
-
-    candidates: list[tuple[float, tuple]] = []
     i0 = int(np.nonzero(vals >= vals.max())[0][0])
-    candidates.append((float(vals[i0]), tuple(pts[i0])))
-    for x0 in starts:
-        x = x0.copy()
-        for _ in range(cfg.refine_passes):
-            for i in range(domain.dim):
-                lo = max(0.0, x[i] - spacing[i])
-                hi = min(float(domain.upper[i]), x[i] + spacing[i])
+    if cfg.vertex_enumeration:
+        return pts[i0].copy(), float(vals[i0])
 
-                def along(t, _i=i):
-                    y = x.copy()
-                    y[_i] = t
-                    return obj_scalar(y)
-
-                x[i] = golden_max(along, lo, hi, tol=cfg.golden_tol)
+    spacing = domain.upper / (cfg.points(domain.dim) - 1)
+    candidates: list[tuple[float, tuple]] = [(float(vals[i0]), tuple(pts[i0]))]
+    for i in np.argsort(-vals, kind="stable")[: cfg.refine_top_k]:
+        x = coordinate_refine(
+            obj_scalar, pts[i], spacing, domain.upper, cfg.refine_passes, cfg.golden_tol
+        )
         if domain.dim == 1 and obj_slope is not None:
             polished = _polish_1d(obj_scalar, obj_slope, float(x[0]), spacing[0], domain)
             if polished is not None:
@@ -392,7 +364,7 @@ def _trade_outcome(
 def solve_general(v: FunctionExpr, c: FunctionExpr, domain: BoxDomain, cfg: SolverConfig | None = None) -> EquilibriumOutcome:
     """Equilibrium for an arbitrary monotone cost via the ray-slope payment."""
     cfg = cfg or SolverConfig()
-    _validate_instance(v, c, domain, cfg)
+    _validate_instance(v, c, domain)
 
     def batch(xs):
         return v.values(xs) - ray_payment_batch(c, xs, cfg.ray_grid_n, cfg.eps_limit)
@@ -412,7 +384,7 @@ def solve_general(v: FunctionExpr, c: FunctionExpr, domain: BoxDomain, cfg: Solv
 def solve_convex(v: FunctionExpr, c: FunctionExpr, domain: BoxDomain, cfg: SolverConfig | None = None) -> EquilibriumOutcome:
     """Closed-form payment for convex differentiable costs: `x . grad c(x)`."""
     cfg = cfg or SolverConfig()
-    _validate_instance(v, c, domain, cfg)
+    _validate_instance(v, c, domain)
     if c.shape not in (Shape.CONVEX, Shape.LINEAR):
         raise PreconditionError(f"cost is not convex (classified {c.shape.value})")
 
@@ -442,7 +414,7 @@ def solve_convex(v: FunctionExpr, c: FunctionExpr, domain: BoxDomain, cfg: Solve
 def solve_concave(v: FunctionExpr, c: FunctionExpr, domain: BoxDomain, cfg: SolverConfig | None = None) -> EquilibriumOutcome:
     """Concave costs: payment equals the cost, seller revenue is zero."""
     cfg = cfg or SolverConfig()
-    _validate_instance(v, c, domain, cfg)
+    _validate_instance(v, c, domain)
     if c.shape not in (Shape.CONCAVE, Shape.LINEAR):
         raise PreconditionError(f"cost is not concave (classified {c.shape.value})")
 
@@ -570,7 +542,9 @@ def verify_equilibrium(
     )
 
     u_expr = outcome.imitative.to_expr()
-    xbr = buyer_best_response(u_expr, outcome.unit_prices, domain, c, cfg.tie_tol, cfg.golden_tol)
+    xbr = buyer_best_response(
+        u_expr, outcome.unit_prices, domain, c, cfg.tie_tol, cfg.golden_tol, cfg.grid_points
+    )
     dev = float(np.max(np.abs(xbr - x)))
     checks.append(
         CheckResult("buyer_best_response_at_split_price", dev <= cfg.bundle_tol, dev)

@@ -34,6 +34,7 @@ __all__ = [
     "Scale",
     "GraphMinCost",
     "BoxDomain",
+    "MAX_ENUM_DIM",
     "SupergradientSet",
     "GradMaxResult",
     "as_bundle",
@@ -52,6 +53,8 @@ __all__ = [
 ]
 
 GRAD_CAP = 1e12
+# largest dimension whose 2^d box corners (or graph node subsets) are enumerated
+MAX_ENUM_DIM = 20
 
 
 class Shape(enum.Enum):
@@ -121,8 +124,8 @@ class BoxDomain:
 
     def vertices(self) -> np.ndarray:
         """The 2^d box corners, in lexicographic row order."""
-        if self.dim > 20:
-            raise PreconditionError("vertex enumeration capped at dimension 20")
+        if self.dim > MAX_ENUM_DIM:
+            raise PreconditionError(f"vertex enumeration capped at dimension {MAX_ENUM_DIM}")
         n = 1 << self.dim
         masks = np.arange(n, dtype=np.int64)
         shifts = np.arange(self.dim - 1, -1, -1)

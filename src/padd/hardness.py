@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import PreconditionError
-from .funcs import GraphMinCost
+from .funcs import MAX_ENUM_DIM as MAX_ENUM_NODES, GraphMinCost
 from .graphs import GraphInstance
 from .gridopt import worker_count
 
@@ -38,7 +38,6 @@ __all__ = [
     "MAX_ENUM_NODES",
 ]
 
-MAX_ENUM_NODES = 20
 _CHUNK = 1 << 16
 
 
@@ -88,6 +87,8 @@ def _chunk_ranges(d: int):
 
 def _scan_chunks(d: int, score_chunk, threads: int):
     """Deterministic max over the cube: larger score, then smaller row index."""
+    if d > MAX_ENUM_NODES:
+        raise PreconditionError(f"enumeration capped at {MAX_ENUM_NODES} nodes")
     def eval_range(rng):
         start, stop = rng
         scores = score_chunk(_binary_rows(start, stop, d))
@@ -118,8 +119,6 @@ def brute_force_max(g: GraphInstance) -> tuple[int, np.ndarray]:
     maximizer.
     """
     d = g.node_count
-    if d > MAX_ENUM_NODES:
-        raise PreconditionError(f"enumeration capped at {MAX_ENUM_NODES} nodes")
     a = g.adjacency.astype(np.int64)
 
     def score(bits: np.ndarray) -> np.ndarray:
@@ -139,8 +138,6 @@ def mis_brute_force(g: GraphInstance) -> int:
     it spans no edge, else -1.
     """
     d = g.node_count
-    if d > MAX_ENUM_NODES:
-        raise PreconditionError(f"enumeration capped at {MAX_ENUM_NODES} nodes")
     a = g.adjacency.astype(np.int64)
 
     def score(bits: np.ndarray) -> np.ndarray:

@@ -29,7 +29,7 @@ from .funcs import (
     as_bundle,
     as_price,
 )
-from .gridopt import golden_max
+from .gridopt import coordinate_refine, golden_max, grid_density
 
 __all__ = [
     "SellerSolution",
@@ -42,7 +42,6 @@ __all__ = [
 DEFAULT_TIE_TOL = 1e-8
 DEFAULT_GOLDEN_TOL = 1e-10
 DEFAULT_SELLER_GRID = {1: 2001, 2: 201, 3: 51, 4: 21}
-MAX_GRID_DIM = 4
 _REV_TIE_REL = 1e-12
 
 
@@ -66,14 +65,24 @@ def _check_dims(u: FunctionExpr, domain: BoxDomain, c: FunctionExpr):
         raise DimensionError(
             f"dimensions disagree: value {u.dim}, domain {domain.dim}, cost {c.dim}"
         )
-    if domain.dim > MAX_GRID_DIM:
-        raise PreconditionError(
-            f"dimension {domain.dim} > {MAX_GRID_DIM}: grid solvers are capped"
-        )
 
 
 def _rev_tie(scale: float) -> float:
     return _REV_TIE_REL * max(1.0, abs(scale))
+
+
+def _seller_pick(rows: np.ndarray, primary: np.ndarray, tol: float, secondary) -> np.ndarray:
+    """Seller-favouring tie-break among candidate bundles.
+
+    Keeps the rows within `tol` of the best `primary` key, then those within
+    `_rev_tie` of the best `secondary(rows)` among them (the seller's revenue
+    or payment), and returns the lexicographically largest survivor.
+    """
+    tied = rows[primary >= primary.max() - tol]
+    rev = secondary(tied)
+    near = tied[rev >= rev.max() - _rev_tie(float(rev.max()))]
+    order = np.lexsort(near.T[::-1])
+    return near[order[-1]].copy()
 
 
 def _coord_profile(u: FunctionExpr, i: int):
@@ -170,23 +179,6 @@ def _anchored_response(
     return max(near) * anchor
 
 
-def _vertex_response(
-    u: FunctionExpr,
-    price: np.ndarray,
-    domain: BoxDomain,
-    c: FunctionExpr,
-    tie_tol: float,
-) -> np.ndarray:
-    """Best response for convex reported values: optimal at a box corner."""
-    verts = domain.vertices()
-    util = u.values(verts) - verts @ price
-    tied = verts[util >= util.max() - tie_tol]
-    rev = tied @ price - c.values(tied)
-    near = tied[rev >= rev.max() - _rev_tie(float(rev.max()))]
-    # rows are in lexicographic order; prefer the largest tied bundle
-    return near[-1].copy()
-
-
 def _finish_ties(
     cands: np.ndarray,
     u: FunctionExpr,
@@ -195,11 +187,7 @@ def _finish_ties(
     tie_tol: float,
 ) -> np.ndarray:
     util = u.values(cands) - cands @ price
-    tied = cands[util >= util.max() - tie_tol]
-    rev = tied @ price - c.values(tied)
-    near = tied[rev >= rev.max() - _rev_tie(float(rev.max()))]
-    order = np.lexsort(near.T[::-1])
-    return near[order[-1]].copy()
+    return _seller_pick(cands, util, tie_tol, lambda tied: tied @ price - c.values(tied))
 
 
 def buyer_best_response(
@@ -227,7 +215,8 @@ def buyer_best_response(
     if anchored is not None:
         return _anchored_response(*anchored, price, domain, c, tie_tol, golden_tol)
     if u.shape is Shape.CONVEX:
-        return _vertex_response(u, price, domain, c, tie_tol)
+        # convex reports are maximized at a box corner
+        return _finish_ties(domain.vertices(), u, price, c, tie_tol)
 
     profiles = [_coord_profile(u, i) for i in range(u.dim)]
     if all(p is not None for p in profiles):
@@ -248,7 +237,7 @@ def buyer_best_response(
         cands = np.array(sorted({0.0, b, xg}))[:, None]
         return _finish_ties(cands, u, price, c, tie_tol)
 
-    pts = domain.grid((grid_points or DEFAULT_SELLER_GRID)[domain.dim])
+    pts = domain.grid(grid_density(grid_points or DEFAULT_SELLER_GRID, domain.dim))
     return _finish_ties(pts, u, price, c, tie_tol)
 
 
@@ -262,6 +251,15 @@ def _price_candidate(u: FunctionExpr, x: np.ndarray) -> np.ndarray:
     if u.shape is Shape.CONVEX:
         return u.gradient(x)
     return u.grad_max_info(x).vector
+
+
+def _consistent_record(u, p, domain, c, grid_points, tie_tol, golden_tol):
+    """(revenue, response, price) when the buyer's response to `p` reproduces `p`."""
+    xbr = buyer_best_response(u, p, domain, c, tie_tol, golden_tol, grid_points)
+    p_at = _price_candidate(u, xbr)
+    if np.max(np.abs(p_at - p)) > 1e-6 * max(1.0, float(np.max(np.abs(p)))):
+        return None
+    return float(p_at @ xbr - c.value(xbr)), xbr, p_at
 
 
 def seller_optimal_linear_price(
@@ -286,10 +284,6 @@ def seller_optimal_linear_price(
     if abs(u.value(np.zeros(u.dim))) > 1e-12:
         raise PreconditionError("reported value function must vanish at the origin")
 
-    n_axis = (grid_points or DEFAULT_SELLER_GRID)[domain.dim]
-    pts = domain.grid(n_axis)
-    pts = pts[np.any(pts > 0, axis=1)]
-
     records: list[tuple[float, np.ndarray, np.ndarray]] = []
     best_rev = -np.inf
     seen: set = set()
@@ -300,14 +294,10 @@ def seller_optimal_linear_price(
         if key in seen or not np.all(np.isfinite(p)):
             return
         seen.add(key)
-        xbr = buyer_best_response(u, p, domain, c, tie_tol, golden_tol)
-        p_at = _price_candidate(u, xbr)
-        scale = max(1.0, float(np.max(np.abs(p))))
-        if np.max(np.abs(p_at - p)) > 1e-6 * scale:
-            return
-        rev = float(p_at @ xbr - c.value(xbr))
-        records.append((rev, xbr, p_at))
-        best_rev = max(best_rev, rev)
+        rec = _consistent_record(u, p, domain, c, grid_points, tie_tol, golden_tol)
+        if rec is not None:
+            records.append(rec)
+            best_rev = max(best_rev, rec[0])
 
     smooth = False
     anchored = _anchored_form(u)
@@ -323,6 +313,9 @@ def seller_optimal_linear_price(
         for piece in u.pieces:
             try_price(np.asarray(piece.weights, dtype=float))
     else:
+        n_axis = grid_density(grid_points or DEFAULT_SELLER_GRID, domain.dim)
+        pts = domain.grid(n_axis)
+        pts = pts[np.any(pts > 0, axis=1)]
         if u.shape in (Shape.CONCAVE, Shape.LINEAR):
             try:
                 grads = u.gradient_batch(pts)
@@ -344,24 +337,22 @@ def seller_optimal_linear_price(
             try_price(_price_candidate(u, pts[idx]))
 
     if smooth and records:
-        records = _refine_smooth(u, c, domain, records, n_axis, tie_tol, golden_tol)
+        _refine_smooth(u, c, domain, records, n_axis, grid_points, tie_tol, golden_tol)
 
-    if not records:
-        zero = np.zeros(u.dim)
-        return SellerSolution(price=zero, bundle=zero.copy(), revenue=0.0, verified=False)
-
-    top = max(r for r, _, _ in records)
-    near = [(r, b, p) for r, b, p in records if r >= top - _rev_tie(top)]
-    near.sort(key=lambda rbp: tuple(rbp[1]))
-    rev, bundle, price = near[-1]
-    if rev < 0.0:
-        zero = np.zeros(u.dim)
-        return SellerSolution(price=zero, bundle=zero.copy(), revenue=0.0, verified=True)
-    return SellerSolution(price=price, bundle=bundle, revenue=rev, verified=True)
+    if records:
+        top = max(r for r, _, _ in records)
+        near = [(r, b, p) for r, b, p in records if r >= top - _rev_tie(top)]
+        near.sort(key=lambda rbp: tuple(rbp[1]))
+        rev, bundle, price = near[-1]
+        if rev >= 0.0:
+            return SellerSolution(price=price, bundle=bundle, revenue=rev, verified=True)
+    zero = np.zeros(u.dim)
+    return SellerSolution(price=zero, bundle=zero.copy(), revenue=0.0, verified=bool(records))
 
 
-def _refine_smooth(u, c, domain, records, n_axis, tie_tol, golden_tol):
-    """Coordinate golden refinement of the revenue around the best record."""
+def _refine_smooth(u, c, domain, records, n_axis, grid_points, tie_tol, golden_tol):
+    """Coordinate golden refinement of the revenue around the best record;
+    appends the refined record to `records` when it is consistent and better."""
     rev0, bundle0, _ = max(records, key=lambda rbp: rbp[0])
 
     def revenue_at(x: np.ndarray) -> float:
@@ -373,29 +364,12 @@ def _refine_smooth(u, c, domain, records, n_axis, tie_tol, golden_tol):
             return -np.inf
         return float(p @ x - c.value(x))
 
-    x = bundle0.copy()
     spacing = domain.upper / (n_axis - 1)
-    for _ in range(2):
-        for i in range(domain.dim):
-            lo = max(0.0, x[i] - spacing[i])
-            hi = min(float(domain.upper[i]), x[i] + spacing[i])
-
-            def along(t, _i=i):
-                y = x.copy()
-                y[_i] = t
-                return revenue_at(y)
-
-            x[i] = golden_max(along, lo, hi, tol=golden_tol)
+    x = coordinate_refine(revenue_at, bundle0, spacing, domain.upper, 2, golden_tol)
     if revenue_at(x) > rev0:
-        p = _price_candidate(u, x)
-        xbr = buyer_best_response(u, p, domain, c, tie_tol, golden_tol)
-        p_at = _price_candidate(u, xbr)
-        scale = max(1.0, float(np.max(np.abs(p))))
-        if np.max(np.abs(p_at - p)) <= 1e-6 * scale:
-            rev = float(p_at @ xbr - c.value(xbr))
-            if rev > rev0:
-                records.append((rev, xbr, p_at))
-    return records
+        rec = _consistent_record(u, _price_candidate(u, x), domain, c, grid_points, tie_tol, golden_tol)
+        if rec is not None and rec[0] > rev0:
+            records.append(rec)
 
 
 def optimal_price_family(xstar, pstar: float, lam) -> np.ndarray:

@@ -26,7 +26,7 @@ from padd import (
     solve_general,
     verify_equilibrium,
 )
-from padd.graphs import path_graph
+from padd.graphs import cycle_graph, path_graph
 from padd.hardness import build_cost
 from padd.instances import (
     capped_value_demo,
@@ -35,6 +35,7 @@ from padd.instances import (
     equivalence_suite,
 )
 from padd.raygeom import ray_payment_batch
+from padd.response import DEFAULT_SELLER_GRID
 
 SQRT = PowerSum((1.0,), (0.5,))
 
@@ -257,6 +258,28 @@ class TestVerification:
         assert report.passed
 
 
+class TestVerifyAcceptsSolvedGames:
+    """Every game a solver accepts must also be accepted by verification."""
+
+    def test_vertex_enumeration_graph_game(self):
+        # 6 goods: beyond the grid densities, but the anchored commitment's
+        # best responses need no grid
+        cfg = SolverConfig(vertex_enumeration=True)
+        v, c, box = Affine((3.0,) * 6, 0.0), build_cost(cycle_graph(6)), BoxDomain(np.ones(6))
+        out = solve_auto(v, c, box, cfg)
+        assert np.array_equal(out.bundle, np.ones(6)) and out.payment == 6.0
+        assert verify_equilibrium(out, v, c, box, cfg=cfg).passed
+
+    def test_five_goods_with_configured_grid(self):
+        cfg = SolverConfig(grid_points={**DEFAULT_SELLER_GRID, 5: 7})
+        v = PowerSum((8.0,) * 5, (0.5,) * 5)
+        c = PowerSum((1.0, 1.5, 2.0, 2.5, 3.0), (2.0,) * 5)
+        box = BoxDomain(np.full(5, 5.0))
+        out = solve_auto(v, c, box, cfg)
+        assert out.method == "convex_closed_form" and out.trade
+        assert verify_equilibrium(out, v, c, box, cfg=cfg).passed
+
+
 class TestOutcomeSerialization:
     def test_round_trip(self):
         v, c, box = convex_cost_demo()
@@ -323,15 +346,22 @@ class TestGeneralShapeCost:
 
         alphas = np.linspace(0.0, 1.0 - 1e-6, 4001)
 
-        def payment_oracle(x):
-            cx = c.value((x,))
-            return max((cx - c.value((a * x,))) / (1.0 - a) for a in alphas)
+        def payment_oracle(xs, chunk=256):
+            # max over alphas of the chord slope (c(x) - c(a x)) / (1 - a), per x
+            xs = np.atleast_1d(np.asarray(xs, dtype=float))
+            pay = np.empty(xs.size)
+            for s in range(0, xs.size, chunk):
+                xc = xs[s : s + chunk]
+                cx = c.values(xc[:, None])
+                cax = c.values((xc[:, None] * alphas).reshape(-1, 1)).reshape(xc.size, -1)
+                pay[s : s + chunk] = np.max((cx[:, None] - cax) / (1.0 - alphas), axis=1)
+            return pay
 
         xs = np.linspace(1e-3, 10.0, 4001)
-        objective = [v.value((x,)) - payment_oracle(x) for x in xs]
+        objective = v.values(xs[:, None]) - payment_oracle(xs)
         i = int(np.argmax(objective))
         assert abs(out.bundle[0] - xs[i]) < 1e-2
-        assert abs(out.payment - payment_oracle(out.bundle[0])) < 1e-6
+        assert abs(out.payment - payment_oracle(out.bundle[0])[0]) < 1e-6
         assert out.buyer_surplus >= objective[i] - 1e-6
         assert out.seller_revenue >= -1e-9
 

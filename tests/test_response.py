@@ -125,6 +125,31 @@ class TestSellerOptimalLinearPrice:
             seller_optimal_linear_price(mixed, SQUARE, BOX10)
 
 
+class TestGridPointsThreaded:
+    REPORT = MinOfAffine([Affine((2.0, 1.0), 0.0), Affine((1.0, 3.0), 0.0), Affine((0.0, 0.0), 4.0)])
+    BOX = BoxDomain(np.array([3.0, 2.0]))
+    COST = PowerSum((1.0, 2.0), (2.0, 2.0))
+
+    def test_seller_search_uses_configured_grid(self):
+        # the non-anchored min-of-affine report needs the grid response, which
+        # must use the caller's 11 points per axis rather than the default
+        sol = seller_optimal_linear_price(self.REPORT, self.COST, self.BOX, grid_points={2: 11})
+        assert sol.verified and sol.revenue > 0
+        steps = sol.bundle / (self.BOX.upper / 10)
+        assert np.allclose(steps, np.round(steps), atol=1e-9)
+
+    def test_missing_grid_density_is_precondition(self):
+        with pytest.raises(PreconditionError, match="dimension 2"):
+            buyer_best_response(self.REPORT, (1.0, 1.0), self.BOX, self.COST, grid_points={1: 11})
+
+    def test_anchored_report_needs_no_grid(self):
+        u = Leontief((1.0,) * 6, 3.0)
+        box, c = BoxDomain(np.ones(6)), PowerSum((0.1,) * 6, (2.0,) * 6)
+        assert np.array_equal(buyer_best_response(u, (0.4,) * 6, box, c), np.ones(6))
+        sol = seller_optimal_linear_price(u, c, box)
+        assert sol.verified and np.array_equal(sol.bundle, np.ones(6))
+
+
 class TestOptimalPriceFamily:
     def test_single_good(self):
         assert np.allclose(optimal_price_family((4.0,), 32.0, (1.0,)), [8.0])
