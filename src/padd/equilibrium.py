@@ -13,6 +13,7 @@ has three method tags: `general`, `convex_closed_form`,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -29,7 +30,7 @@ from .funcs import (
 )
 # golden_max is unused here; bench/tests/test_harness.py expects this module to bind it
 from .gridopt import bisect_root, coordinate_refine, golden_max, grid_density  # noqa: F401
-from .raygeom import ray_payment_batch, ray_slope_sup
+from .raygeom import ray_payment_batch, ray_payment_floor, ray_slope_sup
 from .response import (
     DEFAULT_SELLER_GRID,
     buyer_best_response,
@@ -75,6 +76,22 @@ class SolverConfig:
     seed: int = 0
     vertex_enumeration: bool = False
 
+    def __post_init__(self):
+        for name in ("golden_tol", "tie_tol", "bundle_tol", "no_trade_tol"):
+            tol = getattr(self, name)
+            if not (math.isfinite(tol) and tol > 0):
+                raise ValueError(f"solver option {name} must be finite and positive")
+        if not all(n >= 2 for n in self.grid_points.values()):
+            raise ValueError("solver option grid_points needs at least 2 points per axis")
+        if not self.refine_top_k >= 1:
+            raise ValueError("solver option refine_top_k must be at least 1")
+        if not self.refine_passes >= 0:
+            raise ValueError("solver option refine_passes must be non-negative")
+        if not self.ray_grid_n >= 2:
+            raise ValueError("solver option ray_grid_n must be at least 2")
+        if not (0.0 < self.eps_limit < 1.0):
+            raise ValueError("solver option eps_limit must lie in (0, 1)")
+
     def points(self, dim: int) -> int:
         return grid_density(self.grid_points, dim)
 
@@ -106,11 +123,7 @@ class SolverConfig:
             kwargs["grid_points"] = {int(k): int(v) for k, v in kwargs["grid_points"].items()}
         if kwargs.get("lambda_split") is not None:
             kwargs["lambda_split"] = tuple(float(v) for v in kwargs["lambda_split"])
-        out = replace(cfg, **kwargs)
-        for name in ("tie_tol", "bundle_tol", "golden_tol", "eps_limit"):
-            if getattr(out, name) <= 0:
-                raise ValueError(f"solver option {name} must be positive")
-        return out
+        return replace(cfg, **kwargs)
 
 
 @dataclass(eq=False)
@@ -255,15 +268,33 @@ def _validate_instance(v: FunctionExpr, c: FunctionExpr, domain: BoxDomain):
 # --- inner maximization ----------------------------------------------------
 
 
-def _maximize(obj_batch, obj_scalar, domain: BoxDomain, cfg: SolverConfig, obj_slope=None):
+# grid rows per objective batch when an upper bound prunes the grid
+_PRUNE_BLOCK = 64
+
+
+def _maximize(
+    obj_batch, obj_scalar, domain: BoxDomain, cfg: SolverConfig, obj_slope=None, bound_batch=None
+):
     """Maximize over the box; returns (bundle, value).
 
     Grid argmax with lexicographically-smallest tie-breaking, followed by
     cyclic per-coordinate golden refinement of the top cells; 1-d runs get
     a final derivative-bisection polish when a slope callback is supplied.
+
+    `bound_batch`, when given, must be at least `obj_batch` on every row in
+    floating point, bit for bit.  The objective is then evaluated only on
+    the rows that can reach the top `refine_top_k` (the argmax alone under
+    vertex enumeration); see `_pruned_values`.  The result is identical.
+    `solve_general` passes `v - (c - c(0))`: its a = 0 chord slope
+    `c(x) - c(0)` is the first entry of the slope array that the payment
+    maximizes, so with monotone rounding the bound holds in floating point.
     """
     pts = domain.vertices() if cfg.vertex_enumeration else domain.grid(cfg.points(domain.dim))
-    vals = obj_batch(pts)
+    if bound_batch is None:
+        vals = obj_batch(pts)
+    else:
+        k = 1 if cfg.vertex_enumeration else cfg.refine_top_k
+        vals = _pruned_values(obj_batch, bound_batch(pts), pts, k)
     i0 = int(np.nonzero(vals >= vals.max())[0][0])
     if cfg.vertex_enumeration:
         return pts[i0].copy(), float(vals[i0])
@@ -284,6 +315,34 @@ def _maximize(obj_batch, obj_scalar, domain: BoxDomain, cfg: SolverConfig, obj_s
     near = [xt for val, xt in candidates if val >= top - cfg.no_trade_tol]
     best = min(near)  # lexicographically smallest bundle among ties
     return np.asarray(best, dtype=float), top
+
+
+def _pruned_values(obj_batch, bound: np.ndarray, pts: np.ndarray, k: int) -> np.ndarray:
+    """`obj_batch(pts)` on every row that can reach the top `k`; -inf elsewhere.
+
+    Rows are visited in descending-bound order (stable) in blocks of
+    `_PRUNE_BLOCK`.  A row whose bound is below the k-th best value seen so
+    far is strictly below the k-th best value of the whole grid, so it can
+    neither enter the stable top-k nor tie the argmax; the walk stops at
+    the first block without a row left to evaluate.  NaN bounds sort first
+    and are never skipped.
+    """
+    k = min(k, pts.shape[0])
+    bound = np.where(np.isnan(bound), np.inf, bound)
+    order = np.argsort(-bound, kind="stable")
+    vals = np.full(pts.shape[0], -np.inf)
+    kth = -np.inf
+    for start in range(0, order.size, _PRUNE_BLOCK):
+        rows = order[start : start + _PRUNE_BLOCK]
+        rows = rows[bound[rows] >= kth]
+        if rows.size == 0:
+            break
+        # numpy evaluates a one-row matrix product by another route than a
+        # many-row one, and it can round differently; pad to two rows so
+        # every row gets the bits a whole-grid evaluation would give it
+        vals[rows] = obj_batch(pts[np.resize(rows, max(rows.size, 2))])[: rows.size]
+        kth = np.partition(vals, -k)[-k]
+    return vals
 
 
 def _polish_1d(obj_scalar, obj_slope, x: float, spacing: float, domain: BoxDomain) -> float | None:
@@ -369,12 +428,16 @@ def solve_general(v: FunctionExpr, c: FunctionExpr, domain: BoxDomain, cfg: Solv
     def batch(xs):
         return v.values(xs) - ray_payment_batch(c, xs, cfg.ray_grid_n, cfg.eps_limit)
 
+    def bound(xs):
+        # the payment is at least its a = 0 chord slope, c(x) - c(0)
+        return v.values(xs) - ray_payment_floor(c, xs)
+
     def scalar(x):
         if not np.any(np.asarray(x) > 0):
             return 0.0
         return v.value(x) - ray_slope_sup(c, x, cfg.ray_grid_n, cfg.eps_limit).payment
 
-    x, best = _maximize(batch, scalar, domain, cfg)
+    x, best = _maximize(batch, scalar, domain, cfg, bound_batch=bound)
     if best <= cfg.no_trade_tol or not np.any(x > 0):
         return _no_trade(domain.dim, METHOD_GENERAL)
     payment = ray_slope_sup(c, x, cfg.ray_grid_n, cfg.eps_limit).payment

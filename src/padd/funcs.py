@@ -83,6 +83,12 @@ def as_bundle(x, dim: int | None = None) -> np.ndarray:
     return arr
 
 
+def _check_finite(what: str, *values: float) -> None:
+    """Node parameters must be finite numbers (NaN and infinities are refused)."""
+    if not np.all(np.isfinite(values)):
+        raise PreconditionError(f"{what} must be finite")
+
+
 def as_price(p, dim: int | None = None) -> np.ndarray:
     """Validate a per-unit price vector (finite, non-negative)."""
     arr = np.atleast_1d(np.asarray(p, dtype=float))
@@ -248,6 +254,7 @@ class PowerSum(FunctionExpr):
         b = tuple(float(v) for v in np.atleast_1d(exponents))
         if len(c) != len(b) or not c:
             raise DimensionError("coeffs and exponents must have equal positive length")
+        _check_finite("coefficients and exponents", *c, *b)
         if any(v < 0 for v in c):
             raise PreconditionError("coefficients must be non-negative")
         if any(v <= 0 for v in b):
@@ -351,6 +358,7 @@ class Affine(FunctionExpr):
         w = tuple(float(v) for v in np.atleast_1d(weights))
         if not w:
             raise DimensionError("weights must be non-empty")
+        _check_finite("weights and intercept", *w, intercept)
         if any(v < 0 for v in w):
             raise PreconditionError("weights must be non-negative")
         if intercept < 0:
@@ -414,6 +422,7 @@ class Leontief(FunctionExpr):
         a = tuple(float(v) for v in np.atleast_1d(anchor))
         if not a:
             raise DimensionError("anchor must be non-empty")
+        _check_finite("anchor and level", *a, level)
         if any(v <= 0 for v in a):
             raise PreconditionError("anchor coordinates must be strictly positive")
         if level < 0:
@@ -615,6 +624,7 @@ class Scale(FunctionExpr):
     child: FunctionExpr
 
     def __init__(self, factor: float, child: FunctionExpr):
+        _check_finite("scale factor", factor)
         if factor < 0:
             raise PreconditionError("scale factor must be non-negative")
         self.factor = float(factor)

@@ -9,6 +9,13 @@ it:
 For convex differentiable costs the supremum is the (unattained) limit
 `x . grad c(x)`; for concave costs it is attained at a = 0 and equals
 c(x); for anything else it is bracketed numerically on a dense a-grid.
+
+The a = 0 chord slope is `c(x) - c(0)`, and on the numeric path it is
+computed exactly that way as the first entry of the slope array, so
+`ray_payment_floor` is at most `ray_payment_batch` row by row, bit for bit
+(rounding is monotone).  Hence `v(x) - (c(x) - c(0))` bounds the buyer's
+objective `v(x) - payment(x)` from above in floating point, which is what
+lets the general solver skip grid rows exactly.
 """
 
 from __future__ import annotations
@@ -67,11 +74,7 @@ def ray_slope_sup(
         payment = float(np.dot(x, c.gradient(x)))
         return RaySlopeResult(payment=payment, attained_alpha=None, is_limit=True)
 
-    if grid_n < 2:
-        raise PreconditionError("fraction grid needs at least 2 points")
-    if not (0.0 < eps_limit < 1.0):
-        raise PreconditionError("eps_limit must lie in (0, 1)")
-    alphas = np.linspace(0.0, 1.0 - eps_limit, grid_n)
+    alphas = _alpha_grid(grid_n, eps_limit)
     cvals = c.values(alphas[:, None] * x)
     if np.any(cvals > cx + 1e-12 * max(1.0, abs(cx))):
         raise PreconditionError("cost decreases along the ray; non-monotone cost")
@@ -81,6 +84,25 @@ def ray_slope_sup(
     if i == grid_n - 1:
         return RaySlopeResult(payment=float(slopes[i]), attained_alpha=None, is_limit=True)
     return RaySlopeResult(payment=float(slopes[i]), attained_alpha=float(alphas[i]), is_limit=False)
+
+
+def _alpha_grid(grid_n: int, eps_limit: float) -> np.ndarray:
+    """The fraction grid `0, ..., 1 - eps_limit` of the numeric supremum."""
+    if grid_n < 2:
+        raise PreconditionError("fraction grid needs at least 2 points")
+    if not (0.0 < eps_limit < 1.0):
+        raise PreconditionError("eps_limit must lie in (0, 1)")
+    return np.linspace(0.0, 1.0 - eps_limit, grid_n)
+
+
+def _closed_payments(c: FunctionExpr, xs: np.ndarray) -> np.ndarray | None:
+    """Closed-form payments on the rows of `xs`; None when the cost has none."""
+    shape = c.shape
+    if shape in (Shape.LINEAR, Shape.CONCAVE):
+        return c.values(xs)
+    if shape is Shape.CONVEX:
+        return np.einsum("ij,ij->i", xs, c.gradient_batch(xs))
+    return None
 
 
 def ray_payment_batch(
@@ -94,12 +116,10 @@ def ray_payment_batch(
     Rows equal to the zero bundle get payment 0 (no trade).
     """
     xs = np.asarray(xs, dtype=float)
-    shape = c.shape
-    if shape in (Shape.LINEAR, Shape.CONCAVE):
-        return c.values(xs)
-    if shape is Shape.CONVEX:
-        return np.einsum("ij,ij->i", xs, c.gradient_batch(xs))
-    alphas = np.linspace(0.0, 1.0 - eps_limit, grid_n)
+    closed = _closed_payments(c, xs)
+    if closed is not None:
+        return closed
+    alphas = _alpha_grid(grid_n, eps_limit)
     out = np.empty(xs.shape[0])
     cx = c.values(xs)
     for k in range(xs.shape[0]):
@@ -109,6 +129,19 @@ def ray_payment_batch(
         cvals = c.values(alphas[:, None] * xs[k])
         out[k] = np.max((cx[k] - cvals) / (1.0 - alphas))
     return out
+
+
+def ray_payment_floor(c: FunctionExpr, xs: np.ndarray) -> np.ndarray:
+    """Row-wise lower bound on `ray_payment_batch(c, xs, ...)`, exact in floating point.
+
+    Without a closed form this is the a = 0 chord slope `c(x) - c(0)`
+    (0 on the zero bundle); with one, it is the closed-form payment itself.
+    """
+    xs = np.asarray(xs, dtype=float)
+    closed = _closed_payments(c, xs)
+    if closed is not None:
+        return closed
+    return c.values(xs) - c.values(np.zeros((1, xs.shape[1])))[0]
 
 
 def bregman(f: FunctionExpr, z, x) -> float:

@@ -86,6 +86,31 @@ class TestSolve:
         assert code == 1
 
 
+    def test_non_finite_coefficient_is_precondition_exit(self, capsys, tmp_path):
+        cfg = json.loads((CONFIGS / "convex_demo.json").read_text())
+        cfg["value"]["coeffs"] = [float("inf")]
+        bad = tmp_path / "inf_value.json"
+        bad.write_text(json.dumps(cfg))
+        assert "Infinity" in bad.read_text()
+        code, out, err = run_cli(capsys, "solve", str(bad))
+        assert code == 2
+        assert err.startswith("precondition violated:")
+        assert "Traceback" not in err and out == ""
+
+    @pytest.mark.parametrize(
+        "option", [{"tie_tol": float("nan")}, {"grid_points": {"1": 1}}, {"refine_top_k": 0}]
+    )
+    def test_invalid_solver_option_is_io_exit(self, capsys, tmp_path, option):
+        cfg = json.loads((CONFIGS / "convex_demo.json").read_text())
+        cfg["solver"].update(option)
+        bad = tmp_path / "bad_solver.json"
+        bad.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, "solve", str(bad))
+        assert code == 1
+        assert err.startswith("error: solver option")
+        assert out == ""
+
+
 class TestFixedBundle:
     def test_demo_bundle(self, capsys):
         code, out, _ = run_cli(

@@ -5,6 +5,7 @@ import pytest
 
 from padd import (
     Affine,
+    MinOfAffine,
     Sum,
     BoxDomain,
     EquilibriumOutcome,
@@ -34,7 +35,9 @@ from padd.instances import (
     convex_cost_demo,
     equivalence_suite,
 )
-from padd.raygeom import ray_payment_batch
+from padd import equilibrium
+from padd.equilibrium import _maximize
+from padd.raygeom import ray_payment_batch, ray_payment_floor, ray_slope_sup
 from padd.response import DEFAULT_SELLER_GRID
 
 SQRT = PowerSum((1.0,), (0.5,))
@@ -370,3 +373,194 @@ class TestGeneralShapeCost:
         c = Sum([PowerSum((1.0,), (2.0,)), SQRT])
         out = solve_general(v, c, BoxDomain(np.array([10.0])))
         assert out.method == "general"
+
+
+class TestSolverConfigValidation:
+    @pytest.mark.parametrize(
+        "option",
+        [
+            {"tie_tol": float("nan")},
+            {"golden_tol": float("inf")},
+            {"bundle_tol": 0.0},
+            {"no_trade_tol": -1e-12},
+            {"grid_points": {1: 1}},
+            {"grid_points": {1: 2001, 2: 0}},
+            {"refine_top_k": 0},
+            {"refine_passes": -1},
+            {"ray_grid_n": 1},
+            {"eps_limit": 0.0},
+            {"eps_limit": 1.0},
+        ],
+    )
+    def test_invalid_option_rejected(self, option):
+        with pytest.raises(ValueError, match="solver option"):
+            SolverConfig(**option)
+        with pytest.raises(ValueError, match="solver option"):
+            SolverConfig.from_dict({k: (v if k != "grid_points" else {str(d): n for d, n in v.items()})
+                                    for k, v in option.items()})
+
+    def test_defaults_and_round_trip_accepted(self):
+        cfg = SolverConfig(refine_passes=0, refine_top_k=1, ray_grid_n=2)
+        assert SolverConfig.from_dict(cfg.to_dict()).to_dict() == cfg.to_dict()
+
+
+def _general_objective(v, c, cfg):
+    """The buyer's objective and its upper bound, as `solve_general` builds them."""
+
+    def batch(xs):
+        return v.values(xs) - ray_payment_batch(c, xs, cfg.ray_grid_n, cfg.eps_limit)
+
+    def bound(xs):
+        return v.values(xs) - ray_payment_floor(c, xs)
+
+    def scalar(x):
+        if not np.any(np.asarray(x) > 0):
+            return 0.0
+        return v.value(x) - ray_slope_sup(c, x, cfg.ray_grid_n, cfg.eps_limit).payment
+
+    return batch, bound, scalar
+
+
+MIXED_1D = (Scale(20.0, SQRT), Sum([PowerSum((1.0,), (2.0,)), SQRT]), BoxDomain(np.array([10.0])), {1: 2001})
+KINKED_1D = (
+    Scale(20.0, SQRT),
+    Sum([PowerSum((1.0,), (2.0,)), MinOfAffine([Affine((3.0,), 0.0), Affine((0.0,), 2.0)])]),
+    BoxDomain(np.array([10.0])),
+    {1: 2001},
+)
+MIXED_2D = (
+    PowerSum((20.0, 10.0), (0.5, 0.5)),
+    Sum([PowerSum((1.0, 1.0), (2.0, 2.0)), PowerSum((1.0, 1.0), (0.5, 0.5))]),
+    BoxDomain(np.array([10.0, 10.0])),
+    {2: 21},
+)
+# sqrt(x) + 0.01 x^2 on [0, 10]: general shape, but every chord slope peaks
+# at a = 0, so the upper bound equals the objective on every grid row
+TIGHT_1D = (
+    PowerSum((3.0,), (0.5,)),
+    Sum([SQRT, PowerSum((0.01,), (2.0,))]),
+    BoxDomain(np.array([10.0])),
+    {1: 2001},
+)
+# its symmetric 2-d version: mirrored rows tie exactly in the grid top-3
+TIGHT_2D = (
+    PowerSum((2.0, 2.0), (0.5, 0.5)),
+    Sum([PowerSum((1.0, 1.0), (0.5, 0.5)), PowerSum((0.01, 0.01), (2.0, 2.0))]),
+    BoxDomain(np.array([10.0, 10.0])),
+    {2: 21},
+)
+
+
+class TestPrunedGrid:
+    @pytest.mark.parametrize("instance", [MIXED_1D, KINKED_1D, MIXED_2D], ids=["mixed_1d", "kinked_1d", "mixed_2d"])
+    @pytest.mark.parametrize(
+        "options", [{"refine_top_k": 1}, {"refine_top_k": 3}, {"vertex_enumeration": True}],
+        ids=["top1", "top3", "vertices"],
+    )
+    def test_bound_leaves_maximizer_bit_identical(self, instance, options):
+        v, c, box, grid = instance
+        cfg = SolverConfig(grid_points=grid, **options)
+        batch, bound, scalar = _general_objective(v, c, cfg)
+        x_all, best_all = _maximize(batch, scalar, box, cfg)
+        x_pruned, best_pruned = _maximize(batch, scalar, box, cfg, bound_batch=bound)
+        assert x_pruned.tobytes() == x_all.tobytes()
+        assert np.float64(best_pruned).tobytes() == np.float64(best_all).tobytes()
+
+    def test_single_surviving_row_gets_whole_grid_bits(self):
+        # a one-row batch can round differently from a many-row one (numpy's
+        # matrix-vector route), so a block pruned down to a single row must
+        # still see the bits that the whole-grid evaluation gives that row
+        v = MIXED_2D[0]
+        pts = BoxDomain(np.array([10.0, 10.0])).grid(21)
+        full = v.values(pts)
+        alone = np.array([v.values(pts[i : i + 1])[0] for i in range(len(pts))])
+        order = np.argsort(-full, kind="stable")
+        differs = [i for i in order[equilibrium._PRUNE_BLOCK :] if alone[i] != full[i]]
+        special = differs[0] if differs else order[-1]
+        bound = full.copy()
+        bound[order[: equilibrium._PRUNE_BLOCK]] = np.inf  # the first block, best row included
+        bound[special] = 1e300  # the only row of the second block not below the best
+        vals = equilibrium._pruned_values(v.values, bound, pts, 1)
+        seen = np.isfinite(vals)
+        assert seen[special] and seen.sum() == equilibrium._PRUNE_BLOCK + 1
+        assert vals[seen].tobytes() == full[seen].tobytes()
+
+    @pytest.mark.parametrize("top_k", [1, 2])
+    def test_row_whose_bound_ties_the_kth_value_is_evaluated(self, top_k):
+        # row 0 is visited after a full block of looser-bounded rows that
+        # already hold the k-th value; its bound only equals that value, and
+        # it wins the tie on index, so it must still be evaluated
+        n = equilibrium._PRUNE_BLOCK + 8
+        pts = np.arange(n, dtype=float)[:, None]
+        obj = np.linspace(4.0, 3.0, n)
+        obj[0] = obj[1] = obj[2] = 5.0
+        bound = obj.copy()
+        bound[1 : equilibrium._PRUNE_BLOCK + 1] = 7.0
+        vals = equilibrium._pruned_values(lambda xs: obj[xs[:, 0].astype(int)], bound, pts, top_k)
+        assert vals[0] == 5.0
+        assert list(np.argsort(-vals, kind="stable")[:top_k]) == list(np.argsort(-obj, kind="stable")[:top_k])
+        assert np.isinf(vals[-1])
+
+    def test_nan_bound_is_never_skipped(self):
+        n = 3 * equilibrium._PRUNE_BLOCK
+        pts = np.arange(n, dtype=float)[:, None]
+        obj = np.linspace(2.0, 1.0, n)
+        obj[-1] = 9.0
+        bound = obj.copy()
+        bound[-1] = np.nan
+        vals = equilibrium._pruned_values(lambda xs: obj[xs[:, 0].astype(int)], bound, pts, 1)
+        assert vals[-1] == 9.0
+        assert np.isinf(vals[n // 2])
+
+    @pytest.mark.parametrize("instance", [MIXED_1D, KINKED_1D, MIXED_2D], ids=["mixed_1d", "kinked_1d", "mixed_2d"])
+    def test_bound_is_above_objective(self, instance):
+        v, c, box, grid = instance
+        cfg = SolverConfig(grid_points=grid)
+        batch, bound, _ = _general_objective(v, c, cfg)
+        pts = box.grid(cfg.points(box.dim))
+        assert np.all(bound(pts) >= batch(pts))
+
+    def test_solve_general_evaluates_fewer_rows_than_the_grid(self, monkeypatch):
+        v, c, box, grid = MIXED_1D
+        rows = []
+
+        def counting(c_, xs, *args):
+            rows.append(len(xs))
+            return ray_payment_batch(c_, xs, *args)
+
+        monkeypatch.setattr(equilibrium, "ray_payment_batch", counting)
+        out = solve_general(v, c, box)
+        assert out.method == "general" and out.trade
+        assert 0 < sum(rows) < grid[1]
+
+    @pytest.mark.parametrize("instance", [TIGHT_1D, TIGHT_2D], ids=["tight_1d", "tight_2d"])
+    def test_tight_bound_equals_objective(self, instance):
+        v, c, box, grid = instance
+        cfg = SolverConfig(grid_points=grid)
+        batch, bound, _ = _general_objective(v, c, cfg)
+        pts = box.grid(cfg.points(box.dim))
+        assert np.array_equal(bound(pts), batch(pts))
+
+    @pytest.mark.parametrize(
+        "instance,top_k", [(TIGHT_1D, 1), (TIGHT_2D, 2), (TIGHT_2D, 3)], ids=["tight_1d-1", "tight_2d-2", "tight_2d-3"]
+    )
+    def test_tight_bound_keeps_argmax_and_tie_break(self, instance, top_k):
+        v, c, box, grid = instance
+        cfg = SolverConfig(grid_points=grid, refine_top_k=top_k)
+        batch, bound, scalar = _general_objective(v, c, cfg)
+        x_all, best_all = _maximize(batch, scalar, box, cfg)
+        x_pruned, best_pruned = _maximize(batch, scalar, box, cfg, bound_batch=bound)
+        assert x_pruned.tobytes() == x_all.tobytes()
+        assert np.float64(best_pruned).tobytes() == np.float64(best_all).tobytes()
+
+    def test_tight_2d_grid_ties_second_and_third(self):
+        # rows 2 and 3 of the stable top-3 are mirror images with equal values,
+        # so refine_top_k = 2 cuts through a tie that the pruning must respect
+        v, c, box, grid = TIGHT_2D
+        cfg = SolverConfig(grid_points=grid)
+        batch, _, _ = _general_objective(v, c, cfg)
+        pts = box.grid(cfg.points(box.dim))
+        vals = batch(pts)
+        top = np.argsort(-vals, kind="stable")[:3]
+        assert vals[top[1]] == vals[top[2]]
+        assert pts[top[1]].tolist() == pts[top[2]][::-1].tolist()

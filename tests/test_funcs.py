@@ -226,3 +226,37 @@ class TestSerialization:
             Leontief((0.0,), 1.0)
         with pytest.raises(PreconditionError):
             Scale(-2.0, Affine((1.0,), 0.0))
+
+
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda t: PowerSum((t,), (0.5,)),
+            lambda t: PowerSum((1.0,), (t,)),
+            lambda t: Affine((t, 1.0), 0.0),
+            lambda t: Affine((1.0,), t),
+            lambda t: Leontief((t,), 1.0),
+            lambda t: Leontief((1.0,), t),
+            lambda t: Scale(t, Affine((1.0,), 0.0)),
+            lambda t: BoxDomain(np.array([1.0, t])),
+        ],
+        ids=[
+            "power_sum_coeff",
+            "power_sum_exponent",
+            "affine_weight",
+            "affine_intercept",
+            "leontief_anchor",
+            "leontief_level",
+            "scale_factor",
+            "box_upper",
+        ],
+    )
+    def test_rejected_with_named_precondition(self, build, bad):
+        with pytest.raises(PreconditionError, match="finite"):
+            build(bad)
+
+    def test_from_dict_rejects_infinity(self):
+        with pytest.raises(PreconditionError, match="finite"):
+            expr_from_dict(json.loads('{"kind": "power_sum", "coeffs": [Infinity], "exponents": [0.5]}'))

@@ -12,6 +12,7 @@ from padd import (
     bregman,
     ray_slope_sup,
 )
+from padd.raygeom import ray_payment_batch
 
 SQUARE = PowerSum((1.0,), (2.0,))
 SQRT = PowerSum((1.0,), (0.5,))
@@ -107,3 +108,19 @@ class TestBregman:
     def test_rejects_kinked_point(self):
         with pytest.raises(PreconditionError):
             bregman(SQRT, (1.0,), (0.0,))
+
+
+class TestAlphaGridPreconditions:
+    MIXED = Sum([SQUARE, SQRT])
+
+    @pytest.mark.parametrize("grid_n,eps_limit", [(1, 1e-6), (0, 1e-6), (11, 0.0), (11, 1.0)])
+    def test_batch_and_scalar_share_the_checks(self, grid_n, eps_limit):
+        xs = np.array([[1.0], [2.0]])
+        with pytest.raises(PreconditionError):
+            ray_payment_batch(self.MIXED, xs, grid_n=grid_n, eps_limit=eps_limit)
+        with pytest.raises(PreconditionError):
+            ray_slope_sup(self.MIXED, xs[0], grid_n=grid_n, eps_limit=eps_limit)
+
+    def test_batch_with_one_point_grid_raises(self):
+        with pytest.raises(PreconditionError, match="at least 2 points"):
+            ray_payment_batch(self.MIXED, np.array([[1.0]]), grid_n=1)
