@@ -8,13 +8,12 @@ by a fixed schedule.
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
 from .errors import PreconditionError
 
-__all__ = ["golden_max", "coordinate_refine", "grid_density", "bisect_root", "worker_count"]
+__all__ = ["golden_max", "coordinate_refine", "grid_density", "bisect_root"]
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
@@ -103,12 +102,3 @@ def bisect_root(g, lo: float, hi: float, tol: float = 1e-15, max_iter: int = 200
             b = m
     return 0.5 * (a + b)
 
-
-def worker_count() -> int:
-    """Parallelism bound from the PADD_THREADS environment variable."""
-    raw = os.environ.get("PADD_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)

@@ -13,6 +13,14 @@ expected surplus has the closed form `sum_i p_i * prod_{j ~ i} (1 - p_j)`.
 Fixing coordinates one at a time toward the larger conditional expectation
 is carried out in exact rational arithmetic, making the dominance
 `U(rounded) >= U(fractional)` exact rather than Monte-Carlo approximate.
+Fixing coordinate k moves only the terms of k and its neighbours, so each
+choice reads the local delta
+`E1 - E0 = prod_{j ~ k} (1 - p_j) - sum_{i ~ k} p_i * prod_{j ~ i, j != k} (1 - p_j)`,
+O(deg^2) rational operations per coordinate.
+
+`brute_force_max` and `mis_brute_force` enumerate the `2^d` cube as uint32
+subset masks in 65,536-mask chunks with bitwise popcounts; they share the
+mask layout but score subsets by independent rules.
 """
 
 from __future__ import annotations
@@ -25,7 +33,6 @@ import numpy as np
 from .errors import PreconditionError
 from .funcs import MAX_ENUM_DIM as MAX_ENUM_NODES, GraphMinCost
 from .graphs import GraphInstance
-from .gridopt import worker_count
 
 __all__ = [
     "RoundingState",
@@ -37,8 +44,6 @@ __all__ = [
     "derandomize",
     "MAX_ENUM_NODES",
 ]
-
-_CHUNK = 1 << 16
 
 
 def build_cost(g: GraphInstance) -> GraphMinCost:
@@ -52,8 +57,8 @@ def _check_unit_box(g: GraphInstance, x) -> np.ndarray:
         raise PreconditionError(
             f"point has dimension {x.shape}, graph has {g.node_count} nodes"
         )
-    if np.any(x < 0) or np.any(x > 1):
-        raise PreconditionError("coordinates must lie in [0, 1]")
+    if not np.all((x >= 0) & (x <= 1)):  # also refuses NaN
+        raise PreconditionError("coordinates must be finite and lie in [0, 1]")
     return x
 
 
@@ -72,41 +77,43 @@ def surplus_U(g: GraphInstance, x) -> float:
     return float(surplus_exact(g, x))
 
 
-def _binary_rows(start: int, stop: int, d: int) -> np.ndarray:
-    """Rows `start..stop` of the 0/1 cube, coordinate 1 as the high bit."""
-    masks = np.arange(start, stop, dtype=np.int64)
-    shifts = np.arange(d - 1, -1, -1)
-    return ((masks[:, None] >> shifts[None, :]) & 1).astype(np.int8)
+# Subsets of the d nodes are uint32 masks with node i at bit d - 1 - i, so
+# ascending masks are the 0/1 cube rows in lexicographic order.  The cap
+# MAX_ENUM_NODES = 20 (<= 32) is what keeps every mask inside a uint32.
+_LOW_BITS = 16
 
 
-def _chunk_ranges(d: int):
-    total = 1 << d
-    for start in range(0, total, _CHUNK):
-        yield start, min(start + _CHUNK, total)
-
-
-def _scan_chunks(d: int, score_chunk, threads: int):
-    """Deterministic max over the cube: larger score, then smaller row index."""
+def _node_masks(g: GraphInstance) -> np.ndarray:
+    """Neighbour mask of the node at each bit position (`[k]` is node d - 1 - k)."""
+    d = g.node_count
     if d > MAX_ENUM_NODES:
         raise PreconditionError(f"enumeration capped at {MAX_ENUM_NODES} nodes")
-    def eval_range(rng):
-        start, stop = rng
-        scores = score_chunk(_binary_rows(start, stop, d))
+    flipped = g.adjacency[::-1, ::-1].astype(np.uint32)
+    return flipped @ (np.uint32(1) << np.arange(d, dtype=np.uint32))
+
+
+def _union_table(nbr: np.ndarray) -> np.ndarray:
+    """`N[m]` = union of the neighbour masks of the bits of `m`, by doubling."""
+    table = np.zeros(1 << nbr.size, dtype=np.uint32)
+    for k, mask in enumerate(nbr):
+        table[1 << k : 2 << k] = table[: 1 << k] | mask
+    return table
+
+
+def _scan_chunks(d: int, score_chunk):
+    """Deterministic max over the cube: larger score, then smaller mask.
+
+    `score_chunk(h, masks)` scores one chunk of ascending masks sharing the
+    bits above the low `_LOW_BITS`, `h`.
+    """
+    low = np.arange(1 << min(d, _LOW_BITS), dtype=np.uint32)
+    best_val, best_idx = -1, 0
+    for h in range(1 << max(d - _LOW_BITS, 0)):
+        scores = score_chunk(h, np.uint32(h << _LOW_BITS) | low)
         j = int(np.argmax(scores))  # first max in the chunk = lex-smallest
-        return int(scores[j]), start + j
-
-    ranges = list(_chunk_ranges(d))
-    if threads > 1 and len(ranges) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(eval_range, ranges))
-    else:
-        results = [eval_range(r) for r in ranges]
-    best_val, best_idx = results[0]
-    for val, idx in results[1:]:
-        if val > best_val or (val == best_val and idx < best_idx):
-            best_val, best_idx = val, idx
+        val = int(scores[j])
+        if val > best_val:
+            best_val, best_idx = val, (h << _LOW_BITS) + j
     return best_val, best_idx
 
 
@@ -115,39 +122,40 @@ def brute_force_max(g: GraphInstance) -> tuple[int, np.ndarray]:
 
     The surplus is convex (linear revenue minus concave cost), so the
     maximum sits at a cube vertex; the value is the number of active nodes
-    with no active neighbor.  Returns the lexicographically smallest
-    maximizer.
+    with no active neighbor, `popcount(m & ~N[m])` with `N[m]` the union of
+    the active nodes' neighbour masks.  `N` is split into a table over the
+    low 16 bits and one over the rest, so `N[m] = NL[low] | NH[high]`.
+    Returns the lexicographically smallest maximizer.
     """
     d = g.node_count
-    a = g.adjacency.astype(np.int64)
+    nbr = _node_masks(g)
+    low_table = _union_table(nbr[:_LOW_BITS])
+    high_table = _union_table(nbr[_LOW_BITS:])
 
-    def score(bits: np.ndarray) -> np.ndarray:
-        b = bits.astype(np.int64)
-        neigh = b @ a
-        return (b & (neigh == 0)).sum(axis=1)
+    def score(h: int, m: np.ndarray) -> np.ndarray:
+        return np.bitwise_count(m & ~(low_table | high_table[h]))
 
-    val, idx = _scan_chunks(d, score, worker_count())
-    argmax = _binary_rows(idx, idx + 1, d)[0].astype(float)
-    return int(val), argmax
+    val, idx = _scan_chunks(d, score)
+    argmax = ((idx >> np.arange(d - 1, -1, -1)) & 1).astype(float)
+    return val, argmax
 
 
 def mis_brute_force(g: GraphInstance) -> int:
     """Maximum independent set size by subset enumeration.
 
-    Independent oracle for `brute_force_max`: a subset scores its size when
-    it spans no edge, else -1.
+    Independent oracle for `brute_force_max` (it shares no union table): a
+    subset scores its size when no member's neighbour mask meets it, else -1.
     """
-    d = g.node_count
-    a = g.adjacency.astype(np.int64)
+    nbr = _node_masks(g)
 
-    def score(bits: np.ndarray) -> np.ndarray:
-        b = bits.astype(np.int64)
-        internal_edges = np.einsum("ij,ij->i", b @ a, b)
-        sizes = b.sum(axis=1)
-        return np.where(internal_edges == 0, sizes, -1)
+    def score(_h: int, m: np.ndarray) -> np.ndarray:
+        clash = np.zeros_like(m)
+        for k, mask in enumerate(nbr):
+            clash |= (m & mask) * ((m >> np.uint32(k)) & np.uint32(1))
+        return np.where(clash == 0, np.bitwise_count(m).astype(np.int64), -1)
 
-    val, _ = _scan_chunks(d, score, worker_count())
-    return int(val)
+    val, _ = _scan_chunks(g.node_count, score)
+    return val
 
 
 @dataclass
@@ -188,22 +196,43 @@ class RoundingState:
         return total
 
 
+def _none_active(probs: list, nodes) -> Fraction:
+    """`prod_{j in nodes} (1 - p_j)`, stopping at the first zero factor."""
+    out = Fraction(1)
+    for j in nodes:
+        out *= 1 - probs[j]
+        if out == 0:
+            break
+    return out
+
+
+def _fix_gain(probs: list, nbrs: list, k: int) -> Fraction:
+    """`E[U | x_k = 1] - E[U | x_k = 0]`: only the terms of k and its neighbours move.
+
+    `prod_{j ~ k} (1 - p_j) - sum_{i ~ k} p_i * prod_{j ~ i, j != k} (1 - p_j)`.
+    """
+    gain = _none_active(probs, nbrs[k])
+    for i in nbrs[k]:
+        if probs[i] != 0:
+            gain -= probs[i] * _none_active(probs, (j for j in nbrs[i] if j != k))
+    return gain
+
+
 def derandomize(g: GraphInstance, xbar) -> np.ndarray:
     """Round a fractional point to a binary one with no surplus loss.
 
     Walks the coordinates in index order, fixing each to the choice with the
-    larger exact conditional expected surplus (ties fix to 1).  Coordinates
+    larger exact conditional expected surplus (ties fix to 1).  The choice
+    reads the sign of the local delta (`_fix_gain`)
+    `E1 - E0 = prod_{j ~ k} (1 - p_j) - sum_{i ~ k} p_i * prod_{j ~ i, j != k} (1 - p_j)`,
+    O(deg^2) rational operations per coordinate against O(d + |E|) for a
+    full `RoundingState.expected_surplus`.  Coordinates
     that are already exactly 0 or 1 are left untouched, so binary inputs
     round-trip unchanged.  Guarantees `U(result) >= U(xbar)` exactly.
     """
     state = RoundingState.from_fractional(g, xbar)
+    nbrs = [g.neighbors(i).tolist() for i in range(g.node_count)]
     for i in range(g.node_count):
-        if state.is_fixed(i):
-            continue
-        state.fix(i, 1)
-        e1 = state.expected_surplus()
-        state.fix(i, 0)
-        e0 = state.expected_surplus()
-        if e1 >= e0:
-            state.fix(i, 1)
+        if not state.is_fixed(i):
+            state.fix(i, 1 if _fix_gain(state.probs, nbrs, i) >= 0 else 0)
     return np.array([float(p) for p in state.probs])

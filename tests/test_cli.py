@@ -168,6 +168,14 @@ class TestHardness:
         assert code == 2
         assert "self-loop" in err
 
+    def test_nan_rounding_point_rejected(self, capsys):
+        code, out, err = run_cli(
+            capsys, "hardness", str(GRAPHS / "triangle.txt"), "--round", "nan,0.5,0.5"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("precondition violated:") and "Traceback" not in err
+
 
 class TestOverfit:
     def test_reference_epsilon(self, capsys):
