@@ -29,7 +29,7 @@ from .equilibrium import (
     verify_equilibrium,
 )
 from .errors import PreconditionError
-from .funcs import BoxDomain, FunctionExpr, expr_from_dict, expr_to_dict
+from .funcs import MAX_ENUM_DIM, BoxDomain, FunctionExpr, expr_from_dict, expr_to_dict
 from .graphs import GraphInstance, parse_graph_json, parse_graph_text
 from .hardness import brute_force_max, derandomize, mis_brute_force, surplus_U
 from .instances import SCENARIOS, hardness_corpus
@@ -168,16 +168,13 @@ def _load_graph(path) -> GraphInstance:
 
 def _cmd_hardness(args) -> int:
     g = _load_graph(args.graph)
-    val, arg = brute_force_max(g)
-    mis = mis_brute_force(g)
-    payload = {
-        "nodes": g.node_count,
-        "edges": g.edge_count,
-        "max_surplus": val,
-        "argmax": [float(v) for v in arg],
-        "mis_size": mis,
-        "equal": val == mis,
-    }
+    payload = {"nodes": g.node_count, "edges": g.edge_count}
+    # rounding alone needs no enumeration; without --round a graph above the cap is refused
+    enumerate_ = g.node_count <= MAX_ENUM_DIM or not args.round
+    if enumerate_:
+        val, arg = brute_force_max(g)
+        mis = mis_brute_force(g)
+        payload.update(max_surplus=val, argmax=[float(v) for v in arg], mis_size=mis, equal=val == mis)
     if args.round:
         xbar = np.array([float(t) for t in args.round.split(",")])
         rounded = derandomize(g, xbar)
@@ -189,10 +186,11 @@ def _cmd_hardness(args) -> int:
     else:
         print(f"nodes           {payload['nodes']}")
         print(f"edges           {payload['edges']}")
-        print(f"max surplus     {payload['max_surplus']}")
-        print(f"argmax          {_fmt_vec(arg)}")
-        print(f"mis size        {payload['mis_size']}")
-        print(f"equal           {'yes' if payload['equal'] else 'no'}")
+        if enumerate_:
+            print(f"max surplus     {payload['max_surplus']}")
+            print(f"argmax          {_fmt_vec(arg)}")
+            print(f"mis size        {payload['mis_size']}")
+            print(f"equal           {'yes' if payload['equal'] else 'no'}")
         if args.round:
             print(f"rounded         {_fmt_vec(payload['rounded'])}")
             print(f"rounded U       {_fmt(payload['rounded_surplus'])}")

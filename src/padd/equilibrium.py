@@ -263,6 +263,12 @@ def _validate_instance(v: FunctionExpr, c: FunctionExpr, domain: BoxDomain):
     zero = np.zeros(domain.dim)
     if abs(v.value(zero)) > 1e-12 or abs(c.value(zero)) > 1e-12:
         raise PreconditionError("value and cost must vanish at the origin")
+    # both are monotone, so the upper corner of the box holds their maxima
+    corner = domain.upper[None, :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        top = (v.values(corner)[0], c.values(corner)[0])
+    if not np.all(np.isfinite(top)):
+        raise PreconditionError("value and cost must be finite on the box (they overflow at its upper corner)")
 
 
 # --- inner maximization ----------------------------------------------------

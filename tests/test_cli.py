@@ -97,6 +97,17 @@ class TestSolve:
         assert err.startswith("precondition violated:")
         assert "Traceback" not in err and out == ""
 
+    def test_overflowing_box_is_precondition_exit(self, capsys, tmp_path):
+        # the cost x^2 overflows at 1e300: refused, not answered with no trade
+        cfg = json.loads((CONFIGS / "convex_demo.json").read_text())
+        cfg["domain"]["upper"] = [1e300]
+        bad = tmp_path / "huge_box.json"
+        bad.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, "solve", str(bad))
+        assert code == 2
+        assert err.startswith("precondition violated:")
+        assert "Traceback" not in err and out == ""
+
     @pytest.mark.parametrize(
         "option", [{"tie_tol": float("nan")}, {"grid_points": {"1": 1}}, {"refine_top_k": 0}]
     )
@@ -174,6 +185,32 @@ class TestHardness:
         )
         assert code == 2
         assert out == ""
+        assert err.startswith("precondition violated:") and "Traceback" not in err
+
+
+class TestHardnessAboveEnumerationCap:
+    @pytest.fixture
+    def path30(self, tmp_path):
+        graph = tmp_path / "path30.txt"
+        graph.write_text("30 29\n" + "".join(f"{i} {i + 1}\n" for i in range(1, 30)))
+        return str(graph)
+
+    def test_rounding_without_enumeration(self, capsys, path30):
+        point = ",".join(["0.5"] * 30)
+        code, out, err = run_cli(capsys, "hardness", path30, "--round", point, "--json")
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        assert list(payload) == ["nodes", "edges", "rounded", "rounded_surplus", "fractional_surplus"]
+        assert payload["nodes"] == 30 and payload["edges"] == 29
+        assert set(payload["rounded"]) <= {0.0, 1.0}
+        assert payload["rounded_surplus"] >= payload["fractional_surplus"]
+        code, out, _ = run_cli(capsys, "hardness", path30, "--round", point)
+        assert code == 0
+        assert "rounded U" in out and "max surplus" not in out and "mis size" not in out
+
+    def test_enumeration_alone_still_refused(self, capsys, path30):
+        code, out, err = run_cli(capsys, "hardness", path30)
+        assert code == 2 and out == ""
         assert err.startswith("precondition violated:") and "Traceback" not in err
 
 

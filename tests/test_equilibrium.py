@@ -330,6 +330,18 @@ class TestInstancePreconditions:
         with pytest.raises(PreconditionError):
             solve_general(Affine((1.0,), 0.5), SQRT, box)
 
+    @pytest.mark.parametrize("solver", [solve_auto, solve_general, solve_convex])
+    def test_cost_overflowing_on_the_box_rejected(self, solver):
+        # x^2 overflows at 1e300; before this check the solvers returned no trade
+        v, c, _ = convex_cost_demo()
+        with pytest.raises(PreconditionError, match="finite on the box"):
+            solver(v, c, BoxDomain(np.array([1e300])))
+
+    def test_value_overflowing_on_the_box_rejected(self):
+        # 1e10 * 1e300 overflows while sqrt(1e300) does not
+        with pytest.raises(PreconditionError, match="finite on the box"):
+            solve_concave(Affine((1e10,), 0.0), SQRT, BoxDomain(np.array([1e300])))
+
     def test_wrong_shape_for_specialized_solver(self):
         box = BoxDomain(np.array([10.0]))
         with pytest.raises(PreconditionError):
@@ -367,6 +379,28 @@ class TestGeneralShapeCost:
         assert abs(out.payment - payment_oracle(out.bundle[0])[0]) < 1e-6
         assert out.buyer_surplus >= objective[i] - 1e-6
         assert out.seller_revenue >= -1e-9
+
+    def test_default_grid_2d_solve_against_oracle(self):
+        # the default 201^2 grid, which took about 25 s before the monomial ray path
+        v = PowerSum((20.0, 10.0), (0.5, 0.5))
+        c = Sum([PowerSum((1.0, 1.0), (2.0, 2.0)), PowerSum((1.0, 1.0), (0.5, 0.5))])
+        box = BoxDomain(np.array([10.0, 10.0]))
+        cfg = SolverConfig()
+        assert cfg.points(2) == 201
+        out = solve_general(v, c, box, cfg)
+        alphas = np.linspace(0.0, 1.0 - 1e-6, 10001)
+
+        def payment_oracle(x):
+            # max over alphas of the chord slope (c(x) - c(a x)) / (1 - a)
+            cx = c.values(x[None, :])[0]
+            return float(np.max((cx - c.values(alphas[:, None] * x)) / (1.0 - alphas)))
+
+        assert out.method == "general" and out.trade
+        assert out.payment == pytest.approx(payment_oracle(out.bundle), rel=1e-7, abs=0.0)
+        coarse = BoxDomain(np.array([10.0, 10.0])).grid(11)[1:]
+        best = max(v.value(x) - payment_oracle(x) for x in coarse)
+        assert out.buyer_surplus >= best
+        assert verify_equilibrium(out, v, c, box, cfg=cfg).passed
 
     def test_method_tag_is_general(self):
         v = Scale(20.0, SQRT)
