@@ -26,13 +26,9 @@ from .funcs import (
     SupergradientSet,
     as_bundle,
     as_price,
-    classify,
-    evaluate,
     expr_from_dict,
     expr_to_dict,
-    grad_max,
     grad_max_info,
-    gradient,
     supergradients,
 )
 from .graphs import GraphInstance, parse_graph_json, parse_graph_text

@@ -131,7 +131,7 @@ def best_concave_price(
     top = gaps.max()
     if top < 0.0:
         return ConcavePriceResult(price=u, bundle=np.zeros(domain.dim), revenue=0.0)
-    bundle = _seller_pick(pool, gaps, _rev_tie(float(top)), u.values)
+    bundle = pool[_seller_pick(pool, gaps, _rev_tie(float(top)), u.values)]
     return ConcavePriceResult(price=u, bundle=bundle, revenue=max(float(top), 0.0))
 
 
@@ -204,7 +204,7 @@ def _response_to_price_expr(
     cands = np.vstack([pts[util >= util.max() - cfg.tie_tol], x[None, :]])
     uvals = u.values(cands) - price.values(cands)
     max_util = float(uvals.max())
-    pick = _seller_pick(cands, uvals, cfg.tie_tol, lambda t: price.values(t) - c.values(t))
+    pick = cands[_seller_pick(cands, uvals, cfg.tie_tol, lambda t: price.values(t) - c.values(t))]
     if np.count_nonzero(uvals >= max_util - cfg.tie_tol) > 1:
         # buyer indifference region: polish the seller's revenue inside it
         refined = coordinate_refine(

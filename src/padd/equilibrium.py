@@ -18,18 +18,17 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DimensionError, NotDifferentiableError, PreconditionError
+from .errors import DimensionError, PreconditionError
 from .funcs import (
     Affine,
     BoxDomain,
     FunctionExpr,
     Leontief,
-    MinOfAffine,
     Shape,
     as_bundle,
 )
 # golden_max is unused here; bench/tests/test_harness.py expects this module to bind it
-from .gridopt import bisect_root, coordinate_refine, golden_max, grid_density  # noqa: F401
+from .gridopt import coordinate_refine, golden_max, grid_density  # noqa: F401
 from .raygeom import ray_payment_batch, ray_payment_floor, ray_slope_sup
 from .response import (
     DEFAULT_SELLER_GRID,
@@ -132,7 +131,8 @@ class ImitativeValue:
     anchor bundle and proportionally less for fractions of it.
 
     Zero anchor coordinates mark absent goods (boundary equilibria); the
-    induced expression then caps the fraction over the support only.
+    induced `Leontief` expression then caps the fraction over the support
+    only.
     """
 
     anchor: np.ndarray
@@ -152,15 +152,7 @@ class ImitativeValue:
     def to_expr(self) -> FunctionExpr:
         if not np.any(self.support):
             return Affine(np.zeros(self.anchor.size), 0.0)
-        if np.all(self.support):
-            return Leontief(tuple(self.anchor), self.payment)
-        pieces = []
-        for i in np.nonzero(self.support)[0]:
-            w = np.zeros(self.anchor.size)
-            w[i] = self.payment / self.anchor[i]
-            pieces.append(Affine(w, 0.0))
-        pieces.append(Affine(np.zeros(self.anchor.size), self.payment))
-        return MinOfAffine(pieces)
+        return Leontief(tuple(self.anchor), self.payment)
 
     def value(self, x) -> float:
         return self.to_expr().value(x)
@@ -278,14 +270,12 @@ def _validate_instance(v: FunctionExpr, c: FunctionExpr, domain: BoxDomain):
 _PRUNE_BLOCK = 64
 
 
-def _maximize(
-    obj_batch, obj_scalar, domain: BoxDomain, cfg: SolverConfig, obj_slope=None, bound_batch=None
-):
+def _maximize(obj_batch, obj_scalar, domain: BoxDomain, cfg: SolverConfig, bound_batch=None):
     """Maximize over the box; returns (bundle, value).
 
     Grid argmax with lexicographically-smallest tie-breaking, followed by
-    cyclic per-coordinate golden refinement of the top cells; 1-d runs get
-    a final derivative-bisection polish when a slope callback is supplied.
+    cyclic per-coordinate golden refinement of the top cells, in every
+    dimension alike.
 
     `bound_batch`, when given, must be at least `obj_batch` on every row in
     floating point, bit for bit.  The objective is then evaluated only on
@@ -311,10 +301,6 @@ def _maximize(
         x = coordinate_refine(
             obj_scalar, pts[i], spacing, domain.upper, cfg.refine_passes, cfg.golden_tol
         )
-        if domain.dim == 1 and obj_slope is not None:
-            polished = _polish_1d(obj_scalar, obj_slope, float(x[0]), spacing[0], domain)
-            if polished is not None:
-                x = np.array([polished])
         candidates.append((float(obj_scalar(x)), tuple(x)))
 
     top = max(val for val, _ in candidates)
@@ -337,30 +323,18 @@ def _pruned_values(obj_batch, bound: np.ndarray, pts: np.ndarray, k: int) -> np.
     bound = np.where(np.isnan(bound), np.inf, bound)
     order = np.argsort(-bound, kind="stable")
     vals = np.full(pts.shape[0], -np.inf)
-    kth = -np.inf
+    top = np.full(k, -np.inf)  # the k best values evaluated so far
     for start in range(0, order.size, _PRUNE_BLOCK):
         rows = order[start : start + _PRUNE_BLOCK]
-        rows = rows[bound[rows] >= kth]
+        rows = rows[bound[rows] >= top[0]]
         if rows.size == 0:
             break
         # numpy evaluates a one-row matrix product by another route than a
         # many-row one, and it can round differently; pad to two rows so
         # every row gets the bits a whole-grid evaluation would give it
         vals[rows] = obj_batch(pts[np.resize(rows, max(rows.size, 2))])[: rows.size]
-        kth = np.partition(vals, -k)[-k]
+        top = np.partition(np.concatenate([top, vals[rows]]), -k)[-k:]
     return vals
-
-
-def _polish_1d(obj_scalar, obj_slope, x: float, spacing: float, domain: BoxDomain) -> float | None:
-    lo = max(0.0, x - spacing)
-    hi = min(float(domain.upper[0]), x + spacing)
-    try:
-        root = bisect_root(lambda t: obj_slope(t), max(lo, 1e-300), hi)
-    except (NotDifferentiableError, PreconditionError):
-        return None
-    if root is None:
-        return None
-    return root if obj_scalar(np.array([root])) >= obj_scalar(np.array([x])) else None
 
 
 # --- outcome assembly ------------------------------------------------------
@@ -464,16 +438,7 @@ def solve_convex(v: FunctionExpr, c: FunctionExpr, domain: BoxDomain, cfg: Solve
         x = np.asarray(x, dtype=float)
         return v.value(x) - float(np.dot(x, c.gradient(x)))
 
-    def slope(t: float) -> float:
-        x = np.array([t])
-        dv = float(v.gradient(x)[0])
-        dc = float(c.gradient(x)[0])
-        curv = c.curvature_diag(x)
-        if curv is None:
-            raise NotDifferentiableError("cost curvature unavailable")
-        return dv - dc - t * float(curv[0])
-
-    x, best = _maximize(batch, scalar, domain, cfg, obj_slope=_safe_slope(v, domain, slope))
+    x, best = _maximize(batch, scalar, domain, cfg)
     if best <= cfg.no_trade_tol or not np.any(x > 0):
         return _no_trade(domain.dim, METHOD_CONVEX)
     payment = float(np.dot(x, c.gradient(x)))
@@ -493,26 +458,11 @@ def solve_concave(v: FunctionExpr, c: FunctionExpr, domain: BoxDomain, cfg: Solv
     def scalar(x):
         return v.value(x) - c.value(x)
 
-    def slope(t: float) -> float:
-        x = np.array([t])
-        return float(v.gradient(x)[0]) - float(c.gradient(x)[0])
-
-    x, best = _maximize(batch, scalar, domain, cfg, obj_slope=_safe_slope(v, domain, slope))
+    x, best = _maximize(batch, scalar, domain, cfg)
     if best <= cfg.no_trade_tol or not np.any(x > 0):
         return _no_trade(domain.dim, METHOD_CONCAVE)
     payment = c.value(x)
     return _trade_outcome(v, c, x, payment, METHOD_CONCAVE, cfg)
-
-
-def _safe_slope(v: FunctionExpr, domain: BoxDomain, slope):
-    """1-d derivative polish callback; None when unavailable or kinked."""
-    if domain.dim != 1:
-        return None
-    try:
-        v.gradient(np.array([1e-3]))
-    except (NotDifferentiableError, NotImplementedError):
-        return None
-    return slope
 
 
 def solve_auto(v: FunctionExpr, c: FunctionExpr, domain: BoxDomain, cfg: SolverConfig | None = None) -> EquilibriumOutcome:

@@ -39,11 +39,7 @@ __all__ = [
     "GradMaxResult",
     "as_bundle",
     "as_price",
-    "evaluate",
-    "classify",
-    "grad_max",
     "grad_max_info",
-    "gradient",
     "supergradients",
     "expr_from_dict",
     "expr_to_dict",
@@ -203,8 +199,8 @@ class FunctionExpr:
         raise NotImplementedError
 
     def value(self, x) -> float:
-        """Exact scalar evaluation at one bundle."""
-        raise NotImplementedError
+        """Evaluation at one bundle: `values` on a one-row batch."""
+        return float(self.values(as_bundle(x, self.dim)[None, :])[0])
 
     def values(self, xs: np.ndarray) -> np.ndarray:
         """Vectorized evaluation on an (n, d) array of bundles."""
@@ -230,10 +226,6 @@ class FunctionExpr:
 
     def gradient_batch(self, xs: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def curvature_diag(self, x) -> np.ndarray | None:
-        """Diagonal of the Hessian for separable smooth nodes, else None."""
-        return None
 
     def to_dict(self) -> dict:
         raise NotImplementedError
@@ -265,10 +257,6 @@ class PowerSum(FunctionExpr):
     @property
     def dim(self) -> int:
         return len(self.coeffs)
-
-    def value(self, x) -> float:
-        x = as_bundle(x, self.dim)
-        return float(sum(k * xi**b for k, b, xi in zip(self.coeffs, self.exponents, x)))
 
     def values(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
@@ -327,18 +315,6 @@ class PowerSum(FunctionExpr):
         g = np.where((xs == 0.0) & (b > 1.0), 0.0, g)
         return g
 
-    def curvature_diag(self, x) -> np.ndarray | None:
-        x = as_bundle(x, self.dim)
-        out = np.empty(self.dim)
-        for i, (k, b) in enumerate(zip(self.coeffs, self.exponents)):
-            if x[i] == 0.0:
-                if b < 2.0 and b != 1.0 and k > 0:
-                    return None
-                out[i] = 0.0 if b != 2.0 else 2.0 * k
-            else:
-                out[i] = k * b * (b - 1.0) * x[i] ** (b - 2.0)
-        return out
-
     def to_dict(self) -> dict:
         return {
             "kind": "power_sum",
@@ -370,10 +346,6 @@ class Affine(FunctionExpr):
     def dim(self) -> int:
         return len(self.weights)
 
-    def value(self, x) -> float:
-        x = as_bundle(x, self.dim)
-        return float(sum(w * xi for w, xi in zip(self.weights, x)) + self.intercept)
-
     def values(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
         return xs @ np.asarray(self.weights) + self.intercept
@@ -396,9 +368,6 @@ class Affine(FunctionExpr):
         xs = np.asarray(xs, dtype=float)
         return np.broadcast_to(np.asarray(self.weights), xs.shape).copy()
 
-    def curvature_diag(self, x) -> np.ndarray | None:
-        return np.zeros(self.dim)
-
     def to_dict(self) -> dict:
         return {
             "kind": "affine",
@@ -409,10 +378,11 @@ class Affine(FunctionExpr):
 
 @dataclass
 class Leontief(FunctionExpr):
-    """`f(x) = level * min(x_1/a_1, ..., x_d/a_d, 1)` for a positive anchor `a`.
+    """`f(x) = level * min(x_i/a_i over a_i > 0, 1)` for a non-negative anchor `a`.
 
     The value grows with the largest fraction of the anchor bundle that x
-    contains and saturates once the whole anchor is covered.
+    contains and saturates once the whole anchor is covered.  Zero anchor
+    coordinates mark absent goods, which the value ignores.
     """
 
     anchor: tuple
@@ -423,8 +393,8 @@ class Leontief(FunctionExpr):
         if not a:
             raise DimensionError("anchor must be non-empty")
         _check_finite("anchor and level", *a, level)
-        if any(v <= 0 for v in a):
-            raise PreconditionError("anchor coordinates must be strictly positive")
+        if any(v < 0 for v in a) or not any(v > 0 for v in a):
+            raise PreconditionError("anchor coordinates must be non-negative, at least one positive")
         if level < 0:
             raise PreconditionError("level must be non-negative")
         self.anchor = a
@@ -434,16 +404,10 @@ class Leontief(FunctionExpr):
     def dim(self) -> int:
         return len(self.anchor)
 
-    def _fraction(self, x: np.ndarray) -> float:
-        return float(min(min(xi / ai for xi, ai in zip(x, self.anchor)), 1.0))
-
-    def value(self, x) -> float:
-        x = as_bundle(x, self.dim)
-        return float(self.level * self._fraction(x))
-
     def values(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
-        ratios = xs / np.asarray(self.anchor)
+        a = np.asarray(self.anchor)
+        ratios = xs[:, a > 0] / a[a > 0]
         return self.level * np.minimum(ratios.min(axis=1), 1.0)
 
     def _structural_shape(self) -> Shape:
@@ -451,15 +415,16 @@ class Leontief(FunctionExpr):
 
     def _active_vertices(self, x: np.ndarray) -> np.ndarray:
         a = np.asarray(self.anchor)
-        r = x / a
-        m = min(float(r.min()), 1.0)
+        support = np.nonzero(a > 0)[0]
+        r = x[support] / a[support]
+        r_min = float(r.min())
         verts = []
-        if float(r.min()) <= 1.0:
-            for i in np.nonzero(r == r.min())[0]:
+        if r_min <= 1.0:
+            for i in support[r == r_min]:
                 v = np.zeros(self.dim)
                 v[i] = self.level / a[i]
                 verts.append(v)
-        if m == 1.0 or float(r.min()) > 1.0:
+        if r_min >= 1.0:
             verts.append(np.zeros(self.dim))
         return np.asarray(verts)
 
@@ -502,10 +467,6 @@ class MinOfAffine(FunctionExpr):
     @property
     def dim(self) -> int:
         return self.pieces[0].dim
-
-    def value(self, x) -> float:
-        x = as_bundle(x, self.dim)
-        return min(p.value(x) for p in self.pieces)
 
     def values(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
@@ -561,9 +522,6 @@ class Sum(FunctionExpr):
     def dim(self) -> int:
         return self.children[0].dim
 
-    def value(self, x) -> float:
-        return float(sum(c.value(x) for c in self.children))
-
     def values(self, xs: np.ndarray) -> np.ndarray:
         out = self.children[0].values(xs)
         for c in self.children[1:]:
@@ -606,12 +564,6 @@ class Sum(FunctionExpr):
             out = out + c.gradient_batch(xs)
         return out
 
-    def curvature_diag(self, x) -> np.ndarray | None:
-        parts = [c.curvature_diag(x) for c in self.children]
-        if any(p is None for p in parts):
-            return None
-        return np.sum(parts, axis=0)
-
     def to_dict(self) -> dict:
         return {"kind": "sum", "children": [c.to_dict() for c in self.children]}
 
@@ -634,9 +586,6 @@ class Scale(FunctionExpr):
     def dim(self) -> int:
         return self.child.dim
 
-    def value(self, x) -> float:
-        return self.factor * self.child.value(x)
-
     def values(self, xs: np.ndarray) -> np.ndarray:
         return self.factor * self.child.values(xs)
 
@@ -657,10 +606,6 @@ class Scale(FunctionExpr):
     def gradient_batch(self, xs: np.ndarray) -> np.ndarray:
         return self.factor * self.child.gradient_batch(xs)
 
-    def curvature_diag(self, x) -> np.ndarray | None:
-        inner = self.child.curvature_diag(x)
-        return None if inner is None else self.factor * inner
-
     def to_dict(self) -> dict:
         return {"kind": "scale", "factor": self.factor, "child": self.child.to_dict()}
 
@@ -678,15 +623,6 @@ class GraphMinCost(FunctionExpr):
     @property
     def dim(self) -> int:
         return self.graph.node_count
-
-    def value(self, x) -> float:
-        x = as_bundle(x, self.dim)
-        a = self.graph.adjacency
-        total = 0.0
-        for i in range(self.dim):
-            s = float(a[:, i] @ x)
-            total += s if s < x[i] else float(x[i])
-        return total
 
     def values(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
@@ -740,17 +676,7 @@ class GraphMinCost(FunctionExpr):
         return {"kind": "graph_min_cost", "graph": self.graph.to_dict()}
 
 
-# --- module-level operation wrappers -------------------------------------
-
-
-def evaluate(f: FunctionExpr, x) -> float:
-    """Exact evaluation of a catalog expression at a bundle."""
-    return f.value(x)
-
-
-def classify(f: FunctionExpr) -> Shape:
-    """Curvature flag from structural rules; unresolved mixes are GENERAL."""
-    return f.shape
+# --- module-level operations with a shape precondition -------------------
 
 
 def grad_max_info(f: FunctionExpr, x, cap: float = GRAD_CAP) -> GradMaxResult:
@@ -765,15 +691,6 @@ def grad_max_info(f: FunctionExpr, x, cap: float = GRAD_CAP) -> GradMaxResult:
             f"payment-maximizing supergradients need a concave or linear expression, got {f.shape.value}"
         )
     return f.grad_max_info(x, cap)
-
-
-def grad_max(f: FunctionExpr, x, cap: float = GRAD_CAP) -> np.ndarray:
-    return grad_max_info(f, x, cap).vector
-
-
-def gradient(f: FunctionExpr, x) -> np.ndarray:
-    """Exact gradient of a differentiable node; raises at kinks."""
-    return f.gradient(x)
 
 
 def supergradients(f: FunctionExpr, x) -> SupergradientSet:

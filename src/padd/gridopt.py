@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import PreconditionError
 
-__all__ = ["golden_max", "coordinate_refine", "grid_density", "bisect_root"]
+__all__ = ["golden_max", "coordinate_refine", "grid_density"]
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
@@ -79,26 +79,3 @@ def grid_density(grid_points: dict, dim: int) -> int:
         return int(grid_points[dim])
     except KeyError:
         raise PreconditionError(f"no grid density configured for dimension {dim}") from None
-
-
-def bisect_root(g, lo: float, hi: float, tol: float = 1e-15, max_iter: int = 200) -> float | None:
-    """Root of a scalar function by bisection; None when no sign change."""
-    ga, gb = g(lo), g(hi)
-    if ga == 0.0:
-        return float(lo)
-    if gb == 0.0:
-        return float(hi)
-    if ga * gb > 0:
-        return None
-    a, b = float(lo), float(hi)
-    for _ in range(max_iter):
-        m = 0.5 * (a + b)
-        gm = g(m)
-        if gm == 0.0 or (b - a) < tol:
-            return m
-        if (gm > 0) == (ga > 0):
-            a, ga = m, gm
-        else:
-            b = m
-    return 0.5 * (a + b)
-

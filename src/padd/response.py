@@ -71,18 +71,19 @@ def _rev_tie(scale: float) -> float:
     return _REV_TIE_REL * max(1.0, abs(scale))
 
 
-def _seller_pick(rows: np.ndarray, primary: np.ndarray, tol: float, secondary) -> np.ndarray:
-    """Seller-favouring tie-break among candidate bundles.
+def _seller_pick(rows: np.ndarray, primary: np.ndarray, tol: float, secondary=None) -> int:
+    """Index of the seller-favoured row among candidate bundles.
 
-    Keeps the rows within `tol` of the best `primary` key, then those within
-    `_rev_tie` of the best `secondary(rows)` among them (the seller's revenue
-    or payment), and returns the lexicographically largest survivor.
+    Keeps the rows within `tol` of the best `primary` key, then (when
+    given) those within `_rev_tie` of the best `secondary(rows)` among them
+    (the seller's revenue), and returns the lexicographically largest
+    survivor; equal survivors go to the last one.
     """
-    tied = rows[primary >= primary.max() - tol]
-    rev = secondary(tied)
-    near = tied[rev >= rev.max() - _rev_tie(float(rev.max()))]
-    order = np.lexsort(near.T[::-1])
-    return near[order[-1]].copy()
+    idx = np.nonzero(primary >= primary.max() - tol)[0]
+    if secondary is not None:
+        rev = secondary(rows[idx])
+        idx = idx[rev >= rev.max() - _rev_tie(float(rev.max()))]
+    return int(idx[np.lexsort(rows[idx].T[::-1])[-1]])
 
 
 def _coord_profile(u: FunctionExpr, i: int):
@@ -113,8 +114,9 @@ def _anchored_form(u: FunctionExpr) -> tuple[np.ndarray, float] | None:
     """Recognize `level * min_i(x_i / anchor_i, 1)` shapes, zeros allowed.
 
     Anchors with zero coordinates (absent goods) arise from equilibrium
-    bundles on the boundary and are encoded as a min of single-coordinate
-    affine pieces plus a constant cap.
+    bundles on the boundary.  Besides `Leontief`, a min of single-coordinate
+    affine pieces plus a constant cap is the same function and is
+    recognized too.
     """
     if isinstance(u, Leontief):
         return np.asarray(u.anchor, dtype=float), u.level
@@ -165,18 +167,17 @@ def _anchored_response(
     if margin < -tie_tol:
         return np.zeros(anchor.size)
     # indifferent along the whole ray: seller tie-break on revenue
-    def rev(t: float) -> float:
-        return t * pay_full - c.value(t * anchor)
+    def rev(ts: np.ndarray) -> np.ndarray:
+        return ts[:, 0] * pay_full - c.values(ts * anchor)
 
-    ts = np.linspace(0.0, t_max, 513)
-    rv = np.array([rev(t) for t in ts])
-    j = int(np.argmax(rv))
-    lo = ts[max(0, j - 1)]
-    hi = ts[min(len(ts) - 1, j + 1)]
-    cands = {0.0, t_max, float(golden_max(rev, lo, hi, tol=golden_tol))}
-    best_rev = max(rev(t) for t in cands)
-    near = [t for t in cands if rev(t) >= best_rev - _rev_tie(best_rev)]
-    return max(near) * anchor
+    ts = np.linspace(0.0, t_max, 513)[:, None]
+    j = int(np.argmax(rev(ts)))
+    t_ref = coordinate_refine(
+        lambda t: float(rev(t[None, :])[0]), ts[j], [t_max / 512], [t_max], 1, golden_tol
+    )
+    cands = np.array([[0.0], [t_max], t_ref])
+    rv = rev(cands)
+    return cands[_seller_pick(cands, rv, _rev_tie(float(rv.max())))][0] * anchor
 
 
 def _finish_ties(
@@ -187,7 +188,8 @@ def _finish_ties(
     tie_tol: float,
 ) -> np.ndarray:
     util = u.values(cands) - cands @ price
-    return _seller_pick(cands, util, tie_tol, lambda tied: tied @ price - c.values(tied))
+    pick = _seller_pick(cands, util, tie_tol, lambda tied: tied @ price - c.values(tied))
+    return cands[pick].copy()
 
 
 def buyer_best_response(
@@ -219,6 +221,8 @@ def buyer_best_response(
         return _finish_ties(domain.vertices(), u, price, c, tie_tol)
 
     profiles = [_coord_profile(u, i) for i in range(u.dim)]
+    if u.dim == 1 and profiles[0] is None:
+        profiles = [lambda t: u.value((t,))]
     if all(p is not None for p in profiles):
         per_coord: list[list[float]] = []
         for i, prof in enumerate(profiles):
@@ -229,13 +233,6 @@ def buyer_best_response(
             per_coord.append(sorted(t for t in cands if h(t) >= top - tie_tol))
         combos = np.array(list(itertools.product(*per_coord)))
         return _finish_ties(combos, u, price, c, tie_tol)
-
-    if u.dim == 1:
-        b = float(domain.upper[0])
-        h = lambda t: u.value((t,)) - float(price[0]) * t
-        xg = float(golden_max(h, 0.0, b, tol=golden_tol))
-        cands = np.array(sorted({0.0, b, xg}))[:, None]
-        return _finish_ties(cands, u, price, c, tie_tol)
 
     pts = domain.grid(grid_density(grid_points or DEFAULT_SELLER_GRID, domain.dim))
     return _finish_ties(pts, u, price, c, tie_tol)
@@ -340,10 +337,9 @@ def seller_optimal_linear_price(
         _refine_smooth(u, c, domain, records, n_axis, grid_points, tie_tol, golden_tol)
 
     if records:
-        top = max(r for r, _, _ in records)
-        near = [(r, b, p) for r, b, p in records if r >= top - _rev_tie(top)]
-        near.sort(key=lambda rbp: tuple(rbp[1]))
-        rev, bundle, price = near[-1]
+        revs = np.array([r for r, _, _ in records])
+        bundles = np.array([b for _, b, _ in records])
+        rev, bundle, price = records[_seller_pick(bundles, revs, _rev_tie(float(revs.max())))]
         if rev >= 0.0:
             return SellerSolution(price=price, bundle=bundle, revenue=rev, verified=True)
     zero = np.zeros(u.dim)

@@ -26,7 +26,7 @@ from padd import (
     solve_general,
     surplus_exact,
 )
-from padd.funcs import Shape, classify
+from padd.funcs import Shape
 from padd.instances import (
     capped_value_demo,
     concave_cost_demo,
@@ -149,7 +149,7 @@ def test_criterion_5_derandomization_dominance():
 
 def test_criterion_6_pricing_class_equivalence():
     suite = equivalence_suite()
-    shapes = {classify(c) for _, _, c, _ in suite}
+    shapes = {c.shape for _, _, c, _ in suite}
     failures = []
     for name, v, c, box in suite:
         rep = equivalence_check(v, c, box, bundle_tol=1e-3, value_tol=1e-4)
@@ -209,7 +209,7 @@ def test_criterion_7_property_suite():
     # (v) general solver agrees with the closed-form specializations
     agree = True
     for name, v, c, box in equivalence_suite():
-        shape = classify(c)
+        shape = c.shape
         if shape is Shape.CONVEX:
             special = solve_convex(v, c, box)
         elif shape in (Shape.CONCAVE, Shape.LINEAR):

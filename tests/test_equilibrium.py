@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +18,6 @@ from padd import (
     Shape,
     SolverConfig,
     bregman,
-    classify,
     fixed_bundle_optimal,
     fixed_bundle_outcome,
     seller_optimal_linear_price,
@@ -82,7 +82,7 @@ class TestSolveBenchmarks:
     def test_value_equal_cost_no_trade(self):
         box = BoxDomain(np.array([100.0]))
         for f in (SQRT, PowerSum((1.0,), (2.0,)), Affine((2.0,), 0.0)):
-            if classify(f) in (Shape.CONCAVE, Shape.LINEAR):
+            if f.shape in (Shape.CONCAVE, Shape.LINEAR):
                 out = solve_auto(f, f, box)
                 assert not out.trade
                 assert out.buyer_surplus == 0.0 and out.seller_revenue == 0.0
@@ -123,7 +123,7 @@ class TestSolveBenchmarks:
 class TestConsistencyAcrossSolvers:
     def test_general_matches_specialized(self):
         for name, v, c, box in equivalence_suite():
-            shape = classify(c)
+            shape = c.shape
             if shape is Shape.CONVEX:
                 special = solve_convex(v, c, box)
             elif shape in (Shape.CONCAVE, Shape.LINEAR):
@@ -143,7 +143,7 @@ class TestConsistencyAcrossSolvers:
         for name, v, c, box in equivalence_suite():
             out = solve_auto(v, c, box)
             assert out.seller_revenue >= -1e-9, name
-            if classify(c) in (Shape.CONCAVE, Shape.LINEAR):
+            if c.shape in (Shape.CONCAVE, Shape.LINEAR):
                 assert abs(out.seller_revenue) <= 1e-6, name
 
     def test_imitation_dominates_truth_telling(self):
@@ -191,6 +191,33 @@ class TestConsistencyAcrossSolvers:
             assert sol.verified
             assert np.max(np.abs(sol.bundle - out.bundle)) < 1e-6
             assert abs(float(sol.price @ sol.bundle) - out.payment) < 1e-6
+
+
+class TestOneDimensionalStationaryPoints:
+    """1-d solves use the grid plus golden refinement of every dimension and
+    still land on the closed-form optimum of v(x) - payment(x)."""
+
+    # name -> (bundle, buyer surplus), each solved by hand
+    EXPECTED = {
+        "sqrt_value_square_cost": (4.0, 96.0),
+        "quartic_root_value_sqrt_cost": (16.0, 4.0),
+        "capped_line_value_square_cost": (0.81, 8.1 - 2.0 * 0.81**2),
+        "sqrt_value_linear_cost": (64.0, 32.0),
+        "capped_line_value_linear_cost": (1.5, 4.5),
+        "sqrt_value_cubic_cost": ((4.0 / 3.0) ** 0.4, 12.0 * (4.0 / 3.0) ** 0.2 - 1.5 * (4.0 / 3.0) ** 1.2),
+        "anchored_value_square_cost": (2.0, 8.0),
+        "power_value_power_cost": (2.0 ** (4.0 / 3.0), 6.0),
+        "zero_surplus_no_trade": (0.0, 0.0),
+    }
+
+    def test_equivalence_suite_reaches_closed_form(self):
+        one_d = [(name, v, c, box) for name, v, c, box in equivalence_suite() if box.dim == 1]
+        assert sorted(name for name, *_ in one_d) == sorted(self.EXPECTED)
+        for name, v, c, box in one_d:
+            out = solve_auto(v, c, box)
+            x, surplus = self.EXPECTED[name]
+            assert math.isclose(out.bundle[0], x, rel_tol=1e-8, abs_tol=1e-300), name
+            assert math.isclose(out.buyer_surplus, surplus, rel_tol=1e-12, abs_tol=1e-300), name
 
 
 class TestFixedBundle:
@@ -271,6 +298,20 @@ class TestVerifyAcceptsSolvedGames:
         v, c, box = Affine((3.0,) * 6, 0.0), build_cost(cycle_graph(6)), BoxDomain(np.ones(6))
         out = solve_auto(v, c, box, cfg)
         assert np.array_equal(out.bundle, np.ones(6)) and out.payment == 6.0
+        assert verify_equilibrium(out, v, c, box, cfg=cfg).passed
+
+    @pytest.mark.parametrize(
+        "graph", [path_graph(3), cycle_graph(4), cycle_graph(6)], ids=["path3", "cycle4", "cycle6"]
+    )
+    def test_zero_payment_graph_game(self, graph):
+        # unit values against the graph cost: the buyer takes an independent
+        # set for free, and the zero commitment must still verify
+        n = graph.node_count
+        cfg = SolverConfig(vertex_enumeration=True)
+        v, c, box = Affine((1.0,) * n), build_cost(graph), BoxDomain(np.ones(n))
+        out = solve_auto(v, c, box, cfg)
+        assert out.trade and out.payment == 0.0
+        assert isinstance(out.imitative.to_expr(), Leontief)
         assert verify_equilibrium(out, v, c, box, cfg=cfg).passed
 
     def test_five_goods_with_configured_grid(self):

@@ -16,13 +16,9 @@ from padd import (
     Scale,
     Shape,
     Sum,
-    classify,
-    evaluate,
     expr_from_dict,
     expr_to_dict,
-    grad_max,
     grad_max_info,
-    gradient,
     supergradients,
 )
 from padd.funcs import check_monotone, check_shape_by_sampling, check_supergradient
@@ -52,14 +48,14 @@ def domain_for(f):
 
 class TestEvaluate:
     def test_sqrt_value_at_four(self):
-        assert evaluate(PowerSum((64.0,), (0.5,)), (4.0,)) == 128.0
+        assert PowerSum((64.0,), (0.5,)).value((4.0,)) == 128.0
 
     def test_zero_bundle_normalization(self):
         for f in catalog_instances():
-            assert evaluate(f, np.zeros(f.dim)) == 0.0
+            assert f.value(np.zeros(f.dim)) == 0.0
 
     def test_leontief_halfway(self):
-        assert evaluate(Leontief((4.0,), 32.0), (2.0,)) == 16.0
+        assert Leontief((4.0,), 32.0).value((2.0,)) == 16.0
 
     def test_leontief_at_anchor_and_fractions(self):
         u = Leontief((2.0, 4.0), 6.0)
@@ -83,29 +79,29 @@ class TestEvaluate:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
-            evaluate(PowerSum((1.0,), (2.0,)), (1.0, 2.0))
+            PowerSum((1.0,), (2.0,)).value((1.0, 2.0))
 
     def test_negative_coordinate(self):
         with pytest.raises(PreconditionError):
-            evaluate(PowerSum((1.0,), (2.0,)), (-1.0,))
+            PowerSum((1.0,), (2.0,)).value((-1.0,))
 
 
 class TestClassify:
     def test_structural_rules(self):
-        assert classify(PowerSum((1.0,), (2.0,))) is Shape.CONVEX
-        assert classify(PowerSum((1.0,), (0.5,))) is Shape.CONCAVE
-        assert classify(Affine((1.0, 1.0), 0.0)) is Shape.LINEAR
-        assert classify(GraphMinCost(clique_graph(3))) is Shape.CONCAVE
-        assert classify(MinOfAffine([Affine((1.0,), 0.0), Affine((0.0,), 2.0)])) is Shape.CONCAVE
-        assert classify(Leontief((1.0,), 1.0)) is Shape.CONCAVE
-        assert classify(Sum([PowerSum((1.0,), (0.5,)), Affine((1.0,), 0.0)])) is Shape.CONCAVE
-        assert classify(Sum([PowerSum((1.0,), (2.0,)), PowerSum((1.0,), (0.5,))])) is Shape.GENERAL
-        assert classify(PowerSum((1.0, 1.0), (0.5, 2.0))) is Shape.GENERAL
+        assert PowerSum((1.0,), (2.0,)).shape is Shape.CONVEX
+        assert PowerSum((1.0,), (0.5,)).shape is Shape.CONCAVE
+        assert Affine((1.0, 1.0), 0.0).shape is Shape.LINEAR
+        assert GraphMinCost(clique_graph(3)).shape is Shape.CONCAVE
+        assert MinOfAffine([Affine((1.0,), 0.0), Affine((0.0,), 2.0)]).shape is Shape.CONCAVE
+        assert Leontief((1.0,), 1.0).shape is Shape.CONCAVE
+        assert Sum([PowerSum((1.0,), (0.5,)), Affine((1.0,), 0.0)]).shape is Shape.CONCAVE
+        assert Sum([PowerSum((1.0,), (2.0,)), PowerSum((1.0,), (0.5,))]).shape is Shape.GENERAL
+        assert PowerSum((1.0, 1.0), (0.5, 2.0)).shape is Shape.GENERAL
 
     def test_sampling_agrees_with_flag(self, rng):
         for f in catalog_instances():
             flags = check_shape_by_sampling(f, domain_for(f), rng, n=200)
-            shape = classify(f)
+            shape = f.shape
             if shape is Shape.CONCAVE:
                 assert flags["concave"]
             elif shape is Shape.CONVEX:
@@ -122,28 +118,28 @@ class TestGradMax:
     def test_leontief_interior_segment(self, rng):
         # supergradient of the 8x segment on [0, 4]
         f = Leontief((4.0,), 32.0)
-        g = grad_max(f, (2.0,))
+        g = grad_max_info(f, (2.0,)).vector
         assert np.allclose(g, [8.0])
         assert check_supergradient(f, (2.0,), g, domain_for(f), rng)
 
     def test_power_sum_derivative(self):
-        g = grad_max(PowerSum((64.0,), (0.5,)), (16.0,))
+        g = grad_max_info(PowerSum((64.0,), (0.5,)), (16.0,)).vector
         assert np.allclose(g, [8.0])
 
     def test_leontief_active_coordinate(self, rng):
         # fractions 1/2 < 4/4: coordinate 1 is active with entry level/anchor_1
         f = Leontief((2.0, 4.0), 6.0)
-        g = grad_max(f, (1.0, 4.0))
+        g = grad_max_info(f, (1.0, 4.0)).vector
         assert np.allclose(g, [3.0, 0.0])
         assert check_supergradient(f, (1.0, 4.0), g, domain_for(f), rng)
 
     def test_supergradient_inequality_everywhere(self, rng):
         for f in catalog_instances():
-            if classify(f) not in (Shape.CONCAVE, Shape.LINEAR):
+            if f.shape not in (Shape.CONCAVE, Shape.LINEAR):
                 continue
             dom = domain_for(f)
             for x in dom.sample(rng, 10):
-                g = grad_max(f, x)
+                g = grad_max_info(f, x).vector
                 if not np.all(np.isfinite(g)) or np.any(np.abs(g) >= 1e12):
                     continue
                 assert check_supergradient(f, x, g, dom, rng, n=100, tol=1e-9)
@@ -153,12 +149,12 @@ class TestGradMax:
         assert res.clamped and res.vector[0] == 1e12
 
     def test_flat_region_above_anchor(self):
-        g = grad_max(Leontief((2.0,), 5.0), (3.0,))
+        g = grad_max_info(Leontief((2.0,), 5.0), (3.0,)).vector
         assert np.allclose(g, [0.0])
 
     def test_rejects_convex(self):
         with pytest.raises(PreconditionError):
-            grad_max(PowerSum((1.0,), (2.0,)), (1.0,))
+            grad_max_info(PowerSum((1.0,), (2.0,)), (1.0,)).vector
 
 
 class TestSupergradientSets:
@@ -187,11 +183,11 @@ class TestSupergradientSets:
 class TestGradient:
     def test_kink_raises(self):
         with pytest.raises(PreconditionError):
-            gradient(MinOfAffine([Affine((2.0,), 0.0), Affine((0.0,), 4.0)]), (2.0,))
+            MinOfAffine([Affine((2.0,), 0.0), Affine((0.0,), 4.0)]).gradient((2.0,))
 
     def test_unbounded_at_zero_raises(self):
         with pytest.raises(PreconditionError):
-            gradient(PowerSum((1.0,), (0.5,)), (0.0,))
+            PowerSum((1.0,), (0.5,)).gradient((0.0,))
 
     def test_batch_matches_scalar(self, rng):
         f = Sum([PowerSum((2.0, 1.0), (0.5, 2.0)), Affine((0.5, 0.5), 0.0)])
@@ -226,6 +222,39 @@ class TestSerialization:
             Leontief((0.0,), 1.0)
         with pytest.raises(PreconditionError):
             Scale(-2.0, Affine((1.0,), 0.0))
+
+
+class TestLeontiefAbsentGoods:
+    """Zero anchor coordinates are absent goods: the value ignores them."""
+
+    U = Leontief((2.0, 0.0, 4.0), 6.0)
+
+    def test_values_ignore_absent_coordinate(self):
+        xs = np.array([[1.0, 0.0, 2.0], [1.0, 9.0, 2.0], [2.0, 0.0, 1.0], [4.0, 3.0, 8.0], [0.0, 5.0, 0.0]])
+        assert np.array_equal(self.U.values(xs), [3.0, 3.0, 1.5, 6.0, 0.0])
+        assert self.U.value((1.0, 7.0, 2.0)) == 3.0
+
+    def test_grad_max_prices_only_present_goods(self):
+        assert np.array_equal(grad_max_info(self.U, (1.0, 5.0, 4.0)).vector, [3.0, 0.0, 0.0])
+        assert np.array_equal(grad_max_info(self.U, (2.0, 5.0, 1.0)).vector, [0.0, 0.0, 1.5])
+        # at the anchor both present goods score the level; the lex-greatest wins
+        assert np.array_equal(grad_max_info(self.U, (2.0, 0.0, 4.0)).vector, [3.0, 0.0, 0.0])
+        assert np.array_equal(grad_max_info(self.U, (3.0, 1.0, 5.0)).vector, [0.0, 0.0, 0.0])
+
+    def test_json_round_trip(self):
+        blob = json.dumps(expr_to_dict(self.U))
+        back = expr_from_dict(json.loads(blob))
+        assert back.anchor == (2.0, 0.0, 4.0) and back.level == 6.0
+        xs = BoxDomain(np.full(3, 5.0)).sample(np.random.default_rng(3), 50)
+        assert np.array_equal(back.values(xs), self.U.values(xs))
+
+    def test_all_zero_or_negative_anchor_refused(self):
+        with pytest.raises(PreconditionError):
+            Leontief((0.0, 0.0), 1.0)
+        with pytest.raises(PreconditionError):
+            expr_from_dict({"kind": "leontief", "anchor": [0.0, 0.0], "level": 1.0})
+        with pytest.raises(PreconditionError):
+            Leontief((1.0, -1.0), 1.0)
 
 
 class TestNonFiniteParameters:

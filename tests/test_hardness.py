@@ -14,7 +14,6 @@ from padd import (
     SolverConfig,
     brute_force_max,
     build_cost,
-    classify,
     derandomize,
     mis_brute_force,
     solve_concave,
@@ -104,7 +103,7 @@ class TestBuildCost:
 
     def test_structural_properties(self, rng):
         c = build_cost(cycle_graph(5))
-        assert classify(c) is Shape.CONCAVE
+        assert c.shape is Shape.CONCAVE
         assert c.value(np.zeros(5)) == 0.0
         assert check_monotone(c, BoxDomain(np.ones(5)), rng)
 

@@ -13,10 +13,13 @@ from padd import (
     PreconditionError,
     Sum,
     buyer_best_response,
-    grad_max,
+    grad_max_info,
     optimal_price_family,
     seller_optimal_linear_price,
 )
+
+from padd.graphs import cycle_graph
+from padd.hardness import build_cost
 
 SQUARE = PowerSum((1.0,), (2.0,))
 SQRT = PowerSum((1.0,), (0.5,))
@@ -80,6 +83,45 @@ class TestBuyerBestResponse:
             buyer_best_response(SQRT, (1.0, 2.0), BOX10, SQUARE)
 
 
+def dense_indifferent_fraction(anchor, level, upper, c, n=200001):
+    """Largest fraction t of the anchor maximizing the seller's revenue
+    `t * level - c(t * anchor)` on a dense grid of [0, t_max]; and the grid."""
+    anchor = np.asarray(anchor)
+    present = anchor > 0
+    t_max = min(1.0, float(np.min(np.asarray(upper)[present] / anchor[present])))
+    ts = np.linspace(0.0, t_max, n)
+    rev = ts * level - c.values(ts[:, None] * anchor)
+    top = rev.max()
+    return ts[np.nonzero(rev >= top - 1e-12 * max(1.0, abs(top)))[0][-1]], ts
+
+
+class TestAnchoredIndifference:
+    """Prices that charge exactly the commitment's level leave the buyer
+    indifferent along the whole anchor ray; the seller's revenue decides."""
+
+    @pytest.mark.parametrize(
+        "anchor, level, price, upper, cost",
+        [
+            # convex cost: 6t - 20t^2 peaks inside, at t = 0.15
+            ((2.0, 4.0), 6.0, (1.5, 0.75), (5.0, 5.0), PowerSum((1.0, 1.0), (2.0, 2.0))),
+            # concave costs: the revenue is convex in t, so an endpoint wins
+            ((4.0,), 8.0, (2.0,), (10.0,), PowerSum((5.0,), (0.5,))),
+            ((4.0,), 8.0, (2.0,), (10.0,), PowerSum((3.0,), (0.5,))),
+            # graph cost on an independent set at zero price: all t tie, t_max = 1/2
+            ((0.0, 2.0, 0.0, 2.0), 0.0, (0.0,) * 4, (1.0,) * 4, build_cost(cycle_graph(4))),
+        ],
+        ids=["convex_interior", "concave_zero", "concave_t_max", "graph_all_tie"],
+    )
+    def test_against_dense_reference(self, anchor, level, price, upper, cost):
+        a = np.asarray(anchor)
+        x = buyer_best_response(Leontief(anchor, level), price, BoxDomain(np.array(upper)), cost)
+        t_ref, ts = dense_indifferent_fraction(anchor, level, upper, cost)
+        if t_ref in (ts[0], ts[-1]):  # an endpoint of [0, t_max] is returned exactly
+            assert np.array_equal(x, t_ref * a)
+        else:
+            assert np.max(np.abs(x - t_ref * a)) <= (ts[1] - ts[0]) * a.max()
+
+
 class TestSellerOptimalLinearPrice:
     def test_against_sqrt_report(self):
         sol = seller_optimal_linear_price(SQRT, SQUARE, BOX10)
@@ -113,7 +155,7 @@ class TestSellerOptimalLinearPrice:
         ]:
             sol = seller_optimal_linear_price(u, c, dom)
             assert sol.verified and sol.bundle.max() > 0
-            assert np.max(np.abs(sol.price - grad_max(u, sol.bundle))) < 1e-9
+            assert np.max(np.abs(sol.price - grad_max_info(u, sol.bundle).vector)) < 1e-9
 
     def test_revenue_definition_holds(self):
         sol = seller_optimal_linear_price(SQRT, SQUARE, BOX10)
@@ -197,4 +239,4 @@ class TestKinkedNonAnchoredReport:
             sol.revenue, float(sol.price @ sol.bundle) - c.value(sol.bundle), abs_tol=1e-9
         )
         if sol.verified and sol.bundle.max() > 0:
-            assert np.max(np.abs(grad_max(u, sol.bundle) - sol.price)) < 1e-6
+            assert np.max(np.abs(grad_max_info(u, sol.bundle).vector - sol.price)) < 1e-6
