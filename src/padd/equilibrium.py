@@ -29,7 +29,7 @@ from .funcs import (
 )
 # golden_max is unused here; bench/tests/test_harness.py expects this module to bind it
 from .gridopt import coordinate_refine, golden_max, grid_density  # noqa: F401
-from .raygeom import ray_payment_batch, ray_payment_floor, ray_slope_sup
+from .raygeom import DEFAULT_EPS_LIMIT, DEFAULT_GRID_N, ray_payment_batch, ray_payment_floor, ray_slope_sup
 from .response import (
     DEFAULT_SELLER_GRID,
     buyer_best_response,
@@ -69,8 +69,8 @@ class SolverConfig:
     tie_tol: float = 1e-8
     bundle_tol: float = 1e-6
     no_trade_tol: float = 1e-12
-    ray_grid_n: int = 10001
-    eps_limit: float = 1e-6
+    ray_grid_n: int = DEFAULT_GRID_N
+    eps_limit: float = DEFAULT_EPS_LIMIT
     lambda_split: tuple | None = None
     seed: int = 0
     vertex_enumeration: bool = False
@@ -546,6 +546,8 @@ def verify_equilibrium(
     No-trade outcomes pass vacuously.
     """
     cfg = cfg or SolverConfig()
+    if sample_n < 2:
+        raise PreconditionError("fraction feasibility needs at least 2 samples (a = 0 and a = 1)")
     if not outcome.trade:
         return VerificationReport(checks=[], vacuous=True)
 
@@ -554,7 +556,7 @@ def verify_equilibrium(
 
     alphas = np.linspace(0.0, 1.0, sample_n)
     margins = alphas * p - c.values(alphas[:, None] * x)
-    worst = float(margins.max() - (p - c.value(x)))
+    worst = float(margins.max() - margins[-1])  # the last fraction is a = 1, the bundle itself
     tol_a = 1e-9 * max(1.0, abs(p))
     checks.append(
         CheckResult("seller_fraction_feasibility", worst <= tol_a, max(worst, 0.0))

@@ -8,29 +8,34 @@ it:
 
 For convex differentiable costs the supremum is the (unattained) limit
 `x . grad c(x)`; for concave costs it is attained at a = 0 and equals
-c(x); for anything else it is bracketed numerically on a dense a-grid.
+c(x); for anything else it is the largest slope on the fraction grid
+`linspace(0, 1 - eps_limit, grid_n)`, whose last node stands for the
+limit a -> 1.
 
-On the numeric path, a cost built only from PowerSum, Affine, Sum and
-Scale nodes is a sum of monomials, `c(a*x) = sum_e a^e * W_e(x) + const`
-with `W_e(x) = sum_{i: b_i = e} k_i * x_i^e` over its distinct exponents
-e.  Each bundle then costs a few weights `W_e(x)`, and its ray costs are
-those weights times cached rows `a^e` of the fraction grid; no power is
-taken on the grid.  Any other node anywhere in the tree keeps the generic
-evaluation `c.values(a*x)` on the `(grid, d)` fractions of x.  The two
-differ in rounding only (`a^e * x^e` against `(a*x)^e`): about 1e-15
-relative on the ray costs, about 1e-10 relative on the payment, where
-dividing by `1 - a` near `a = 1 - eps_limit` amplifies it, as it does on
-the generic path.
+On that grid every catalog cost reduces, per bundle x, to a few scalars
+(`_ray_form`): PowerSum and Affine nodes give monomial weights
+`W_e(x) = sum_{i: b_i = e} k_i * x_i^e`; GraphMinCost, homogeneous of
+degree 1, adds `c_G(x)` to `W_1`; MinOfAffine is `min_k (b_k + a * s_k)`
+along the ray, with pieces `(b_k, s_k = w_k . x)`, and Leontief the same
+with pieces `(0, level * r(x))` and `(level, 0)`, r the smallest ratio
+`x_i / anchor_i` over the anchor's support; Sum and Scale add and scale
+these.  The chord slope at fraction a is then
 
-The a = 0 chord slope is `c(x) - c(0)`, and on the numeric path it is
-computed exactly that way as the first entry of the slope array, with c
-evaluated by the same code as `ray_payment_floor`, so `ray_payment_floor`
-is at most `ray_payment_batch` row by row, bit for bit (rounding is
-monotone).  Hence `v(x) - (c(x) - c(0))` bounds the buyer's objective
+    sum_e W_e * q_e(a)  +  sum_parts factor * max_k (s_k + D_k / (1 - a))
+
+with `q_e(a) = (1 - a^e) / (1 - a) = -expm1(e * log a) / (1 - a)` and
+`D_k = c_part(x) - (b_k + s_k) <= 0`, exactly 0 on the active piece.  No
+term subtracts two nearly equal costs, so near a = 1 the slopes keep the
+six digits that `(c(x) - c(a*x)) / (1 - a)` loses there.  The rows `q_e`
+and `1 / (1 - a)` are cached per grid and exponent set.  The scalars are
+computed elementwise (no matrix product), so a bundle's payment has the
+same bits from `ray_slope_sup` and from any batch of `ray_payment_batch`.
+
+`ray_payment_floor` is the a = 0 entry of the same slope code, `c(x) -
+c(0)`, vectorized over rows: it equals every bundle's first slope bit for
+bit, so `v(x) - (c(x) - c(0))` bounds the buyer's objective
 `v(x) - payment(x)` from above in floating point, which is what lets the
-general solver skip grid rows exactly.  The monomial weights are computed
-elementwise, so a bundle's payment has the same bits from
-`ray_slope_sup` and from any batch of `ray_payment_batch`.
+general solver skip grid rows exactly.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import PreconditionError
-from .funcs import Affine, FunctionExpr, PowerSum, Scale, Shape, Sum, as_bundle
+from .funcs import FunctionExpr, GraphMinCost, Leontief, MinOfAffine, PowerSum, Scale, Shape, Sum, as_bundle
 
 __all__ = ["RaySlopeResult", "ray_slope_sup", "bregman"]
 
@@ -87,155 +92,155 @@ def ray_slope_sup(
         payment = float(np.dot(x, c.gradient(x)))
         return RaySlopeResult(payment=payment, attained_alpha=None, is_limit=True)
 
-    form = _monomials(c)
-    if form is None:
-        row, cx = x, c.value(x)
-    else:
-        rows, costs = _ray_rows(c, form, x[None, :])
-        row, cx = rows[0], float(costs[0])
-    slopes = _ray_slopes(c, form, row, cx, grid_n, eps_limit)
+    form = _ray_form(c)
+    alphas, qs, inv = _grid_rows(grid_n, eps_limit, form.exponents)
+    slopes = form.slopes(form.scalars(x[None, :]), qs, inv)[0]
     i = int(np.argmax(slopes))
     # the last grid node is exactly the forward-difference limit estimate
     if i == grid_n - 1:
         return RaySlopeResult(payment=float(slopes[i]), attained_alpha=None, is_limit=True)
-    alphas, _ = _alpha_grid(grid_n, eps_limit)
     return RaySlopeResult(payment=float(slopes[i]), attained_alpha=float(alphas[i]), is_limit=False)
 
 
-@lru_cache(maxsize=8)
-def _alpha_grid(grid_n: int, eps_limit: float) -> tuple[np.ndarray, np.ndarray]:
-    """The fraction grid `0, ..., 1 - eps_limit` and `1 - a` on it (shared, read-only)."""
+@lru_cache(maxsize=16)
+def _grid_rows(grid_n: int, eps_limit: float, exponents: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The fraction grid `0, ..., 1 - eps_limit`, its rows `q_e(a)` and `1 / (1 - a)` (shared, read-only).
+
+    One row `q_e(a) = -expm1(e * log a) / (1 - a)` per exponent; `q_e(0) = 1`
+    is set directly, without taking log 0, and `q_1 = 1` exactly.
+    """
     if grid_n < 2:
         raise PreconditionError("fraction grid needs at least 2 points")
     if not (0.0 < eps_limit < 1.0):
         raise PreconditionError("eps_limit must lie in (0, 1)")
     alphas = np.linspace(0.0, 1.0 - eps_limit, grid_n)
     gaps = 1.0 - alphas
-    alphas.flags.writeable = gaps.flags.writeable = False
-    return alphas, gaps
-
-
-@lru_cache(maxsize=16)
-def _alpha_powers(grid_n: int, eps_limit: float, exponents: tuple) -> tuple:
-    """Rows `a^e` of the fraction grid, one per exponent (shared, read-only)."""
-    alphas, _ = _alpha_grid(grid_n, eps_limit)
-    rows = tuple(alphas**e for e in exponents)
-    for row in rows:
-        row.flags.writeable = False
-    return rows
+    qs = np.ones((len(exponents), grid_n))
+    log_a = np.log(alphas[1:])
+    for q, e in zip(qs, exponents):
+        if e != 1.0:
+            q[1:] = -np.expm1(e * log_a) / gaps[1:]
+    inv = 1.0 / gaps
+    alphas.flags.writeable = qs.flags.writeable = inv.flags.writeable = False
+    return alphas, qs, inv
 
 
 @dataclass(frozen=True)
-class _Monomials:
-    """A cost `sum_e W_e(x) + const`, `W_e(x) = sum_{i: b_i = e} k_i * x_i^e`.
+class _RayForm:
+    """A cost along rays: monomial weights plus concave piecewise-linear parts.
 
-    `exponents` are the distinct exponents e in ascending order and
-    `terms[j]` the pairs `(i, k_i)` of `exponents[j]`.  Along a ray
-    `c(a*x) = sum_e a^e * W_e(x) + const`.
+    `exponents` are the distinct exponents in ascending order and
+    `terms[j]` the pairs `(i, k_i)` of `exponents[j]`; `graphs` holds
+    `(factor, neighbour lists)` of the GraphMinCost nodes, which add to the
+    weight of exponent 1; `parts` holds `(factor, node)` of the MinOfAffine
+    and Leontief nodes.
     """
 
-    const: float
     exponents: tuple
     terms: tuple
+    graphs: tuple
+    parts: tuple
 
-    def weights(self, xs: np.ndarray) -> np.ndarray:
-        """`W_e` on the rows of `xs`, one column per exponent.
+    def scalars(self, xs: np.ndarray) -> list[np.ndarray]:
+        """Per-bundle scalars of the rows of `xs`.
 
-        Elementwise only (no matrix product), so a row gets the same bits
-        whatever batch it is evaluated in.
+        The weights `W_e` (one column per exponent), then `s_k` and `D_k`
+        (one column per piece) of each part.  Elementwise only (no matrix
+        product), so a row gets the same bits whatever batch it is in.
         """
-        out = np.empty((xs.shape[0], len(self.exponents)))
+        ws = np.empty((xs.shape[0], len(self.exponents)))
         for j, (e, terms) in enumerate(zip(self.exponents, self.terms)):
             w = 0.0
             for i, k in terms:
                 w = w + k * xs[:, i] ** e
-            out[:, j] = w
+            if e == 1.0:
+                for factor, nbrs in self.graphs:
+                    w = w + factor * _graph_cost(nbrs, xs)
+            ws[:, j] = w
+        out = [ws]
+        for _, node in self.parts:
+            b, s = _pieces(node, xs)
+            t = b + s
+            out += [s, t.min(axis=1, keepdims=True) - t]
         return out
 
-    def costs(self, ws: np.ndarray) -> np.ndarray:
-        """c on the rows whose weights are `ws`: the ray cost at a = 1."""
-        out = ws[:, 0]
-        for j in range(1, ws.shape[1]):
-            out = out + ws[:, j]
-        return out + self.const if self.const else out
+    def slopes(self, scalars: list[np.ndarray], qs: np.ndarray, inv: np.ndarray) -> np.ndarray:
+        """Chord slopes of the bundles with these `scalars` at the fractions whose rows are `qs`, `inv`.
 
-    def ray_costs(self, w: np.ndarray, grid_n: int, eps_limit: float) -> np.ndarray:
-        """`c(a*x)` on the fraction grid, from the weights `w` of one bundle x.
-
-        The terms are summed in the order of `costs`, and `a^e <= 1`, so no
-        entry exceeds `costs` at x (rounding is monotone).  At a = 0 every
-        term is `W_e * 0 = 0`, the same bits as `costs` at the zero bundle.
+        One row per bundle, one column per fraction; the a = 0 column has
+        `q_e = inv = 1`.
         """
-        rows = _alpha_powers(grid_n, eps_limit, self.exponents)
-        out = rows[0] * w[0]
-        for wj, row in zip(w[1:], rows[1:]):
-            out += row * wj
-        if self.const:
-            out += self.const
+        ws, *sd = scalars
+        out = np.zeros((ws.shape[0], inv.size))
+        for j, q in enumerate(qs):
+            out += ws[:, j, None] * q
+        for (factor, _), s, d in zip(self.parts, sd[0::2], sd[1::2]):
+            m = d[:, :1] * inv + s[:, :1]
+            for k in range(1, s.shape[1]):
+                np.maximum(m, d[:, k, None] * inv + s[:, k, None], out=m)
+            out += factor * m
         return out
 
 
-def _monomials(c: FunctionExpr) -> _Monomials | None:
-    """`c` as grouped monomials; None unless every node is PowerSum, Affine, Sum or Scale."""
+def _pieces(node: MinOfAffine | Leontief, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Intercepts `b` and slopes `s` (one column per piece) with `node(a*x) = min_k (b_k + a * s_k)`."""
+    if isinstance(node, Leontief):
+        r = None
+        for i, a in enumerate(node.anchor):
+            if a > 0:
+                r = xs[:, i] / a if r is None else np.minimum(r, xs[:, i] / a)
+        return np.array([0.0, node.level]), np.stack([node.level * r, np.zeros_like(r)], axis=1)
+    s = np.zeros((xs.shape[0], len(node.pieces)))
+    for k, piece in enumerate(node.pieces):
+        for i, w in enumerate(piece.weights):
+            s[:, k] += w * xs[:, i]
+    return np.array([piece.intercept for piece in node.pieces]), s
+
+
+def _graph_cost(nbrs: tuple, xs: np.ndarray) -> np.ndarray:
+    """`GraphMinCost` on the rows of `xs`, from neighbour lists, elementwise."""
+    total = np.zeros(xs.shape[0])
+    for i, js in enumerate(nbrs):
+        neigh = np.zeros(xs.shape[0])
+        for j in js:
+            neigh += xs[:, j]
+        total += np.minimum(neigh, xs[:, i])
+    return total
+
+
+def _ray_form(c: FunctionExpr) -> _RayForm:
+    """`c` as monomial weights plus piecewise-linear parts; every catalog tree has one.
+
+    Built on first use and kept on the node, which is immutable.
+    """
+    form = c.__dict__.get("_ray_form")
+    if form is not None:
+        return form
     groups: dict = {}
-    const = 0.0
+    graphs = []
+    parts = []
 
-    def walk(node: FunctionExpr, factor: float) -> bool:
-        nonlocal const
+    def walk(node: FunctionExpr, factor: float) -> None:
         if isinstance(node, Scale):
-            return walk(node.child, factor * node.factor)
-        if isinstance(node, Sum):
-            return all(walk(child, factor) for child in node.children)
-        if isinstance(node, PowerSum):
-            terms = zip(node.coeffs, node.exponents)
-        elif isinstance(node, Affine):
-            terms = ((w, 1.0) for w in node.weights)
-            const += factor * node.intercept
+            walk(node.child, factor * node.factor)
+        elif isinstance(node, Sum):
+            for child in node.children:
+                walk(child, factor)
+        elif isinstance(node, (MinOfAffine, Leontief)):
+            parts.append((factor, node))
+        elif isinstance(node, GraphMinCost):
+            groups.setdefault(1.0, [])
+            graphs.append((factor, tuple(tuple(node.graph.neighbors(i).tolist()) for i in range(node.dim))))
         else:
-            return False
-        for i, (k, e) in enumerate(terms):
-            groups.setdefault(e, []).append((i, factor * k))
-        return True
+            terms = zip(node.coeffs, node.exponents) if isinstance(node, PowerSum) else ((w, 1.0) for w in node.weights)
+            for i, (k, e) in enumerate(terms):
+                groups.setdefault(e, []).append((i, factor * k))
 
-    if not walk(c, 1.0):
-        return None
+    walk(c, 1.0)
     exponents = tuple(sorted(groups))
-    return _Monomials(const, exponents, tuple(tuple(groups[e]) for e in exponents))
-
-
-def _ray_rows(c: FunctionExpr, form: _Monomials | None, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row inputs of `_ray_slopes` for the bundles `xs`, and c on them.
-
-    With a monomial `form` the rows are the weights `W_e(x)`, and c is
-    summed from them, so each row's bits are independent of the batch.
-    """
-    if form is None:
-        return xs, c.values(xs)
-    ws = form.weights(xs)
-    return ws, form.costs(ws)
-
-
-def _ray_slopes(
-    c: FunctionExpr, form: _Monomials | None, row: np.ndarray, cx: float, grid_n: int, eps_limit: float
-) -> np.ndarray:
-    """Chord slopes `(c(x) - c(a*x)) / (1 - a)` of one bundle x on the fraction grid.
-
-    `form` is `_monomials(c)`.  Without it, `row` is x itself and
-    `c.values` is evaluated on the `(grid_n, d)` fractions of x.  With it,
-    `row` and `cx` come from `_ray_rows`: the ray costs are the bundle's
-    few weights times the cached rows `a^e`, never above `cx`, and the
-    a = 0 slope is `cx - c(0)`, the same bits as `ray_payment_floor`.
-    """
-    alphas, gaps = _alpha_grid(grid_n, eps_limit)
-    if form is None:
-        cvals = c.values(alphas[:, None] * row)
-        if np.any(cvals > cx + 1e-12 * max(1.0, abs(cx))):
-            raise PreconditionError("cost decreases along the ray; non-monotone cost")
-    else:
-        cvals = form.ray_costs(row, grid_n, eps_limit)
-    np.subtract(cx, cvals, out=cvals)
-    cvals /= gaps
-    return cvals
+    form = _RayForm(exponents, tuple(tuple(groups[e]) for e in exponents), tuple(graphs), tuple(parts))
+    c.__dict__["_ray_form"] = form
+    return form
 
 
 def _closed_payments(c: FunctionExpr, xs: np.ndarray) -> np.ndarray | None:
@@ -262,31 +267,30 @@ def ray_payment_batch(
     closed = _closed_payments(c, xs)
     if closed is not None:
         return closed
-    _alpha_grid(grid_n, eps_limit)  # refuse a bad grid even when every row is zero
-    form = _monomials(c)
-    rows, cx = _ray_rows(c, form, xs)
-    trade = np.any(xs > 0, axis=1)
+    form = _ray_form(c)
+    _, qs, inv = _grid_rows(grid_n, eps_limit, form.exponents)  # refuses a bad grid even when every row is zero
+    scalars = form.scalars(xs)
     out = np.zeros(xs.shape[0])
-    for k in np.nonzero(trade)[0]:
-        out[k] = _ray_slopes(c, form, rows[k], cx[k], grid_n, eps_limit).max()
+    for k in np.nonzero(np.any(xs > 0, axis=1))[0]:
+        out[k] = form.slopes([s[k : k + 1] for s in scalars], qs, inv).max()
     return out
 
 
 def ray_payment_floor(c: FunctionExpr, xs: np.ndarray) -> np.ndarray:
     """Row-wise lower bound on `ray_payment_batch(c, xs, ...)`, exact in floating point.
 
-    Without a closed form this is the a = 0 chord slope `c(x) - c(0)`
-    (0 on the zero bundle), with c computed as `ray_payment_batch`
-    computes it; with one, it is the closed-form payment itself.
+    Without a closed form this is the a = 0 chord slope `c(x) - c(0)`,
+    computed by the slope code of `ray_payment_batch` at `q_e = 1 / (1 - a)
+    = 1`, so it equals that row's first slope bit for bit (0 on the zero
+    bundle); with one, it is the closed-form payment itself.
     """
     xs = np.asarray(xs, dtype=float)
     closed = _closed_payments(c, xs)
     if closed is not None:
         return closed
-    form = _monomials(c)
-    _, cx = _ray_rows(c, form, xs)
-    _, c0 = _ray_rows(c, form, np.zeros((1, xs.shape[1])))
-    return cx - c0[0]
+    form = _ray_form(c)
+    floor = form.slopes(form.scalars(xs), np.ones((len(form.exponents), 1)), np.ones(1))[:, 0]
+    return np.where(np.any(xs > 0, axis=1), floor, 0.0)
 
 
 def bregman(f: FunctionExpr, z, x) -> float:

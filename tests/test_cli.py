@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from mp_reference import grid_payment, rel_err
 
 import padd
 from padd.cli import ProblemConfig, main
@@ -281,6 +282,35 @@ class TestVerifyCommand:
         assert code == 0
         assert "all checks passed" in out
         assert out.count("PASS") == 3
+
+    @pytest.mark.parametrize("samples", ["0", "1"])
+    def test_too_few_fraction_samples_is_precondition_exit(self, capsys, samples):
+        code, _, err = run_cli(capsys, "verify", str(CONFIGS / "convex_demo.json"), "--samples", samples)
+        assert code == 2
+        assert "at least 2 samples" in err
+
+    def test_general_cost_with_min_of_affine(self, capsys, tmp_path):
+        # x^2 + min(3x, 2) has no closed payment form, so the ray grid prices it
+        pieces = [
+            {"kind": "affine", "weights": [3.0], "intercept": 0.0},
+            {"kind": "affine", "weights": [0.0], "intercept": 2.0},
+        ]
+        square = {"kind": "power_sum", "coeffs": [1.0], "exponents": [2.0]}
+        cost = {"kind": "sum", "children": [square, {"kind": "min_of_affine", "pieces": pieces}]}
+        value = {"kind": "power_sum", "coeffs": [20.0], "exponents": [0.5]}
+        config = tmp_path / "kinked.json"
+        config.write_text(json.dumps({"value": value, "cost": cost, "domain": {"upper": [10.0]}}))
+
+        code, out, _ = run_cli(capsys, "solve", str(config), "--json")
+        assert code == 0
+        outcome = padd.EquilibriumOutcome.from_dict(json.loads(out))
+        assert outcome.method == "general" and outcome.trade
+        want = grid_payment(padd.expr_from_dict(cost), outcome.bundle)
+        assert rel_err(outcome.payment, want) <= 1e-12
+
+        code, out, _ = run_cli(capsys, "verify", str(config))
+        assert code == 0
+        assert "verification: all checks passed" in out
 
 
 class TestConfigRoundTrip:

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from padd import (
     Affine,
@@ -193,6 +194,39 @@ class TestConsistencyAcrossSolvers:
             assert abs(float(sol.price @ sol.bundle) - out.payment) < 1e-6
 
 
+def separable_games(value_exponent, cost_exponents):
+    """Separable power games `sum a_i x_i^q` against `sum k_i x_i^p` in 1 or 2 goods."""
+    coef = st.floats(0.2, 5.0)
+
+    @st.composite
+    def games(draw):
+        d = draw(st.integers(1, 2))
+        v = PowerSum([draw(coef) for _ in range(d)], (value_exponent,) * d)
+        c = PowerSum([draw(coef) for _ in range(d)], [draw(cost_exponents) for _ in range(d)])
+        return v, c, BoxDomain([draw(st.floats(1.0, 10.0)) for _ in range(d)])
+
+    return games()
+
+
+class TestPaperProperties:
+    @settings(derandomize=True, deadline=None, max_examples=25)
+    @given(separable_games(0.5, st.floats(1.2, 3.0)))
+    def test_convex_cost_revenue_is_the_bregman_gap(self, game):
+        v, c, box = game
+        out = solve_auto(v, c, box)
+        assert out.method == "convex_closed_form"
+        gap = bregman(c, np.zeros(c.dim), out.bundle)
+        assert out.seller_revenue == pytest.approx(gap, rel=1e-9, abs=0.0)
+
+    @settings(derandomize=True, deadline=None, max_examples=25)
+    @given(separable_games(0.25, st.floats(0.3, 1.0)))
+    def test_concave_cost_revenue_is_zero(self, game):
+        v, c, box = game
+        out = solve_auto(v, c, box)
+        assert out.method == "concave_closed_form"
+        assert out.seller_revenue == 0.0
+
+
 class TestOneDimensionalStationaryPoints:
     """1-d solves use the grid plus golden refinement of every dimension and
     still land on the closed-form optimum of v(x) - payment(x)."""
@@ -268,6 +302,19 @@ class TestVerification:
         report = verify_equilibrium(bad, v, c, box)
         assert not report.checks[0].passed
         assert report.checks[0].worst_violation > 0
+
+    @pytest.mark.parametrize(
+        "coeffs", [(0.628, 0.855, 1.702), (1.923, 0.968, 1.135, 1.742)], ids=["convex_3d", "convex_4d"]
+    )
+    def test_exactly_feasible_outcome_reports_no_violation(self, coeffs):
+        # the fraction a = 1 is the bundle itself, so its margin is the
+        # reference: a separate scalar c(x) once rounded to 4.4e-16 here
+        d = len(coeffs)
+        v, c, box = PowerSum((8.0,) * d, (0.5,) * d), PowerSum(coeffs, (2.0,) * d), BoxDomain(np.full(d, 5.0))
+        out = solve_auto(v, c, box)
+        check = verify_equilibrium(out, v, c, box).checks[0]
+        assert out.method == "convex_closed_form"
+        assert check.passed and check.worst_violation == 0.0
 
     def test_no_trade_vacuous(self):
         box = BoxDomain(np.array([100.0]))

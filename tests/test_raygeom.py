@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from mp_reference import chord_slopes, grid_payment, rel_err
 from padd import (
     Affine,
+    GraphMinCost,
+    GraphInstance,
     Leontief,
     MinOfAffine,
     PowerSum,
@@ -15,7 +18,7 @@ from padd import (
     bregman,
     ray_slope_sup,
 )
-from padd.raygeom import _monomials, _ray_rows, ray_payment_batch, ray_payment_floor
+from padd.raygeom import _grid_rows, _ray_form, ray_payment_batch, ray_payment_floor
 
 SQUARE = PowerSum((1.0,), (2.0,))
 SQRT = PowerSum((1.0,), (0.5,))
@@ -68,8 +71,8 @@ class TestRaySlopeSup:
         c = Sum([SQUARE, SQRT])  # convex plus concave: unresolved curvature
         x = (4.0,)
         res = ray_slope_sup(c, x)
-        oracle = chord_slope_sup_oracle(c, x)
-        assert math.isclose(res.payment, oracle, rel_tol=1e-12)
+        assert res.is_limit and res.attained_alpha is None
+        assert rel_err(res.payment, grid_payment(c, x)) <= 1e-13
         assert res.payment >= c.value(x) - 1e-12
 
     def test_revenue_nonnegative(self, rng):
@@ -166,7 +169,7 @@ MONOMIAL_TREES = general_monomial_trees()
 
 
 def reference_slopes(c, x, cx, grid_n=10001, eps=1e-6):
-    """Chord slopes from `c.values` on the fractions of x, as the generic path computes them."""
+    """Float chord slopes from `c.values` on the fractions of x (they lose about 1e-10 near a = 1)."""
     alphas = np.linspace(0.0, 1.0 - eps, grid_n)
     return (cx - c.values(alphas[:, None] * x)) / (1.0 - alphas)
 
@@ -178,21 +181,51 @@ def reference_payments(c, xs, grid_n=10001, eps=1e-6):
     )
 
 
+def slope_rows(c, xs, grid_n=10001, eps=1e-6):
+    """The kernel's chord slopes of each row of `xs` on the whole fraction grid."""
+    form = _ray_form(c)
+    scalars = form.scalars(xs)
+    _, qs, inv = _grid_rows(grid_n, eps, form.exponents)
+    return np.vstack([form.slopes([s[k : k + 1] for s in scalars], qs, inv) for k in range(len(xs))])
+
+
+def assert_floor_is_the_a0_slope(c, xs):
+    floor = ray_payment_floor(c, xs)
+    first = slope_rows(c, xs, 11, 0.5)[:, 0]
+    trade = np.any(xs > 0, axis=1)
+    assert np.all(floor[~trade] == 0.0)
+    assert floor[trade].tobytes() == first[trade].tobytes()
+
+
+def assert_batch_scalar_one_row_bit_identical(c, xs, grid_n=10001, eps=1e-6):
+    batch = ray_payment_batch(c, xs, grid_n, eps)
+    trade = np.any(xs > 0, axis=1)
+    assert np.all(batch[~trade] == 0.0)
+    scalar = [ray_slope_sup(c, x, grid_n, eps).payment for x in xs[trade]]
+    assert np.array(scalar).tobytes() == batch[trade].tobytes()
+    one_row = [ray_payment_batch(c, xs[k : k + 1], grid_n, eps)[0] for k in range(len(xs))]
+    assert np.array(one_row).tobytes() == batch.tobytes()
+
+
+# fractions at which the slope rows are compared with exact arithmetic
+SAMPLED = (0, 1, 7, 50, -30, -2, -1)
+
+
 class TestMonomialRayKernel:
     def test_trees_take_the_monomial_path(self):
-        assert all(_monomials(c) is not None for c, _ in MONOMIAL_TREES)
+        assert all(_ray_form(c).parts == () == _ray_form(c).graphs for c, _ in MONOMIAL_TREES)
         assert {c.dim for c, _ in MONOMIAL_TREES} == {1, 2, 3}
 
     @pytest.mark.parametrize("grid_n,eps", [(10001, 1e-6), (101, 1e-3)])
     def test_ray_costs_match_values(self, grid_n, eps):
-        alphas = np.linspace(0.0, 1.0 - eps, grid_n)
+        # the ray costs enter the kernel only through their chords, so the
+        # slopes are compared with exact chord slopes of the costs' definitions
+        alphas = np.linspace(0.0, 1.0 - eps, grid_n)[list(SAMPLED)]
         for c, xs in MONOMIAL_TREES:
-            form = _monomials(c)
-            rows, cx = _ray_rows(c, form, xs)
-            np.testing.assert_allclose(cx, c.values(xs), rtol=1e-12, atol=0.0)
-            for k, x in enumerate(xs):
-                want = c.values(alphas[:, None] * x)
-                np.testing.assert_allclose(form.ray_costs(rows[k], grid_n, eps), want, rtol=1e-12, atol=0.0)
+            rows = slope_rows(c, xs, grid_n, eps)[:, list(SAMPLED)]
+            for x, row in zip(xs, rows):
+                want = chord_slopes(c, x, alphas)
+                assert max(rel_err(got, w) for got, w in zip(row, want)) <= 1e-13
 
     @pytest.mark.parametrize("grid_n,eps", [(10001, 1e-6), (101, 1e-3)])
     def test_payments_match_reference(self, grid_n, eps):
@@ -202,13 +235,7 @@ class TestMonomialRayKernel:
 
     def test_batch_rows_equal_scalar_bit_for_bit(self):
         for c, xs in MONOMIAL_TREES:
-            batch = ray_payment_batch(c, xs)
-            trade = np.any(xs > 0, axis=1)
-            assert not trade[0] and np.all(batch[~trade] == 0.0)
-            scalar = [ray_slope_sup(c, x).payment for x in xs[trade]]
-            assert np.array(scalar).tobytes() == batch[trade].tobytes()
-            one_row = [ray_payment_batch(c, xs[k : k + 1])[0] for k in range(len(xs))]
-            assert np.array(one_row).tobytes() == batch.tobytes()
+            assert_batch_scalar_one_row_bit_identical(c, xs)
 
     def test_batch_is_at_least_floor(self):
         # the floor is taken on the whole set, the payments on sub-batches, as the pruning does
@@ -220,28 +247,115 @@ class TestMonomialRayKernel:
 
     def test_floor_is_the_a0_slope(self):
         for c, xs in MONOMIAL_TREES:
-            form = _monomials(c)
-            rows, cx = _ray_rows(c, form, xs)
-            floor = ray_payment_floor(c, xs)
-            for k in range(len(xs)):
-                cost_at_0 = form.ray_costs(rows[k], 10001, 1e-6)[0]
-                assert np.float64(cx[k] - cost_at_0).tobytes() == floor[k].tobytes()
+            assert_floor_is_the_a0_slope(c, xs)
 
 
+# --- every node kind ---------------------------------------------------------
+
+
+def random_leaf(rng, d, graph):
+    kind = rng.integers(5)
+    if kind == 0:
+        return PowerSum(rng.uniform(0.0, 3.0, d), rng.choice(EXPONENTS, d))
+    if kind == 1:
+        return Affine(rng.uniform(0.0, 3.0, d), float(rng.uniform(0.0, 1.0)))
+    if kind == 2:
+        pieces = [Affine(rng.uniform(0.0, 3.0, d), float(rng.uniform(0.0, 2.0))) for _ in range(rng.integers(1, 4))]
+        return MinOfAffine(pieces)
+    if kind == 3:
+        anchor = rng.uniform(0.5, 5.0, d) * (rng.random(d) < 0.6)  # zero coordinates are absent goods
+        anchor[rng.integers(d)] = rng.uniform(0.5, 5.0)
+        return Leontief(anchor, float(rng.uniform(0.5, 5.0)))
+    return GraphMinCost(graph)
+
+
+def random_tree(rng, d, graph, depth=0):
+    """Nested Sum/Scale over leaves of the five other node kinds."""
+    r = rng.random()
+    if depth < 2 and r < 0.3:
+        return Sum([random_tree(rng, d, graph, depth + 1) for _ in range(rng.integers(2, 4))])
+    if depth < 2 and r < 0.45:
+        return Scale(float(rng.uniform(0.1, 3.0)), random_tree(rng, d, graph, depth + 1))
+    return random_leaf(rng, d, graph)
+
+
+def general_trees(count=30):
+    """Seeded trees of dimension 1-6 over all seven node kinds, of unresolved curvature."""
+    trees = []
+    for seed in range(count):
+        rng = np.random.default_rng(1000 + seed)
+        d = int(rng.integers(1, 7))
+        edges = [(i, j) for i in range(d) for j in range(i + 1, d) if rng.random() < 0.5]
+        graph = GraphInstance.from_edges(d, edges)
+        c = Sum([PowerSum(rng.uniform(0.01, 0.3, d), rng.choice((1.5, 2.0, 3.0), d)), random_tree(rng, d, graph)])
+        while c.shape is not Shape.GENERAL:
+            c = Sum([c, random_tree(rng, d, graph)])
+        xs = rng.uniform(0.0, 10.0, (5, d))
+        xs[0] = 0.0
+        xs[1, 0] = 0.0
+        trees.append((c, xs))
+    return trees
+
+
+GENERAL_TREES = general_trees()
 KINKED = Sum([SQUARE, MinOfAffine([Affine((3.0,), 0.0), Affine((0.0,), 2.0)])])
 WITH_LEONTIEF = Sum(
     [PowerSum((1.0, 0.5), (2.0, 1.5)), Scale(2.0, Sum([PowerSum((1.0, 1.0), (0.5, 0.5)), Leontief((1.0, 2.0), 3.0)]))]
 )
+PATH3 = GraphInstance.from_edges(3, [(0, 1), (1, 2)])
+WITH_GRAPH = Sum([PowerSum((1.0, 1.0, 1.0), (2.0, 2.0, 2.0)), Scale(3.0, GraphMinCost(PATH3))])
+# its chord slope peaks inside the fraction range for bundles near x = 1.3
+INTERIOR = Sum([PowerSum((3.0,), (1.5,)), MinOfAffine([Affine((3.0,), 0.0), Affine((1.0,), 2.0)])])
+FIXED_TREES = {"kinked": KINKED, "leontief": WITH_LEONTIEF, "graph": WITH_GRAPH, "interior": INTERIOR}
 
 
-class TestGenericRayFallback:
-    @pytest.mark.parametrize("c", [KINKED, WITH_LEONTIEF], ids=["kinked", "leontief"])
-    def test_non_monomial_trees_match_reference_bit_for_bit(self, c, rng):
-        assert _monomials(c) is None and c.shape is Shape.GENERAL
-        xs = rng.uniform(0.0, 10.0, (5, c.dim))
+def node_kinds(c):
+    children = getattr(c, "children", ()) or ([c.child] if isinstance(c, Scale) else [])
+    return {type(c).__name__}.union(*(node_kinds(ch) for ch in children))
+
+
+class TestRayFormAllNodes:
+    def test_every_catalog_tree_has_a_form(self):
+        kinds = set().union(*(node_kinds(c) for c, _ in GENERAL_TREES))
+        assert kinds == {"PowerSum", "Affine", "MinOfAffine", "Leontief", "GraphMinCost", "Sum", "Scale"}
+        for c, _ in GENERAL_TREES:
+            form = _ray_form(c)
+            assert form.exponents == tuple(sorted(form.exponents))
+        assert len(_ray_form(WITH_GRAPH).graphs) == 1 and len(_ray_form(KINKED).parts) == 1
+
+    def test_payments_match_mpmath(self):
+        for c, xs in GENERAL_TREES:
+            got = ray_payment_batch(c, xs, 101, 1e-3)
+            assert got[0] == 0.0
+            for x, pay in zip(xs[1:], got[1:]):
+                assert rel_err(pay, grid_payment(c, x, 101, 1e-3)) <= 1e-13
+
+    @pytest.mark.parametrize("name", sorted(FIXED_TREES))
+    def test_fixed_trees_match_mpmath_at_default_grid(self, name, rng):
+        c = FIXED_TREES[name]
+        assert c.shape is Shape.GENERAL
+        xs = rng.uniform(0.0, 3.0, (4, c.dim))
         xs[0] = 0.0
-        assert ray_payment_batch(c, xs).tobytes() == reference_payments(c, xs).tobytes()
-        for x in xs[1:]:
-            want = reference_slopes(c, x, c.value(x)).max()
-            assert np.float64(ray_slope_sup(c, x).payment).tobytes() == np.float64(want).tobytes()
-        assert np.all(ray_payment_batch(c, xs) >= ray_payment_floor(c, xs))
+        for x, pay in zip(xs[1:], ray_payment_batch(c, xs)[1:]):
+            assert rel_err(pay, grid_payment(c, x)) <= 1e-13
+        assert_batch_scalar_one_row_bit_identical(c, xs)
+        assert_floor_is_the_a0_slope(c, xs)
+
+    def test_attained_fraction_is_the_exact_argmax(self):
+        alphas = np.linspace(0.0, 1.0 - 1e-3, 101)
+        want = chord_slopes(INTERIOR, (1.3,), alphas)
+        i = max(range(len(alphas)), key=want.__getitem__)
+        res = ray_slope_sup(INTERIOR, (1.3,), 101, 1e-3)
+        assert 0 < i < 100 and not res.is_limit and res.attained_alpha == alphas[i]
+        assert rel_err(res.payment, want[i]) <= 1e-13
+
+    def test_batch_scalar_and_one_row_bit_identical(self):
+        for c, xs in GENERAL_TREES:
+            assert_batch_scalar_one_row_bit_identical(c, xs, 101, 1e-3)
+
+    def test_floor_is_the_a0_slope_and_below_sub_batches(self):
+        for c, xs in GENERAL_TREES:
+            assert_floor_is_the_a0_slope(c, xs)
+            floor = ray_payment_floor(c, xs)
+            assert np.all(ray_payment_batch(c, xs[1:3], 101, 1e-3) >= floor[1:3])
+            assert np.all(ray_payment_batch(c, xs[3:], 101, 1e-3) >= floor[3:])
