@@ -23,13 +23,11 @@ from .funcs import (
     Scale,
     Shape,
     Sum,
-    SupergradientSet,
     as_bundle,
     as_price,
     expr_from_dict,
     expr_to_dict,
     grad_max_info,
-    supergradients,
 )
 from .graphs import GraphInstance, parse_graph_json, parse_graph_text
 from .raygeom import RaySlopeResult, bregman, ray_slope_sup

@@ -30,17 +30,16 @@ from .funcs import (
     MinOfAffine,
     PowerSum,
     Shape,
-    as_bundle,
 )
 from .equilibrium import (
     EquilibriumOutcome,
     ImitativeValue,
     SolverConfig,
+    fixed_bundle_optimal,
     solve_auto,
 )
 # golden_max is unused here; bench/tests/test_harness.py expects this module to bind it
 from .gridopt import coordinate_refine, golden_max  # noqa: F401
-from .raygeom import ray_slope_sup
 from .response import _rev_tie, _seller_pick, seller_optimal_linear_price
 
 __all__ = [
@@ -143,12 +142,7 @@ def concave_fop_optimal(
     Identical parameters to the linear-pricing fixed-bundle solution: the
     anchored function at level `ray_slope_sup(c, xbar)`.
     """
-    cfg = cfg or SolverConfig()
-    xbar = as_bundle(xbar, v.dim)
-    if np.any(xbar <= 0):
-        raise PreconditionError("bundle must be strictly positive in every coordinate")
-    payment = ray_slope_sup(c, xbar, cfg.ray_grid_n, cfg.eps_limit).payment
-    return ImitativeValue(xbar.copy(), payment)
+    return fixed_bundle_optimal(v, c, xbar, cfg).imitative
 
 
 def seller_best_in_class(
@@ -252,23 +246,20 @@ def equivalence_check(
 ) -> EquivalenceReport:
     """Solve under both pricing classes and compare the outcomes.
 
-    The all-concave side maximizes `v(xbar) - payment(xbar)` with the
-    anchored commitment from `concave_fop_optimal` and then verifies the
-    trade through `best_concave_price`.
+    Both classes share the outer objective `v(xbar) - payment(xbar)` and
+    the anchored commitment at its maximizer (`concave_fop_optimal` gives
+    the linear solution's parameters), so the all-concave side commits to
+    the linear outcome's `imitative` and verifies the trade through
+    `best_concave_price`.
     """
     cfg = cfg or SolverConfig()
-    # the outer objective v(xbar) - payment(xbar) is shared by both classes
     linear = solve_auto(v, c, domain, cfg)
 
     if not linear.trade:
         rich_bundle = np.zeros(domain.dim)
         rich_payment = rich_surplus = rich_revenue = 0.0
     else:
-        if np.all(linear.bundle > 0):
-            commit = concave_fop_optimal(v, c, linear.bundle, cfg)
-        else:
-            commit = linear.imitative
-        u_expr = commit.to_expr()
+        u_expr = linear.imitative.to_expr()
         res = best_concave_price(u_expr, c, domain, cfg)
         rich_bundle = res.bundle
         rich_payment = u_expr.value(res.bundle)

@@ -6,15 +6,19 @@ The buyer chooses the bundle maximizing
 
 commits to the anchored (Leontief-shaped) value function worth `payment`
 at that bundle, and the seller's optimal linear price then trades exactly
-there.  Convex and concave costs admit closed payment forms, so the solver
-has three method tags: `general`, `convex_closed_form`,
+there.  `raygeom` alone picks the payment formula from the cost's shape
+(closed forms for convex and concave costs, the numeric ray form
+otherwise), so the three solvers share one body and differ only in their
+shape precondition and method tag: `general`, `convex_closed_form`,
 `concave_closed_form` (plus `fixed_bundle` for a caller-chosen bundle).
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -31,7 +35,9 @@ from .funcs import (
 from .gridopt import coordinate_refine, golden_max, grid_density  # noqa: F401
 from .raygeom import DEFAULT_EPS_LIMIT, DEFAULT_GRID_N, ray_payment_batch, ray_payment_floor, ray_slope_sup
 from .response import (
+    DEFAULT_GOLDEN_TOL,
     DEFAULT_SELLER_GRID,
+    DEFAULT_TIE_TOL,
     buyer_best_response,
     seller_optimal_linear_price,
 )
@@ -65,31 +71,33 @@ class SolverConfig:
     grid_points: dict = field(default_factory=lambda: dict(DEFAULT_SELLER_GRID))
     refine_top_k: int = 3
     refine_passes: int = 2
-    golden_tol: float = 1e-10
-    tie_tol: float = 1e-8
+    golden_tol: float = DEFAULT_GOLDEN_TOL
+    tie_tol: float = DEFAULT_TIE_TOL
     bundle_tol: float = 1e-6
     no_trade_tol: float = 1e-12
     ray_grid_n: int = DEFAULT_GRID_N
     eps_limit: float = DEFAULT_EPS_LIMIT
     lambda_split: tuple | None = None
-    seed: int = 0
     vertex_enumeration: bool = False
 
     def __post_init__(self):
         for name in ("golden_tol", "tie_tol", "bundle_tol", "no_trade_tol"):
             tol = getattr(self, name)
-            if not (math.isfinite(tol) and tol > 0):
+            if not (_is_number(tol, Real) and math.isfinite(tol) and tol > 0):
                 raise ValueError(f"solver option {name} must be finite and positive")
-        if not all(n >= 2 for n in self.grid_points.values()):
-            raise ValueError("solver option grid_points needs at least 2 points per axis")
-        if not self.refine_top_k >= 1:
-            raise ValueError("solver option refine_top_k must be at least 1")
-        if not self.refine_passes >= 0:
-            raise ValueError("solver option refine_passes must be non-negative")
-        if not self.ray_grid_n >= 2:
-            raise ValueError("solver option ray_grid_n must be at least 2")
-        if not (0.0 < self.eps_limit < 1.0):
+        for name, least in (("refine_top_k", 1), ("refine_passes", 0), ("ray_grid_n", 2)):
+            n = getattr(self, name)
+            if not (_is_number(n, Integral) and n >= least):
+                raise ValueError(f"solver option {name} must be an integer of at least {least}")
+        if not (_is_number(self.eps_limit, Real) and 0.0 < self.eps_limit < 1.0):
             raise ValueError("solver option eps_limit must lie in (0, 1)")
+        if not isinstance(self.vertex_enumeration, bool):
+            raise ValueError("solver option vertex_enumeration must be true or false")
+        if not (
+            isinstance(self.grid_points, Mapping)
+            and all(_is_number(d, Integral) and _is_number(n, Integral) and n >= 2 for d, n in self.grid_points.items())
+        ):
+            raise ValueError("solver option grid_points must map integer dimensions to integer point counts of at least 2")
 
     def points(self, dim: int) -> int:
         return grid_density(self.grid_points, dim)
@@ -106,7 +114,6 @@ class SolverConfig:
             "ray_grid_n": self.ray_grid_n,
             "eps_limit": self.eps_limit,
             "lambda_split": list(self.lambda_split) if self.lambda_split else None,
-            "seed": self.seed,
             "vertex_enumeration": self.vertex_enumeration,
         }
 
@@ -118,11 +125,17 @@ class SolverConfig:
         if unknown:
             raise ValueError(f"unknown solver options: {sorted(unknown)}")
         kwargs = dict(obj)
-        if "grid_points" in kwargs:
-            kwargs["grid_points"] = {int(k): int(v) for k, v in kwargs["grid_points"].items()}
+        if isinstance(kwargs.get("grid_points"), Mapping):
+            # JSON object keys are strings; __post_init__ refuses a key that is no integer
+            kwargs["grid_points"] = {int(k) if str(k).isdecimal() else k: v for k, v in kwargs["grid_points"].items()}
         if kwargs.get("lambda_split") is not None:
             kwargs["lambda_split"] = tuple(float(v) for v in kwargs["lambda_split"])
         return replace(cfg, **kwargs)
+
+
+def _is_number(value, kind) -> bool:
+    """`value` is a `kind` (`Real` or `Integral`) number; booleans are not."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass(eq=False)
@@ -270,20 +283,21 @@ def _validate_instance(v: FunctionExpr, c: FunctionExpr, domain: BoxDomain):
 _PRUNE_BLOCK = 64
 
 
-def _maximize(obj_batch, obj_scalar, domain: BoxDomain, cfg: SolverConfig, bound_batch=None):
+def _maximize(obj_batch, domain: BoxDomain, cfg: SolverConfig, bound_batch=None):
     """Maximize over the box; returns (bundle, value).
 
     Grid argmax with lexicographically-smallest tie-breaking, followed by
     cyclic per-coordinate golden refinement of the top cells, in every
-    dimension alike.
+    dimension alike; refinement evaluates `obj_batch` on one-row batches.
 
     `bound_batch`, when given, must be at least `obj_batch` on every row in
     floating point, bit for bit.  The objective is then evaluated only on
     the rows that can reach the top `refine_top_k` (the argmax alone under
     vertex enumeration); see `_pruned_values`.  The result is identical.
-    `solve_general` passes `v - (c - c(0))`: its a = 0 chord slope
-    `c(x) - c(0)` is the first entry of the slope array that the payment
-    maximizes, so with monotone rounding the bound holds in floating point.
+    `_solve` passes `v - (c - c(0))` for costs without a closed payment
+    form: its a = 0 chord slope `c(x) - c(0)` is the first entry of the
+    slope array that the payment maximizes, so with monotone rounding the
+    bound holds in floating point.
     """
     pts = domain.vertices() if cfg.vertex_enumeration else domain.grid(cfg.points(domain.dim))
     if bound_batch is None:
@@ -295,13 +309,14 @@ def _maximize(obj_batch, obj_scalar, domain: BoxDomain, cfg: SolverConfig, bound
     if cfg.vertex_enumeration:
         return pts[i0].copy(), float(vals[i0])
 
+    def obj_row(x):
+        return float(obj_batch(x[None, :])[0])
+
     spacing = domain.upper / (cfg.points(domain.dim) - 1)
     candidates: list[tuple[float, tuple]] = [(float(vals[i0]), tuple(pts[i0]))]
     for i in np.argsort(-vals, kind="stable")[: cfg.refine_top_k]:
-        x = coordinate_refine(
-            obj_scalar, pts[i], spacing, domain.upper, cfg.refine_passes, cfg.golden_tol
-        )
-        candidates.append((float(obj_scalar(x)), tuple(x)))
+        x = coordinate_refine(obj_row, pts[i], spacing, domain.upper, cfg.refine_passes, cfg.golden_tol)
+        candidates.append((obj_row(x), tuple(x)))
 
     top = max(val for val, _ in candidates)
     near = [xt for val, xt in candidates if val >= top - cfg.no_trade_tol]
@@ -400,69 +415,44 @@ def _trade_outcome(
 # --- solvers ---------------------------------------------------------------
 
 
-def solve_general(v: FunctionExpr, c: FunctionExpr, domain: BoxDomain, cfg: SolverConfig | None = None) -> EquilibriumOutcome:
-    """Equilibrium for an arbitrary monotone cost via the ray-slope payment."""
-    cfg = cfg or SolverConfig()
-    _validate_instance(v, c, domain)
+def _solve(v: FunctionExpr, c: FunctionExpr, domain: BoxDomain, cfg: SolverConfig, method: str) -> EquilibriumOutcome:
+    """Maximize `v(x) - payment(x)` over the box and assemble the outcome."""
 
-    def batch(xs):
+    def objective(xs):
         return v.values(xs) - ray_payment_batch(c, xs, cfg.ray_grid_n, cfg.eps_limit)
 
     def bound(xs):
         # the payment is at least its a = 0 chord slope, c(x) - c(0)
         return v.values(xs) - ray_payment_floor(c, xs)
 
-    def scalar(x):
-        if not np.any(np.asarray(x) > 0):
-            return 0.0
-        return v.value(x) - ray_slope_sup(c, x, cfg.ray_grid_n, cfg.eps_limit).payment
-
-    x, best = _maximize(batch, scalar, domain, cfg, bound_batch=bound)
+    # a closed-form payment is its own floor: a bound would only add a full-grid sort
+    x, best = _maximize(objective, domain, cfg, bound if c.shape is Shape.GENERAL else None)
     if best <= cfg.no_trade_tol or not np.any(x > 0):
-        return _no_trade(domain.dim, METHOD_GENERAL)
-    payment = ray_slope_sup(c, x, cfg.ray_grid_n, cfg.eps_limit).payment
-    return _trade_outcome(v, c, x, payment, METHOD_GENERAL, cfg)
+        return _no_trade(domain.dim, method)
+    payment = float(ray_payment_batch(c, x[None, :], cfg.ray_grid_n, cfg.eps_limit)[0])
+    return _trade_outcome(v, c, x, payment, method, cfg)
+
+
+def solve_general(v: FunctionExpr, c: FunctionExpr, domain: BoxDomain, cfg: SolverConfig | None = None) -> EquilibriumOutcome:
+    """Equilibrium for an arbitrary monotone cost via the ray-slope payment."""
+    _validate_instance(v, c, domain)
+    return _solve(v, c, domain, cfg or SolverConfig(), METHOD_GENERAL)
 
 
 def solve_convex(v: FunctionExpr, c: FunctionExpr, domain: BoxDomain, cfg: SolverConfig | None = None) -> EquilibriumOutcome:
-    """Closed-form payment for convex differentiable costs: `x . grad c(x)`."""
-    cfg = cfg or SolverConfig()
+    """Convex costs: the payment is `x . grad c(x)` (linear costs: `c(x)`)."""
     _validate_instance(v, c, domain)
     if c.shape not in (Shape.CONVEX, Shape.LINEAR):
         raise PreconditionError(f"cost is not convex (classified {c.shape.value})")
-
-    def batch(xs):
-        return v.values(xs) - np.einsum("ij,ij->i", xs, c.gradient_batch(xs))
-
-    def scalar(x):
-        x = np.asarray(x, dtype=float)
-        return v.value(x) - float(np.dot(x, c.gradient(x)))
-
-    x, best = _maximize(batch, scalar, domain, cfg)
-    if best <= cfg.no_trade_tol or not np.any(x > 0):
-        return _no_trade(domain.dim, METHOD_CONVEX)
-    payment = float(np.dot(x, c.gradient(x)))
-    return _trade_outcome(v, c, x, payment, METHOD_CONVEX, cfg)
+    return _solve(v, c, domain, cfg or SolverConfig(), METHOD_CONVEX)
 
 
 def solve_concave(v: FunctionExpr, c: FunctionExpr, domain: BoxDomain, cfg: SolverConfig | None = None) -> EquilibriumOutcome:
     """Concave costs: payment equals the cost, seller revenue is zero."""
-    cfg = cfg or SolverConfig()
     _validate_instance(v, c, domain)
     if c.shape not in (Shape.CONCAVE, Shape.LINEAR):
         raise PreconditionError(f"cost is not concave (classified {c.shape.value})")
-
-    def batch(xs):
-        return v.values(xs) - c.values(xs)
-
-    def scalar(x):
-        return v.value(x) - c.value(x)
-
-    x, best = _maximize(batch, scalar, domain, cfg)
-    if best <= cfg.no_trade_tol or not np.any(x > 0):
-        return _no_trade(domain.dim, METHOD_CONCAVE)
-    payment = c.value(x)
-    return _trade_outcome(v, c, x, payment, METHOD_CONCAVE, cfg)
+    return _solve(v, c, domain, cfg or SolverConfig(), METHOD_CONCAVE)
 
 
 def solve_auto(v: FunctionExpr, c: FunctionExpr, domain: BoxDomain, cfg: SolverConfig | None = None) -> EquilibriumOutcome:

@@ -1,9 +1,9 @@
 """Closed catalog of value, cost, and pricing functions.
 
 Every function the solvers touch is an expression tree built from a fixed
-set of node kinds, so evaluation, gradients, supergradient sets, and
-convexity/concavity classification are all exact: no numerical
-differentiation anywhere in the core formulas.
+set of node kinds, so evaluation, gradients, payment-maximizing
+supergradients, and convexity/concavity classification are all exact: no
+numerical differentiation anywhere in the core formulas.
 
 All expressions are defined on the non-negative orthant, are monotone
 non-decreasing, and (apart from affine pieces with a positive intercept)
@@ -35,12 +35,10 @@ __all__ = [
     "GraphMinCost",
     "BoxDomain",
     "MAX_ENUM_DIM",
-    "SupergradientSet",
     "GradMaxResult",
     "as_bundle",
     "as_price",
     "grad_max_info",
-    "supergradients",
     "expr_from_dict",
     "expr_to_dict",
     "check_monotone",
@@ -146,28 +144,6 @@ class BoxDomain:
 
 
 @dataclass(eq=False)
-class SupergradientSet:
-    """Supergradients of a concave expression at a point.
-
-    Either a single gradient (smooth point) or the vertex list of the
-    supergradient polytope (kink of a piecewise-linear expression).
-    """
-
-    vertices: np.ndarray  # (k, d); k == 1 at smooth points
-    is_singleton: bool
-
-    def contains_valid_only(self, f: "FunctionExpr", x, zs: np.ndarray, tol: float = 1e-9) -> bool:
-        """Check `f(z) <= f(x) + g . (z - x)` for every vertex on sample points."""
-        x = as_bundle(x, f.dim)
-        fx = f.value(x)
-        fz = f.values(zs)
-        for g in self.vertices:
-            if np.any(fz > fx + (zs - x) @ g + tol):
-                return False
-        return True
-
-
-@dataclass(eq=False)
 class GradMaxResult:
     """Payment-maximizing supergradient, with a flag for clamped entries."""
 
@@ -213,11 +189,8 @@ class FunctionExpr:
     def _structural_shape(self) -> Shape:
         raise NotImplementedError
 
-    def grad_max_info(self, x, cap: float = GRAD_CAP) -> GradMaxResult:
+    def grad_max_info(self, x) -> GradMaxResult:
         """See :func:`grad_max_info`."""
-        raise NotImplementedError
-
-    def supergradients(self, x) -> SupergradientSet:
         raise NotImplementedError
 
     def gradient(self, x) -> np.ndarray:
@@ -272,23 +245,20 @@ class PowerSum(FunctionExpr):
             return Shape.CONVEX
         return Shape.GENERAL
 
-    def grad_max_info(self, x, cap: float = GRAD_CAP) -> GradMaxResult:
+    def grad_max_info(self, x) -> GradMaxResult:
         x = as_bundle(x, self.dim)
         g = np.empty(self.dim)
         clamped = False
         for i, (k, b) in enumerate(zip(self.coeffs, self.exponents)):
             if x[i] == 0.0 and b < 1.0:
                 # unbounded at the axis; keep the call total but flag it
-                g[i] = cap if k > 0 else 0.0
+                g[i] = GRAD_CAP if k > 0 else 0.0
                 clamped = k > 0
             elif x[i] == 0.0 and b > 1.0:
                 g[i] = 0.0
             else:
                 g[i] = k * b * x[i] ** (b - 1.0)
         return GradMaxResult(g, clamped)
-
-    def supergradients(self, x) -> SupergradientSet:
-        return SupergradientSet(self.gradient(x)[None, :], True)
 
     def gradient(self, x) -> np.ndarray:
         x = as_bundle(x, self.dim)
@@ -353,12 +323,9 @@ class Affine(FunctionExpr):
     def _structural_shape(self) -> Shape:
         return Shape.LINEAR
 
-    def grad_max_info(self, x, cap: float = GRAD_CAP) -> GradMaxResult:
+    def grad_max_info(self, x) -> GradMaxResult:
         as_bundle(x, self.dim)
         return GradMaxResult(np.asarray(self.weights, dtype=float), False)
-
-    def supergradients(self, x) -> SupergradientSet:
-        return SupergradientSet(np.asarray(self.weights, dtype=float)[None, :], True)
 
     def gradient(self, x) -> np.ndarray:
         as_bundle(x, self.dim)
@@ -428,14 +395,9 @@ class Leontief(FunctionExpr):
             verts.append(np.zeros(self.dim))
         return np.asarray(verts)
 
-    def grad_max_info(self, x, cap: float = GRAD_CAP) -> GradMaxResult:
+    def grad_max_info(self, x) -> GradMaxResult:
         x = as_bundle(x, self.dim)
         return GradMaxResult(_pick_grad_max(self._active_vertices(x), x), False)
-
-    def supergradients(self, x) -> SupergradientSet:
-        x = as_bundle(x, self.dim)
-        verts = self._active_vertices(x)
-        return SupergradientSet(verts, verts.shape[0] == 1)
 
     def gradient(self, x) -> np.ndarray:
         x = as_bundle(x, self.dim)
@@ -484,14 +446,9 @@ class MinOfAffine(FunctionExpr):
         verts = [np.asarray(p.weights, dtype=float) for p, v in zip(self.pieces, vals) if v == m]
         return np.unique(np.asarray(verts), axis=0)
 
-    def grad_max_info(self, x, cap: float = GRAD_CAP) -> GradMaxResult:
+    def grad_max_info(self, x) -> GradMaxResult:
         x = as_bundle(x, self.dim)
         return GradMaxResult(_pick_grad_max(self._active_vertices(x), x), False)
-
-    def supergradients(self, x) -> SupergradientSet:
-        x = as_bundle(x, self.dim)
-        verts = self._active_vertices(x)
-        return SupergradientSet(verts, verts.shape[0] == 1)
 
     def gradient(self, x) -> np.ndarray:
         x = as_bundle(x, self.dim)
@@ -538,22 +495,12 @@ class Sum(FunctionExpr):
             return Shape.CONVEX
         return Shape.GENERAL
 
-    def grad_max_info(self, x, cap: float = GRAD_CAP) -> GradMaxResult:
+    def grad_max_info(self, x) -> GradMaxResult:
         # the payment-maximizing supergradient of a sum separates into
         # per-child maximizers (Minkowski sum of the supergradient sets)
-        parts = [c.grad_max_info(x, cap) for c in self.children]
+        parts = [c.grad_max_info(x) for c in self.children]
         vec = np.sum([p.vector for p in parts], axis=0)
         return GradMaxResult(vec, any(p.clamped for p in parts))
-
-    def supergradients(self, x) -> SupergradientSet:
-        sets = [c.supergradients(x) for c in self.children]
-        verts = sets[0].vertices
-        for s in sets[1:]:
-            verts = (verts[:, None, :] + s.vertices[None, :, :]).reshape(-1, self.dim)
-            if verts.shape[0] > 1024:
-                raise PreconditionError("supergradient vertex enumeration too large")
-        verts = np.unique(verts, axis=0)
-        return SupergradientSet(verts, verts.shape[0] == 1)
 
     def gradient(self, x) -> np.ndarray:
         return np.sum([c.gradient(x) for c in self.children], axis=0)
@@ -592,13 +539,9 @@ class Scale(FunctionExpr):
     def _structural_shape(self) -> Shape:
         return self.child.shape
 
-    def grad_max_info(self, x, cap: float = GRAD_CAP) -> GradMaxResult:
-        inner = self.child.grad_max_info(x, cap)
+    def grad_max_info(self, x) -> GradMaxResult:
+        inner = self.child.grad_max_info(x)
         return GradMaxResult(self.factor * inner.vector, inner.clamped)
-
-    def supergradients(self, x) -> SupergradientSet:
-        inner = self.child.supergradients(x)
-        return SupergradientSet(self.factor * inner.vertices, inner.is_singleton)
 
     def gradient(self, x) -> np.ndarray:
         return self.factor * self.child.gradient(x)
@@ -644,23 +587,12 @@ class GraphMinCost(FunctionExpr):
             return [e]
         return [col, e]
 
-    def grad_max_info(self, x, cap: float = GRAD_CAP) -> GradMaxResult:
+    def grad_max_info(self, x) -> GradMaxResult:
         x = as_bundle(x, self.dim)
         total = np.zeros(self.dim)
         for i in range(self.dim):
             total += _pick_grad_max(np.asarray(self._term_vertices(x, i)), x)
         return GradMaxResult(total, False)
-
-    def supergradients(self, x) -> SupergradientSet:
-        x = as_bundle(x, self.dim)
-        verts = np.zeros((1, self.dim))
-        for i in range(self.dim):
-            tv = np.asarray(self._term_vertices(x, i))
-            verts = (verts[:, None, :] + tv[None, :, :]).reshape(-1, self.dim)
-            if verts.shape[0] > 1024:
-                raise PreconditionError("supergradient vertex enumeration too large")
-        verts = np.unique(verts, axis=0)
-        return SupergradientSet(verts, verts.shape[0] == 1)
 
     def gradient(self, x) -> np.ndarray:
         x = as_bundle(x, self.dim)
@@ -679,24 +611,18 @@ class GraphMinCost(FunctionExpr):
 # --- module-level operations with a shape precondition -------------------
 
 
-def grad_max_info(f: FunctionExpr, x, cap: float = GRAD_CAP) -> GradMaxResult:
+def grad_max_info(f: FunctionExpr, x) -> GradMaxResult:
     """Supergradient maximizing `g . x`, for concave or linear expressions.
 
     Ties between polytope vertices are broken toward the lexicographically
     greatest vector.  Entries that blow up at a zero coordinate are clamped
-    to `cap` and flagged in the result.
+    to `GRAD_CAP` and flagged in the result.
     """
     if f.shape not in (Shape.CONCAVE, Shape.LINEAR):
         raise PreconditionError(
             f"payment-maximizing supergradients need a concave or linear expression, got {f.shape.value}"
         )
-    return f.grad_max_info(x, cap)
-
-
-def supergradients(f: FunctionExpr, x) -> SupergradientSet:
-    if f.shape not in (Shape.CONCAVE, Shape.LINEAR):
-        raise PreconditionError("supergradient sets are defined for concave expressions")
-    return f.supergradients(x)
+    return f.grad_max_info(x)
 
 
 # --- serialization --------------------------------------------------------

@@ -27,9 +27,16 @@ with `q_e(a) = (1 - a^e) / (1 - a) = -expm1(e * log a) / (1 - a)` and
 `D_k = c_part(x) - (b_k + s_k) <= 0`, exactly 0 on the active piece.  No
 term subtracts two nearly equal costs, so near a = 1 the slopes keep the
 six digits that `(c(x) - c(a*x)) / (1 - a)` loses there.  The rows `q_e`
-and `1 / (1 - a)` are cached per grid and exponent set.  The scalars are
-computed elementwise (no matrix product), so a bundle's payment has the
-same bits from `ray_slope_sup` and from any batch of `ray_payment_batch`.
+and `1 / (1 - a)` are cached per grid and exponent set.
+
+`_closed_payments` is the one place that maps a cost's shape to its
+payment formula, and `ray_slope_sup` computes its payment with the code
+of `ray_payment_batch` on a one-row batch, so for every shape a bundle's
+payment has the same bits from both.  The ray form's scalars and the
+convex `x . grad c(x)` are elementwise (no matrix product), so there any
+batch gives those bits too; the concave payment `c(x)` is `c.values`,
+whose matrix products may round a lone row differently from a row of a
+larger batch.
 
 `ray_payment_floor` is the a = 0 entry of the same slope code, `c(x) -
 c(0)`, vectorized over rows: it equals every bundle's first slope bit for
@@ -84,13 +91,11 @@ def ray_slope_sup(
     if not np.any(x > 0):
         raise PreconditionError("ray-slope supremum is undefined at the zero bundle")
 
-    shape = c.shape
-    if shape in (Shape.LINEAR, Shape.CONCAVE):
-        # the chord slope is constant (linear) or largest at a = 0 (concave)
-        return RaySlopeResult(payment=c.value(x), attained_alpha=0.0, is_limit=False)
-    if shape is Shape.CONVEX:
-        payment = float(np.dot(x, c.gradient(x)))
-        return RaySlopeResult(payment=payment, attained_alpha=None, is_limit=True)
+    closed = _closed_payments(c, x[None, :])
+    if closed is not None:
+        # convex: approached as a -> 1; linear or concave: attained at a = 0
+        convex = c.shape is Shape.CONVEX
+        return RaySlopeResult(float(closed[0]), attained_alpha=None if convex else 0.0, is_limit=convex)
 
     form = _ray_form(c)
     alphas, qs, inv = _grid_rows(grid_n, eps_limit, form.exponents)
@@ -244,7 +249,11 @@ def _ray_form(c: FunctionExpr) -> _RayForm:
 
 
 def _closed_payments(c: FunctionExpr, xs: np.ndarray) -> np.ndarray | None:
-    """Closed-form payments on the rows of `xs`; None when the cost has none."""
+    """Closed-form payments on the rows of `xs`; None when the cost has none.
+
+    The chord slope is constant (linear) or largest at a = 0 (concave),
+    where it is `c(x)`; for convex costs it rises to `x . grad c(x)`.
+    """
     shape = c.shape
     if shape in (Shape.LINEAR, Shape.CONCAVE):
         return c.values(xs)

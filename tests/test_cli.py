@@ -110,7 +110,19 @@ class TestSolve:
         assert "Traceback" not in err and out == ""
 
     @pytest.mark.parametrize(
-        "option", [{"tie_tol": float("nan")}, {"grid_points": {"1": 1}}, {"refine_top_k": 0}]
+        "option",
+        [
+            {"tie_tol": float("nan")},
+            {"grid_points": {"1": 1}},
+            {"refine_top_k": 0},
+            {"grid_points": [3]},
+            {"grid_points": "2001"},
+            {"grid_points": {"one": 2001}},
+            {"vertex_enumeration": "false"},
+            {"refine_top_k": 2.5},
+            {"ray_grid_n": True},
+            {"golden_tol": "1e-10"},
+        ],
     )
     def test_invalid_solver_option_is_io_exit(self, capsys, tmp_path, option):
         cfg = json.loads((CONFIGS / "convex_demo.json").read_text())
@@ -120,7 +132,18 @@ class TestSolve:
         code, out, err = run_cli(capsys, "solve", str(bad))
         assert code == 1
         assert err.startswith("error: solver option")
-        assert out == ""
+        assert f"option {next(iter(option))} " in err
+        assert "Traceback" not in err and out == ""
+
+    def test_removed_seed_option_is_io_exit(self, capsys, tmp_path):
+        cfg = json.loads((CONFIGS / "convex_demo.json").read_text())
+        cfg["solver"]["seed"] = 0
+        bad = tmp_path / "seeded.json"
+        bad.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, "solve", str(bad))
+        assert code == 1
+        assert err.startswith("error: unknown solver options: ['seed']")
+        assert "Traceback" not in err and out == ""
 
 
 class TestFixedBundle:

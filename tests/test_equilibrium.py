@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -38,7 +39,7 @@ from padd.instances import (
 )
 from padd import equilibrium
 from padd.equilibrium import _maximize
-from padd.raygeom import ray_payment_batch, ray_payment_floor, ray_slope_sup
+from padd.raygeom import ray_payment_batch, ray_payment_floor
 from padd.response import DEFAULT_SELLER_GRID
 
 SQRT = PowerSum((1.0,), (0.5,))
@@ -225,6 +226,33 @@ class TestPaperProperties:
         out = solve_auto(v, c, box)
         assert out.method == "concave_closed_form"
         assert out.seller_revenue == 0.0
+
+
+def assert_same_outcome_bits(general, special):
+    """Everything but the method tag is bit-identical."""
+    assert general.method == "general" and special.method != "general"
+    a, b = general.to_dict(), special.to_dict()
+    del a["method"], b["method"]
+    assert json.dumps(a) == json.dumps(b)  # repr of every float: equal text is equal bits
+
+
+class TestGeneralSolverAgreesBitForBit:
+    def test_equivalence_suite(self):
+        for name, v, c, box in equivalence_suite():
+            special = solve_convex if c.shape is Shape.CONVEX else solve_concave
+            assert_same_outcome_bits(solve_general(v, c, box), special(v, c, box))
+
+    @settings(derandomize=True, deadline=None, max_examples=15)
+    @given(separable_games(0.5, st.floats(1.0, 3.0)))
+    def test_convex_games(self, game):
+        v, c, box = game
+        assert_same_outcome_bits(solve_general(v, c, box), solve_convex(v, c, box))
+
+    @settings(derandomize=True, deadline=None, max_examples=15)
+    @given(separable_games(0.25, st.floats(0.3, 1.0)))
+    def test_concave_games(self, game):
+        v, c, box = game
+        assert_same_outcome_bits(solve_general(v, c, box), solve_concave(v, c, box))
 
 
 class TestOneDimensionalStationaryPoints:
@@ -512,14 +540,31 @@ class TestSolverConfigValidation:
             {"ray_grid_n": 1},
             {"eps_limit": 0.0},
             {"eps_limit": 1.0},
+            {"grid_points": [3]},
+            {"grid_points": "2001"},
+            {"grid_points": {1: 2001.0}},
+            {"grid_points": {1: True}},
+            {"refine_top_k": 2.5},
+            {"refine_passes": True},
+            {"ray_grid_n": "101"},
+            {"vertex_enumeration": "false"},
+            {"vertex_enumeration": 1},
+            {"tie_tol": "1e-8"},
+            {"eps_limit": None},
         ],
     )
     def test_invalid_option_rejected(self, option):
-        with pytest.raises(ValueError, match="solver option"):
+        (name, value), = option.items()
+        with pytest.raises(ValueError, match=f"solver option {name} "):
             SolverConfig(**option)
-        with pytest.raises(ValueError, match="solver option"):
-            SolverConfig.from_dict({k: (v if k != "grid_points" else {str(d): n for d, n in v.items()})
-                                    for k, v in option.items()})
+        if isinstance(value, dict):  # JSON object keys are strings
+            value = {str(d): n for d, n in value.items()}
+        with pytest.raises(ValueError, match=f"solver option {name} "):
+            SolverConfig.from_dict({name: value})
+
+    def test_non_integer_grid_dimension_rejected(self):
+        with pytest.raises(ValueError, match="solver option grid_points "):
+            SolverConfig.from_dict({"grid_points": {"1.5": 2001}})
 
     def test_defaults_and_round_trip_accepted(self):
         cfg = SolverConfig(refine_passes=0, refine_top_k=1, ray_grid_n=2)
@@ -535,12 +580,7 @@ def _general_objective(v, c, cfg):
     def bound(xs):
         return v.values(xs) - ray_payment_floor(c, xs)
 
-    def scalar(x):
-        if not np.any(np.asarray(x) > 0):
-            return 0.0
-        return v.value(x) - ray_slope_sup(c, x, cfg.ray_grid_n, cfg.eps_limit).payment
-
-    return batch, bound, scalar
+    return batch, bound
 
 
 MIXED_1D = (Scale(20.0, SQRT), Sum([PowerSum((1.0,), (2.0,)), SQRT]), BoxDomain(np.array([10.0])), {1: 2001})
@@ -582,9 +622,9 @@ class TestPrunedGrid:
     def test_bound_leaves_maximizer_bit_identical(self, instance, options):
         v, c, box, grid = instance
         cfg = SolverConfig(grid_points=grid, **options)
-        batch, bound, scalar = _general_objective(v, c, cfg)
-        x_all, best_all = _maximize(batch, scalar, box, cfg)
-        x_pruned, best_pruned = _maximize(batch, scalar, box, cfg, bound_batch=bound)
+        batch, bound = _general_objective(v, c, cfg)
+        x_all, best_all = _maximize(batch, box, cfg)
+        x_pruned, best_pruned = _maximize(batch, box, cfg, bound_batch=bound)
         assert x_pruned.tobytes() == x_all.tobytes()
         assert np.float64(best_pruned).tobytes() == np.float64(best_all).tobytes()
 
@@ -638,7 +678,7 @@ class TestPrunedGrid:
     def test_bound_is_above_objective(self, instance):
         v, c, box, grid = instance
         cfg = SolverConfig(grid_points=grid)
-        batch, bound, _ = _general_objective(v, c, cfg)
+        batch, bound = _general_objective(v, c, cfg)
         pts = box.grid(cfg.points(box.dim))
         assert np.all(bound(pts) >= batch(pts))
 
@@ -659,7 +699,7 @@ class TestPrunedGrid:
     def test_tight_bound_equals_objective(self, instance):
         v, c, box, grid = instance
         cfg = SolverConfig(grid_points=grid)
-        batch, bound, _ = _general_objective(v, c, cfg)
+        batch, bound = _general_objective(v, c, cfg)
         pts = box.grid(cfg.points(box.dim))
         assert np.array_equal(bound(pts), batch(pts))
 
@@ -669,9 +709,9 @@ class TestPrunedGrid:
     def test_tight_bound_keeps_argmax_and_tie_break(self, instance, top_k):
         v, c, box, grid = instance
         cfg = SolverConfig(grid_points=grid, refine_top_k=top_k)
-        batch, bound, scalar = _general_objective(v, c, cfg)
-        x_all, best_all = _maximize(batch, scalar, box, cfg)
-        x_pruned, best_pruned = _maximize(batch, scalar, box, cfg, bound_batch=bound)
+        batch, bound = _general_objective(v, c, cfg)
+        x_all, best_all = _maximize(batch, box, cfg)
+        x_pruned, best_pruned = _maximize(batch, box, cfg, bound_batch=bound)
         assert x_pruned.tobytes() == x_all.tobytes()
         assert np.float64(best_pruned).tobytes() == np.float64(best_all).tobytes()
 
@@ -680,7 +720,7 @@ class TestPrunedGrid:
         # so refine_top_k = 2 cuts through a tie that the pruning must respect
         v, c, box, grid = TIGHT_2D
         cfg = SolverConfig(grid_points=grid)
-        batch, _, _ = _general_objective(v, c, cfg)
+        batch, _ = _general_objective(v, c, cfg)
         pts = box.grid(cfg.points(box.dim))
         vals = batch(pts)
         top = np.argsort(-vals, kind="stable")[:3]

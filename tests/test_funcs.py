@@ -19,7 +19,6 @@ from padd import (
     expr_from_dict,
     expr_to_dict,
     grad_max_info,
-    supergradients,
 )
 from padd.funcs import check_monotone, check_shape_by_sampling, check_supergradient
 from padd.graphs import clique_graph, path_graph
@@ -155,29 +154,6 @@ class TestGradMax:
     def test_rejects_convex(self):
         with pytest.raises(PreconditionError):
             grad_max_info(PowerSum((1.0,), (2.0,)), (1.0,)).vector
-
-
-class TestSupergradientSets:
-    def test_min_of_affine_kink(self, rng):
-        # breakpoint at x = 2 is exact in binary arithmetic: 2 * 2 == 4
-        f = MinOfAffine([Affine((2.0,), 0.0), Affine((0.0,), 4.0)])
-        s = supergradients(f, (2.0,))
-        assert s.vertices.shape[0] == 2
-        dom = BoxDomain(np.array([10.0]))
-        assert s.contains_valid_only(f, (2.0,), dom.sample(rng, 200))
-
-    def test_smooth_point_is_singleton(self):
-        s = supergradients(PowerSum((1.0,), (0.5,)), (4.0,))
-        assert s.is_singleton
-        assert np.allclose(s.vertices, [[0.25]])
-
-    def test_leontief_anchor_vertices(self, rng):
-        f = Leontief((2.0, 4.0), 6.0)
-        s = supergradients(f, (2.0, 4.0))
-        # both coordinate slopes plus the flat cap
-        assert s.vertices.shape[0] == 3
-        dom = domain_for(f)
-        assert s.contains_valid_only(f, (2.0, 4.0), dom.sample(rng, 200))
 
 
 class TestGradient:

@@ -359,3 +359,43 @@ class TestRayFormAllNodes:
             floor = ray_payment_floor(c, xs)
             assert np.all(ray_payment_batch(c, xs[1:3], 101, 1e-3) >= floor[1:3])
             assert np.all(ray_payment_batch(c, xs[3:], 101, 1e-3) >= floor[3:])
+
+
+def shaped_monomial_trees(shape, count=12):
+    """Seeded monomial trees of dimension 1-4 with the given curvature class."""
+    trees = []
+    seed = 0
+    while len(trees) < count:
+        rng = np.random.default_rng(5000 + seed)
+        seed += 1
+        d = int(rng.integers(1, 5))
+        c = random_monomial_tree(rng, d)
+        if c.shape is not shape:
+            continue
+        xs = rng.uniform(0.0, 10.0, (8, d))
+        xs[1, 0] = 0.0
+        xs[2] = rng.uniform(0.0, 1e-3, d)
+        trees.append((c, xs[np.any(xs > 0, axis=1)]))
+    return trees
+
+
+class TestOnePaymentPerShape:
+    @pytest.mark.parametrize("shape", list(Shape), ids=[s.value for s in Shape])
+    def test_scalar_equals_one_row_batch_bit_for_bit(self, shape):
+        for c, xs in shaped_monomial_trees(shape):
+            for x in xs:
+                res = ray_slope_sup(c, x, 101, 1e-3)
+                assert np.float64(res.payment).tobytes() == ray_payment_batch(c, x[None, :], 101, 1e-3)[0].tobytes()
+                if shape is Shape.CONVEX:
+                    assert res.is_limit and res.attained_alpha is None
+                elif shape is not Shape.GENERAL:
+                    assert not res.is_limit and res.attained_alpha == 0.0
+
+    @pytest.mark.parametrize("shape", [Shape.CONVEX, Shape.GENERAL], ids=["convex", "general"])
+    def test_elementwise_payments_agree_in_any_batch(self, shape):
+        # x . grad c(x) and the ray form avoid matrix products, so a row's
+        # payment does not depend on the batch around it
+        for c, xs in shaped_monomial_trees(shape):
+            batch = ray_payment_batch(c, xs, 101, 1e-3)
+            scalar = [ray_slope_sup(c, x, 101, 1e-3).payment for x in xs]
+            assert np.array(scalar).tobytes() == batch.tobytes()
