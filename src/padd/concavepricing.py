@@ -39,8 +39,9 @@ from .equilibrium import (
     solve_auto,
 )
 # golden_max is unused here; bench/tests/test_harness.py expects this module to bind it
-from .gridopt import coordinate_refine, golden_max  # noqa: F401
-from .response import _rev_tie, _seller_pick, seller_optimal_linear_price
+from .gridopt import coordinate_refine, golden_max, top_k  # noqa: F401
+from .response import _anchored_form, _ray_fractions, _ray_limit, _rev_tie, _seller_pick
+from .response import seller_optimal_linear_price
 
 __all__ = [
     "PricingClass",
@@ -113,20 +114,25 @@ def best_concave_price(
     if u.shape not in (Shape.CONCAVE, Shape.LINEAR):
         raise PreconditionError("committed value function must be concave")
 
+    def gap(xs: np.ndarray) -> np.ndarray:
+        return u.values(xs) - c.values(xs)
+
     n_axis = cfg.points(domain.dim)
     pts = domain.grid(n_axis)
-    gap = u.values(pts) - c.values(pts)
+    gaps = gap(pts)
     spacing = domain.upper / (n_axis - 1)
-
-    def gap_scalar(x: np.ndarray) -> float:
-        return u.value(x) - c.value(x)
-
-    refined = [
-        coordinate_refine(gap_scalar, pts[i], spacing, domain.upper, cfg.refine_passes, cfg.golden_tol)
-        for i in np.argsort(-gap, kind="stable")[: cfg.refine_top_k]
-    ]
-    pool = np.vstack([pts[gap >= gap.max() - _rev_tie(gap.max())], refined])
-    gaps = u.values(pool) - c.values(pool)
+    starts = pts[top_k(gaps, cfg.refine_top_k)]
+    refined = coordinate_refine(gap, starts, spacing, domain.upper, cfg.refine_passes, cfg.golden_tol)
+    pool = [pts[gaps >= gaps.max() - _rev_tie(gaps.max())], refined]
+    anchored = _anchored_form(u)
+    if anchored is not None:
+        # moving one coordinate at a time never raises min_i x_i / anchor_i:
+        # search the anchor's ray itself
+        anchor, level = anchored
+        fractions = _ray_fractions(_ray_limit(anchor, domain), lambda ts: gap(ts * anchor), cfg.golden_tol)
+        pool.append(fractions * anchor)
+    pool = np.vstack(pool)
+    gaps = gap(pool)
     top = gaps.max()
     if top < 0.0:
         return ConcavePriceResult(price=u, bundle=np.zeros(domain.dim), revenue=0.0)
@@ -180,32 +186,28 @@ def _response_to_price_expr(
     cfg: SolverConfig,
 ) -> np.ndarray:
     """Buyer's best response to a non-linear pricing function (grid search)."""
+    def util(xs: np.ndarray) -> np.ndarray:
+        return u.values(xs) - price.values(xs)
+
+    def rev(xs: np.ndarray) -> np.ndarray:
+        return price.values(xs) - c.values(xs)
+
     n_axis = cfg.points(domain.dim)
     pts = domain.grid(n_axis)
-    util = u.values(pts) - price.values(pts)
+    utils = util(pts)
     spacing = domain.upper / (n_axis - 1)
-
-    def util_scalar(y: np.ndarray) -> float:
-        return u.value(y) - price.value(y)
-
-    def rev_scalar(y: np.ndarray) -> float:
-        return price.value(y) - c.value(y)
-
-    x = coordinate_refine(
-        util_scalar, pts[int(np.argmax(util))], spacing, domain.upper, cfg.refine_passes, cfg.golden_tol
-    )
+    x = coordinate_refine(util, pts[int(np.argmax(utils))], spacing, domain.upper, cfg.refine_passes, cfg.golden_tol)
     # seller tie-break among near-optimal grid bundles
-    cands = np.vstack([pts[util >= util.max() - cfg.tie_tol], x[None, :]])
-    uvals = u.values(cands) - price.values(cands)
+    cands = np.vstack([pts[utils >= utils.max() - cfg.tie_tol], x])
+    uvals = util(cands)
     max_util = float(uvals.max())
-    pick = cands[_seller_pick(cands, uvals, cfg.tie_tol, lambda t: price.values(t) - c.values(t))]
+    pick = cands[_seller_pick(cands, uvals, cfg.tie_tol, rev)]
     if np.count_nonzero(uvals >= max_util - cfg.tie_tol) > 1:
         # buyer indifference region: polish the seller's revenue inside it
-        refined = coordinate_refine(
-            rev_scalar, pick, spacing, domain.upper, cfg.refine_passes, cfg.golden_tol
-        )
-        still_tied = util_scalar(refined) >= max_util - cfg.tie_tol
-        if still_tied and rev_scalar(refined) > rev_scalar(pick):
+        refined = coordinate_refine(rev, pick, spacing, domain.upper, cfg.refine_passes, cfg.golden_tol)[0]
+        still_tied = util(refined[None, :])[0] >= max_util - cfg.tie_tol
+        revs = rev(np.vstack([refined, pick]))
+        if still_tied and revs[0] > revs[1]:
             pick = refined
     return pick
 

@@ -32,7 +32,7 @@ from .funcs import (
     as_bundle,
 )
 # golden_max is unused here; bench/tests/test_harness.py expects this module to bind it
-from .gridopt import coordinate_refine, golden_max, grid_density  # noqa: F401
+from .gridopt import coordinate_refine, golden_max, grid_density, top_k  # noqa: F401
 from .raygeom import DEFAULT_EPS_LIMIT, DEFAULT_GRID_N, ray_payment_batch, ray_payment_floor, ray_slope_sup
 from .response import (
     DEFAULT_GOLDEN_TOL,
@@ -288,7 +288,7 @@ def _maximize(obj_batch, domain: BoxDomain, cfg: SolverConfig, bound_batch=None)
 
     Grid argmax with lexicographically-smallest tie-breaking, followed by
     cyclic per-coordinate golden refinement of the top cells, in every
-    dimension alike; refinement evaluates `obj_batch` on one-row batches.
+    dimension alike, all top cells in one lockstep `coordinate_refine`.
 
     `bound_batch`, when given, must be at least `obj_batch` on every row in
     floating point, bit for bit.  The objective is then evaluated only on
@@ -309,14 +309,11 @@ def _maximize(obj_batch, domain: BoxDomain, cfg: SolverConfig, bound_batch=None)
     if cfg.vertex_enumeration:
         return pts[i0].copy(), float(vals[i0])
 
-    def obj_row(x):
-        return float(obj_batch(x[None, :])[0])
-
     spacing = domain.upper / (cfg.points(domain.dim) - 1)
-    candidates: list[tuple[float, tuple]] = [(float(vals[i0]), tuple(pts[i0]))]
-    for i in np.argsort(-vals, kind="stable")[: cfg.refine_top_k]:
-        x = coordinate_refine(obj_row, pts[i], spacing, domain.upper, cfg.refine_passes, cfg.golden_tol)
-        candidates.append((obj_row(x), tuple(x)))
+    starts = pts[top_k(vals, cfg.refine_top_k)]
+    refined = coordinate_refine(obj_batch, starts, spacing, domain.upper, cfg.refine_passes, cfg.golden_tol)
+    candidates = [(float(vals[i0]), tuple(pts[i0]))]
+    candidates += [(float(val), tuple(x)) for val, x in zip(obj_batch(refined), refined)]
 
     top = max(val for val, _ in candidates)
     near = [xt for val, xt in candidates if val >= top - cfg.no_trade_tol]
@@ -344,10 +341,7 @@ def _pruned_values(obj_batch, bound: np.ndarray, pts: np.ndarray, k: int) -> np.
         rows = rows[bound[rows] >= top[0]]
         if rows.size == 0:
             break
-        # numpy evaluates a one-row matrix product by another route than a
-        # many-row one, and it can round differently; pad to two rows so
-        # every row gets the bits a whole-grid evaluation would give it
-        vals[rows] = obj_batch(pts[np.resize(rows, max(rows.size, 2))])[: rows.size]
+        vals[rows] = obj_batch(pts[rows])
         top = np.partition(np.concatenate([top, vals[rows]]), -k)[-k:]
     return vals
 

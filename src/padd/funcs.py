@@ -151,20 +151,20 @@ class GradMaxResult:
     clamped: bool = False
 
 
-def _lex_greatest(rows: np.ndarray) -> int:
-    """Index of the lexicographically greatest row."""
-    best = 0
-    for i in range(1, rows.shape[0]):
-        if tuple(rows[i]) > tuple(rows[best]):
-            best = i
-    return best
-
-
 def _pick_grad_max(vertices: np.ndarray, x: np.ndarray) -> np.ndarray:
     """argmax of g . x over the vertex list; ties prefer the lex-greatest vector."""
     scores = vertices @ x
     cand = vertices[scores == scores.max()]  # exact-score ties only
-    return cand[_lex_greatest(cand)].copy()
+    return max(cand, key=tuple).copy()
+
+
+def _column_sum(weights: tuple, cols: np.ndarray, intercept: float) -> np.ndarray:
+    """`cols @ weights + intercept`, summed column by column, so that a row
+    gets the same bits in any batch (a matrix product may not)."""
+    out = 0.0
+    for i, w in enumerate(weights):
+        out = out + w * cols[:, i]
+    return out + intercept
 
 
 class FunctionExpr:
@@ -232,8 +232,8 @@ class PowerSum(FunctionExpr):
         return len(self.coeffs)
 
     def values(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        return (xs ** np.asarray(self.exponents)) @ np.asarray(self.coeffs)
+        powers = np.asarray(xs, dtype=float) ** np.asarray(self.exponents)
+        return _column_sum(self.coeffs, powers, 0.0)
 
     def _structural_shape(self) -> Shape:
         b = self.exponents
@@ -279,10 +279,11 @@ class PowerSum(FunctionExpr):
         b = np.asarray(self.exponents)
         k = np.asarray(self.coeffs)
         with np.errstate(divide="ignore", invalid="ignore"):
-            g = k * b * xs ** (b - 1.0)
+            g = xs ** (b - 1.0)
+            g *= k * b  # in place: the grid's gradients are the solve's largest array
         # exponent-1 terms are constant; fix 0^0 artifacts explicitly
-        g = np.where((xs == 0.0) & (b == 1.0), k, g)
-        g = np.where((xs == 0.0) & (b > 1.0), 0.0, g)
+        np.copyto(g, k, where=(xs == 0.0) & (b == 1.0))
+        np.copyto(g, 0.0, where=(xs == 0.0) & (b > 1.0))
         return g
 
     def to_dict(self) -> dict:
@@ -317,8 +318,7 @@ class Affine(FunctionExpr):
         return len(self.weights)
 
     def values(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        return xs @ np.asarray(self.weights) + self.intercept
+        return _column_sum(self.weights, np.asarray(xs, dtype=float), self.intercept)
 
     def _structural_shape(self) -> Shape:
         return Shape.LINEAR
@@ -567,10 +567,19 @@ class GraphMinCost(FunctionExpr):
     def dim(self) -> int:
         return self.graph.node_count
 
+    @cached_property
+    def _neighbors(self) -> tuple:
+        return tuple(tuple(self.graph.neighbors(i).tolist()) for i in range(self.dim))
+
     def values(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
-        neigh = xs @ self.graph.adjacency.astype(float)
-        return np.minimum(neigh, xs).sum(axis=1)
+        total = np.zeros(xs.shape[0])
+        for i, js in enumerate(self._neighbors):
+            neigh = np.zeros(xs.shape[0])
+            for j in js:
+                neigh += xs[:, j]
+            total += np.minimum(neigh, xs[:, i])
+        return total
 
     def _structural_shape(self) -> Shape:
         return Shape.CONCAVE

@@ -3,6 +3,12 @@
 Everything here is deterministic: grids are generated in lexicographic
 order, argmax ties resolve by position, and golden-section brackets shrink
 by a fixed schedule.
+
+`golden_max` advances k brackets in lockstep, one objective call for all k
+positions per step, and `coordinate_refine` refines k starts at once.  A
+bracket keeps the schedule and float operations it has alone, so with an
+objective that gives a row the same bits in any batch (as every catalog
+node's `values` does), each start gets exactly the bits it gets alone.
 """
 
 from __future__ import annotations
@@ -13,63 +19,102 @@ import numpy as np
 
 from .errors import PreconditionError
 
-__all__ = ["golden_max", "coordinate_refine", "grid_density"]
+__all__ = ["golden_max", "coordinate_refine", "grid_density", "top_k"]
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
 
-def golden_max(f, lo: float, hi: float, tol: float = 1e-10, max_iter: int = 200) -> float:
-    """Maximize a unimodal scalar function on [lo, hi].
-
-    Returns the best of {interior golden-section point, lo, hi}, so exact
-    boundary maxima are returned exactly.
-    """
-    a, b = float(lo), float(hi)
-    if b < a:
-        a, b = b, a
+def _golden(lo: float, hi: float, tol: float, max_iter: int):
+    """Golden-section search on one bracket as a generator: it yields each
+    position to evaluate, is sent the value there, and returns its pick."""
+    a, b = (hi, lo) if hi < lo else (lo, hi)
     h = b - a
     if h <= tol:
-        x = (a + b) / 2.0
-    else:
-        n = min(max_iter, int(math.ceil(math.log(tol / h) / math.log(_INVPHI))))
-        c = a + _INVPHI2 * h
-        d = a + _INVPHI * h
-        yc = f(c)
-        yd = f(d)
-        for _ in range(n - 1):
-            if yc > yd:
-                b, d, yd = d, c, yc
-                h *= _INVPHI
-                c = a + _INVPHI2 * h
-                yc = f(c)
-            else:
-                a, c, yc = c, d, yd
-                h *= _INVPHI
-                d = a + _INVPHI * h
-                yd = f(d)
-        x = c if yc > yd else d
-    best = max((f(lo), float(lo)), (f(hi), float(hi)), (f(x), float(x)))
-    return best[1]
+        return (a + b) / 2.0
+    n = min(max_iter, math.ceil(math.log(tol / h) / math.log(_INVPHI)))
+    c, d = a + _INVPHI2 * h, a + _INVPHI * h
+    yc = yield c
+    yd = yield d
+    for _ in range(n - 1):
+        h *= _INVPHI
+        if yc > yd:
+            d, yd = c, yc
+            c = a + _INVPHI2 * h
+            yc = yield c
+        else:
+            a, c, yc = c, d, yd
+            d = a + _INVPHI * h
+            yd = yield d
+    return c if yc > yd else d
 
 
-def coordinate_refine(f, x0, spacing, upper, passes: int, tol: float) -> np.ndarray:
-    """Refined copy of `x0`: each pass golden-maximizes `f` along every
-    coordinate in turn over `[max(0, x_i - spacing_i), min(upper_i, x_i + spacing_i)]`.
+def golden_max(f, lo, hi, tol: float = 1e-10, max_iter: int = 200) -> np.ndarray:
+    """Maximize k unimodal functions, one on each bracket `[lo[j], hi[j]]`.
+
+    `f` maps an array of positions whose last axis runs over the k
+    brackets to the values there, of the same shape.  Each bracket takes
+    its own number of golden-section steps from its own width (a finished
+    one re-evaluates its pick while the others go on), and returns the
+    best of {interior point, lo, hi}, exact ties to the larger position,
+    so exact boundary maxima are returned exactly.  Each step is one call
+    of `f` on k positions, and the final comparison one call on (3, k).
     """
-    x = np.array(x0, dtype=float)
+    lo = np.array(lo, dtype=float, ndmin=1).tolist()
+    hi = np.array(hi, dtype=float, ndmin=1).tolist()
+    searches = [_golden(a, b, tol, max_iter) for a, b in zip(lo, hi)]
+    pos, ys, done = [None] * len(lo), [None] * len(lo), [False] * len(lo)
+    while not all(done):
+        for j, search in enumerate(searches):
+            if not done[j]:
+                try:
+                    pos[j] = search.send(ys[j])
+                except StopIteration as stop:
+                    pos[j], done[j] = stop.value, True
+        if not all(done):
+            ys = f(np.array(pos)).tolist()
+    ys = f(np.array([lo, hi, pos])).tolist()
+    return np.array([max((ys[0][j], lo[j]), (ys[1][j], hi[j]), (ys[2][j], x))[1] for j, x in enumerate(pos)])
+
+
+def coordinate_refine(f, starts, spacing, upper, passes: int, tol: float) -> np.ndarray:
+    """Refined copies of the rows of `starts` ((k, d)), as a (k, d) array.
+
+    Each pass golden-maximizes the batch objective `f` ((m, d) rows to m
+    values) along every coordinate i in turn, over `[max(0, x_i -
+    spacing_i), min(upper_i, x_i + spacing_i)]` for all k rows at once.
+    """
+    x = np.array(starts, dtype=float, ndmin=2)
     for _ in range(passes):
-        for i in range(x.size):
-            lo = max(0.0, x[i] - spacing[i])
-            hi = min(float(upper[i]), x[i] + spacing[i])
+        for i in range(x.shape[1]):
+            lo = np.maximum(0.0, x[:, i] - spacing[i])
+            hi = np.minimum(float(upper[i]), x[:, i] + spacing[i])
 
-            def along(t, _i=i):
-                y = x.copy()
-                y[_i] = t
-                return f(y)
+            def along(ts, _i=i):
+                ys = np.concatenate([x] * (ts.size // len(x)))
+                ys[:, _i] = ts.ravel()
+                return f(ys).reshape(ts.shape)
 
-            x[i] = golden_max(along, lo, hi, tol=tol)
+            x[:, i] = golden_max(along, lo, hi, tol=tol)
     return x
+
+
+def top_k(vals: np.ndarray, k: int) -> np.ndarray:
+    """`np.argsort(-vals, kind="stable")[:k]`, without sorting every value.
+
+    A partition finds the k-th largest value and only the values at or
+    above it are sorted, so ties keep index order and -inf, +inf and NaN
+    land where the full sort puts them (it falls back to the full sort
+    when the k-th value is NaN).
+    """
+    neg = -np.asarray(vals)
+    if k >= neg.size:
+        return np.argsort(neg, kind="stable")[:k]
+    kth = np.partition(neg, k - 1)[k - 1]
+    if np.isnan(kth):
+        return np.argsort(neg, kind="stable")[:k]
+    idx = np.nonzero(neg <= kth)[0]
+    return idx[np.argsort(neg[idx], kind="stable")[:k]]
 
 
 def grid_density(grid_points: dict, dim: int) -> int:

@@ -32,11 +32,10 @@ and `1 / (1 - a)` are cached per grid and exponent set.
 `_closed_payments` is the one place that maps a cost's shape to its
 payment formula, and `ray_slope_sup` computes its payment with the code
 of `ray_payment_batch` on a one-row batch, so for every shape a bundle's
-payment has the same bits from both.  The ray form's scalars and the
-convex `x . grad c(x)` are elementwise (no matrix product), so there any
-batch gives those bits too; the concave payment `c(x)` is `c.values`,
-whose matrix products may round a lone row differently from a row of a
-larger batch.
+payment has the same bits from both.  The ray form's scalars, the
+convex `x . grad c(x)` and the concave payment `c.values(x)` are all
+computed elementwise (no matrix product), so any batch gives a row those
+bits too.
 
 `ray_payment_floor` is the a = 0 entry of the same slope code, `c(x) -
 c(0)`, vectorized over rows: it equals every bundle's first slope bit for
@@ -136,8 +135,8 @@ class _RayForm:
 
     `exponents` are the distinct exponents in ascending order and
     `terms[j]` the pairs `(i, k_i)` of `exponents[j]`; `graphs` holds
-    `(factor, neighbour lists)` of the GraphMinCost nodes, which add to the
-    weight of exponent 1; `parts` holds `(factor, node)` of the MinOfAffine
+    `(factor, node)` of the GraphMinCost nodes, which add to the weight of
+    exponent 1; `parts` holds `(factor, node)` of the MinOfAffine
     and Leontief nodes.
     """
 
@@ -159,8 +158,8 @@ class _RayForm:
             for i, k in terms:
                 w = w + k * xs[:, i] ** e
             if e == 1.0:
-                for factor, nbrs in self.graphs:
-                    w = w + factor * _graph_cost(nbrs, xs)
+                for factor, node in self.graphs:
+                    w = w + factor * node.values(xs)
             ws[:, j] = w
         out = [ws]
         for _, node in self.parts:
@@ -202,17 +201,6 @@ def _pieces(node: MinOfAffine | Leontief, xs: np.ndarray) -> tuple[np.ndarray, n
     return np.array([piece.intercept for piece in node.pieces]), s
 
 
-def _graph_cost(nbrs: tuple, xs: np.ndarray) -> np.ndarray:
-    """`GraphMinCost` on the rows of `xs`, from neighbour lists, elementwise."""
-    total = np.zeros(xs.shape[0])
-    for i, js in enumerate(nbrs):
-        neigh = np.zeros(xs.shape[0])
-        for j in js:
-            neigh += xs[:, j]
-        total += np.minimum(neigh, xs[:, i])
-    return total
-
-
 def _ray_form(c: FunctionExpr) -> _RayForm:
     """`c` as monomial weights plus piecewise-linear parts; every catalog tree has one.
 
@@ -235,7 +223,7 @@ def _ray_form(c: FunctionExpr) -> _RayForm:
             parts.append((factor, node))
         elif isinstance(node, GraphMinCost):
             groups.setdefault(1.0, [])
-            graphs.append((factor, tuple(tuple(node.graph.neighbors(i).tolist()) for i in range(node.dim))))
+            graphs.append((factor, node))
         else:
             terms = zip(node.coeffs, node.exponents) if isinstance(node, PowerSum) else ((w, 1.0) for w in node.weights)
             for i, (k, e) in enumerate(terms):

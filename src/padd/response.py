@@ -86,28 +86,14 @@ def _seller_pick(rows: np.ndarray, primary: np.ndarray, tol: float, secondary=No
     return int(idx[np.lexsort(rows[idx].T[::-1])[-1]])
 
 
-def _coord_profile(u: FunctionExpr, i: int):
-    """Scalar profile t -> u(t * e_i) for coordinate-separable expressions."""
-    if isinstance(u, PowerSum):
-        k, b = u.coeffs[i], u.exponents[i]
-        return lambda t: k * t**b
-    if isinstance(u, Affine):
-        if u.intercept != 0.0:
-            return None
-        w = u.weights[i]
-        return lambda t: w * t
+def _separable(u: FunctionExpr) -> bool:
+    """`u` is a sum of one-coordinate terms that vanish at 0, so `u(t * e_i)`
+    is coordinate i's term at t."""
     if isinstance(u, Scale):
-        inner = _coord_profile(u.child, i)
-        if inner is None:
-            return None
-        s = u.factor
-        return lambda t: s * inner(t)
+        return _separable(u.child)
     if isinstance(u, Sum):
-        parts = [_coord_profile(ch, i) for ch in u.children]
-        if any(p is None for p in parts):
-            return None
-        return lambda t: sum(p(t) for p in parts)
-    return None
+        return all(_separable(ch) for ch in u.children)
+    return isinstance(u, PowerSum) or (isinstance(u, Affine) and u.intercept == 0.0)
 
 
 def _anchored_form(u: FunctionExpr) -> tuple[np.ndarray, float] | None:
@@ -148,6 +134,21 @@ def _anchored_form(u: FunctionExpr) -> tuple[np.ndarray, float] | None:
     return anchor, float(level)
 
 
+def _ray_limit(anchor: np.ndarray, domain: BoxDomain) -> float:
+    """Largest fraction t <= 1 with `t * anchor` inside the box."""
+    support = anchor > 0
+    return float(min(1.0, np.min(domain.upper[support] / anchor[support])))
+
+
+def _ray_fractions(t_max: float, score, golden_tol: float) -> np.ndarray:
+    """Candidate fractions 0, `t_max` and the refined best of `score` ((m, 1)
+    fractions to m values) on a 513-point grid of `[0, t_max]`, as a (3, 1) array."""
+    ts = np.linspace(0.0, t_max, 513)[:, None]
+    j = int(np.argmax(score(ts)))
+    t_ref = coordinate_refine(score, ts[j], [t_max / 512], [t_max], 1, golden_tol)
+    return np.vstack([[[0.0], [t_max]], t_ref])
+
+
 def _anchored_response(
     anchor: np.ndarray,
     level: float,
@@ -158,8 +159,7 @@ def _anchored_response(
     golden_tol: float,
 ) -> np.ndarray:
     """Best response for an anchored value function, reduced to the fraction."""
-    support = anchor > 0
-    t_max = float(min(1.0, np.min(domain.upper[support] / anchor[support])))
+    t_max = _ray_limit(anchor, domain)
     pay_full = float(price @ anchor)
     margin = level - pay_full
     if margin > tie_tol:
@@ -170,12 +170,7 @@ def _anchored_response(
     def rev(ts: np.ndarray) -> np.ndarray:
         return ts[:, 0] * pay_full - c.values(ts * anchor)
 
-    ts = np.linspace(0.0, t_max, 513)[:, None]
-    j = int(np.argmax(rev(ts)))
-    t_ref = coordinate_refine(
-        lambda t: float(rev(t[None, :])[0]), ts[j], [t_max / 512], [t_max], 1, golden_tol
-    )
-    cands = np.array([[0.0], [t_max], t_ref])
+    cands = _ray_fractions(t_max, rev, golden_tol)
     rv = rev(cands)
     return cands[_seller_pick(cands, rv, _rev_tie(float(rv.max())))][0] * anchor
 
@@ -220,19 +215,20 @@ def buyer_best_response(
         # convex reports are maximized at a box corner
         return _finish_ties(domain.vertices(), u, price, c, tie_tol)
 
-    profiles = [_coord_profile(u, i) for i in range(u.dim)]
-    if u.dim == 1 and profiles[0] is None:
-        profiles = [lambda t: u.value((t,))]
-    if all(p is not None for p in profiles):
-        per_coord: list[list[float]] = []
-        for i, prof in enumerate(profiles):
-            pi, bi = float(price[i]), float(domain.upper[i])
-            h = lambda t, _prof=prof, _pi=pi: _prof(t) - _pi * t
-            cands = {0.0, bi, float(golden_max(h, 0.0, bi, tol=golden_tol))}
-            top = max(h(t) for t in cands)
-            per_coord.append(sorted(t for t in cands if h(t) >= top - tie_tol))
-        combos = np.array(list(itertools.product(*per_coord)))
-        return _finish_ties(combos, u, price, c, tie_tol)
+    if u.dim == 1 or _separable(u):
+        # one golden search per coordinate, all in lockstep
+        eye = np.eye(u.dim)
+
+        def utility(ts: np.ndarray) -> np.ndarray:
+            rows = (ts[..., None] * eye).reshape(-1, u.dim)
+            return u.values(rows).reshape(ts.shape) - price * ts
+
+        zero = np.zeros(u.dim)
+        ts = np.vstack([zero, domain.upper, golden_max(utility, zero, domain.upper, tol=golden_tol)])
+        us = utility(ts)
+        keep = us >= us.max(axis=0) - tie_tol
+        per_coord = [sorted(set(ts[keep[:, i], i].tolist())) for i in range(u.dim)]
+        return _finish_ties(np.array(list(itertools.product(*per_coord))), u, price, c, tie_tol)
 
     pts = domain.grid(grid_density(grid_points or DEFAULT_SELLER_GRID, domain.dim))
     return _finish_ties(pts, u, price, c, tie_tol)
@@ -351,18 +347,21 @@ def _refine_smooth(u, c, domain, records, n_axis, grid_points, tie_tol, golden_t
     appends the refined record to `records` when it is consistent and better."""
     rev0, bundle0, _ = max(records, key=lambda rbp: rbp[0])
 
-    def revenue_at(x: np.ndarray) -> float:
-        try:
-            p = _price_candidate(u, x)
-        except NotDifferentiableError:
-            return -np.inf
-        if not np.all(np.isfinite(p)):
-            return -np.inf
-        return float(p @ x - c.value(x))
+    def revenue(xs: np.ndarray) -> np.ndarray:
+        out = np.full(xs.shape[0], -np.inf)
+        costs = c.values(xs)
+        for r, x in enumerate(xs):
+            try:
+                p = _price_candidate(u, x)
+            except NotDifferentiableError:
+                continue
+            if np.all(np.isfinite(p)):
+                out[r] = p @ x - costs[r]
+        return out
 
     spacing = domain.upper / (n_axis - 1)
-    x = coordinate_refine(revenue_at, bundle0, spacing, domain.upper, 2, golden_tol)
-    if revenue_at(x) > rev0:
+    x = coordinate_refine(revenue, bundle0, spacing, domain.upper, 2, golden_tol)[0]
+    if revenue(x[None, :])[0] > rev0:
         rec = _consistent_record(u, _price_candidate(u, x), domain, c, grid_points, tie_tol, golden_tol)
         if rec is not None and rec[0] > rev0:
             records.append(rec)

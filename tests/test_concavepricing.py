@@ -91,6 +91,28 @@ class TestEquivalence:
             rep = equivalence_check(v, c, box)
             assert rep.equivalent, (name, rep)
 
+    @pytest.mark.parametrize(
+        "kind,coef",
+        [
+            ("convex", (1.268, 1.926, 0.716)),
+            ("convex", (0.638, 1.4, 1.593, 0.782)),
+            ("concave", (2.368, 2.495, 2.025)),
+            ("concave", (2.506, 2.135, 2.389, 2.602)),
+        ],
+        ids=["convex_3d", "convex_4d", "concave_3d", "concave_4d"],
+    )
+    def test_separable_games_in_three_and_four_goods(self, kind, coef):
+        # the rich side must follow the committed anchor's ray: raising one
+        # coordinate at a time never raises min_i x_i / anchor_i
+        d = len(coef)
+        if kind == "convex":
+            v, c = PowerSum((8.0,) * d, (0.5,) * d), PowerSum(coef, (2.0,) * d)
+        else:
+            v, c = PowerSum(coef, (0.25,) * d), PowerSum((1.0,) * d, (0.5,) * d)
+        rep = equivalence_check(v, c, BoxDomain(np.full(d, 5.0)))
+        assert rep.linear.trade and rep.equivalent, rep
+        assert rep.rich_bundle.tolist() == rep.linear.bundle.tolist()
+
     def test_no_trade_instance(self):
         rep = equivalence_check(SQRT, SQRT, BOX100)
         assert rep.equivalent

@@ -629,9 +629,9 @@ class TestPrunedGrid:
         assert np.float64(best_pruned).tobytes() == np.float64(best_all).tobytes()
 
     def test_single_surviving_row_gets_whole_grid_bits(self):
-        # a one-row batch can round differently from a many-row one (numpy's
-        # matrix-vector route), so a block pruned down to a single row must
-        # still see the bits that the whole-grid evaluation gives that row
+        # a block pruned down to a single row is evaluated as a one-row batch,
+        # and must still see the bits that the whole-grid evaluation gives
+        # that row: node values may not depend on the batch around a row
         v = MIXED_2D[0]
         pts = BoxDomain(np.array([10.0, 10.0])).grid(21)
         full = v.values(pts)

@@ -18,6 +18,7 @@ from padd import (
     bregman,
     ray_slope_sup,
 )
+from padd.graphs import random_graph
 from padd.raygeom import _grid_rows, _ray_form, ray_payment_batch, ray_payment_floor
 
 SQUARE = PowerSum((1.0,), (2.0,))
@@ -391,11 +392,74 @@ class TestOnePaymentPerShape:
                 elif shape is not Shape.GENERAL:
                     assert not res.is_limit and res.attained_alpha == 0.0
 
-    @pytest.mark.parametrize("shape", [Shape.CONVEX, Shape.GENERAL], ids=["convex", "general"])
+    @pytest.mark.parametrize("shape", list(Shape), ids=[s.value for s in Shape])
     def test_elementwise_payments_agree_in_any_batch(self, shape):
-        # x . grad c(x) and the ray form avoid matrix products, so a row's
-        # payment does not depend on the batch around it
+        # c(x), x . grad c(x) and the ray form avoid matrix products, so a
+        # row's payment does not depend on the batch around it
         for c, xs in shaped_monomial_trees(shape):
             batch = ray_payment_batch(c, xs, 101, 1e-3)
             scalar = [ray_slope_sup(c, x, 101, 1e-3).payment for x in xs]
             assert np.array(scalar).tobytes() == batch.tobytes()
+
+
+# --- batch invariance -------------------------------------------------------
+
+
+def subtrees(c):
+    children = getattr(c, "children", ()) or ([c.child] if isinstance(c, Scale) else [])
+    yield c
+    for ch in children:
+        yield from subtrees(ch)
+
+
+def invariance_trees(count=40):
+    """Seeded trees of dimension 1-6 over all seven node kinds and of any
+    curvature, each with 257 bundles (zeros and a zero coordinate included)."""
+    trees = []
+    for seed in range(count):
+        rng = np.random.default_rng(7000 + seed)
+        d = int(rng.integers(1, 7))
+        edges = [(i, j) for i in range(d) for j in range(i + 1, d) if rng.random() < 0.5]
+        c = random_tree(rng, d, GraphInstance.from_edges(d, edges))
+        xs = rng.uniform(0.0, 10.0, (257, d))
+        xs[0] = 0.0
+        xs[1, 0] = 0.0
+        trees.append((c, xs))
+    return trees
+
+
+INVARIANCE_TREES = invariance_trees()
+
+
+def assert_rows_batch_invariant(f, xs):
+    """`f` gives every row of `xs` the same bits alone as in the whole batch."""
+    whole = f(xs)
+    alone = np.array([f(xs[i : i + 1])[0] for i in range(len(xs))])
+    assert alone.tobytes() == whole.tobytes()
+
+
+class TestBatchInvariance:
+    def test_values_of_every_node_kind_and_nested_tree(self):
+        kinds = set()
+        for c, xs in INVARIANCE_TREES:
+            for node in subtrees(c):
+                kinds.add(type(node).__name__)
+                assert_rows_batch_invariant(node.values, xs)
+        assert kinds == {"PowerSum", "Affine", "MinOfAffine", "Leontief", "GraphMinCost", "Sum", "Scale"}
+
+    def test_graph_cost_values_on_a_larger_graph(self, rng):
+        # a 12-node graph cost summed by a matrix product rounds some lone rows differently
+        for seed in range(5):
+            c = GraphMinCost(random_graph(12, 0.5, seed))
+            assert_rows_batch_invariant(c.values, rng.uniform(0.0, 10.0, (300, 12)))
+
+    def test_gradient_batch(self, rng):
+        for shape in Shape:
+            for c, xs in shaped_monomial_trees(shape):
+                ys = np.vstack([xs, rng.uniform(0.0, 10.0, (250, c.dim))])
+                assert_rows_batch_invariant(c.gradient_batch, ys)
+
+    def test_ray_payment_batch_and_floor(self):
+        for c, xs in INVARIANCE_TREES[:20]:
+            assert_rows_batch_invariant(lambda ys: ray_payment_batch(c, ys, 101, 1e-3), xs[:40])
+            assert_rows_batch_invariant(lambda ys: ray_payment_floor(c, ys), xs)
