@@ -39,7 +39,7 @@ from .equilibrium import (
     solve_auto,
 )
 # golden_max is unused here; bench/tests/test_harness.py expects this module to bind it
-from .gridopt import coordinate_refine, golden_max, top_k  # noqa: F401
+from .gridopt import coordinate_refine, golden_max, grid_scan  # noqa: F401
 from .response import _anchored_form, _ray_fractions, _ray_limit, _rev_tie, _seller_pick
 from .response import seller_optimal_linear_price
 
@@ -118,12 +118,10 @@ def best_concave_price(
         return u.values(xs) - c.values(xs)
 
     n_axis = cfg.points(domain.dim)
-    pts = domain.grid(n_axis)
-    gaps = gap(pts)
+    scan = grid_scan(gap, domain.upper, n_axis, cfg.refine_top_k, pool_tol=_rev_tie)
     spacing = domain.upper / (n_axis - 1)
-    starts = pts[top_k(gaps, cfg.refine_top_k)]
-    refined = coordinate_refine(gap, starts, spacing, domain.upper, cfg.refine_passes, cfg.golden_tol)
-    pool = [pts[gaps >= gaps.max() - _rev_tie(gaps.max())], refined]
+    refined = coordinate_refine(gap, scan.rows, spacing, domain.upper, cfg.refine_passes, cfg.golden_tol)
+    pool = [scan.pool, refined]
     anchored = _anchored_form(u)
     if anchored is not None:
         # moving one coordinate at a time never raises min_i x_i / anchor_i:
@@ -193,12 +191,11 @@ def _response_to_price_expr(
         return price.values(xs) - c.values(xs)
 
     n_axis = cfg.points(domain.dim)
-    pts = domain.grid(n_axis)
-    utils = util(pts)
+    scan = grid_scan(util, domain.upper, n_axis, 1, pool_tol=lambda top: cfg.tie_tol)
     spacing = domain.upper / (n_axis - 1)
-    x = coordinate_refine(util, pts[int(np.argmax(utils))], spacing, domain.upper, cfg.refine_passes, cfg.golden_tol)
+    x = coordinate_refine(util, scan.rows, spacing, domain.upper, cfg.refine_passes, cfg.golden_tol)
     # seller tie-break among near-optimal grid bundles
-    cands = np.vstack([pts[utils >= utils.max() - cfg.tie_tol], x])
+    cands = np.vstack([scan.pool, x])
     uvals = util(cands)
     max_util = float(uvals.max())
     pick = cands[_seller_pick(cands, uvals, cfg.tie_tol, rev)]

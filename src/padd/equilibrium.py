@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
+from functools import partial
 from numbers import Integral, Real
 
 import numpy as np
@@ -32,7 +33,7 @@ from .funcs import (
     as_bundle,
 )
 # golden_max is unused here; bench/tests/test_harness.py expects this module to bind it
-from .gridopt import coordinate_refine, golden_max, grid_density, top_k  # noqa: F401
+from .gridopt import coordinate_refine, golden_max, grid_blocks, grid_density, grid_rows, grid_scan, top_k  # noqa: F401
 from .raygeom import DEFAULT_EPS_LIMIT, DEFAULT_GRID_N, ray_payment_batch, ray_payment_floor, ray_slope_sup
 from .response import (
     DEFAULT_GOLDEN_TOL,
@@ -289,6 +290,9 @@ def _maximize(obj_batch, domain: BoxDomain, cfg: SolverConfig, bound_batch=None)
     Grid argmax with lexicographically-smallest tie-breaking, followed by
     cyclic per-coordinate golden refinement of the top cells, in every
     dimension alike, all top cells in one lockstep `coordinate_refine`.
+    The grid is scanned in blocks (`gridopt.grid_scan`); since the
+    objective gives a row the same bits in any batch, the top cells are
+    those of one evaluation of the whole grid, bit for bit.
 
     `bound_batch`, when given, must be at least `obj_batch` on every row in
     floating point, bit for bit.  The objective is then evaluated only on
@@ -299,20 +303,25 @@ def _maximize(obj_batch, domain: BoxDomain, cfg: SolverConfig, bound_batch=None)
     slope array that the payment maximizes, so with monotone rounding the
     bound holds in floating point.
     """
-    pts = domain.vertices() if cfg.vertex_enumeration else domain.grid(cfg.points(domain.dim))
-    if bound_batch is None:
-        vals = obj_batch(pts)
-    else:
-        k = 1 if cfg.vertex_enumeration else cfg.refine_top_k
-        vals = _pruned_values(obj_batch, bound_batch(pts), pts, k)
-    i0 = int(np.nonzero(vals >= vals.max())[0][0])
     if cfg.vertex_enumeration:
+        pts = domain.vertices()
+        vals = obj_batch(pts) if bound_batch is None else _pruned_values(obj_batch, bound_batch(pts), pts.__getitem__, 1)
+        i0 = int(np.nonzero(vals >= vals.max())[0][0])
         return pts[i0].copy(), float(vals[i0])
 
-    spacing = domain.upper / (cfg.points(domain.dim) - 1)
-    starts = pts[top_k(vals, cfg.refine_top_k)]
+    n = cfg.points(domain.dim)
+    if bound_batch is None:
+        _, vals, starts, _ = grid_scan(obj_batch, domain.upper, n, cfg.refine_top_k)
+    else:
+        rows = partial(grid_rows, domain.upper, n)
+        bound = np.concatenate([bound_batch(xs) for _, xs in grid_blocks(domain.upper, n)])
+        vals = _pruned_values(obj_batch, bound, rows, cfg.refine_top_k)
+        idx = top_k(vals, cfg.refine_top_k)
+        vals, starts = vals[idx], rows(idx)
+
+    spacing = domain.upper / (n - 1)
     refined = coordinate_refine(obj_batch, starts, spacing, domain.upper, cfg.refine_passes, cfg.golden_tol)
-    candidates = [(float(vals[i0]), tuple(pts[i0]))]
+    candidates = [(float(vals[0]), tuple(starts[0]))]
     candidates += [(float(val), tuple(x)) for val, x in zip(obj_batch(refined), refined)]
 
     top = max(val for val, _ in candidates)
@@ -321,28 +330,32 @@ def _maximize(obj_batch, domain: BoxDomain, cfg: SolverConfig, bound_batch=None)
     return np.asarray(best, dtype=float), top
 
 
-def _pruned_values(obj_batch, bound: np.ndarray, pts: np.ndarray, k: int) -> np.ndarray:
-    """`obj_batch(pts)` on every row that can reach the top `k`; -inf elsewhere.
+def _pruned_values(obj_batch, bound: np.ndarray, rows, k: int) -> np.ndarray:
+    """`obj_batch(rows(i))` for every index i that can reach the top `k`;
+    -inf elsewhere.
 
-    Rows are visited in descending-bound order (stable) in blocks of
-    `_PRUNE_BLOCK`.  A row whose bound is below the k-th best value seen so
-    far is strictly below the k-th best value of the whole grid, so it can
+    `bound[i]` bounds the objective at `rows(i)` (`rows` maps an index
+    array to its (m, d) rows).  Indices are visited in descending-bound
+    order (stable) in blocks of `_PRUNE_BLOCK`, and only their rows are
+    made.  A row whose bound is below the k-th best value seen so far is
+    strictly below the k-th best value of the whole grid, so it can
     neither enter the stable top-k nor tie the argmax; the walk stops at
     the first block without a row left to evaluate.  NaN bounds sort first
-    and are never skipped.
+    and are never skipped.  Node values are batch-invariant, so each
+    evaluated row gets the bits that the whole-grid evaluation gives it.
     """
-    k = min(k, pts.shape[0])
+    k = min(k, bound.size)
     bound = np.where(np.isnan(bound), np.inf, bound)
     order = np.argsort(-bound, kind="stable")
-    vals = np.full(pts.shape[0], -np.inf)
+    vals = np.full(bound.size, -np.inf)
     top = np.full(k, -np.inf)  # the k best values evaluated so far
     for start in range(0, order.size, _PRUNE_BLOCK):
-        rows = order[start : start + _PRUNE_BLOCK]
-        rows = rows[bound[rows] >= top[0]]
-        if rows.size == 0:
+        idx = order[start : start + _PRUNE_BLOCK]
+        idx = idx[bound[idx] >= top[0]]
+        if idx.size == 0:
             break
-        vals[rows] = obj_batch(pts[rows])
-        top = np.partition(np.concatenate([top, vals[rows]]), -k)[-k:]
+        vals[idx] = obj_batch(rows(idx))
+        top = np.partition(np.concatenate([top, vals[idx]]), -k)[-k:]
     return vals
 
 

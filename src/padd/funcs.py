@@ -245,33 +245,25 @@ class PowerSum(FunctionExpr):
             return Shape.CONVEX
         return Shape.GENERAL
 
-    def grad_max_info(self, x) -> GradMaxResult:
+    def _gradient_row(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """`gradient_batch` on a one-row batch, zero where a zero coordinate
+        has exponent < 1, and the mask of those entries that are unbounded
+        (a positive coefficient)."""
         x = as_bundle(x, self.dim)
-        g = np.empty(self.dim)
-        clamped = False
-        for i, (k, b) in enumerate(zip(self.coeffs, self.exponents)):
-            if x[i] == 0.0 and b < 1.0:
-                # unbounded at the axis; keep the call total but flag it
-                g[i] = GRAD_CAP if k > 0 else 0.0
-                clamped = k > 0
-            elif x[i] == 0.0 and b > 1.0:
-                g[i] = 0.0
-            else:
-                g[i] = k * b * x[i] ** (b - 1.0)
-        return GradMaxResult(g, clamped)
+        g = self.gradient_batch(x[None, :])[0]
+        axis = (x == 0.0) & (np.asarray(self.exponents) < 1.0)
+        g[axis] = 0.0
+        return g, axis & (np.asarray(self.coeffs) > 0)
+
+    def grad_max_info(self, x) -> GradMaxResult:
+        g, unbounded = self._gradient_row(x)
+        g[unbounded] = GRAD_CAP  # keep the call total at the axis but flag it
+        return GradMaxResult(g, bool(unbounded.any()))
 
     def gradient(self, x) -> np.ndarray:
-        x = as_bundle(x, self.dim)
-        g = np.empty(self.dim)
-        for i, (k, b) in enumerate(zip(self.coeffs, self.exponents)):
-            if x[i] == 0.0:
-                if b < 1.0 and k > 0:
-                    raise NotDifferentiableError(
-                        "gradient unbounded at a zero coordinate for exponent < 1"
-                    )
-                g[i] = k if b == 1.0 else 0.0
-            else:
-                g[i] = k * b * x[i] ** (b - 1.0)
+        g, unbounded = self._gradient_row(x)
+        if unbounded.any():
+            raise NotDifferentiableError("gradient unbounded at a zero coordinate for exponent < 1")
         return g
 
     def gradient_batch(self, xs: np.ndarray) -> np.ndarray:

@@ -4,6 +4,15 @@ Everything here is deterministic: grids are generated in lexicographic
 order, argmax ties resolve by position, and golden-section brackets shrink
 by a fixed schedule.
 
+Grid searches never build the whole `n^d x d` grid.  `grid_blocks` makes
+the rows of one block of `_BLOCK` flat indices at a time straight from the
+per-axis `linspace`s, and `grid_scan` evaluates the objective block by
+block, keeping a running top-k (and, optionally, the rows tied with the
+running max); `grid_rows` regenerates any row from its index.  The rows
+carry the bits of `BoxDomain.grid`, and every catalog node gives a row the
+same bits in any batch, so a scan picks exactly what one evaluation of the
+whole grid picks while holding O(block x d) rows, not O(n^d x d).
+
 `golden_max` advances k brackets in lockstep, one objective call for all k
 positions per step, and `coordinate_refine` refines k starts at once.  A
 bracket keeps the schedule and float operations it has alone, so with an
@@ -14,12 +23,16 @@ node's `values` does), each start gets exactly the bits it gets alone.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import PreconditionError
 
-__all__ = ["golden_max", "coordinate_refine", "grid_density", "top_k"]
+__all__ = ["golden_max", "coordinate_refine", "grid_density", "top_k", "grid_rows", "grid_blocks", "grid_scan"]
+
+# grid rows per block of a streamed grid search
+_BLOCK = 8192
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
@@ -115,6 +128,60 @@ def top_k(vals: np.ndarray, k: int) -> np.ndarray:
         return np.argsort(neg, kind="stable")[:k]
     idx = np.nonzero(neg <= kth)[0]
     return idx[np.argsort(neg[idx], kind="stable")[:k]]
+
+
+def grid_rows(upper, n: int, idx) -> np.ndarray:
+    """Rows `idx` (flat lexicographic indices) of the `n`-per-axis grid on
+    the box `[0, upper]`, bit for bit `BoxDomain(upper).grid(n)[idx]`."""
+    digits = np.unravel_index(np.asarray(idx, dtype=np.intp), (n,) * len(upper))
+    return np.stack([np.linspace(0.0, b, n)[i] for b, i in zip(upper, digits)], axis=1)
+
+
+def grid_blocks(upper, n: int, start: int = 0):
+    """Yield (first index, rows) for consecutive `_BLOCK`-row blocks of the
+    grid, from flat index `start` on."""
+    total = n ** len(upper)
+    for lo in range(start, total, _BLOCK):
+        yield lo, grid_rows(upper, n, np.arange(lo, min(lo + _BLOCK, total)))
+
+
+class GridScan(NamedTuple):
+    """Result of `grid_scan`: the top-k flat indices (best first, ties by
+    index), their values and rows, and the tie pool's rows (or None)."""
+
+    idx: np.ndarray
+    vals: np.ndarray
+    rows: np.ndarray
+    pool: np.ndarray | None
+
+
+def grid_scan(f, upper, n: int, k: int, pool_tol=None) -> GridScan:
+    """Top `k` rows of the batch objective `f` over the grid, block by block.
+
+    The top-k is `top_k` of the whole grid's values: each block's own top
+    k is merged into the running one, which only holds lower indices, so
+    ties keep index order.  With `pool_tol` (a function of the max), the
+    pool holds the rows with `value >= max - pool_tol(max)` in index order;
+    `x - pool_tol(x)` must not decrease in x, so that a row dropped under
+    a running max is also below the final threshold (a NaN max keeps the
+    pool empty, as the whole-grid comparison does).
+    """
+    idx, vals = np.zeros(0, dtype=np.intp), np.zeros(0)
+    pool_idx, pool_vals, top = idx, vals, -np.inf
+    for lo, rows in grid_blocks(upper, n):
+        v = f(rows)
+        best = top_k(v, k)
+        idx, vals = np.concatenate([idx, lo + best]), np.concatenate([vals, v[best]])
+        best = top_k(vals, k)
+        idx, vals = idx[best], vals[best]
+        if pool_tol is not None:
+            top = np.maximum(top, v.max())
+            floor = top - pool_tol(top)
+            kept, new = pool_vals >= floor, np.nonzero(v >= floor)[0]
+            pool_idx = np.concatenate([pool_idx[kept], lo + new])
+            pool_vals = np.concatenate([pool_vals[kept], v[new]])
+    pool = None if pool_tol is None else grid_rows(upper, n, pool_idx)
+    return GridScan(idx, vals, grid_rows(upper, n, idx), pool)
 
 
 def grid_density(grid_points: dict, dim: int) -> int:

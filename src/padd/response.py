@@ -29,7 +29,7 @@ from .funcs import (
     as_bundle,
     as_price,
 )
-from .gridopt import coordinate_refine, golden_max, grid_density
+from .gridopt import coordinate_refine, golden_max, grid_blocks, grid_density, grid_rows, grid_scan
 
 __all__ = [
     "SellerSolution",
@@ -230,8 +230,9 @@ def buyer_best_response(
         per_coord = [sorted(set(ts[keep[:, i], i].tolist())) for i in range(u.dim)]
         return _finish_ties(np.array(list(itertools.product(*per_coord))), u, price, c, tie_tol)
 
-    pts = domain.grid(grid_density(grid_points or DEFAULT_SELLER_GRID, domain.dim))
-    return _finish_ties(pts, u, price, c, tie_tol)
+    n = grid_density(grid_points or DEFAULT_SELLER_GRID, domain.dim)
+    scan = grid_scan(lambda xs: u.values(xs) - xs @ price, domain.upper, n, 1, pool_tol=lambda top: tie_tol)
+    return _finish_ties(scan.pool, u, price, c, tie_tol)
 
 
 def _price_candidate(u: FunctionExpr, x: np.ndarray) -> np.ndarray:
@@ -307,27 +308,25 @@ def seller_optimal_linear_price(
             try_price(np.asarray(piece.weights, dtype=float))
     else:
         n_axis = grid_density(grid_points or DEFAULT_SELLER_GRID, domain.dim)
-        pts = domain.grid(n_axis)
-        pts = pts[np.any(pts > 0, axis=1)]
+
+        def potential_at(xs: np.ndarray) -> np.ndarray:
+            grads = u.gradient_batch(xs)
+            finite = np.all(np.isfinite(grads), axis=1)
+            safe = np.where(finite[:, None], grads, 0.0)
+            return np.where(finite, np.einsum("ij,ij->i", safe, xs) - c.values(xs), -np.inf)
+
         if u.shape in (Shape.CONCAVE, Shape.LINEAR):
             try:
-                grads = u.gradient_batch(pts)
+                # grid rows from index 1 on: row 0 is the origin
+                potential = np.concatenate([potential_at(xs) for _, xs in grid_blocks(domain.upper, n_axis, 1)])
                 smooth = True
             except (NotImplementedError, NotDifferentiableError):
                 smooth = False
-        if smooth:
-            finite = np.all(np.isfinite(grads), axis=1)
-            safe = np.where(finite[:, None], grads, 0.0)
-            potential = np.where(
-                finite, np.einsum("ij,ij->i", safe, pts) - c.values(pts), -np.inf
-            )
-            order = np.argsort(-potential)
-        else:
-            order = np.arange(pts.shape[0])
-        for idx in order:
-            if smooth and potential[idx] <= max(best_rev, 0.0) + 1e-12:
+        order = np.argsort(-potential) if smooth else range(n_axis**domain.dim - 1)
+        for j in order:
+            if smooth and potential[j] <= max(best_rev, 0.0) + 1e-12:
                 break
-            try_price(_price_candidate(u, pts[idx]))
+            try_price(_price_candidate(u, grid_rows(domain.upper, n_axis, [j + 1])[0]))
 
     if smooth and records:
         _refine_smooth(u, c, domain, records, n_axis, grid_points, tie_tol, golden_tol)

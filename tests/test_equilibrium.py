@@ -228,6 +228,44 @@ class TestPaperProperties:
         assert out.seller_revenue == 0.0
 
 
+@st.composite
+def one_good_power_games(draw, value_exponents, cost_exponents, cost_coef):
+    """1-d games `v = a x^p`, `c = b x^q` on `[0, U]`, as (v, c, box, s): the
+    stationary point s of v - payment is drawn, and `cost_coef(a, p, q, s)`
+    solves b from it, so s lands both inside and beyond the box."""
+    a, p, q = draw(st.floats(0.5, 5.0)), draw(value_exponents), draw(cost_exponents)
+    s = draw(st.floats(0.05, 40.0))
+    v, c = PowerSum((a,), (p,)), PowerSum((cost_coef(a, p, q, s),), (q,))
+    return v, c, BoxDomain([draw(st.floats(1.0, 50.0))]), s
+
+
+class TestOneGoodStationaryPoints:
+    """The solved bundle is the stationary point of v - payment, clipped to
+    the box: payment `x c'(x) = b q x^q` for convex costs gives
+    `x^(q-p) = a p / (b q^2)`, payment `c(x)` for concave costs
+    `x^(p-q) = b q / (a p)` (a maximum for p < q)."""
+
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(one_good_power_games(st.floats(0.2, 0.8), st.floats(1.2, 3.0), lambda a, p, q, s: a * p / (q * q * s ** (q - p))))
+    def test_convex_cost(self, game):
+        v, c, box, s = game
+        out = solve_auto(v, c, box)
+        assert out.method == "convex_closed_form"
+        (a,), (p,), (b,), (q,) = v.coeffs, v.exponents, c.coeffs, c.exponents
+        assert s ** (q - p) == pytest.approx(a * p / (b * q * q), rel=1e-12)
+        assert out.bundle[0] == pytest.approx(min(s, box.upper[0]), rel=1e-6, abs=0.0)
+
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(one_good_power_games(st.floats(0.1, 0.4), st.floats(0.6, 1.0), lambda a, p, q, s: a * p * s ** (p - q) / q))
+    def test_concave_cost(self, game):
+        v, c, box, s = game
+        out = solve_auto(v, c, box)
+        assert out.method == "concave_closed_form"
+        (a,), (p,), (b,), (q,) = v.coeffs, v.exponents, c.coeffs, c.exponents
+        assert s ** (p - q) == pytest.approx(b * q / (a * p), rel=1e-12)
+        assert out.bundle[0] == pytest.approx(min(s, box.upper[0]), rel=1e-6, abs=0.0)
+
+
 def assert_same_outcome_bits(general, special):
     """Everything but the method tag is bit-identical."""
     assert general.method == "general" and special.method != "general"
@@ -642,7 +680,7 @@ class TestPrunedGrid:
         bound = full.copy()
         bound[order[: equilibrium._PRUNE_BLOCK]] = np.inf  # the first block, best row included
         bound[special] = 1e300  # the only row of the second block not below the best
-        vals = equilibrium._pruned_values(v.values, bound, pts, 1)
+        vals = equilibrium._pruned_values(v.values, bound, pts.__getitem__, 1)
         seen = np.isfinite(vals)
         assert seen[special] and seen.sum() == equilibrium._PRUNE_BLOCK + 1
         assert vals[seen].tobytes() == full[seen].tobytes()
@@ -658,7 +696,7 @@ class TestPrunedGrid:
         obj[0] = obj[1] = obj[2] = 5.0
         bound = obj.copy()
         bound[1 : equilibrium._PRUNE_BLOCK + 1] = 7.0
-        vals = equilibrium._pruned_values(lambda xs: obj[xs[:, 0].astype(int)], bound, pts, top_k)
+        vals = equilibrium._pruned_values(lambda xs: obj[xs[:, 0].astype(int)], bound, pts.__getitem__, top_k)
         assert vals[0] == 5.0
         assert list(np.argsort(-vals, kind="stable")[:top_k]) == list(np.argsort(-obj, kind="stable")[:top_k])
         assert np.isinf(vals[-1])
@@ -670,7 +708,7 @@ class TestPrunedGrid:
         obj[-1] = 9.0
         bound = obj.copy()
         bound[-1] = np.nan
-        vals = equilibrium._pruned_values(lambda xs: obj[xs[:, 0].astype(int)], bound, pts, 1)
+        vals = equilibrium._pruned_values(lambda xs: obj[xs[:, 0].astype(int)], bound, pts.__getitem__, 1)
         assert vals[-1] == 9.0
         assert np.isinf(vals[n // 2])
 

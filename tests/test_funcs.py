@@ -172,6 +172,24 @@ class TestGradient:
         for i in range(20):
             assert np.allclose(batch[i], f.gradient(xs[i]), rtol=1e-13)
 
+    def test_power_sum_scalar_gradients_carry_the_batch_bits(self):
+        # Python's scalar powers differed from numpy's in the last ulp on 277
+        # of these bundles, so a supergradient price need not carry the bits
+        # of the batch potential that ranked its bundle
+        f = PowerSum((1.5, 2.0, 0.7), (1.5, 0.3, 3.0))
+        xs = np.random.default_rng(0).random((2000, 3)) * 5.0
+        for x, row in zip(xs, f.gradient_batch(xs)):
+            assert f.gradient(x).tobytes() == row.tobytes()
+            assert f.grad_max_info(x).vector.tobytes() == row.tobytes()
+
+    def test_power_sum_zero_coordinates(self):
+        f = PowerSum((1.0, 0.0, 2.0, 3.0), (0.5, 0.5, 1.0, 2.0))
+        assert f.gradient((4.0, 0.0, 0.0, 0.0)).tolist() == [0.25, 0.0, 2.0, 0.0]
+        with pytest.raises(PreconditionError):
+            f.gradient((0.0, 1.0, 1.0, 1.0))
+        res = f.grad_max_info((0.0, 0.0, 0.0, 0.0))
+        assert res.clamped and res.vector.tolist() == [1e12, 0.0, 2.0, 0.0]
+
 
 class TestSerialization:
     def test_round_trip_bit_faithful(self):

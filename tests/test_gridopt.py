@@ -1,11 +1,15 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from padd import PowerSum
-from padd.gridopt import coordinate_refine, golden_max, top_k
+from padd import BoxDomain, PowerSum, solve_auto
+from padd import gridopt
+from padd.gridopt import coordinate_refine, golden_max, grid_blocks, grid_rows, grid_scan, top_k
+from padd.response import _rev_tie
 
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
@@ -122,3 +126,86 @@ class TestTopK:
     def test_matches_full_stable_sort(self, vals, k):
         vals = np.array(vals)
         assert top_k(vals, k).tolist() == np.argsort(-vals, kind="stable")[:k].tolist()
+
+
+SPECIAL = [-np.inf, -1.0, -0.0, 0.0, 0.5, 2.0, np.inf, np.nan]
+
+
+def lookup(table, n):
+    """Batch objective reading `table` at the flat index of each row of the
+    grid on `[0, n - 1]^d`, whose rows hold their integer digits exactly."""
+    return lambda rows: table[np.ravel_multi_index(rows.astype(int).T, (n,) * rows.shape[1])]
+
+
+@st.composite
+def scan_cases(draw):
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 5))
+    table = np.array(draw(st.lists(st.sampled_from(SPECIAL), min_size=n**d, max_size=n**d)))
+    k = draw(st.integers(1, n**d + 3))
+    block = draw(st.integers(1, n**d + 1))
+    return table, d, n, k, block, draw(st.sampled_from([lambda top: 0.6, _rev_tie]))
+
+
+class TestGridScan:
+    @pytest.mark.parametrize("upper,n", [([3.7], 11), ([1.0, 2.5], 6), ([0.3, 7.0, 1e-3], 5), ([5.0] * 4, 4)])
+    def test_rows_are_the_box_grid_rows(self, upper, n):
+        grid = BoxDomain(np.array(upper)).grid(n)
+        with mock.patch.object(gridopt, "_BLOCK", 7):
+            for start in (0, 1, 9):
+                blocks = list(grid_blocks(np.array(upper), n, start))
+                assert [lo for lo, _ in blocks] == list(range(start, len(grid), 7))
+                assert np.vstack([rows for _, rows in blocks]).tobytes() == grid[start:].tobytes()
+        idx = np.random.default_rng(3).integers(0, len(grid), 40)
+        assert grid_rows(np.array(upper), n, idx).tobytes() == grid[idx].tobytes()
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(scan_cases())
+    def test_matches_the_whole_grid(self, case):
+        table, d, n, k, block, tol = case
+        upper = np.full(d, n - 1.0)
+        grid = BoxDomain(upper).grid(n)
+        with mock.patch.object(gridopt, "_BLOCK", block), np.errstate(invalid="ignore"):  # inf - inf
+            got = grid_scan(lookup(table, n), upper, n, k, pool_tol=tol)
+            pool = grid[table >= table.max() - tol(table.max())]
+        want = top_k(table, k)
+        assert got.idx.tolist() == want.tolist()
+        assert got.vals.tobytes() == table[want].tobytes()
+        assert got.rows.tobytes() == grid[want].tobytes()
+        assert got.pool.tobytes() == pool.tobytes()
+
+    def test_ties_straddling_a_block_boundary_keep_index_order(self):
+        n = 10
+        table = np.linspace(0.0, 1.0, n)
+        table[3:7] = 5.0  # blocks of 4: rows 3 | 4 5 6 tie across the boundary
+        with mock.patch.object(gridopt, "_BLOCK", 4):
+            got = grid_scan(lookup(table, n), np.array([n - 1.0]), n, 3, pool_tol=lambda top: 0.0)
+        assert got.idx.tolist() == [3, 4, 5]
+        assert got.pool[:, 0].tolist() == [3.0, 4.0, 5.0, 6.0]
+
+    def test_pool_is_none_without_a_tolerance(self):
+        got = grid_scan(lambda rows: rows[:, 0], np.array([1.0]), 5, 2)
+        assert got.pool is None and got.idx.tolist() == [4, 3]
+
+
+# 4 goods, default 21^4 grid: the largest default grid search
+CONVEX_4D = (
+    PowerSum((8.0,) * 4, (0.5,) * 4),
+    PowerSum((1.0, 1.5, 2.0, 2.5), (2.0,) * 4),
+    BoxDomain(np.full(4, 5.0)),
+)
+
+
+def test_default_four_good_solve_holds_no_whole_grid():
+    # the whole-grid solve peaked at 14.9 MB of traced heap: the (21^4, 4)
+    # grid, its gradients and powers at once; streamed blocks hold about 1 MB
+    v, c, box = CONVEX_4D
+    solve_auto(v, c, box)  # the first solve fills caches
+    tracemalloc.start()
+    try:
+        out = solve_auto(v, c, box)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.method == "convex_closed_form" and out.trade
+    assert peak < 4e6
