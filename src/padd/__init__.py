@@ -33,6 +33,7 @@ from .graphs import GraphInstance, parse_graph_json, parse_graph_text
 from .raygeom import RaySlopeResult, bregman, ray_slope_sup
 from .response import (
     SellerSolution,
+    SolverConfig,
     buyer_best_response,
     optimal_price_family,
     seller_optimal_linear_price,
@@ -41,7 +42,6 @@ from .equilibrium import (
     EquilibriumOutcome,
     FixedBundleResult,
     ImitativeValue,
-    SolverConfig,
     VerificationReport,
     fixed_bundle_optimal,
     fixed_bundle_outcome,

@@ -20,7 +20,6 @@ import numpy as np
 from .concavepricing import OverfitReport, overfit_scenario
 from .equilibrium import (
     EquilibriumOutcome,
-    SolverConfig,
     fixed_bundle_optimal,
     solve_auto,
     solve_concave,
@@ -33,6 +32,7 @@ from .funcs import MAX_ENUM_DIM, BoxDomain, FunctionExpr, expr_from_dict, expr_t
 from .graphs import GraphInstance, parse_graph_json, parse_graph_text
 from .hardness import brute_force_max, derandomize, mis_brute_force, surplus_U
 from .instances import SCENARIOS, hardness_corpus
+from .response import SolverConfig
 
 __all__ = ["ProblemConfig", "main"]
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DimensionError, PreconditionError
+from .errors import PreconditionError
 from .funcs import (
     Affine,
     BoxDomain,
@@ -31,16 +31,10 @@ from .funcs import (
     PowerSum,
     Shape,
 )
-from .equilibrium import (
-    EquilibriumOutcome,
-    ImitativeValue,
-    SolverConfig,
-    fixed_bundle_optimal,
-    solve_auto,
-)
+from .equilibrium import EquilibriumOutcome, ImitativeValue, fixed_bundle_optimal, solve_auto
 # golden_max is unused here; bench/tests/test_harness.py expects this module to bind it
 from .gridopt import coordinate_refine, golden_max, grid_scan  # noqa: F401
-from .response import _anchored_form, _ray_fractions, _ray_limit, _rev_tie, _seller_pick
+from .response import SolverConfig, _anchored_form, _check_dims, _ray_fractions, _ray_limit, _rev_tie, _seller_pick
 from .response import seller_optimal_linear_price
 
 __all__ = [
@@ -109,8 +103,7 @@ def best_concave_price(
     negative maximum collapses to the zero trade.
     """
     cfg = cfg or SolverConfig()
-    if not (u.dim == c.dim == domain.dim):
-        raise DimensionError("dimensions disagree")
+    _check_dims(u, domain, c)
     if u.shape not in (Shape.CONCAVE, Shape.LINEAR):
         raise PreconditionError("committed value function must be concave")
 
@@ -165,7 +158,7 @@ def seller_best_in_class(
     if pricing.tag == "all_concave":
         res = best_concave_price(u, c, domain, cfg)
         return "concave", res.bundle, res.revenue
-    lin = seller_optimal_linear_price(u, c, domain, cfg.grid_points, cfg.tie_tol, cfg.golden_tol)
+    lin = seller_optimal_linear_price(u, c, domain, cfg)
     best = ("linear", lin.bundle, lin.revenue)
     if pricing.tag == "linear_plus_extra":
         for k, p_expr in enumerate(pricing.extra):

@@ -15,11 +15,8 @@ shape precondition and method tag: `general`, `convex_closed_form`,
 
 from __future__ import annotations
 
-import math
-from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import partial
-from numbers import Integral, Real
 
 import numpy as np
 
@@ -33,18 +30,11 @@ from .funcs import (
     as_bundle,
 )
 # golden_max is unused here; bench/tests/test_harness.py expects this module to bind it
-from .gridopt import coordinate_refine, golden_max, grid_blocks, grid_density, grid_rows, grid_scan, top_k  # noqa: F401
-from .raygeom import DEFAULT_EPS_LIMIT, DEFAULT_GRID_N, ray_payment_batch, ray_payment_floor, ray_slope_sup
-from .response import (
-    DEFAULT_GOLDEN_TOL,
-    DEFAULT_SELLER_GRID,
-    DEFAULT_TIE_TOL,
-    buyer_best_response,
-    seller_optimal_linear_price,
-)
+from .gridopt import coordinate_refine, golden_max, grid_blocks, grid_rows, grid_scan, top_k  # noqa: F401
+from .raygeom import ray_payment_batch, ray_payment_floor, ray_slope_sup
+from .response import SolverConfig, buyer_best_response, seller_optimal_linear_price
 
 __all__ = [
-    "SolverConfig",
     "ImitativeValue",
     "EquilibriumOutcome",
     "FixedBundleResult",
@@ -63,80 +53,6 @@ METHOD_GENERAL = "general"
 METHOD_CONVEX = "convex_closed_form"
 METHOD_CONCAVE = "concave_closed_form"
 METHOD_FIXED = "fixed_bundle"
-
-
-@dataclass
-class SolverConfig:
-    """Knobs for the grid solvers and the sampled verification checks."""
-
-    grid_points: dict = field(default_factory=lambda: dict(DEFAULT_SELLER_GRID))
-    refine_top_k: int = 3
-    refine_passes: int = 2
-    golden_tol: float = DEFAULT_GOLDEN_TOL
-    tie_tol: float = DEFAULT_TIE_TOL
-    bundle_tol: float = 1e-6
-    no_trade_tol: float = 1e-12
-    ray_grid_n: int = DEFAULT_GRID_N
-    eps_limit: float = DEFAULT_EPS_LIMIT
-    lambda_split: tuple | None = None
-    vertex_enumeration: bool = False
-
-    def __post_init__(self):
-        for name in ("golden_tol", "tie_tol", "bundle_tol", "no_trade_tol"):
-            tol = getattr(self, name)
-            if not (_is_number(tol, Real) and math.isfinite(tol) and tol > 0):
-                raise ValueError(f"solver option {name} must be finite and positive")
-        for name, least in (("refine_top_k", 1), ("refine_passes", 0), ("ray_grid_n", 2)):
-            n = getattr(self, name)
-            if not (_is_number(n, Integral) and n >= least):
-                raise ValueError(f"solver option {name} must be an integer of at least {least}")
-        if not (_is_number(self.eps_limit, Real) and 0.0 < self.eps_limit < 1.0):
-            raise ValueError("solver option eps_limit must lie in (0, 1)")
-        if not isinstance(self.vertex_enumeration, bool):
-            raise ValueError("solver option vertex_enumeration must be true or false")
-        if not (
-            isinstance(self.grid_points, Mapping)
-            and all(_is_number(d, Integral) and _is_number(n, Integral) and n >= 2 for d, n in self.grid_points.items())
-        ):
-            raise ValueError("solver option grid_points must map integer dimensions to integer point counts of at least 2")
-
-    def points(self, dim: int) -> int:
-        return grid_density(self.grid_points, dim)
-
-    def to_dict(self) -> dict:
-        return {
-            "grid_points": {str(k): int(v) for k, v in self.grid_points.items()},
-            "refine_top_k": self.refine_top_k,
-            "refine_passes": self.refine_passes,
-            "golden_tol": self.golden_tol,
-            "tie_tol": self.tie_tol,
-            "bundle_tol": self.bundle_tol,
-            "no_trade_tol": self.no_trade_tol,
-            "ray_grid_n": self.ray_grid_n,
-            "eps_limit": self.eps_limit,
-            "lambda_split": list(self.lambda_split) if self.lambda_split else None,
-            "vertex_enumeration": self.vertex_enumeration,
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "SolverConfig":
-        cfg = cls()
-        known = set(cfg.to_dict())
-        unknown = set(obj) - known
-        if unknown:
-            raise ValueError(f"unknown solver options: {sorted(unknown)}")
-        kwargs = dict(obj)
-        if isinstance(kwargs.get("grid_points"), Mapping):
-            # JSON object keys are strings; __post_init__ refuses a key that is no integer
-            kwargs["grid_points"] = {int(k) if str(k).isdecimal() else k: v for k, v in kwargs["grid_points"].items()}
-        if kwargs.get("lambda_split") is not None:
-            kwargs["lambda_split"] = tuple(float(v) for v in kwargs["lambda_split"])
-        return replace(cfg, **kwargs)
-
-
-def _is_number(value, kind) -> bool:
-    """`value` is a `kind` (`Real` or `Integral`) number; booleans are not."""
-    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass(eq=False)
@@ -296,19 +212,13 @@ def _maximize(obj_batch, domain: BoxDomain, cfg: SolverConfig, bound_batch=None)
 
     `bound_batch`, when given, must be at least `obj_batch` on every row in
     floating point, bit for bit.  The objective is then evaluated only on
-    the rows that can reach the top `refine_top_k` (the argmax alone under
-    vertex enumeration); see `_pruned_values`.  The result is identical.
+    the rows that can reach the top `refine_top_k`; see `_pruned_values`.
+    The result is identical.
     `_solve` passes `v - (c - c(0))` for costs without a closed payment
     form: its a = 0 chord slope `c(x) - c(0)` is the first entry of the
     slope array that the payment maximizes, so with monotone rounding the
     bound holds in floating point.
     """
-    if cfg.vertex_enumeration:
-        pts = domain.vertices()
-        vals = obj_batch(pts) if bound_batch is None else _pruned_values(obj_batch, bound_batch(pts), pts.__getitem__, 1)
-        i0 = int(np.nonzero(vals >= vals.max())[0][0])
-        return pts[i0].copy(), float(vals[i0])
-
     n = cfg.points(domain.dim)
     if bound_batch is None:
         _, vals, starts, _ = grid_scan(obj_batch, domain.upper, n, cfg.refine_top_k)
@@ -368,8 +278,6 @@ def _split_for(bundle: np.ndarray, cfg: SolverConfig) -> np.ndarray:
         lam = np.asarray(cfg.lambda_split, dtype=float)
         if lam.shape != bundle.shape:
             raise DimensionError("payment split dimension mismatch")
-        if np.any(lam < 0) or abs(float(lam.sum()) - 1.0) > 1e-9:
-            raise PreconditionError("payment split must lie on the simplex")
         if np.any(lam[~support] > 0):
             raise PreconditionError("payment split puts weight on an absent good")
         return lam
@@ -423,20 +331,32 @@ def _trade_outcome(
 
 
 def _solve(v: FunctionExpr, c: FunctionExpr, domain: BoxDomain, cfg: SolverConfig, method: str) -> EquilibriumOutcome:
-    """Maximize `v(x) - payment(x)` over the box and assemble the outcome."""
+    """Maximize `v(x) - payment(x)` over the box and assemble the outcome.
+
+    A concave (or linear) cost is its own payment, so against a linear
+    value the objective `v - c` is convex and its maximum sits at a box
+    corner: those games enumerate the corners (first maximal corner in
+    lexicographic order), every other game takes the grid of `_maximize`.
+    """
 
     def objective(xs):
-        return v.values(xs) - ray_payment_batch(c, xs, cfg.ray_grid_n, cfg.eps_limit)
+        return v.values(xs) - ray_payment_batch(c, xs, cfg.ray_grid_n)
 
     def bound(xs):
         # the payment is at least its a = 0 chord slope, c(x) - c(0)
         return v.values(xs) - ray_payment_floor(c, xs)
 
-    # a closed-form payment is its own floor: a bound would only add a full-grid sort
-    x, best = _maximize(objective, domain, cfg, bound if c.shape is Shape.GENERAL else None)
+    if v.shape is Shape.LINEAR and c.shape in (Shape.CONCAVE, Shape.LINEAR):
+        corners = domain.vertices()
+        vals = objective(corners)
+        i0 = int(np.nonzero(vals >= vals.max())[0][0])
+        x, best = corners[i0], float(vals[i0])
+    else:
+        # a closed-form payment is its own floor: a bound would only add a full-grid sort
+        x, best = _maximize(objective, domain, cfg, bound if c.shape is Shape.GENERAL else None)
     if best <= cfg.no_trade_tol or not np.any(x > 0):
         return _no_trade(domain.dim, method)
-    payment = float(ray_payment_batch(c, x[None, :], cfg.ray_grid_n, cfg.eps_limit)[0])
+    payment = float(ray_payment_batch(c, x[None, :], cfg.ray_grid_n)[0])
     return _trade_outcome(v, c, x, payment, method, cfg)
 
 
@@ -488,7 +408,7 @@ def fixed_bundle_optimal(
     xbar = as_bundle(xbar, v.dim)
     if np.any(xbar <= 0):
         raise PreconditionError("fixed bundle must be strictly positive in every coordinate")
-    payment = ray_slope_sup(c, xbar, cfg.ray_grid_n, cfg.eps_limit).payment
+    payment = ray_slope_sup(c, xbar, cfg.ray_grid_n).payment
     return FixedBundleResult(
         payment=payment,
         imitative=ImitativeValue(xbar.copy(), payment),
@@ -560,15 +480,13 @@ def verify_equilibrium(
     )
 
     u_expr = outcome.imitative.to_expr()
-    xbr = buyer_best_response(
-        u_expr, outcome.unit_prices, domain, c, cfg.tie_tol, cfg.golden_tol, cfg.grid_points
-    )
+    xbr = buyer_best_response(u_expr, outcome.unit_prices, domain, c, cfg)
     dev = float(np.max(np.abs(xbr - x)))
     checks.append(
         CheckResult("buyer_best_response_at_split_price", dev <= cfg.bundle_tol, dev)
     )
 
-    sol = seller_optimal_linear_price(u_expr, c, domain, cfg.grid_points, cfg.tie_tol, cfg.golden_tol)
+    sol = seller_optimal_linear_price(u_expr, c, domain, cfg)
     pay_dev = abs(float(sol.price @ sol.bundle) - p)
     tol_c = 1e-6 * max(1.0, abs(p))
     checks.append(

@@ -27,9 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import PreconditionError
-
-__all__ = ["golden_max", "coordinate_refine", "grid_density", "top_k", "grid_rows", "grid_blocks", "grid_scan"]
+__all__ = ["golden_max", "coordinate_refine", "top_k", "grid_rows", "grid_blocks", "grid_scan"]
 
 # grid rows per block of a streamed grid search
 _BLOCK = 8192
@@ -182,12 +180,3 @@ def grid_scan(f, upper, n: int, k: int, pool_tol=None) -> GridScan:
             pool_vals = np.concatenate([pool_vals[kept], v[new]])
     pool = None if pool_tol is None else grid_rows(upper, n, pool_idx)
     return GridScan(idx, vals, grid_rows(upper, n, idx), pool)
-
-
-def grid_density(grid_points: dict, dim: int) -> int:
-    """Points per axis for a `dim`-dimensional grid; the keys of
-    `grid_points` are the only dimensions a grid solver supports."""
-    try:
-        return int(grid_points[dim])
-    except KeyError:
-        raise PreconditionError(f"no grid density configured for dimension {dim}") from None

@@ -31,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import PreconditionError
-from .funcs import MAX_ENUM_DIM as MAX_ENUM_NODES, GraphMinCost
+from .funcs import MAX_ENUM_DIM, GraphMinCost
 from .graphs import GraphInstance
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
     "brute_force_max",
     "mis_brute_force",
     "derandomize",
-    "MAX_ENUM_NODES",
 ]
 
 
@@ -79,15 +78,15 @@ def surplus_U(g: GraphInstance, x) -> float:
 
 # Subsets of the d nodes are uint32 masks with node i at bit d - 1 - i, so
 # ascending masks are the 0/1 cube rows in lexicographic order.  The cap
-# MAX_ENUM_NODES = 20 (<= 32) is what keeps every mask inside a uint32.
+# MAX_ENUM_DIM = 20 (<= 32) is what keeps every mask inside a uint32.
 _LOW_BITS = 16
 
 
 def _node_masks(g: GraphInstance) -> np.ndarray:
     """Neighbour mask of the node at each bit position (`[k]` is node d - 1 - k)."""
     d = g.node_count
-    if d > MAX_ENUM_NODES:
-        raise PreconditionError(f"enumeration capped at {MAX_ENUM_NODES} nodes")
+    if d > MAX_ENUM_DIM:
+        raise PreconditionError(f"enumeration capped at {MAX_ENUM_DIM} nodes")
     flipped = g.adjacency[::-1, ::-1].astype(np.uint32)
     return flipped @ (np.uint32(1) << np.arange(d, dtype=np.uint32))
 

@@ -11,7 +11,10 @@ self-consistent with the supergradient condition that generated it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
+from collections.abc import Mapping
+from dataclasses import dataclass, field, fields
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -26,23 +29,103 @@ from .funcs import (
     Scale,
     Shape,
     Sum,
+    _column_sum,
     as_bundle,
     as_price,
 )
-from .gridopt import coordinate_refine, golden_max, grid_blocks, grid_density, grid_rows, grid_scan
+from .gridopt import coordinate_refine, golden_max, grid_blocks, grid_rows, grid_scan
+from .raygeom import DEFAULT_GRID_N
 
 __all__ = [
+    "SolverConfig",
     "SellerSolution",
     "buyer_best_response",
     "seller_optimal_linear_price",
     "optimal_price_family",
-    "DEFAULT_SELLER_GRID",
 ]
 
-DEFAULT_TIE_TOL = 1e-8
-DEFAULT_GOLDEN_TOL = 1e-10
-DEFAULT_SELLER_GRID = {1: 2001, 2: 201, 3: 51, 4: 21}
 _REV_TIE_REL = 1e-12
+
+
+@dataclass
+class SolverConfig:
+    """The solver options that no layer can work out from the game, and
+    the layers that read them.
+
+    `grid_points` (points per axis by dimension; its keys are the only
+    dimensions a grid search supports): every grid search, in
+    `equilibrium._maximize`, `buyer_best_response`'s fallback,
+    `seller_optimal_linear_price` and `concavepricing`.  `refine_top_k`:
+    the grid cells that `_maximize` and `best_concave_price` refine.
+    `refine_passes`, `golden_tol`: every coordinate refinement and golden
+    search.  `tie_tol`: buyer utility ties in `response` and
+    `concavepricing`.  `bundle_tol`: `verify_equilibrium`'s bundle check.
+    `no_trade_tol`: the surplus at or below which `equilibrium` reports no
+    trade.  `ray_grid_n`: the numeric ray grid of `raygeom`.
+    `lambda_split`: the payment split of `equilibrium`'s outcomes (None:
+    even over the goods bought).
+    """
+
+    grid_points: dict = field(default_factory=lambda: {1: 2001, 2: 201, 3: 51, 4: 21})
+    refine_top_k: int = 3
+    refine_passes: int = 2
+    golden_tol: float = 1e-10
+    tie_tol: float = 1e-8
+    bundle_tol: float = 1e-6
+    no_trade_tol: float = 1e-12
+    ray_grid_n: int = DEFAULT_GRID_N
+    lambda_split: tuple | None = None
+
+    def __post_init__(self):
+        for name in ("golden_tol", "tie_tol", "bundle_tol", "no_trade_tol"):
+            tol = getattr(self, name)
+            if not (_is_number(tol, Real) and math.isfinite(tol) and tol > 0):
+                raise ValueError(f"solver option {name} must be finite and positive")
+        for name, least in (("refine_top_k", 1), ("refine_passes", 0), ("ray_grid_n", 2)):
+            n = getattr(self, name)
+            if not (_is_number(n, Integral) and n >= least):
+                raise ValueError(f"solver option {name} must be an integer of at least {least}")
+        if not (
+            isinstance(self.grid_points, Mapping)
+            and all(_is_number(d, Integral) and _is_number(n, Integral) and n >= 2 for d, n in self.grid_points.items())
+        ):
+            raise ValueError("solver option grid_points must map integer dimensions to integer point counts of at least 2")
+        lam = self.lambda_split
+        if lam is not None and not (
+            isinstance(lam, (tuple, list, np.ndarray))
+            and all(_is_number(w, Real) and math.isfinite(w) and w >= 0 for w in lam)
+            and abs(math.fsum(lam) - 1.0) <= 1e-9
+        ):
+            raise ValueError("solver option lambda_split must be finite, non-negative weights that sum to 1")
+
+    def points(self, dim: int) -> int:
+        """Points per axis for a `dim`-dimensional grid search."""
+        try:
+            return int(self.grid_points[dim])
+        except KeyError:
+            raise PreconditionError(f"no grid density configured for dimension {dim}") from None
+
+    def to_dict(self) -> dict:
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["grid_points"] = {str(k): int(v) for k, v in self.grid_points.items()}
+        out["lambda_split"] = None if self.lambda_split is None else list(self.lambda_split)
+        return out
+
+    @classmethod
+    def from_dict(cls, obj: dict) -> "SolverConfig":
+        unknown = set(obj) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown solver options: {sorted(unknown)}")
+        kwargs = dict(obj)
+        if isinstance(kwargs.get("grid_points"), Mapping):
+            # JSON object keys are strings; __post_init__ refuses a key that is no integer
+            kwargs["grid_points"] = {int(k) if str(k).isdecimal() else k: v for k, v in kwargs["grid_points"].items()}
+        return cls(**kwargs)
+
+
+def _is_number(value, kind) -> bool:
+    """`value` is a `kind` (`Real` or `Integral`) number; booleans are not."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass(eq=False)
@@ -155,24 +238,34 @@ def _anchored_response(
     price: np.ndarray,
     domain: BoxDomain,
     c: FunctionExpr,
-    tie_tol: float,
-    golden_tol: float,
+    cfg: SolverConfig,
 ) -> np.ndarray:
     """Best response for an anchored value function, reduced to the fraction."""
     t_max = _ray_limit(anchor, domain)
     pay_full = float(price @ anchor)
     margin = level - pay_full
-    if margin > tie_tol:
+    if margin > cfg.tie_tol:
         return t_max * anchor
-    if margin < -tie_tol:
+    if margin < -cfg.tie_tol:
         return np.zeros(anchor.size)
     # indifferent along the whole ray: seller tie-break on revenue
     def rev(ts: np.ndarray) -> np.ndarray:
         return ts[:, 0] * pay_full - c.values(ts * anchor)
 
-    cands = _ray_fractions(t_max, rev, golden_tol)
+    cands = _ray_fractions(t_max, rev, cfg.golden_tol)
     rv = rev(cands)
     return cands[_seller_pick(cands, rv, _rev_tie(float(rv.max())))][0] * anchor
+
+
+def _utility(u: FunctionExpr, price: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """The buyer's `u(x) - price . x` per row; like every node's `values`,
+    it gives a row the same bits in any batch (a matrix product may not)."""
+    return u.values(xs) - _column_sum(price, xs, 0.0)
+
+
+def _revenue(price: np.ndarray, c: FunctionExpr, xs: np.ndarray) -> np.ndarray:
+    """The seller's `price . x - c(x)` per row, batch-invariant like `_utility`."""
+    return _column_sum(price, xs, 0.0) - c.values(xs)
 
 
 def _finish_ties(
@@ -182,8 +275,7 @@ def _finish_ties(
     c: FunctionExpr,
     tie_tol: float,
 ) -> np.ndarray:
-    util = u.values(cands) - cands @ price
-    pick = _seller_pick(cands, util, tie_tol, lambda tied: tied @ price - c.values(tied))
+    pick = _seller_pick(cands, _utility(u, price, cands), tie_tol, lambda tied: _revenue(price, c, tied))
     return cands[pick].copy()
 
 
@@ -192,17 +284,16 @@ def buyer_best_response(
     price,
     domain: BoxDomain,
     c: FunctionExpr,
-    tie_tol: float = DEFAULT_TIE_TOL,
-    golden_tol: float = DEFAULT_GOLDEN_TOL,
-    grid_points: dict | None = None,
+    cfg: SolverConfig | None = None,
 ) -> np.ndarray:
     """Bundle maximizing `u(x) - price . x` over the box.
 
-    Among bundles whose utility is within `tie_tol` of the maximum, the one
+    Among bundles whose utility is within `cfg.tie_tol` of the maximum, the one
     maximizing the seller's revenue `price . x - c(x)` is returned (the
     cost enters only through this tie-break); remaining ties go to the
     lexicographically largest bundle.
     """
+    cfg = cfg or SolverConfig()
     price = as_price(price, u.dim)
     _check_dims(u, domain, c)
     if u.shape is Shape.GENERAL:
@@ -210,10 +301,10 @@ def buyer_best_response(
 
     anchored = _anchored_form(u)
     if anchored is not None:
-        return _anchored_response(*anchored, price, domain, c, tie_tol, golden_tol)
+        return _anchored_response(*anchored, price, domain, c, cfg)
     if u.shape is Shape.CONVEX:
         # convex reports are maximized at a box corner
-        return _finish_ties(domain.vertices(), u, price, c, tie_tol)
+        return _finish_ties(domain.vertices(), u, price, c, cfg.tie_tol)
 
     if u.dim == 1 or _separable(u):
         # one golden search per coordinate, all in lockstep
@@ -224,15 +315,15 @@ def buyer_best_response(
             return u.values(rows).reshape(ts.shape) - price * ts
 
         zero = np.zeros(u.dim)
-        ts = np.vstack([zero, domain.upper, golden_max(utility, zero, domain.upper, tol=golden_tol)])
+        ts = np.vstack([zero, domain.upper, golden_max(utility, zero, domain.upper, tol=cfg.golden_tol)])
         us = utility(ts)
-        keep = us >= us.max(axis=0) - tie_tol
+        keep = us >= us.max(axis=0) - cfg.tie_tol
         per_coord = [sorted(set(ts[keep[:, i], i].tolist())) for i in range(u.dim)]
-        return _finish_ties(np.array(list(itertools.product(*per_coord))), u, price, c, tie_tol)
+        return _finish_ties(np.array(list(itertools.product(*per_coord))), u, price, c, cfg.tie_tol)
 
-    n = grid_density(grid_points or DEFAULT_SELLER_GRID, domain.dim)
-    scan = grid_scan(lambda xs: u.values(xs) - xs @ price, domain.upper, n, 1, pool_tol=lambda top: tie_tol)
-    return _finish_ties(scan.pool, u, price, c, tie_tol)
+    n = cfg.points(domain.dim)
+    scan = grid_scan(lambda xs: _utility(u, price, xs), domain.upper, n, 1, pool_tol=lambda top: cfg.tie_tol)
+    return _finish_ties(scan.pool, u, price, c, cfg.tie_tol)
 
 
 def _price_candidate(u: FunctionExpr, x: np.ndarray) -> np.ndarray:
@@ -247,9 +338,9 @@ def _price_candidate(u: FunctionExpr, x: np.ndarray) -> np.ndarray:
     return u.grad_max_info(x).vector
 
 
-def _consistent_record(u, p, domain, c, grid_points, tie_tol, golden_tol):
+def _consistent_record(u, p, domain, c, cfg):
     """(revenue, response, price) when the buyer's response to `p` reproduces `p`."""
-    xbr = buyer_best_response(u, p, domain, c, tie_tol, golden_tol, grid_points)
+    xbr = buyer_best_response(u, p, domain, c, cfg)
     p_at = _price_candidate(u, xbr)
     if np.max(np.abs(p_at - p)) > 1e-6 * max(1.0, float(np.max(np.abs(p)))):
         return None
@@ -260,9 +351,7 @@ def seller_optimal_linear_price(
     u: FunctionExpr,
     c: FunctionExpr,
     domain: BoxDomain,
-    grid_points: dict | None = None,
-    tie_tol: float = DEFAULT_TIE_TOL,
-    golden_tol: float = DEFAULT_GOLDEN_TOL,
+    cfg: SolverConfig | None = None,
 ) -> SellerSolution:
     """Revenue-maximizing linear price against the reported value `u`.
 
@@ -272,6 +361,7 @@ def seller_optimal_linear_price(
     self-consistent; the best-revenue pair wins, falling back to zero trade
     whenever even the best verified revenue is negative.
     """
+    cfg = cfg or SolverConfig()
     _check_dims(u, domain, c)
     if u.shape is Shape.GENERAL:
         raise PreconditionError("reported value function must be concave, linear, or convex")
@@ -288,7 +378,7 @@ def seller_optimal_linear_price(
         if key in seen or not np.all(np.isfinite(p)):
             return
         seen.add(key)
-        rec = _consistent_record(u, p, domain, c, grid_points, tie_tol, golden_tol)
+        rec = _consistent_record(u, p, domain, c, cfg)
         if rec is not None:
             records.append(rec)
             best_rev = max(best_rev, rec[0])
@@ -307,7 +397,7 @@ def seller_optimal_linear_price(
         for piece in u.pieces:
             try_price(np.asarray(piece.weights, dtype=float))
     else:
-        n_axis = grid_density(grid_points or DEFAULT_SELLER_GRID, domain.dim)
+        n_axis = cfg.points(domain.dim)
 
         def potential_at(xs: np.ndarray) -> np.ndarray:
             grads = u.gradient_batch(xs)
@@ -329,7 +419,7 @@ def seller_optimal_linear_price(
             try_price(_price_candidate(u, grid_rows(domain.upper, n_axis, [j + 1])[0]))
 
     if smooth and records:
-        _refine_smooth(u, c, domain, records, n_axis, grid_points, tie_tol, golden_tol)
+        _refine_smooth(u, c, domain, records, n_axis, cfg)
 
     if records:
         revs = np.array([r for r, _, _ in records])
@@ -341,7 +431,7 @@ def seller_optimal_linear_price(
     return SellerSolution(price=zero, bundle=zero.copy(), revenue=0.0, verified=bool(records))
 
 
-def _refine_smooth(u, c, domain, records, n_axis, grid_points, tie_tol, golden_tol):
+def _refine_smooth(u, c, domain, records, n_axis, cfg):
     """Coordinate golden refinement of the revenue around the best record;
     appends the refined record to `records` when it is consistent and better."""
     rev0, bundle0, _ = max(records, key=lambda rbp: rbp[0])
@@ -359,9 +449,9 @@ def _refine_smooth(u, c, domain, records, n_axis, grid_points, tie_tol, golden_t
         return out
 
     spacing = domain.upper / (n_axis - 1)
-    x = coordinate_refine(revenue, bundle0, spacing, domain.upper, 2, golden_tol)[0]
+    x = coordinate_refine(revenue, bundle0, spacing, domain.upper, cfg.refine_passes, cfg.golden_tol)[0]
     if revenue(x[None, :])[0] > rev0:
-        rec = _consistent_record(u, _price_candidate(u, x), domain, c, grid_points, tie_tol, golden_tol)
+        rec = _consistent_record(u, _price_candidate(u, x), domain, c, cfg)
         if rec is not None and rec[0] > rev0:
             records.append(rec)
 

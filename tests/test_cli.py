@@ -118,7 +118,7 @@ class TestSolve:
             {"grid_points": [3]},
             {"grid_points": "2001"},
             {"grid_points": {"one": 2001}},
-            {"vertex_enumeration": "false"},
+            {"lambda_split": [float("nan"), float("nan")]},
             {"refine_top_k": 2.5},
             {"ray_grid_n": True},
             {"golden_tol": "1e-10"},
@@ -144,6 +144,53 @@ class TestSolve:
         assert code == 1
         assert err.startswith("error: unknown solver options: ['seed']")
         assert "Traceback" not in err and out == ""
+
+    @pytest.mark.parametrize("option", [{"vertex_enumeration": True}, {"eps_limit": 1e-6}])
+    def test_removed_solver_options_are_io_exit(self, capsys, tmp_path, option):
+        # corner enumeration follows from the game's shapes, and the ray
+        # grid's end is a constant: neither can be set
+        cfg = json.loads((CONFIGS / "convex_demo.json").read_text())
+        cfg["solver"].update(option)
+        bad = tmp_path / "removed_option.json"
+        bad.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, "solve", str(bad))
+        assert code == 1
+        assert err.startswith(f"error: unknown solver options: ['{next(iter(option))}']")
+        assert "Traceback" not in err and out == ""
+
+
+def _linear_graph_game(tmp_path, n):
+    """Config of `3 * sum(x)` against the `n`-cycle's graph cost on the unit box."""
+    edges = [[i + 1, (i + 1) % n + 1] for i in range(n)]
+    cfg = {
+        "value": {"kind": "affine", "weights": [3.0] * n, "intercept": 0.0},
+        "cost": {"kind": "graph_min_cost", "graph": {"node_count": n, "edges": edges}},
+        "domain": {"upper": [1.0] * n},
+    }
+    path = tmp_path / f"cycle{n}_game.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+class TestLinearValueGraphGames:
+    """A linear value against a concave cost solves on the box corners,
+    with the default solver options."""
+
+    def test_six_goods_solve_and_verify(self, capsys, tmp_path):
+        path = _linear_graph_game(tmp_path, 6)
+        code, out, err = run_cli(capsys, "solve", str(path), "--json")
+        assert code == 0 and err == ""
+        outcome = json.loads(out)
+        assert outcome["bundle"] == [1.0] * 6 and outcome["payment"] == 6.0
+        code, out, err = run_cli(capsys, "verify", str(path))
+        assert code == 0 and err == ""
+        assert "verification: all checks passed" in out
+
+    def test_beyond_the_corner_cap_is_precondition_exit(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "solve", str(_linear_graph_game(tmp_path, 21)))
+        assert code == 2 and out == ""
+        assert err.startswith("precondition violated:") and "20" in err
+        assert "Traceback" not in err
 
 
 class TestFixedBundle:

@@ -40,7 +40,6 @@ from padd.instances import (
 from padd import equilibrium
 from padd.equilibrium import _maximize
 from padd.raygeom import ray_payment_batch, ray_payment_floor
-from padd.response import DEFAULT_SELLER_GRID
 
 SQRT = PowerSum((1.0,), (0.5,))
 
@@ -99,6 +98,12 @@ class TestSolveBenchmarks:
         assert abs(out.payment - c.value(out.bundle)) < 1e-12
         assert abs(out.seller_revenue) < 1e-12
 
+    def test_linear_value_against_convex_cost_stays_on_the_grid(self):
+        # only a cost that is its own payment makes v - payment convex: the
+        # payment 2x^2 of x^2 leaves 3x - 2x^2 its interior peak at 0.75
+        out = solve_auto(Affine((3.0,), 0.0), PowerSum((1.0,), (2.0,)), BoxDomain(np.array([10.0])))
+        assert abs(out.bundle[0] - 0.75) < 1e-6 and abs(out.payment - 1.125) < 1e-6
+
     def test_dimension_cap(self):
         f = PowerSum((1.0,) * 5, (0.5,) * 5)
         c = PowerSum((1.0,) * 5, (2.0,) * 5)
@@ -110,8 +115,7 @@ class TestSolveBenchmarks:
         # commitment projects onto the support
         g = path_graph(3)
         v = Affine((1.0, 1.0, 1.0), 0.0)
-        cfg = SolverConfig(vertex_enumeration=True)
-        out = solve_concave(v, build_cost(g), BoxDomain(np.ones(3)), cfg)
+        out = solve_concave(v, build_cost(g), BoxDomain(np.ones(3)))
         assert out.buyer_surplus == 2.0
         assert np.array_equal(out.bundle, [1.0, 0.0, 1.0])
         assert out.imitative.support.tolist() == [True, False, True]
@@ -405,13 +409,13 @@ class TestVerifyAcceptsSolvedGames:
     """Every game a solver accepts must also be accepted by verification."""
 
     def test_vertex_enumeration_graph_game(self):
-        # 6 goods: beyond the grid densities, but the anchored commitment's
-        # best responses need no grid
-        cfg = SolverConfig(vertex_enumeration=True)
+        # 6 goods: beyond the grid densities, but a linear value against a
+        # concave cost solves on the box corners, and the anchored
+        # commitment's best responses need no grid
         v, c, box = Affine((3.0,) * 6, 0.0), build_cost(cycle_graph(6)), BoxDomain(np.ones(6))
-        out = solve_auto(v, c, box, cfg)
+        out = solve_auto(v, c, box)
         assert np.array_equal(out.bundle, np.ones(6)) and out.payment == 6.0
-        assert verify_equilibrium(out, v, c, box, cfg=cfg).passed
+        assert verify_equilibrium(out, v, c, box).passed
 
     @pytest.mark.parametrize(
         "graph", [path_graph(3), cycle_graph(4), cycle_graph(6)], ids=["path3", "cycle4", "cycle6"]
@@ -420,15 +424,14 @@ class TestVerifyAcceptsSolvedGames:
         # unit values against the graph cost: the buyer takes an independent
         # set for free, and the zero commitment must still verify
         n = graph.node_count
-        cfg = SolverConfig(vertex_enumeration=True)
         v, c, box = Affine((1.0,) * n), build_cost(graph), BoxDomain(np.ones(n))
-        out = solve_auto(v, c, box, cfg)
+        out = solve_auto(v, c, box)
         assert out.trade and out.payment == 0.0
         assert isinstance(out.imitative.to_expr(), Leontief)
-        assert verify_equilibrium(out, v, c, box, cfg=cfg).passed
+        assert verify_equilibrium(out, v, c, box).passed
 
     def test_five_goods_with_configured_grid(self):
-        cfg = SolverConfig(grid_points={**DEFAULT_SELLER_GRID, 5: 7})
+        cfg = SolverConfig(grid_points={**SolverConfig().grid_points, 5: 7})
         v = PowerSum((8.0,) * 5, (0.5,) * 5)
         c = PowerSum((1.0, 1.5, 2.0, 2.5, 3.0), (2.0,) * 5)
         box = BoxDomain(np.full(5, 5.0))
@@ -450,7 +453,7 @@ class TestOutcomeSerialization:
     def test_split_on_absent_good_rejected(self):
         g = path_graph(3)
         v = Affine((1.0, 1.0, 1.0), 0.0)
-        cfg = SolverConfig(vertex_enumeration=True, lambda_split=(0.0, 1.0, 0.0))
+        cfg = SolverConfig(lambda_split=(0.0, 1.0, 0.0))
         with pytest.raises(PreconditionError):
             solve_concave(v, build_cost(g), BoxDomain(np.ones(3)), cfg)
 
@@ -589,10 +592,22 @@ class TestSolverConfigValidation:
             {"vertex_enumeration": 1},
             {"tie_tol": "1e-8"},
             {"eps_limit": None},
+            {"lambda_split": (math.nan, math.nan)},
+            {"lambda_split": (math.inf, 0.0)},
+            {"lambda_split": (1.5, -0.5)},
+            {"lambda_split": (0.5, 0.4)},
         ],
     )
     def test_invalid_option_rejected(self, option):
         (name, value), = option.items()
+        if name in ("eps_limit", "vertex_enumeration"):
+            # no longer options: the ray grid's end is a constant, and the
+            # solver derives corner enumeration from the game's shapes
+            with pytest.raises(TypeError):
+                SolverConfig(**option)
+            with pytest.raises(ValueError, match=rf"unknown solver options: \['{name}'\]"):
+                SolverConfig.from_dict({name: value})
+            return
         with pytest.raises(ValueError, match=f"solver option {name} "):
             SolverConfig(**option)
         if isinstance(value, dict):  # JSON object keys are strings
@@ -605,7 +620,7 @@ class TestSolverConfigValidation:
             SolverConfig.from_dict({"grid_points": {"1.5": 2001}})
 
     def test_defaults_and_round_trip_accepted(self):
-        cfg = SolverConfig(refine_passes=0, refine_top_k=1, ray_grid_n=2)
+        cfg = SolverConfig(refine_passes=0, refine_top_k=1, ray_grid_n=2, lambda_split=(0.25, 0.75))
         assert SolverConfig.from_dict(cfg.to_dict()).to_dict() == cfg.to_dict()
 
 
@@ -613,7 +628,7 @@ def _general_objective(v, c, cfg):
     """The buyer's objective and its upper bound, as `solve_general` builds them."""
 
     def batch(xs):
-        return v.values(xs) - ray_payment_batch(c, xs, cfg.ray_grid_n, cfg.eps_limit)
+        return v.values(xs) - ray_payment_batch(c, xs, cfg.ray_grid_n)
 
     def bound(xs):
         return v.values(xs) - ray_payment_floor(c, xs)
@@ -654,8 +669,7 @@ TIGHT_2D = (
 class TestPrunedGrid:
     @pytest.mark.parametrize("instance", [MIXED_1D, KINKED_1D, MIXED_2D], ids=["mixed_1d", "kinked_1d", "mixed_2d"])
     @pytest.mark.parametrize(
-        "options", [{"refine_top_k": 1}, {"refine_top_k": 3}, {"vertex_enumeration": True}],
-        ids=["top1", "top3", "vertices"],
+        "options", [{"refine_top_k": 1}, {"refine_top_k": 3}], ids=["top1", "top3"],
     )
     def test_bound_leaves_maximizer_bit_identical(self, instance, options):
         v, c, box, grid = instance

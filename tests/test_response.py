@@ -11,6 +11,7 @@ from padd import (
     MinOfAffine,
     PowerSum,
     PreconditionError,
+    SolverConfig,
     Sum,
     buyer_best_response,
     grad_max_info,
@@ -19,7 +20,9 @@ from padd import (
 )
 
 from padd.graphs import cycle_graph
+from padd.gridopt import grid_blocks
 from padd.hardness import build_cost
+from padd.response import _revenue, _utility
 
 SQUARE = PowerSum((1.0,), (2.0,))
 SQRT = PowerSum((1.0,), (0.5,))
@@ -175,14 +178,14 @@ class TestGridPointsThreaded:
     def test_seller_search_uses_configured_grid(self):
         # the non-anchored min-of-affine report needs the grid response, which
         # must use the caller's 11 points per axis rather than the default
-        sol = seller_optimal_linear_price(self.REPORT, self.COST, self.BOX, grid_points={2: 11})
+        sol = seller_optimal_linear_price(self.REPORT, self.COST, self.BOX, SolverConfig(grid_points={2: 11}))
         assert sol.verified and sol.revenue > 0
         steps = sol.bundle / (self.BOX.upper / 10)
         assert np.allclose(steps, np.round(steps), atol=1e-9)
 
     def test_missing_grid_density_is_precondition(self):
         with pytest.raises(PreconditionError, match="dimension 2"):
-            buyer_best_response(self.REPORT, (1.0, 1.0), self.BOX, self.COST, grid_points={1: 11})
+            buyer_best_response(self.REPORT, (1.0, 1.0), self.BOX, self.COST, SolverConfig(grid_points={1: 11}))
 
     def test_anchored_report_needs_no_grid(self):
         u = Leontief((1.0,) * 6, 3.0)
@@ -190,6 +193,29 @@ class TestGridPointsThreaded:
         assert np.array_equal(buyer_best_response(u, (0.4,) * 6, box, c), np.ones(6))
         sol = seller_optimal_linear_price(u, c, box)
         assert sol.verified and np.array_equal(sol.bundle, np.ones(6))
+
+
+class TestBatchInvariantResponseKeys:
+    """The grid fallback ranks block rows and `_finish_ties` ranks a few
+    candidates by the buyer's utility and the seller's revenue, so both keys
+    must give a row the same bits alone as inside an 8,192-row grid block."""
+
+    REPORT = TestGridPointsThreaded.REPORT
+    COST = TestGridPointsThreaded.COST
+
+    def test_utility_and_revenue_rows(self, rng):
+        upper = np.array([3.0, 2.0])
+        price = rng.uniform(0.1, 3.0, 2)
+        keys = [
+            lambda xs: _utility(self.REPORT, price, xs),
+            lambda xs: _revenue(price, self.COST, xs),
+        ]
+        for key in keys:
+            for lo, rows in grid_blocks(upper, 201):
+                block = key(rows)
+                sample = range(0, len(rows), 7)
+                alone = np.array([key(rows[i : i + 1])[0] for i in sample])
+                assert alone.tobytes() == block[list(sample)].tobytes(), lo
 
 
 class TestOptimalPriceFamily:
