@@ -74,6 +74,9 @@ class ProblemConfig:
                 f"config dimensions disagree: value {config.value.dim}, "
                 f"cost {config.cost.dim}, domain {config.domain.dim}"
             )
+        split = config.solver.lambda_split
+        if split is not None and len(split) != config.domain.dim:
+            raise ValueError(f"solver option lambda_split has {len(split)} weights for {config.domain.dim} goods")
         return config
 
     def to_dict(self) -> dict:

@@ -11,6 +11,11 @@ there.  `raygeom` alone picks the payment formula from the cost's shape
 otherwise), so the three solvers share one body and differ only in their
 shape precondition and method tag: `general`, `convex_closed_form`,
 `concave_closed_form` (plus `fixed_bundle` for a caller-chosen bundle).
+
+That body picks its search from the game's shapes: box corners for a
+linear value against a concave cost, one good at a time when the value
+and a closed-form cost are sums of one-good terms, the grid of
+`_maximize` otherwise.
 """
 
 from __future__ import annotations
@@ -29,10 +34,9 @@ from .funcs import (
     Shape,
     as_bundle,
 )
-# golden_max is unused here; bench/tests/test_harness.py expects this module to bind it
-from .gridopt import coordinate_refine, golden_max, grid_blocks, grid_rows, grid_scan, top_k  # noqa: F401
+from .gridopt import axis_rows, coordinate_refine, golden_max, grid_blocks, grid_rows, grid_scan, refine_bracket, top_k
 from .raygeom import ray_payment_batch, ray_payment_floor, ray_slope_sup
-from .response import SolverConfig, buyer_best_response, seller_optimal_linear_price
+from .response import SolverConfig, _separable, buyer_best_response, seller_optimal_linear_price
 
 __all__ = [
     "ImitativeValue",
@@ -233,11 +237,52 @@ def _maximize(obj_batch, domain: BoxDomain, cfg: SolverConfig, bound_batch=None)
     refined = coordinate_refine(obj_batch, starts, spacing, domain.upper, cfg.refine_passes, cfg.golden_tol)
     candidates = [(float(vals[0]), tuple(starts[0]))]
     candidates += [(float(val), tuple(x)) for val, x in zip(obj_batch(refined), refined)]
-
-    top = max(val for val, _ in candidates)
-    near = [xt for val, xt in candidates if val >= top - cfg.no_trade_tol]
-    best = min(near)  # lexicographically smallest bundle among ties
+    best, top = _pick(candidates, cfg.no_trade_tol)
     return np.asarray(best, dtype=float), top
+
+
+def _pick(candidates, tol: float):
+    """(point, value) of the best of the (value, point) `candidates`: the
+    smallest (lexicographically) point within `tol` of the best value."""
+    top = max(val for val, _ in candidates)
+    return min(x for val, x in candidates if val >= top - tol), top
+
+
+def _maximize_per_good(obj_batch, domain: BoxDomain, cfg: SolverConfig):
+    """Maximize a separable objective over the box; returns (bundle, value).
+
+    `obj_batch` on the axis row `t * e_i` must be good i's term at t (every
+    term vanishes at 0), so each good is a 1-d problem, searched the way
+    `_maximize` searches one good: the `cfg.points(1)` grid on `[0,
+    upper_i]`, golden refinement of its top `refine_top_k` points, then
+    the smallest t within `no_trade_tol` of the good's best (`_pick`).
+    All goods' grids are one objective call and each golden step one call
+    for all k * d brackets; the value is the sum of the goods' bests.  The
+    d-dimensional density is still required, so the grid and this search
+    accept the same games.
+    """
+    d, n = domain.dim, cfg.points(1)
+    cfg.points(d)
+    goods = np.arange(d)[:, None]
+    upper = domain.upper[:, None]
+    ts = np.stack([np.linspace(0.0, b, n) for b in domain.upper])  # (d, n), the 1-d grid rows of each good
+    vals = obj_batch(axis_rows(ts, goods, d)).reshape(d, n)
+    idx = np.stack([top_k(row, cfg.refine_top_k) for row in vals])
+    starts = np.take_along_axis(ts, idx, axis=1)  # (d, k)
+    goods_k = np.repeat(np.arange(d), starts.shape[1])  # the good of each of the k * d brackets
+
+    def along(pos):
+        return obj_batch(axis_rows(pos, goods_k, d)).reshape(pos.shape)
+
+    t = starts
+    for _ in range(cfg.refine_passes):
+        lo, hi = refine_bracket(t, upper / (n - 1), upper)
+        t = golden_max(along, lo.ravel(), hi.ravel(), tol=cfg.golden_tol).reshape(starts.shape)
+    refined = along(t.ravel()).reshape(starts.shape)
+    picks = [
+        _pick([(vals[i, idx[i, 0]], starts[i, 0]), *zip(refined[i], t[i])], cfg.no_trade_tol) for i in range(d)
+    ]
+    return np.array([x for x, _ in picks]), sum(top for _, top in picks)
 
 
 def _pruned_values(obj_batch, bound: np.ndarray, rows, k: int) -> np.ndarray:
@@ -272,12 +317,20 @@ def _pruned_values(obj_batch, bound: np.ndarray, rows, k: int) -> np.ndarray:
 # --- outcome assembly ------------------------------------------------------
 
 
+def _split_weights(cfg: SolverConfig, dim: int) -> np.ndarray | None:
+    """`cfg.lambda_split` as an array, refused unless it has one weight per good."""
+    if cfg.lambda_split is None:
+        return None
+    lam = np.asarray(cfg.lambda_split, dtype=float)
+    if lam.shape != (dim,):
+        raise DimensionError(f"payment split has {lam.size} weights for {dim} goods")
+    return lam
+
+
 def _split_for(bundle: np.ndarray, cfg: SolverConfig) -> np.ndarray:
     support = bundle > 0
-    if cfg.lambda_split is not None:
-        lam = np.asarray(cfg.lambda_split, dtype=float)
-        if lam.shape != bundle.shape:
-            raise DimensionError("payment split dimension mismatch")
+    lam = _split_weights(cfg, bundle.size)
+    if lam is not None:
         if np.any(lam[~support] > 0):
             raise PreconditionError("payment split puts weight on an absent good")
         return lam
@@ -333,11 +386,18 @@ def _trade_outcome(
 def _solve(v: FunctionExpr, c: FunctionExpr, domain: BoxDomain, cfg: SolverConfig, method: str) -> EquilibriumOutcome:
     """Maximize `v(x) - payment(x)` over the box and assemble the outcome.
 
-    A concave (or linear) cost is its own payment, so against a linear
-    value the objective `v - c` is convex and its maximum sits at a box
-    corner: those games enumerate the corners (first maximal corner in
-    lexicographic order), every other game takes the grid of `_maximize`.
+    The search depends on the game's shapes only, never on `method`:
+    - a concave (or linear) cost is its own payment, so against a linear
+      value the objective `v - c` is convex and its maximum sits at a box
+      corner: those games enumerate the corners (first maximal corner in
+      lexicographic order);
+    - the closed payment of a separable cost (`x . grad c(x)` or `c(x)`)
+      is separable too, so against a separable value `_maximize_per_good`
+      solves one good at a time (the cost's shape is tested first, so
+      general costs skip the separability check);
+    - every other game takes the grid of `_maximize`.
     """
+    _split_weights(cfg, domain.dim)
 
     def objective(xs):
         return v.values(xs) - ray_payment_batch(c, xs, cfg.ray_grid_n)
@@ -351,6 +411,8 @@ def _solve(v: FunctionExpr, c: FunctionExpr, domain: BoxDomain, cfg: SolverConfi
         vals = objective(corners)
         i0 = int(np.nonzero(vals >= vals.max())[0][0])
         x, best = corners[i0], float(vals[i0])
+    elif c.shape is not Shape.GENERAL and _separable(v) and _separable(c):
+        x, best = _maximize_per_good(objective, domain, cfg)
     else:
         # a closed-form payment is its own floor: a bound would only add a full-grid sort
         x, best = _maximize(objective, domain, cfg, bound if c.shape is Shape.GENERAL else None)

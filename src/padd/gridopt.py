@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["golden_max", "coordinate_refine", "top_k", "grid_rows", "grid_blocks", "grid_scan"]
+__all__ = ["golden_max", "refine_bracket", "coordinate_refine", "axis_rows", "top_k", "grid_rows", "grid_blocks", "grid_scan"]
 
 # grid rows per block of a streamed grid search
 _BLOCK = 8192
@@ -88,18 +88,29 @@ def golden_max(f, lo, hi, tol: float = 1e-10, max_iter: int = 200) -> np.ndarray
     return np.array([max((ys[0][j], lo[j]), (ys[1][j], hi[j]), (ys[2][j], x))[1] for j, x in enumerate(pos)])
 
 
+def refine_bracket(x, spacing, upper):
+    """The refinement bracket `[max(0, x - spacing), min(upper, x + spacing)]`,
+    elementwise, with an upper end within 4 ulps of `upper` snapped to it.
+
+    From the grid point next to the upper face, `x + spacing` can round a
+    few ulps below `upper`; a golden search on that bracket would return
+    the rounded end instead of the face itself.
+    """
+    hi = x + spacing
+    return np.maximum(0.0, x - spacing), np.where(hi >= upper - 4.0 * np.spacing(upper), upper, hi)
+
+
 def coordinate_refine(f, starts, spacing, upper, passes: int, tol: float) -> np.ndarray:
     """Refined copies of the rows of `starts` ((k, d)), as a (k, d) array.
 
     Each pass golden-maximizes the batch objective `f` ((m, d) rows to m
-    values) along every coordinate i in turn, over `[max(0, x_i -
-    spacing_i), min(upper_i, x_i + spacing_i)]` for all k rows at once.
+    values) along every coordinate i in turn, over the `refine_bracket`
+    of `x_i` for all k rows at once.
     """
     x = np.array(starts, dtype=float, ndmin=2)
     for _ in range(passes):
         for i in range(x.shape[1]):
-            lo = np.maximum(0.0, x[:, i] - spacing[i])
-            hi = np.minimum(float(upper[i]), x[:, i] + spacing[i])
+            lo, hi = refine_bracket(x[:, i], spacing[i], float(upper[i]))
 
             def along(ts, _i=i):
                 ys = np.concatenate([x] * (ts.size // len(x)))
@@ -108,6 +119,12 @@ def coordinate_refine(f, starts, spacing, upper, passes: int, tol: float) -> np.
 
             x[:, i] = golden_max(along, lo, hi, tol=tol)
     return x
+
+
+def axis_rows(ts, axes, dim: int) -> np.ndarray:
+    """The rows `t * e_axis`, one per entry of `ts` in C order, as an
+    (ts.size, dim) array; `axes` broadcasts to the shape of `ts`."""
+    return (np.asarray(ts, dtype=float)[..., None] * np.eye(dim)[axes]).reshape(-1, dim)
 
 
 def top_k(vals: np.ndarray, k: int) -> np.ndarray:

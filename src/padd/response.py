@@ -33,7 +33,7 @@ from .funcs import (
     as_bundle,
     as_price,
 )
-from .gridopt import coordinate_refine, golden_max, grid_blocks, grid_rows, grid_scan
+from .gridopt import axis_rows, coordinate_refine, golden_max, grid_blocks, grid_rows, grid_scan
 from .raygeom import DEFAULT_GRID_N
 
 __all__ = [
@@ -55,8 +55,11 @@ class SolverConfig:
     `grid_points` (points per axis by dimension; its keys are the only
     dimensions a grid search supports): every grid search, in
     `equilibrium._maximize`, `buyer_best_response`'s fallback,
-    `seller_optimal_linear_price` and `concavepricing`.  `refine_top_k`:
-    the grid cells that `_maximize` and `best_concave_price` refine.
+    `seller_optimal_linear_price` and `concavepricing`; the 1-d density
+    is also each good's grid in `equilibrium._maximize_per_good`, which
+    still requires the game's own dimension.  `refine_top_k`: the grid
+    cells that `_maximize`, `_maximize_per_good` (per good) and
+    `best_concave_price` refine.
     `refine_passes`, `golden_tol`: every coordinate refinement and golden
     search.  `tie_tol`: buyer utility ties in `response` and
     `concavepricing`.  `bundle_tol`: `verify_equilibrium`'s bundle check.
@@ -308,11 +311,8 @@ def buyer_best_response(
 
     if u.dim == 1 or _separable(u):
         # one golden search per coordinate, all in lockstep
-        eye = np.eye(u.dim)
-
         def utility(ts: np.ndarray) -> np.ndarray:
-            rows = (ts[..., None] * eye).reshape(-1, u.dim)
-            return u.values(rows).reshape(ts.shape) - price * ts
+            return u.values(axis_rows(ts, np.arange(u.dim), u.dim)).reshape(ts.shape) - price * ts
 
         zero = np.zeros(u.dim)
         ts = np.vstack([zero, domain.upper, golden_max(utility, zero, domain.upper, tol=cfg.golden_tol)])

@@ -135,6 +135,20 @@ class TestSolve:
         assert f"option {next(iter(option))} " in err
         assert "Traceback" not in err and out == ""
 
+    @pytest.mark.parametrize("value_coeff", [1.0, 4.0], ids=["no_trade", "trade"])
+    def test_split_of_wrong_length_is_io_exit(self, capsys, tmp_path, value_coeff):
+        # one good, two weights: refused whether or not the game trades
+        cfg = json.loads((CONFIGS / "concave_demo.json").read_text())
+        cfg["value"] = {"kind": "power_sum", "coeffs": [value_coeff], "exponents": [0.5]}
+        cfg["solver"]["lambda_split"] = [0.5, 0.5]
+        bad = tmp_path / "split.json"
+        bad.write_text(json.dumps(cfg))
+        for command in ("solve", "verify"):
+            code, out, err = run_cli(capsys, command, str(bad))
+            assert code == 1
+            assert err == "error: solver option lambda_split has 2 weights for 1 goods\n"
+            assert out == ""
+
     def test_removed_seed_option_is_io_exit(self, capsys, tmp_path):
         cfg = json.loads((CONFIGS / "convex_demo.json").read_text())
         cfg["solver"]["seed"] = 0

@@ -11,6 +11,7 @@ from padd import (
     MinOfAffine,
     Sum,
     BoxDomain,
+    DimensionError,
     EquilibriumOutcome,
     ImitativeValue,
     Leontief,
@@ -199,13 +200,13 @@ class TestConsistencyAcrossSolvers:
             assert abs(float(sol.price @ sol.bundle) - out.payment) < 1e-6
 
 
-def separable_games(value_exponent, cost_exponents):
-    """Separable power games `sum a_i x_i^q` against `sum k_i x_i^p` in 1 or 2 goods."""
+def separable_games(value_exponent, cost_exponents, dims=(1, 2)):
+    """Separable power games `sum a_i x_i^q` against `sum k_i x_i^p` in `dims` goods."""
     coef = st.floats(0.2, 5.0)
 
     @st.composite
     def games(draw):
-        d = draw(st.integers(1, 2))
+        d = draw(st.sampled_from(dims))
         v = PowerSum([draw(coef) for _ in range(d)], (value_exponent,) * d)
         c = PowerSum([draw(coef) for _ in range(d)], [draw(cost_exponents) for _ in range(d)])
         return v, c, BoxDomain([draw(st.floats(1.0, 10.0)) for _ in range(d)])
@@ -270,6 +271,137 @@ class TestOneGoodStationaryPoints:
         assert out.bundle[0] == pytest.approx(min(s, box.upper[0]), rel=1e-6, abs=0.0)
 
 
+CONVEX_COEF = lambda a, p, q, s: a * p / (q * q * s ** (q - p))  # noqa: E731
+CONCAVE_COEF = lambda a, p, q, s: a * p * s ** (p - q) / q  # noqa: E731
+CONVEX_GOOD = (st.floats(0.2, 0.8), st.floats(1.2, 3.0), CONVEX_COEF)
+CONCAVE_GOOD = (st.floats(0.1, 0.4), st.floats(0.6, 1.0), CONCAVE_COEF)
+
+
+@st.composite
+def per_good_power_games(draw, good, dims=(2, 3, 4)):
+    """d-good separable games whose good i is a `one_good_power_games` game
+    drawn with `good` = (value exponents, cost exponents, cost_coef), as
+    (v, c, box, s) with s the goods' stationary points."""
+    goods = [draw(one_good_power_games(*good)) for _ in range(draw(st.sampled_from(dims)))]
+    v = PowerSum([g[0].coeffs[0] for g in goods], [g[0].exponents[0] for g in goods])
+    c = PowerSum([g[1].coeffs[0] for g in goods], [g[1].exponents[0] for g in goods])
+    box = BoxDomain([g[2].upper[0] for g in goods])
+    return v, c, box, np.array([g[3] for g in goods])
+
+
+def closed_objective(v, c):
+    """`_solve`'s objective `v - payment` at the default ray grid."""
+    return lambda xs: v.values(xs) - ray_payment_batch(c, xs)
+
+
+class TestPerGoodSearch:
+    """Separable games with a closed payment form solve one good at a time:
+    each coordinate lands on its good's stationary point clipped to the box,
+    and the search agrees with the full grid of `_maximize` to 1e-6
+    relative in every coordinate (seen: 2e-7) and 1e-12 relative in the
+    objective (seen: 3e-16)."""
+
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(st.sampled_from(["convex", "concave"]).flatmap(
+        lambda kind: st.tuples(st.just(kind), per_good_power_games(CONVEX_GOOD if kind == "convex" else CONCAVE_GOOD))
+    ))
+    def test_stationary_points_and_verification(self, case):
+        kind, (v, c, box, s) = case
+        out = solve_auto(v, c, box)
+        assert out.method == f"{kind}_closed_form"
+        np.testing.assert_allclose(out.bundle, np.minimum(s, box.upper), rtol=1e-6, atol=0.0)
+        assert verify_equilibrium(out, v, c, box).passed
+
+    @settings(derandomize=True, deadline=None, max_examples=12)
+    @given(st.sampled_from([CONVEX_GOOD, CONCAVE_GOOD]).flatmap(per_good_power_games))
+    def test_agrees_with_the_full_grid(self, game):
+        v, c, box, _ = game
+        cfg = SolverConfig()
+        x_grid, best_grid = _maximize(closed_objective(v, c), box, cfg)
+        x_good, best_good = equilibrium._maximize_per_good(closed_objective(v, c), box, cfg)
+        np.testing.assert_allclose(x_good, x_grid, rtol=1e-6, atol=0.0)
+        assert best_good == pytest.approx(best_grid, rel=1e-12, abs=0.0)
+
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(st.sampled_from([CONVEX_GOOD, CONCAVE_GOOD]).flatmap(lambda good: one_good_power_games(*good)))
+    def test_one_good_is_bit_identical_to_the_grid(self, game):
+        v, c, box, _ = game
+        for options in ({}, {"refine_top_k": 1, "refine_passes": 1}):
+            cfg = SolverConfig(**options)
+            x_grid, best_grid = _maximize(closed_objective(v, c), box, cfg)
+            x_good, best_good = equilibrium._maximize_per_good(closed_objective(v, c), box, cfg)
+            assert x_good.tobytes() == x_grid.tobytes()
+            assert np.float64(best_good).tobytes() == np.float64(best_grid).tobytes()
+
+    @pytest.mark.parametrize("upper", [[1.0], [3.71], [3.71, 2.3], [1.0, 1.0]])
+    def test_upper_face_is_exact(self, upper):
+        # 100 sqrt(x) - 2 x^2 rises up to x = 12.5^(2/3) = 5.39: the optimum is
+        # the upper face, which the refinement from the grid point next to it
+        # used to miss by an ulp
+        d = len(upper)
+        v, c, box = PowerSum((100.0,) * d, (0.5,) * d), PowerSum((1.0,) * d, (2.0,) * d), BoxDomain(upper)
+        assert solve_auto(v, c, box).bundle.tolist() == upper
+        x_grid, _ = _maximize(closed_objective(v, c), box, SolverConfig())
+        assert x_grid.tolist() == upper
+
+    def test_four_good_solve_evaluates_axis_rows_only(self, monkeypatch):
+        v, c, box = PowerSum((8.0,) * 4, (0.5,) * 4), PowerSum((1.0, 1.5, 2.0, 2.5), (2.0,) * 4), BoxDomain(np.full(4, 5.0))
+        cfg = SolverConfig()
+        rows = []
+        values = v.values
+
+        def counting(xs):
+            rows.append(len(xs))
+            return values(xs)
+
+        monkeypatch.setattr(v, "values", counting)
+        out = solve_auto(v, c, box, cfg)
+        assert out.method == "convex_closed_form" and out.trade
+        # golden steps per bracket of width 2 * spacing, plus its two first
+        # positions and the final (3, k) comparison
+        n = cfg.points(1)
+        steps = math.ceil(math.log(cfg.golden_tol / (2 * 5.0 / (n - 1))) / math.log((math.sqrt(5.0) - 1.0) / 2.0))
+        brackets = cfg.refine_top_k * 4
+        refinement = cfg.refine_passes * brackets * (steps + 4) + brackets
+        # the grid path evaluated all 21^4 = 194,481 grid rows
+        assert sum(rows) <= 4 * n + refinement + 8 < 21**4
+
+    @pytest.mark.parametrize(
+        "game",
+        [
+            (Leontief((1.0, 2.0), 3.0), PowerSum((1.0, 1.0), (2.0, 2.0)), "grid"),
+            (MinOfAffine([Affine((2.0, 1.0), 0.0), Affine((0.0, 0.0), 3.0)]), PowerSum((1.0, 1.0), (2.0, 2.0)), "grid"),
+            (
+                PowerSum((20.0, 10.0), (0.5, 0.5)),
+                Sum([PowerSum((1.0, 1.0), (2.0, 2.0)), PowerSum((1.0, 1.0), (0.5, 0.5))]),
+                "grid",
+            ),
+            (Affine((3.0, 3.0), 0.0), PowerSum((1.0, 1.0), (0.5, 0.5)), "corners"),
+            (PowerSum((8.0, 4.0), (0.5, 0.5)), PowerSum((1.0, 0.5), (2.0, 2.0)), "per_good"),
+        ],
+        ids=["leontief_value", "min_of_affine_value", "general_cost", "linear_value_concave_cost", "separable"],
+    )
+    def test_dispatch(self, monkeypatch, game):
+        v, c, path = game
+        taken = []
+        for name in ("_maximize", "_maximize_per_good"):
+            search = getattr(equilibrium, name)
+            monkeypatch.setattr(
+                equilibrium, name, lambda *args, _name=name, _search=search: taken.append(_name) or _search(*args)
+            )
+        out = solve_general(v, c, BoxDomain([5.0, 5.0]), SolverConfig(grid_points={1: 2001, 2: 21}))
+        assert out.trade
+        assert taken == {"grid": ["_maximize"], "corners": [], "per_good": ["_maximize_per_good"]}[path]
+
+    def test_five_goods_refused_before_any_objective_call(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(equilibrium, "ray_payment_batch", lambda *args: calls.append(args))
+        v, c = PowerSum((8.0,) * 5, (0.5,) * 5), PowerSum((1.0,) * 5, (2.0,) * 5)
+        with pytest.raises(PreconditionError, match="no grid density configured for dimension 5"):
+            solve_auto(v, c, BoxDomain(np.full(5, 5.0)))
+        assert calls == []
+
+
 def assert_same_outcome_bits(general, special):
     """Everything but the method tag is bit-identical."""
     assert general.method == "general" and special.method != "general"
@@ -285,13 +417,13 @@ class TestGeneralSolverAgreesBitForBit:
             assert_same_outcome_bits(solve_general(v, c, box), special(v, c, box))
 
     @settings(derandomize=True, deadline=None, max_examples=15)
-    @given(separable_games(0.5, st.floats(1.0, 3.0)))
+    @given(separable_games(0.5, st.floats(1.0, 3.0), dims=(1, 2, 3, 4)))
     def test_convex_games(self, game):
         v, c, box = game
         assert_same_outcome_bits(solve_general(v, c, box), solve_convex(v, c, box))
 
     @settings(derandomize=True, deadline=None, max_examples=15)
-    @given(separable_games(0.25, st.floats(0.3, 1.0)))
+    @given(separable_games(0.25, st.floats(0.3, 1.0), dims=(1, 2, 3, 4)))
     def test_concave_games(self, game):
         v, c, box = game
         assert_same_outcome_bits(solve_general(v, c, box), solve_concave(v, c, box))
@@ -449,6 +581,13 @@ class TestOutcomeSerialization:
         assert np.array_equal(back.bundle, out.bundle)
         assert back.payment == out.payment
         assert np.array_equal(back.unit_prices, out.unit_prices)
+
+    @pytest.mark.parametrize("value", [SQRT, Scale(4.0, SQRT)], ids=["no_trade", "trade"])
+    @pytest.mark.parametrize("solver", [solve_general, solve_concave, solve_auto])
+    def test_split_of_wrong_length_rejected(self, value, solver):
+        cfg = SolverConfig(lambda_split=(0.5, 0.5))
+        with pytest.raises(DimensionError, match="payment split has 2 weights for 1 goods"):
+            solver(value, SQRT, BoxDomain([100.0]), cfg)
 
     def test_split_on_absent_good_rejected(self):
         g = path_graph(3)

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from padd import BoxDomain, PowerSum, solve_auto
+from padd import Affine, BoxDomain, MinOfAffine, PowerSum, Sum, solve_auto
 from padd import gridopt
-from padd.gridopt import coordinate_refine, golden_max, grid_blocks, grid_rows, grid_scan, top_k
-from padd.response import _rev_tie
+from padd.gridopt import axis_rows, coordinate_refine, golden_max, grid_blocks, grid_rows, grid_scan, refine_bracket, top_k
+from padd.response import _rev_tie, _separable
 
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
@@ -112,6 +112,41 @@ class TestCoordinateRefine:
         assert sum(calls[3]) == 3 * sum(calls[1])
 
 
+class TestRefineBracket:
+    @pytest.mark.parametrize("upper", [1.0, 2.3, 3.71, 5.0, 100.0])
+    def test_end_next_to_the_upper_face_is_the_face(self, upper):
+        n = 2001
+        xs = np.linspace(0.0, upper, n)
+        spacing = upper / (n - 1)
+        lo, hi = refine_bracket(xs, spacing, upper)
+        assert hi[-2] == hi[-1] == upper
+        assert hi[:-2].tobytes() == (xs[:-2] + spacing).tobytes()
+        assert lo[0] == 0.0 and lo[1:].tobytes() == (xs[1:] - spacing).tobytes()
+
+    def test_elementwise_over_goods(self):
+        upper = np.array([[3.71], [2.3]])
+        spacing = upper / 2000
+        x = np.array([[3.71 - 3.71 / 2000, 1.0], [2.3, 0.0]])
+        lo, hi = refine_bracket(x, spacing, upper)
+        assert hi.tolist() == [[3.71, 1.0 + spacing[0, 0]], [2.3, spacing[1, 0]]]
+        assert lo[1, 1] == 0.0
+
+
+class TestAxisRows:
+    def test_one_position_per_coordinate(self):
+        ts = np.array([[0.0, 1.5, 2.0], [3.0, 0.25, 4.0]])
+        got = axis_rows(ts, np.arange(3), 3)
+        assert got.tolist() == [
+            [0.0, 0.0, 0.0], [0.0, 1.5, 0.0], [0.0, 0.0, 2.0],
+            [3.0, 0.0, 0.0], [0.0, 0.25, 0.0], [0.0, 0.0, 4.0],
+        ]
+
+    def test_one_axis_per_row_of_positions(self):
+        ts = np.array([[0.5, 1.0], [2.0, 3.0]])
+        got = axis_rows(ts, np.array([[1], [0]]), 2)
+        assert got.tolist() == [[0.0, 0.5], [0.0, 1.0], [2.0, 0.0], [3.0, 0.0]]
+
+
 class TestTopK:
     def test_ties_keep_index_order(self):
         vals = np.array([1.0, 3.0, 2.0, 3.0, 3.0, 0.0])
@@ -188,18 +223,21 @@ class TestGridScan:
         assert got.pool is None and got.idx.tolist() == [4, 3]
 
 
-# 4 goods, default 21^4 grid: the largest default grid search
+# 4 goods, default 21^4 grid: the largest default grid search (the capped
+# total makes the value non-separable, so the solve cannot go one good at a time)
 CONVEX_4D = (
-    PowerSum((8.0,) * 4, (0.5,) * 4),
+    Sum([PowerSum((8.0,) * 4, (0.5,) * 4), MinOfAffine([Affine((1.0,) * 4, 0.0), Affine((0.0,) * 4, 6.0)])]),
     PowerSum((1.0, 1.5, 2.0, 2.5), (2.0,) * 4),
     BoxDomain(np.full(4, 5.0)),
 )
 
 
 def test_default_four_good_solve_holds_no_whole_grid():
-    # the whole-grid solve peaked at 14.9 MB of traced heap: the (21^4, 4)
-    # grid, its gradients and powers at once; streamed blocks hold about 1 MB
+    # the whole-grid solve of the separable game without the cap peaked at
+    # 14.9 MB of traced heap: the (21^4, 4) grid, its gradients and powers
+    # at once; streamed blocks hold about 1 MB
     v, c, box = CONVEX_4D
+    assert not _separable(v)
     solve_auto(v, c, box)  # the first solve fills caches
     tracemalloc.start()
     try:
