@@ -10,7 +10,16 @@ Run: python demos/payment_geometry.py
 
 import numpy as np
 
-from padd import Affine, PowerSum, Sum, bregman, ray_slope_sup
+from padd import Affine, PowerSum, Shape, Sum, bregman, ray_slope_sup
+
+
+# where the supremum sits, by the cost's curvature
+WHERE = {
+    Shape.CONVEX: "limit t -> 1",
+    Shape.CONCAVE: "attained at t = 0",
+    Shape.LINEAR: "attained at t = 0",
+    Shape.GENERAL: "largest slope on the fraction grid",
+}
 
 
 def chord_table(c, x, label):
@@ -18,17 +27,16 @@ def chord_table(c, x, label):
     for a in (0.0, 0.25, 0.5, 0.75, 0.9, 0.99):
         slope = (c.value(x) - c.value(a * np.asarray(x))) / (1 - a)
         print(f"  chord from t={a:<5} slope = {slope:.6g}")
-    res = ray_slope_sup(c, x)
-    where = "limit t -> 1" if res.is_limit else f"attained at t = {res.attained_alpha:g}"
-    print(f"  payment = {res.payment:.6g} ({where})")
-    return res
+    payment = ray_slope_sup(c, x)
+    print(f"  payment = {payment:.6g} ({WHERE[c.shape]})")
+    return payment
 
 
 def main():
     square = PowerSum((1.0,), (2.0,))
-    res = chord_table(square, np.array([4.0]), "convex cost x^2")
+    payment = chord_table(square, np.array([4.0]), "convex cost x^2")
     print(f"  closed form x * c'(x) = {4.0 * 8.0:.6g}")
-    print(f"  revenue = payment - c(x) = {res.payment - square.value((4.0,)):.6g}"
+    print(f"  revenue = payment - c(x) = {payment - square.value((4.0,)):.6g}"
           f" = D_c(0, x) = {bregman(square, (0.0,), (4.0,)):.6g}")
     print()
 

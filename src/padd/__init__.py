@@ -10,12 +10,11 @@ commitment is as hard as maximum independent set, together with an exact
 derandomized rounding.
 """
 
-from .errors import DimensionError, NotDifferentiableError, PreconditionError
+from .errors import DimensionError, PreconditionError
 from .funcs import (
     Affine,
     BoxDomain,
     FunctionExpr,
-    GradMaxResult,
     GraphMinCost,
     Leontief,
     MinOfAffine,
@@ -30,7 +29,7 @@ from .funcs import (
     grad_max_info,
 )
 from .graphs import GraphInstance, parse_graph_json, parse_graph_text
-from .raygeom import RaySlopeResult, bregman, ray_slope_sup
+from .raygeom import bregman, ray_slope_sup
 from .response import (
     SellerSolution,
     SolverConfig,
@@ -40,10 +39,8 @@ from .response import (
 )
 from .equilibrium import (
     EquilibriumOutcome,
-    FixedBundleResult,
     ImitativeValue,
     VerificationReport,
-    fixed_bundle_optimal,
     fixed_bundle_outcome,
     solve_auto,
     solve_concave,

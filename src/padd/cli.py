@@ -20,7 +20,7 @@ import numpy as np
 from .concavepricing import OverfitReport, overfit_scenario
 from .equilibrium import (
     EquilibriumOutcome,
-    fixed_bundle_optimal,
+    fixed_bundle_outcome,
     solve_auto,
     solve_concave,
     solve_convex,
@@ -141,23 +141,23 @@ def _cmd_fixed_bundle(args) -> int:
     bundle = np.array([float(t) for t in args.bundle.split(",")])
     if not config.domain.contains(bundle):
         raise PreconditionError("bundle lies outside the production box")
-    res = fixed_bundle_optimal(config.value, config.cost, bundle, config.solver)
+    out = fixed_bundle_outcome(config.value, config.cost, bundle, config.solver)
     if args.json:
         print(
             json.dumps(
                 {
-                    "payment": res.payment,
-                    "imitative": res.imitative.to_dict(),
-                    "buyer_surplus": res.surplus,
+                    "payment": out.payment,
+                    "imitative": out.imitative.to_dict(),
+                    "buyer_surplus": out.buyer_surplus,
                 },
                 indent=2,
             )
         )
     else:
         print(f"bundle          {_fmt_vec(bundle)}")
-        print(f"total payment   {_fmt(res.payment)}")
-        print(f"anchored value  anchor = [{_fmt_vec(res.imitative.anchor)}], level = {_fmt(res.payment)}")
-        print(f"buyer surplus   {_fmt(res.surplus)}")
+        print(f"total payment   {_fmt(out.payment)}")
+        print(f"anchored value  anchor = [{_fmt_vec(out.imitative.anchor)}], level = {_fmt(out.payment)}")
+        print(f"buyer surplus   {_fmt(out.buyer_surplus)}")
     return 0
 
 
@@ -255,6 +255,7 @@ def _write_scenario_csv(path: Path, scenario_id: str, title: str) -> None:
 
 
 def _cmd_reproduce(args) -> int:
+    report = overfit_scenario(args.epsilon)  # refuses a bad epsilon before any file is written
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -265,7 +266,6 @@ def _cmd_reproduce(args) -> int:
         out_dir / "fig2b.csv", "fig2b", "concave-cost benchmark: v(x) = 4*x^(1/4), c(x) = sqrt(x)"
     )
 
-    report = overfit_scenario(args.epsilon)
     with (out_dir / "overfit.csv").open("w", newline="") as fh:
         fh.write("# scenario: overfit — capped-line value, quadratic cost, augmented pricing class\n")
         w = csv.writer(fh)

@@ -17,6 +17,7 @@ the report.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -31,7 +32,7 @@ from .funcs import (
     PowerSum,
     Shape,
 )
-from .equilibrium import EquilibriumOutcome, ImitativeValue, fixed_bundle_optimal, solve_auto
+from .equilibrium import EquilibriumOutcome, ImitativeValue, fixed_bundle_outcome, solve_auto
 # golden_max is unused here; bench/tests/test_harness.py expects this module to bind it
 from .gridopt import coordinate_refine, golden_max, grid_scan  # noqa: F401
 from .response import SolverConfig, _anchored_form, _check_dims, _ray_fractions, _ray_limit, _rev_tie, _seller_pick
@@ -139,7 +140,7 @@ def concave_fop_optimal(
     Identical parameters to the linear-pricing fixed-bundle solution: the
     anchored function at level `ray_slope_sup(c, xbar)`.
     """
-    return fixed_bundle_optimal(v, c, xbar, cfg).imitative
+    return fixed_bundle_outcome(v, c, xbar, cfg).imitative
 
 
 def seller_best_in_class(
@@ -363,11 +364,13 @@ def overfit_scenario(epsilon: float) -> OverfitReport:
     (anchored at the kink) and `sqrt(x)`; the report's note records this
     restriction.
     """
-    eps = Fraction(float(epsilon))
-    if not (0 < eps < _AUGMENTED_BASE_REVENUE):
+    eps = float(epsilon)
+    # an infinite or NaN epsilon has no Fraction, so it is refused first
+    if not (math.isfinite(eps) and 0 < Fraction(eps) < _AUGMENTED_BASE_REVENUE):
         raise PreconditionError(
             f"epsilon must lie in (0, {float(_AUGMENTED_BASE_REVENUE)}); got {epsilon}"
         )
+    eps = Fraction(eps)
 
     rich_revenue = _AUGMENTED_BASE_REVENUE - eps
     prefers_augmented = rich_revenue > _SQRT_LINEAR_REVENUE

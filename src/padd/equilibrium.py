@@ -41,14 +41,12 @@ from .response import SolverConfig, _separable, buyer_best_response, seller_opti
 __all__ = [
     "ImitativeValue",
     "EquilibriumOutcome",
-    "FixedBundleResult",
     "CheckResult",
     "VerificationReport",
     "solve_general",
     "solve_convex",
     "solve_concave",
     "solve_auto",
-    "fixed_bundle_optimal",
     "fixed_bundle_outcome",
     "verify_equilibrium",
 ]
@@ -165,15 +163,6 @@ class EquilibriumOutcome:
             repr(float(self.buyer_surplus)),
             repr(float(self.seller_revenue)),
         ]
-
-
-@dataclass
-class FixedBundleResult:
-    """Best commitment when the trade bundle is fixed by the caller."""
-
-    payment: float
-    imitative: ImitativeValue
-    surplus: float
 
 
 # --- validation helpers ----------------------------------------------------
@@ -458,33 +447,20 @@ def solve_auto(v: FunctionExpr, c: FunctionExpr, domain: BoxDomain, cfg: SolverC
     return solve_general(v, c, domain, cfg)
 
 
-def fixed_bundle_optimal(
+def fixed_bundle_outcome(
     v: FunctionExpr, c: FunctionExpr, xbar, cfg: SolverConfig | None = None
-) -> FixedBundleResult:
-    """Cheapest commitment that still trades exactly at the bundle `xbar`.
+) -> EquilibriumOutcome:
+    """Full outcome for a caller-chosen trade bundle (method `fixed_bundle`).
 
-    The payment is the smallest level at which serving all of `xbar` beats
-    serving every fraction of it, i.e. the ray-slope supremum.
+    Its `imitative` is the cheapest commitment that still trades exactly at
+    `xbar`: the payment is the smallest level at which serving all of `xbar`
+    beats serving every fraction of it, i.e. the ray-slope supremum.
     """
     cfg = cfg or SolverConfig()
     xbar = as_bundle(xbar, v.dim)
     if np.any(xbar <= 0):
         raise PreconditionError("fixed bundle must be strictly positive in every coordinate")
-    payment = ray_slope_sup(c, xbar, cfg.ray_grid_n).payment
-    return FixedBundleResult(
-        payment=payment,
-        imitative=ImitativeValue(xbar.copy(), payment),
-        surplus=v.value(xbar) - payment,
-    )
-
-
-def fixed_bundle_outcome(
-    v: FunctionExpr, c: FunctionExpr, xbar, cfg: SolverConfig | None = None
-) -> EquilibriumOutcome:
-    """Full outcome for a caller-chosen trade bundle (method `fixed_bundle`)."""
-    cfg = cfg or SolverConfig()
-    res = fixed_bundle_optimal(v, c, xbar, cfg)
-    return _trade_outcome(v, c, as_bundle(xbar, v.dim), res.payment, METHOD_FIXED, cfg)
+    return _trade_outcome(v, c, xbar, ray_slope_sup(c, xbar, cfg.ray_grid_n), METHOD_FIXED, cfg)
 
 
 # --- verification ----------------------------------------------------------

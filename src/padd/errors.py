@@ -1,6 +1,6 @@
 """Exception types shared across the package."""
 
-__all__ = ["PreconditionError", "DimensionError", "NotDifferentiableError"]
+__all__ = ["PreconditionError", "DimensionError"]
 
 
 class PreconditionError(ValueError):
@@ -9,7 +9,3 @@ class PreconditionError(ValueError):
 
 class DimensionError(PreconditionError):
     """Vector dimensions of the arguments do not agree."""
-
-
-class NotDifferentiableError(PreconditionError):
-    """A gradient was requested where the function has a kink or blows up."""

@@ -5,6 +5,13 @@ set of node kinds, so evaluation, gradients, payment-maximizing
 supergradients, and convexity/concavity classification are all exact: no
 numerical differentiation anywhere in the core formulas.
 
+A node has two derivatives: `gradient_batch`, the gradient on the rows of
+a batch (the smooth nodes only), and `grad_max_info`, the derivative at
+one bundle, which every node has.  At a smooth point `grad_max_info` is
+the `gradient_batch` row of a one-row batch, bit for bit; at a kink it is
+the supergradient that maximizes `g . x`, and an entry that blows up at a
+zero coordinate is clamped to `GRAD_CAP`.
+
 All expressions are defined on the non-negative orthant, are monotone
 non-decreasing, and (apart from affine pieces with a positive intercept)
 vanish at the origin.  Nodes are immutable after construction; every
@@ -20,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionError, NotDifferentiableError, PreconditionError
+from .errors import DimensionError, PreconditionError
 from .graphs import GraphInstance, parse_graph_json
 
 __all__ = [
@@ -35,7 +42,6 @@ __all__ = [
     "GraphMinCost",
     "BoxDomain",
     "MAX_ENUM_DIM",
-    "GradMaxResult",
     "as_bundle",
     "as_price",
     "grad_max_info",
@@ -143,14 +149,6 @@ class BoxDomain:
         return cls(np.asarray(obj["upper"], dtype=float))
 
 
-@dataclass(eq=False)
-class GradMaxResult:
-    """Payment-maximizing supergradient, with a flag for clamped entries."""
-
-    vector: np.ndarray
-    clamped: bool = False
-
-
 def _pick_grad_max(vertices: np.ndarray, x: np.ndarray) -> np.ndarray:
     """argmax of g . x over the vertex list; ties prefer the lex-greatest vector."""
     scores = vertices @ x
@@ -189,12 +187,8 @@ class FunctionExpr:
     def _structural_shape(self) -> Shape:
         raise NotImplementedError
 
-    def grad_max_info(self, x) -> GradMaxResult:
-        """See :func:`grad_max_info`."""
-        raise NotImplementedError
-
-    def gradient(self, x) -> np.ndarray:
-        """Exact gradient where the node is differentiable; raises at kinks."""
+    def grad_max_info(self, x) -> np.ndarray:
+        """The derivative at one bundle (see the module docstring)."""
         raise NotImplementedError
 
     def gradient_batch(self, xs: np.ndarray) -> np.ndarray:
@@ -245,25 +239,13 @@ class PowerSum(FunctionExpr):
             return Shape.CONVEX
         return Shape.GENERAL
 
-    def _gradient_row(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """`gradient_batch` on a one-row batch, zero where a zero coordinate
-        has exponent < 1, and the mask of those entries that are unbounded
-        (a positive coefficient)."""
+    def grad_max_info(self, x) -> np.ndarray:
+        """`gradient_batch` on a one-row batch; where a zero coordinate has
+        exponent < 1 the entry is `GRAD_CAP` (0 without a coefficient)."""
         x = as_bundle(x, self.dim)
         g = self.gradient_batch(x[None, :])[0]
         axis = (x == 0.0) & (np.asarray(self.exponents) < 1.0)
-        g[axis] = 0.0
-        return g, axis & (np.asarray(self.coeffs) > 0)
-
-    def grad_max_info(self, x) -> GradMaxResult:
-        g, unbounded = self._gradient_row(x)
-        g[unbounded] = GRAD_CAP  # keep the call total at the axis but flag it
-        return GradMaxResult(g, bool(unbounded.any()))
-
-    def gradient(self, x) -> np.ndarray:
-        g, unbounded = self._gradient_row(x)
-        if unbounded.any():
-            raise NotDifferentiableError("gradient unbounded at a zero coordinate for exponent < 1")
+        g[axis] = np.where(np.asarray(self.coeffs)[axis] > 0, GRAD_CAP, 0.0)
         return g
 
     def gradient_batch(self, xs: np.ndarray) -> np.ndarray:
@@ -315,11 +297,7 @@ class Affine(FunctionExpr):
     def _structural_shape(self) -> Shape:
         return Shape.LINEAR
 
-    def grad_max_info(self, x) -> GradMaxResult:
-        as_bundle(x, self.dim)
-        return GradMaxResult(np.asarray(self.weights, dtype=float), False)
-
-    def gradient(self, x) -> np.ndarray:
+    def grad_max_info(self, x) -> np.ndarray:
         as_bundle(x, self.dim)
         return np.asarray(self.weights, dtype=float)
 
@@ -387,16 +365,9 @@ class Leontief(FunctionExpr):
             verts.append(np.zeros(self.dim))
         return np.asarray(verts)
 
-    def grad_max_info(self, x) -> GradMaxResult:
+    def grad_max_info(self, x) -> np.ndarray:
         x = as_bundle(x, self.dim)
-        return GradMaxResult(_pick_grad_max(self._active_vertices(x), x), False)
-
-    def gradient(self, x) -> np.ndarray:
-        x = as_bundle(x, self.dim)
-        verts = self._active_vertices(x)
-        if verts.shape[0] != 1:
-            raise NotDifferentiableError("kink of the anchored value function")
-        return verts[0].copy()
+        return _pick_grad_max(self._active_vertices(x), x)
 
     def to_dict(self) -> dict:
         return {"kind": "leontief", "anchor": list(self.anchor), "level": self.level}
@@ -438,16 +409,15 @@ class MinOfAffine(FunctionExpr):
         verts = [np.asarray(p.weights, dtype=float) for p, v in zip(self.pieces, vals) if v == m]
         return np.unique(np.asarray(verts), axis=0)
 
-    def grad_max_info(self, x) -> GradMaxResult:
+    def grad_max_info(self, x) -> np.ndarray:
         x = as_bundle(x, self.dim)
-        return GradMaxResult(_pick_grad_max(self._active_vertices(x), x), False)
+        return _pick_grad_max(self._active_vertices(x), x)
 
-    def gradient(self, x) -> np.ndarray:
-        x = as_bundle(x, self.dim)
-        verts = self._active_vertices(x)
-        if verts.shape[0] != 1:
-            raise NotDifferentiableError("kink between affine pieces")
-        return verts[0].copy()
+    def gradient_batch(self, xs: np.ndarray) -> np.ndarray:
+        """Only a single piece (an affine function) is smooth everywhere."""
+        if len(self.pieces) != 1:
+            raise NotImplementedError("a min of several affine pieces has no gradient at its kinks")
+        return self.pieces[0].gradient_batch(xs)
 
     def to_dict(self) -> dict:
         return {"kind": "min_of_affine", "pieces": [p.to_dict() for p in self.pieces]}
@@ -487,15 +457,10 @@ class Sum(FunctionExpr):
             return Shape.CONVEX
         return Shape.GENERAL
 
-    def grad_max_info(self, x) -> GradMaxResult:
+    def grad_max_info(self, x) -> np.ndarray:
         # the payment-maximizing supergradient of a sum separates into
         # per-child maximizers (Minkowski sum of the supergradient sets)
-        parts = [c.grad_max_info(x) for c in self.children]
-        vec = np.sum([p.vector for p in parts], axis=0)
-        return GradMaxResult(vec, any(p.clamped for p in parts))
-
-    def gradient(self, x) -> np.ndarray:
-        return np.sum([c.gradient(x) for c in self.children], axis=0)
+        return np.sum([c.grad_max_info(x) for c in self.children], axis=0)
 
     def gradient_batch(self, xs: np.ndarray) -> np.ndarray:
         out = self.children[0].gradient_batch(xs)
@@ -531,12 +496,8 @@ class Scale(FunctionExpr):
     def _structural_shape(self) -> Shape:
         return self.child.shape
 
-    def grad_max_info(self, x) -> GradMaxResult:
-        inner = self.child.grad_max_info(x)
-        return GradMaxResult(self.factor * inner.vector, inner.clamped)
-
-    def gradient(self, x) -> np.ndarray:
-        return self.factor * self.child.gradient(x)
+    def grad_max_info(self, x) -> np.ndarray:
+        return self.factor * self.child.grad_max_info(x)
 
     def gradient_batch(self, xs: np.ndarray) -> np.ndarray:
         return self.factor * self.child.gradient_batch(xs)
@@ -588,21 +549,11 @@ class GraphMinCost(FunctionExpr):
             return [e]
         return [col, e]
 
-    def grad_max_info(self, x) -> GradMaxResult:
+    def grad_max_info(self, x) -> np.ndarray:
         x = as_bundle(x, self.dim)
         total = np.zeros(self.dim)
         for i in range(self.dim):
             total += _pick_grad_max(np.asarray(self._term_vertices(x, i)), x)
-        return GradMaxResult(total, False)
-
-    def gradient(self, x) -> np.ndarray:
-        x = as_bundle(x, self.dim)
-        total = np.zeros(self.dim)
-        for i in range(self.dim):
-            tv = self._term_vertices(x, i)
-            if len(tv) != 1:
-                raise NotDifferentiableError("kink of the graph cost")
-            total += tv[0]
         return total
 
     def to_dict(self) -> dict:
@@ -612,12 +563,12 @@ class GraphMinCost(FunctionExpr):
 # --- module-level operations with a shape precondition -------------------
 
 
-def grad_max_info(f: FunctionExpr, x) -> GradMaxResult:
+def grad_max_info(f: FunctionExpr, x) -> np.ndarray:
     """Supergradient maximizing `g . x`, for concave or linear expressions.
 
     Ties between polytope vertices are broken toward the lexicographically
     greatest vector.  Entries that blow up at a zero coordinate are clamped
-    to `GRAD_CAP` and flagged in the result.
+    to `GRAD_CAP`.
     """
     if f.shape not in (Shape.CONCAVE, Shape.LINEAR):
         raise PreconditionError(

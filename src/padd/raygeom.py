@@ -29,13 +29,12 @@ term subtracts two nearly equal costs, so near a = 1 the slopes keep the
 six digits that `(c(x) - c(a*x)) / (1 - a)` loses there.  The rows `q_e`
 and `1 / (1 - a)` are cached per grid and exponent set.
 
-`_closed_payments` is the one place that maps a cost's shape to its
-payment formula, and `ray_slope_sup` computes its payment with the code
-of `ray_payment_batch` on a one-row batch, so for every shape a bundle's
-payment has the same bits from both.  The ray form's scalars, the
-convex `x . grad c(x)` and the concave payment `c.values(x)` are all
-computed elementwise (no matrix product), so any batch gives a row those
-bits too.
+`ray_payment_batch` is the one payment code path: `_closed_payments`
+is the one place that maps a cost's shape to its payment formula, and
+`ray_slope_sup` is `ray_payment_batch` on a one-row batch.  The ray
+form's scalars, the convex `x . grad c(x)` and the concave payment
+`c.values(x)` are all computed elementwise (no matrix product), so any
+batch gives a row the bits it has alone.
 
 `ray_payment_floor` is the a = 0 entry of the same slope code, `c(x) -
 c(0)`, vectorized over rows: it equals every bundle's first slope bit for
@@ -54,24 +53,10 @@ import numpy as np
 from .errors import PreconditionError
 from .funcs import FunctionExpr, GraphMinCost, Leontief, MinOfAffine, PowerSum, Scale, Shape, Sum, as_bundle
 
-__all__ = ["RaySlopeResult", "ray_slope_sup", "bregman"]
+__all__ = ["ray_slope_sup", "bregman"]
 
 DEFAULT_GRID_N = 10001
 DEFAULT_EPS_LIMIT = 1e-6
-
-
-@dataclass
-class RaySlopeResult:
-    """Value of the ray-slope supremum at one bundle.
-
-    `attained_alpha` is the maximizing fraction when the supremum is
-    attained; `is_limit` marks the convex case where it is only approached
-    as the fraction tends to 1.
-    """
-
-    payment: float
-    attained_alpha: float | None
-    is_limit: bool
 
 
 def ray_slope_sup(
@@ -79,36 +64,18 @@ def ray_slope_sup(
     x,
     grid_n: int = DEFAULT_GRID_N,
     eps_limit: float = DEFAULT_EPS_LIMIT,
-) -> RaySlopeResult:
-    """Largest slope of the chord of `t -> c(t*x)` ending at t = 1.
-
-    Exact closed forms are used when the cost's curvature is known;
-    otherwise the supremum is taken over a dense fraction grid whose last
-    node doubles as a forward-difference estimate of the limit slope.
-    """
+) -> float:
+    """Largest slope of the chord of `t -> c(t*x)` ending at t = 1: the
+    payment at one non-zero bundle, `ray_payment_batch` on a one-row batch."""
     x = as_bundle(x, c.dim)
     if not np.any(x > 0):
         raise PreconditionError("ray-slope supremum is undefined at the zero bundle")
-
-    closed = _closed_payments(c, x[None, :])
-    if closed is not None:
-        # convex: approached as a -> 1; linear or concave: attained at a = 0
-        convex = c.shape is Shape.CONVEX
-        return RaySlopeResult(float(closed[0]), attained_alpha=None if convex else 0.0, is_limit=convex)
-
-    form = _ray_form(c)
-    alphas, qs, inv = _grid_rows(grid_n, eps_limit, form.exponents)
-    slopes = form.slopes(form.scalars(x[None, :]), qs, inv)[0]
-    i = int(np.argmax(slopes))
-    # the last grid node is exactly the forward-difference limit estimate
-    if i == grid_n - 1:
-        return RaySlopeResult(payment=float(slopes[i]), attained_alpha=None, is_limit=True)
-    return RaySlopeResult(payment=float(slopes[i]), attained_alpha=float(alphas[i]), is_limit=False)
+    return float(ray_payment_batch(c, x[None, :], grid_n, eps_limit)[0])
 
 
 @lru_cache(maxsize=16)
-def _grid_rows(grid_n: int, eps_limit: float, exponents: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The fraction grid `0, ..., 1 - eps_limit`, its rows `q_e(a)` and `1 / (1 - a)` (shared, read-only).
+def _grid_rows(grid_n: int, eps_limit: float, exponents: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The rows `q_e(a)` and `1 / (1 - a)` of the fraction grid `0, ..., 1 - eps_limit` (shared, read-only).
 
     One row `q_e(a) = -expm1(e * log a) / (1 - a)` per exponent; `q_e(0) = 1`
     is set directly, without taking log 0, and `q_1 = 1` exactly.
@@ -125,8 +92,8 @@ def _grid_rows(grid_n: int, eps_limit: float, exponents: tuple) -> tuple[np.ndar
         if e != 1.0:
             q[1:] = -np.expm1(e * log_a) / gaps[1:]
     inv = 1.0 / gaps
-    alphas.flags.writeable = qs.flags.writeable = inv.flags.writeable = False
-    return alphas, qs, inv
+    qs.flags.writeable = inv.flags.writeable = False
+    return qs, inv
 
 
 @dataclass(frozen=True)
@@ -256,16 +223,19 @@ def ray_payment_batch(
     grid_n: int = DEFAULT_GRID_N,
     eps_limit: float = DEFAULT_EPS_LIMIT,
 ) -> np.ndarray:
-    """Vectorized `ray_slope_sup(...).payment` over rows of `xs`.
+    """Payments on the rows of `xs`.
 
-    Rows equal to the zero bundle get payment 0 (no trade).
+    Exact closed forms are used when the cost's curvature is known;
+    otherwise the supremum is taken over the fraction grid, whose last node
+    stands for the limit a -> 1.  Rows equal to the zero bundle get payment
+    0 (no trade).
     """
     xs = np.asarray(xs, dtype=float)
     closed = _closed_payments(c, xs)
     if closed is not None:
         return closed
     form = _ray_form(c)
-    _, qs, inv = _grid_rows(grid_n, eps_limit, form.exponents)  # refuses a bad grid even when every row is zero
+    qs, inv = _grid_rows(grid_n, eps_limit, form.exponents)  # refuses a bad grid even when every row is zero
     scalars = form.scalars(xs)
     out = np.zeros(xs.shape[0])
     for k in np.nonzero(np.any(xs > 0, axis=1))[0]:
@@ -291,8 +261,14 @@ def ray_payment_floor(c: FunctionExpr, xs: np.ndarray) -> np.ndarray:
 
 
 def bregman(f: FunctionExpr, z, x) -> float:
-    """`f(z) - f(x) - grad f(x) . (z - x)` for differentiable f."""
+    """`f(z) - f(x) - grad f(x) . (z - x)` for a convex (or linear) f.
+
+    At z = 0 this is the seller's revenue `x . grad c(x) - c(x)` under a
+    convex cost c.
+    """
+    if f.shape not in (Shape.CONVEX, Shape.LINEAR):
+        raise PreconditionError(f"the Bregman divergence needs a convex or linear expression, got {f.shape.value}")
     z = as_bundle(z, f.dim)
     x = as_bundle(x, f.dim)
-    g = f.gradient(x)
+    g = f.grad_max_info(x)
     return f.value(z) - f.value(x) - float(np.dot(g, z - x))

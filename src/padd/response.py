@@ -18,7 +18,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import DimensionError, NotDifferentiableError, PreconditionError
+from .errors import DimensionError, PreconditionError
 from .funcs import (
     Affine,
     BoxDomain,
@@ -326,22 +326,10 @@ def buyer_best_response(
     return _finish_ties(scan.pool, u, price, c, cfg.tie_tol)
 
 
-def _price_candidate(u: FunctionExpr, x: np.ndarray) -> np.ndarray:
-    """Candidate optimal price at a target bundle.
-
-    For concave/linear reports this is the payment-maximizing supergradient;
-    for convex reports (used by the manipulation-proofness checks, where the
-    buyer imitates a convex cost) the plain gradient is used.
-    """
-    if u.shape is Shape.CONVEX:
-        return u.gradient(x)
-    return u.grad_max_info(x).vector
-
-
 def _consistent_record(u, p, domain, c, cfg):
     """(revenue, response, price) when the buyer's response to `p` reproduces `p`."""
     xbr = buyer_best_response(u, p, domain, c, cfg)
-    p_at = _price_candidate(u, xbr)
+    p_at = u.grad_max_info(xbr)
     if np.max(np.abs(p_at - p)) > 1e-6 * max(1.0, float(np.max(np.abs(p)))):
         return None
     return float(p_at @ xbr - c.value(xbr)), xbr, p_at
@@ -410,13 +398,13 @@ def seller_optimal_linear_price(
                 # grid rows from index 1 on: row 0 is the origin
                 potential = np.concatenate([potential_at(xs) for _, xs in grid_blocks(domain.upper, n_axis, 1)])
                 smooth = True
-            except (NotImplementedError, NotDifferentiableError):
+            except NotImplementedError:
                 smooth = False
         order = np.argsort(-potential) if smooth else range(n_axis**domain.dim - 1)
         for j in order:
             if smooth and potential[j] <= max(best_rev, 0.0) + 1e-12:
                 break
-            try_price(_price_candidate(u, grid_rows(domain.upper, n_axis, [j + 1])[0]))
+            try_price(u.grad_max_info(grid_rows(domain.upper, n_axis, [j + 1])[0]))
 
     if smooth and records:
         _refine_smooth(u, c, domain, records, n_axis, cfg)
@@ -440,10 +428,7 @@ def _refine_smooth(u, c, domain, records, n_axis, cfg):
         out = np.full(xs.shape[0], -np.inf)
         costs = c.values(xs)
         for r, x in enumerate(xs):
-            try:
-                p = _price_candidate(u, x)
-            except NotDifferentiableError:
-                continue
+            p = u.grad_max_info(x)
             if np.all(np.isfinite(p)):
                 out[r] = p @ x - costs[r]
         return out
@@ -451,7 +436,7 @@ def _refine_smooth(u, c, domain, records, n_axis, cfg):
     spacing = domain.upper / (n_axis - 1)
     x = coordinate_refine(revenue, bundle0, spacing, domain.upper, cfg.refine_passes, cfg.golden_tol)[0]
     if revenue(x[None, :])[0] > rev0:
-        rec = _consistent_record(u, _price_candidate(u, x), domain, c, cfg)
+        rec = _consistent_record(u, u.grad_max_info(x), domain, c, cfg)
         if rec is not None and rec[0] > rev0:
             records.append(rec)
 

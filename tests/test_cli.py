@@ -319,6 +319,15 @@ class TestOverfit:
         code, _, _ = run_cli(capsys, "overfit", "--epsilon", "-1")
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["overfit", "reproduce"])
+    @pytest.mark.parametrize("epsilon", ["inf", "nan"])
+    def test_non_finite_epsilon_is_precondition_exit(self, capsys, tmp_path, command, epsilon):
+        extra = ["--out", str(tmp_path)] if command == "reproduce" else []
+        code, _, err = run_cli(capsys, command, "--epsilon", epsilon, *extra)
+        assert code == 2
+        assert err == f"precondition violated: epsilon must lie in (0, 0.2439); got {epsilon}\n"
+        assert not any(tmp_path.iterdir())
+
 
 class TestReproduce:
     def test_writes_all_files(self, capsys, tmp_path):
@@ -391,6 +400,30 @@ class TestVerifyCommand:
         assert outcome.method == "general" and outcome.trade
         want = grid_payment(padd.expr_from_dict(cost), outcome.bundle)
         assert rel_err(outcome.payment, want) <= 1e-12
+
+        code, out, _ = run_cli(capsys, "verify", str(config))
+        assert code == 0
+        assert "verification: all checks passed" in out
+
+    def test_convex_cost_with_one_piece_min_of_affine(self, capsys, tmp_path):
+        # x^2 + min(0.5 x) is convex: its closed payment x . grad c(x) needs
+        # the one-piece minimum's batch gradient, the piece's weights
+        piece = {"kind": "affine", "weights": [0.5], "intercept": 0.0}
+        square = {"kind": "power_sum", "coeffs": [1.0], "exponents": [2.0]}
+        cost = {"kind": "sum", "children": [square, {"kind": "min_of_affine", "pieces": [piece]}]}
+        value = {"kind": "power_sum", "coeffs": [64.0], "exponents": [0.5]}
+        config = tmp_path / "one_piece.json"
+        config.write_text(json.dumps({"value": value, "cost": cost, "domain": {"upper": [100.0]}}))
+
+        code, out, err = run_cli(capsys, "solve", str(config), "--json")
+        assert code == 0 and err == ""
+        outcome = padd.EquilibriumOutcome.from_dict(json.loads(out))
+        assert outcome.method == "convex_closed_form" and outcome.trade
+        c = padd.expr_from_dict(cost)
+        x = outcome.bundle
+        assert c.shape is padd.Shape.CONVEX
+        assert rel_err(outcome.payment, float(x @ c.grad_max_info(x))) <= 1e-15
+        assert rel_err(outcome.payment, x[0] * (2.0 * x[0] + 0.5)) <= 1e-15
 
         code, out, _ = run_cli(capsys, "verify", str(config))
         assert code == 0

@@ -14,7 +14,7 @@ from padd import (
     best_concave_price,
     concave_fop_optimal,
     equivalence_check,
-    fixed_bundle_optimal,
+    fixed_bundle_outcome,
     overfit_scenario,
     seller_best_in_class,
 )
@@ -69,7 +69,7 @@ class TestFopIdentity:
             v = v1 if c.dim == 1 else v2
             xbar = rng.random(c.dim) * 5 + 0.2
             a = concave_fop_optimal(v, c, xbar)
-            b = fixed_bundle_optimal(v, c, xbar)
+            b = fixed_bundle_outcome(v, c, xbar)
             assert a.payment == b.imitative.payment
             assert np.array_equal(a.anchor, b.imitative.anchor)
             checked += 1

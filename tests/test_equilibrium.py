@@ -21,7 +21,6 @@ from padd import (
     Shape,
     SolverConfig,
     bregman,
-    fixed_bundle_optimal,
     fixed_bundle_outcome,
     seller_optimal_linear_price,
     solve_auto,
@@ -459,21 +458,21 @@ class TestOneDimensionalStationaryPoints:
 class TestFixedBundle:
     def test_convex_demo_bundle(self):
         v, c, _ = convex_cost_demo()
-        res = fixed_bundle_optimal(v, c, (4.0,))
+        res = fixed_bundle_outcome(v, c, (4.0,))
         assert res.payment == 32.0
-        assert res.surplus == 96.0
+        assert res.buyer_surplus == 96.0
         assert isinstance(res.imitative.to_expr(), Leontief)
 
     def test_concave_demo_bundle(self):
         v, c, _ = concave_cost_demo()
-        res = fixed_bundle_optimal(v, c, (16.0,))
+        res = fixed_bundle_outcome(v, c, (16.0,))
         assert res.payment == 4.0
-        assert res.surplus == 4.0
+        assert res.buyer_surplus == 4.0
 
     def test_unit_bundle_cross_checked(self):
         # x * c'(x) = 2 at x = 1; cross-check against the chord-slope oracle
         v, c, _ = convex_cost_demo()
-        res = fixed_bundle_optimal(v, c, (1.0,))
+        res = fixed_bundle_outcome(v, c, (1.0,))
         assert res.payment == 2.0
         alphas = np.linspace(0.0, 1.0 - 1e-6, 10001)
         sup = max((c.value((1.0,)) - c.value((a,))) / (1.0 - a) for a in alphas)
@@ -482,7 +481,7 @@ class TestFixedBundle:
     def test_zero_coordinate_rejected(self):
         v, c, _ = convex_cost_demo()
         with pytest.raises(PreconditionError):
-            fixed_bundle_optimal(v, c, (0.0,))
+            fixed_bundle_outcome(v, c, (0.0,))
 
 
 class TestVerification:

@@ -117,18 +117,18 @@ class TestGradMax:
     def test_leontief_interior_segment(self, rng):
         # supergradient of the 8x segment on [0, 4]
         f = Leontief((4.0,), 32.0)
-        g = grad_max_info(f, (2.0,)).vector
+        g = grad_max_info(f, (2.0,))
         assert np.allclose(g, [8.0])
         assert check_supergradient(f, (2.0,), g, domain_for(f), rng)
 
     def test_power_sum_derivative(self):
-        g = grad_max_info(PowerSum((64.0,), (0.5,)), (16.0,)).vector
+        g = grad_max_info(PowerSum((64.0,), (0.5,)), (16.0,))
         assert np.allclose(g, [8.0])
 
     def test_leontief_active_coordinate(self, rng):
         # fractions 1/2 < 4/4: coordinate 1 is active with entry level/anchor_1
         f = Leontief((2.0, 4.0), 6.0)
-        g = grad_max_info(f, (1.0, 4.0)).vector
+        g = grad_max_info(f, (1.0, 4.0))
         assert np.allclose(g, [3.0, 0.0])
         assert check_supergradient(f, (1.0, 4.0), g, domain_for(f), rng)
 
@@ -138,57 +138,80 @@ class TestGradMax:
                 continue
             dom = domain_for(f)
             for x in dom.sample(rng, 10):
-                g = grad_max_info(f, x).vector
+                g = grad_max_info(f, x)
                 if not np.all(np.isfinite(g)) or np.any(np.abs(g) >= 1e12):
                     continue
                 assert check_supergradient(f, x, g, dom, rng, n=100, tol=1e-9)
 
     def test_clamped_at_axis(self):
-        res = grad_max_info(PowerSum((1.0,), (0.5,)), (0.0,))
-        assert res.clamped and res.vector[0] == 1e12
+        # the derivative is unbounded there, so the entry takes the cap
+        assert PowerSum((1.0,), (0.5,)).gradient_batch(np.zeros((1, 1)))[0, 0] == np.inf
+        assert grad_max_info(PowerSum((1.0,), (0.5,)), (0.0,)).tolist() == [1e12]
 
     def test_flat_region_above_anchor(self):
-        g = grad_max_info(Leontief((2.0,), 5.0), (3.0,)).vector
+        g = grad_max_info(Leontief((2.0,), 5.0), (3.0,))
         assert np.allclose(g, [0.0])
 
     def test_rejects_convex(self):
         with pytest.raises(PreconditionError):
-            grad_max_info(PowerSum((1.0,), (2.0,)), (1.0,)).vector
+            grad_max_info(PowerSum((1.0,), (2.0,)), (1.0,))
+
+
+def random_convex_tree(rng, d, depth=0):
+    """Nested Sum/Scale over convex PowerSum, Affine and one-piece MinOfAffine leaves."""
+    r = rng.random()
+    if depth < 3 and r < 0.35:
+        return Sum([random_convex_tree(rng, d, depth + 1) for _ in range(rng.integers(1, 4))])
+    if depth < 3 and r < 0.55:
+        return Scale(float(rng.uniform(0.1, 4.0)), random_convex_tree(rng, d, depth + 1))
+    if r < 0.7:
+        return Affine(rng.uniform(0.0, 3.0, d), float(rng.uniform(0.0, 1.0)))
+    if r < 0.8:
+        return MinOfAffine([Affine(rng.uniform(0.0, 3.0, d), float(rng.uniform(0.0, 1.0)))])
+    return PowerSum(rng.uniform(0.0, 3.0, d), rng.choice((1.0, 1.5, 2.0, 3.0), d))
 
 
 class TestGradient:
     def test_kink_raises(self):
-        with pytest.raises(PreconditionError):
-            MinOfAffine([Affine((2.0,), 0.0), Affine((0.0,), 4.0)]).gradient((2.0,))
-
-    def test_unbounded_at_zero_raises(self):
-        with pytest.raises(PreconditionError):
-            PowerSum((1.0,), (0.5,)).gradient((0.0,))
+        # a kinked node has no batch gradient; at the kink the scalar
+        # derivative is the piece that maximizes the payment g . x
+        f = MinOfAffine([Affine((2.0,), 0.0), Affine((0.0,), 4.0)])
+        with pytest.raises(NotImplementedError):
+            f.gradient_batch(np.array([[2.0]]))
+        assert f.grad_max_info((2.0,)).tolist() == [2.0]
 
     def test_batch_matches_scalar(self, rng):
         f = Sum([PowerSum((2.0, 1.0), (0.5, 2.0)), Affine((0.5, 0.5), 0.0)])
         xs = domain_for(f).sample(rng, 20) + 0.1
         batch = f.gradient_batch(xs)
         for i in range(20):
-            assert np.allclose(batch[i], f.gradient(xs[i]), rtol=1e-13)
+            assert np.allclose(batch[i], f.grad_max_info(xs[i]), rtol=1e-13)
 
     def test_power_sum_scalar_gradients_carry_the_batch_bits(self):
         # Python's scalar powers differed from numpy's in the last ulp on 277
         # of these bundles, so a supergradient price need not carry the bits
-        # of the batch potential that ranked its bundle
-        f = PowerSum((1.5, 2.0, 0.7), (1.5, 0.3, 3.0))
-        xs = np.random.default_rng(0).random((2000, 3)) * 5.0
-        for x, row in zip(xs, f.gradient_batch(xs)):
-            assert f.gradient(x).tobytes() == row.tobytes()
-            assert f.grad_max_info(x).vector.tobytes() == row.tobytes()
+        # of the batch potential that ranked its bundle; convex trees (the
+        # seller's prices against a convex report) carry them too
+        rng = np.random.default_rng(0)
+        trees = [(PowerSum((1.5, 2.0, 0.7), (1.5, 0.3, 3.0)), rng.random((2000, 3)) * 5.0)]
+        trees.append((Sum([PowerSum((1.0,), (2.0,)), MinOfAffine([Affine((0.5,), 0.0)])]), rng.random((50, 1)) * 5.0))
+        while len(trees) < 42:
+            d = int(rng.integers(1, 5))
+            f = random_convex_tree(rng, d)
+            if f.shape is Shape.CONVEX:
+                xs = rng.random((50, d)) * 5.0
+                xs[rng.random((50, d)) < 0.2] = 0.0
+                trees.append((f, xs))
+        assert {type(f).__name__ for f, _ in trees[2:]} >= {"Sum", "Scale"}
+        for f, xs in trees:
+            for x, row in zip(xs, f.gradient_batch(xs)):
+                assert f.grad_max_info(x).tobytes() == row.tobytes()
 
     def test_power_sum_zero_coordinates(self):
         f = PowerSum((1.0, 0.0, 2.0, 3.0), (0.5, 0.5, 1.0, 2.0))
-        assert f.gradient((4.0, 0.0, 0.0, 0.0)).tolist() == [0.25, 0.0, 2.0, 0.0]
-        with pytest.raises(PreconditionError):
-            f.gradient((0.0, 1.0, 1.0, 1.0))
-        res = f.grad_max_info((0.0, 0.0, 0.0, 0.0))
-        assert res.clamped and res.vector.tolist() == [1e12, 0.0, 2.0, 0.0]
+        assert f.grad_max_info((4.0, 0.0, 0.0, 0.0)).tolist() == [0.25, 0.0, 2.0, 0.0]
+        assert f.grad_max_info((0.0, 1.0, 1.0, 1.0)).tolist() == [1e12, 0.0, 2.0, 6.0]
+        assert f.grad_max_info((0.0, 0.0, 0.0, 0.0)).tolist() == [1e12, 0.0, 2.0, 0.0]
 
 
 class TestSerialization:
@@ -229,11 +252,11 @@ class TestLeontiefAbsentGoods:
         assert self.U.value((1.0, 7.0, 2.0)) == 3.0
 
     def test_grad_max_prices_only_present_goods(self):
-        assert np.array_equal(grad_max_info(self.U, (1.0, 5.0, 4.0)).vector, [3.0, 0.0, 0.0])
-        assert np.array_equal(grad_max_info(self.U, (2.0, 5.0, 1.0)).vector, [0.0, 0.0, 1.5])
+        assert np.array_equal(grad_max_info(self.U, (1.0, 5.0, 4.0)), [3.0, 0.0, 0.0])
+        assert np.array_equal(grad_max_info(self.U, (2.0, 5.0, 1.0)), [0.0, 0.0, 1.5])
         # at the anchor both present goods score the level; the lex-greatest wins
-        assert np.array_equal(grad_max_info(self.U, (2.0, 0.0, 4.0)).vector, [3.0, 0.0, 0.0])
-        assert np.array_equal(grad_max_info(self.U, (3.0, 1.0, 5.0)).vector, [0.0, 0.0, 0.0])
+        assert np.array_equal(grad_max_info(self.U, (2.0, 0.0, 4.0)), [3.0, 0.0, 0.0])
+        assert np.array_equal(grad_max_info(self.U, (3.0, 1.0, 5.0)), [0.0, 0.0, 0.0])
 
     def test_json_round_trip(self):
         blob = json.dumps(expr_to_dict(self.U))

@@ -37,12 +37,12 @@ def chord_slope_sup_oracle(c, x, n=10001, eps=1e-6):
 
 class TestRaySlopeSup:
     def test_square_cost_closed_form(self):
-        res = ray_slope_sup(SQUARE, (4.0,))
-        assert res.payment == 32.0
-        assert res.is_limit and res.attained_alpha is None
-        # cross-check against the dense-grid oracle and the unit price
-        assert abs(res.payment - chord_slope_sup_oracle(SQUARE, (4.0,))) < 1e-2
-        assert res.payment / 4.0 == 8.0
+        pay = ray_slope_sup(SQUARE, (4.0,))
+        assert pay == 32.0
+        # the a -> 1 limit: above every grid chord, within 1e-2 of the best one
+        oracle = chord_slope_sup_oracle(SQUARE, (4.0,))
+        assert 0 < pay - oracle < 1e-2
+        assert pay / 4.0 == 8.0
 
     def test_square_cost_grid_convergence(self):
         # tightening the limit cutoff approaches the closed form from below
@@ -55,40 +55,40 @@ class TestRaySlopeSup:
         assert 32.0 - chord_slope_sup_oracle(SQUARE, (4.0,)) < 1e-4
 
     def test_sqrt_cost_attained_at_zero(self):
-        res = ray_slope_sup(SQRT, (16.0,))
-        assert res.payment == SQRT.value((16.0,)) == 4.0
-        assert res.attained_alpha == 0.0 and not res.is_limit
-        assert res.payment / 16.0 == 0.25
+        pay = ray_slope_sup(SQRT, (16.0,))
+        assert pay == SQRT.value((16.0,)) == 4.0
+        # the a = 0 chord is the grid's best one
+        assert pay == chord_slope_sup_oracle(SQRT, (16.0,), n=101)
+        assert pay / 16.0 == 0.25
 
     def test_linear_cost_constant_slope(self):
         c = Affine((1.5, 0.5), 0.0)
         x = (2.0, 4.0)
-        res = ray_slope_sup(c, x)
-        assert res.payment == c.value(x)
+        pay = ray_slope_sup(c, x)
+        assert pay == c.value(x)
         oracle = chord_slope_sup_oracle(c, x, n=101)
-        assert math.isclose(res.payment, oracle, rel_tol=1e-12)
+        assert math.isclose(pay, oracle, rel_tol=1e-12)
 
     def test_general_shape_uses_grid(self):
         c = Sum([SQUARE, SQRT])  # convex plus concave: unresolved curvature
         x = (4.0,)
-        res = ray_slope_sup(c, x)
-        assert res.is_limit and res.attained_alpha is None
-        assert rel_err(res.payment, grid_payment(c, x)) <= 1e-13
-        assert res.payment >= c.value(x) - 1e-12
+        pay = ray_slope_sup(c, x)
+        # the best slope sits at the last grid node, which stands for the limit a -> 1
+        assert pay == slope_rows(c, np.array([x]))[0, -1]
+        assert rel_err(pay, grid_payment(c, x)) <= 1e-13
+        assert pay >= c.value(x) - 1e-12
 
     def test_revenue_nonnegative(self, rng):
         for c in (SQUARE, SQRT, Affine((2.0,), 0.0), Sum([SQUARE, SQRT])):
             for _ in range(20):
                 x = rng.random(1) * 10 + 1e-3
-                res = ray_slope_sup(c, x)
-                assert res.payment - c.value(x) >= -1e-12
+                assert ray_slope_sup(c, x) - c.value(x) >= -1e-12
 
     def test_convex_payment_is_bregman_gap(self, rng):
         for c in (SQUARE, Scale(0.5, PowerSum((1.0,), (3.0,))), PowerSum((1.0, 2.0), (2.0, 1.5))):
             for _ in range(20):
                 x = rng.random(c.dim) * 5 + 0.1
-                res = ray_slope_sup(c, x)
-                gap = res.payment - c.value(x)
+                gap = ray_slope_sup(c, x) - c.value(x)
                 assert abs(gap - bregman(c, np.zeros(c.dim), x)) < 1e-9
 
     def test_zero_bundle_rejected(self):
@@ -186,7 +186,7 @@ def slope_rows(c, xs, grid_n=10001, eps=1e-6):
     """The kernel's chord slopes of each row of `xs` on the whole fraction grid."""
     form = _ray_form(c)
     scalars = form.scalars(xs)
-    _, qs, inv = _grid_rows(grid_n, eps, form.exponents)
+    qs, inv = _grid_rows(grid_n, eps, form.exponents)
     return np.vstack([form.slopes([s[k : k + 1] for s in scalars], qs, inv) for k in range(len(xs))])
 
 
@@ -202,7 +202,7 @@ def assert_batch_scalar_one_row_bit_identical(c, xs, grid_n=10001, eps=1e-6):
     batch = ray_payment_batch(c, xs, grid_n, eps)
     trade = np.any(xs > 0, axis=1)
     assert np.all(batch[~trade] == 0.0)
-    scalar = [ray_slope_sup(c, x, grid_n, eps).payment for x in xs[trade]]
+    scalar = [ray_slope_sup(c, x, grid_n, eps) for x in xs[trade]]
     assert np.array(scalar).tobytes() == batch[trade].tobytes()
     one_row = [ray_payment_batch(c, xs[k : k + 1], grid_n, eps)[0] for k in range(len(xs))]
     assert np.array(one_row).tobytes() == batch.tobytes()
@@ -346,9 +346,10 @@ class TestRayFormAllNodes:
         alphas = np.linspace(0.0, 1.0 - 1e-3, 101)
         want = chord_slopes(INTERIOR, (1.3,), alphas)
         i = max(range(len(alphas)), key=want.__getitem__)
-        res = ray_slope_sup(INTERIOR, (1.3,), 101, 1e-3)
-        assert 0 < i < 100 and not res.is_limit and res.attained_alpha == alphas[i]
-        assert rel_err(res.payment, want[i]) <= 1e-13
+        pay = ray_slope_sup(INTERIOR, (1.3,), 101, 1e-3)
+        slopes = slope_rows(INTERIOR, np.array([[1.3]]), 101, 1e-3)[0]
+        assert 0 < i < 100 and int(np.argmax(slopes)) == i and pay == slopes[i]
+        assert rel_err(pay, want[i]) <= 1e-13
 
     def test_batch_scalar_and_one_row_bit_identical(self):
         for c, xs in GENERAL_TREES:
@@ -385,12 +386,13 @@ class TestOnePaymentPerShape:
     def test_scalar_equals_one_row_batch_bit_for_bit(self, shape):
         for c, xs in shaped_monomial_trees(shape):
             for x in xs:
-                res = ray_slope_sup(c, x, 101, 1e-3)
-                assert np.float64(res.payment).tobytes() == ray_payment_batch(c, x[None, :], 101, 1e-3)[0].tobytes()
+                pay = ray_slope_sup(c, x, 101, 1e-3)
+                assert np.float64(pay).tobytes() == ray_payment_batch(c, x[None, :], 101, 1e-3)[0].tobytes()
                 if shape is Shape.CONVEX:
-                    assert res.is_limit and res.attained_alpha is None
+                    # the a -> 1 limit x . grad c(x), which the unit prices charge
+                    assert math.isclose(pay, float(x @ c.grad_max_info(x)), rel_tol=1e-13)
                 elif shape is not Shape.GENERAL:
-                    assert not res.is_limit and res.attained_alpha == 0.0
+                    assert pay == c.value(x)  # the a = 0 chord
 
     @pytest.mark.parametrize("shape", list(Shape), ids=[s.value for s in Shape])
     def test_elementwise_payments_agree_in_any_batch(self, shape):
@@ -398,8 +400,20 @@ class TestOnePaymentPerShape:
         # row's payment does not depend on the batch around it
         for c, xs in shaped_monomial_trees(shape):
             batch = ray_payment_batch(c, xs, 101, 1e-3)
-            scalar = [ray_slope_sup(c, x, 101, 1e-3).payment for x in xs]
+            scalar = [ray_slope_sup(c, x, 101, 1e-3) for x in xs]
             assert np.array(scalar).tobytes() == batch.tobytes()
+
+    @pytest.mark.parametrize("grid_n,eps", [(10001, 1e-6), (101, 1e-3)])
+    def test_every_node_kind_scalar_equals_batch(self, grid_n, eps):
+        kinds, shapes = set(), set()
+        for c, xs in INVARIANCE_TREES:
+            kinds |= node_kinds(c)
+            shapes.add(c.shape)
+            xs = xs[np.any(xs > 0, axis=1)][:30]
+            scalar = [ray_slope_sup(c, x, grid_n, eps) for x in xs]
+            assert np.array(scalar).tobytes() == ray_payment_batch(c, xs, grid_n, eps).tobytes()
+        assert kinds == {"PowerSum", "Affine", "MinOfAffine", "Leontief", "GraphMinCost", "Sum", "Scale"}
+        assert shapes == set(Shape)
 
 
 # --- batch invariance -------------------------------------------------------

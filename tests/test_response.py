@@ -158,7 +158,7 @@ class TestSellerOptimalLinearPrice:
         ]:
             sol = seller_optimal_linear_price(u, c, dom)
             assert sol.verified and sol.bundle.max() > 0
-            assert np.max(np.abs(sol.price - grad_max_info(u, sol.bundle).vector)) < 1e-9
+            assert np.max(np.abs(sol.price - grad_max_info(u, sol.bundle))) < 1e-9
 
     def test_revenue_definition_holds(self):
         sol = seller_optimal_linear_price(SQRT, SQUARE, BOX10)
@@ -265,4 +265,4 @@ class TestKinkedNonAnchoredReport:
             sol.revenue, float(sol.price @ sol.bundle) - c.value(sol.bundle), abs_tol=1e-9
         )
         if sol.verified and sol.bundle.max() > 0:
-            assert np.max(np.abs(grad_max_info(u, sol.bundle).vector - sol.price)) < 1e-6
+            assert np.max(np.abs(grad_max_info(u, sol.bundle) - sol.price)) < 1e-6
