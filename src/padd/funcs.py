@@ -508,7 +508,7 @@ class Scale(FunctionExpr):
 
 @dataclass
 class GraphMinCost(FunctionExpr):
-    """`f(x) = sum_i min(sum_j A_ji x_j, x_i)` for a graph adjacency A.
+    """`f(x) = sum_i min(sum_{j ~ i} x_j, x_i)` over a graph's nodes.
 
     Each term is a minimum of two linear functions, so the whole sum is
     concave, monotone, and zero at the origin.
@@ -520,14 +520,10 @@ class GraphMinCost(FunctionExpr):
     def dim(self) -> int:
         return self.graph.node_count
 
-    @cached_property
-    def _neighbors(self) -> tuple:
-        return tuple(tuple(self.graph.neighbors(i).tolist()) for i in range(self.dim))
-
     def values(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
         total = np.zeros(xs.shape[0])
-        for i, js in enumerate(self._neighbors):
+        for i, js in enumerate(self.graph.neighbors):
             neigh = np.zeros(xs.shape[0])
             for j in js:
                 neigh += xs[:, j]
@@ -538,8 +534,8 @@ class GraphMinCost(FunctionExpr):
         return Shape.CONCAVE
 
     def _term_vertices(self, x: np.ndarray, i: int) -> list[np.ndarray]:
-        a = self.graph.adjacency
-        col = a[:, i].astype(float)
+        col = np.zeros(self.dim)
+        col[list(self.graph.neighbors[i])] = 1.0
         s = float(col @ x)
         e = np.zeros(self.dim)
         e[i] = 1.0

@@ -1,13 +1,16 @@
 """Undirected graph instances used to build combinatorial cost functions.
 
-Graphs are stored as dense 0/1 adjacency matrices (symmetric, zero
-diagonal).  Node ids are 1-based in the text and JSON interchange formats
-and 0-based everywhere else.
+A graph is its node count and its edge list of sorted 0-based pairs
+`i < j` (no self-loops, no repeats); algorithms read one neighbour index
+built from it, so memory is O(nodes + edges).  Node ids are 1-based in
+the text and JSON interchange formats and 0-based everywhere else.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -26,60 +29,66 @@ __all__ = [
 ]
 
 
+def _checked_edges(node_count: int, pairs, base: int) -> list[tuple[int, int]]:
+    """Sorted 0-based edge list of `pairs`, whose ids start at `base`; refusals
+    name the pair as given, so a file's 1-based ids stay 1-based."""
+    if node_count < 1:  # checked before anything is stored per node
+        raise PreconditionError("graph needs at least one node")
+    seen = set()
+    for i, j in pairs:
+        i, j = operator.index(i), operator.index(j)
+        if not (base <= i < node_count + base and base <= j < node_count + base):
+            raise PreconditionError(f"edge ({i}, {j}) outside {base}..{node_count - 1 + base}")
+        if i == j:
+            raise PreconditionError(f"self-loop at node {i}")
+        key = (min(i, j) - base, max(i, j) - base)
+        if key in seen:
+            raise PreconditionError(f"duplicate edge ({i}, {j})")
+        seen.add(key)
+    return sorted(seen)
+
+
 @dataclass(eq=False)
 class GraphInstance:
     """A simple undirected graph on ``node_count`` nodes."""
 
     node_count: int
-    adjacency: np.ndarray = field(repr=False)
+    edges: list[tuple[int, int]] = field(repr=False)
 
     def __post_init__(self):
-        if self.node_count < 1:
-            raise PreconditionError("graph needs at least one node")
-        a = np.asarray(self.adjacency, dtype=np.int64)
-        if a.shape != (self.node_count, self.node_count):
-            raise PreconditionError(
-                f"adjacency shape {a.shape} does not match node count {self.node_count}"
-            )
-        if not np.array_equal(a, a.T):
-            raise PreconditionError("adjacency matrix must be symmetric")
-        if np.any(np.diag(a) != 0):
-            raise PreconditionError("self-loops are not allowed")
-        if not np.isin(a, (0, 1)).all():
-            raise PreconditionError("adjacency entries must be 0 or 1")
-        self.adjacency = a
+        self.node_count = operator.index(self.node_count)
+        self.edges = _checked_edges(self.node_count, self.edges, 0)
 
     @classmethod
     def from_edges(cls, node_count: int, edges) -> "GraphInstance":
         """Build from an iterable of 0-based ``(i, j)`` pairs."""
-        a = np.zeros((node_count, node_count), dtype=np.int64)
-        for i, j in edges:
-            if not (0 <= i < node_count and 0 <= j < node_count):
-                raise PreconditionError(f"edge ({i}, {j}) out of range")
-            if i == j:
-                raise PreconditionError(f"self-loop at node {i}")
-            a[i, j] = a[j, i] = 1
-        return cls(node_count, a)
-
-    @property
-    def edges(self) -> list[tuple[int, int]]:
-        """Edge list as sorted 0-based pairs."""
-        ii, jj = np.nonzero(np.triu(self.adjacency))
-        return list(zip(ii.tolist(), jj.tolist()))
+        return cls(node_count, edges)
 
     @property
     def edge_count(self) -> int:
-        return int(self.adjacency.sum()) // 2
+        return len(self.edges)
 
-    def neighbors(self, i: int) -> np.ndarray:
-        return np.nonzero(self.adjacency[i])[0]
+    @cached_property
+    def neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """`neighbors[i]` is node i's ascending neighbour ids."""
+        nbrs = [[] for _ in range(self.node_count)]
+        for i, j in self.edges:  # sorted pairs append in ascending order
+            nbrs[i].append(j)
+            nbrs[j].append(i)
+        return tuple(map(tuple, nbrs))
+
+    @property
+    def adjacency(self) -> np.ndarray:
+        """Dense symmetric 0/1 int64 matrix, built on each call: an O(n^2)
+        view for independent checks on small graphs, read by no algorithm."""
+        a = np.zeros((self.node_count, self.node_count), dtype=np.int64)
+        for i, j in self.edges:
+            a[i, j] = a[j, i] = 1
+        return a
 
     def to_dict(self) -> dict:
         """JSON form; edge ids are 1-based to match the text format."""
-        return {
-            "node_count": self.node_count,
-            "edges": [[i + 1, j + 1] for i, j in self.edges],
-        }
+        return {"node_count": self.node_count, "edges": [[i + 1, j + 1] for i, j in self.edges]}
 
 
 def parse_graph_text(text: str) -> GraphInstance:
@@ -96,24 +105,22 @@ def parse_graph_text(text: str) -> GraphInstance:
     d, m = int(head[0]), int(head[1])
     if len(lines) - 1 != m:
         raise ValueError(f"header promises {m} edges, file has {len(lines) - 1}")
-    edges = []
+    pairs = []
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2:
             raise ValueError(f"bad edge line {ln!r}")
-        i, j = int(parts[0]), int(parts[1])
-        if not (1 <= i <= d and 1 <= j <= d):
-            raise PreconditionError(f"edge ({i}, {j}) outside 1..{d}")
-        if i == j:
-            raise PreconditionError(f"self-loop at node {i}")
-        edges.append((i - 1, j - 1))
-    return GraphInstance.from_edges(d, edges)
+        pairs.append((int(parts[0]), int(parts[1])))
+    return GraphInstance(d, _checked_edges(d, pairs, 1))
 
 
 def parse_graph_json(obj: dict) -> GraphInstance:
-    d = int(obj["node_count"])
-    edges = [(int(i) - 1, int(j) - 1) for i, j in obj["edges"]]
-    return GraphInstance.from_edges(d, edges)
+    """Parse the JSON form of `GraphInstance.to_dict` (1-based integer ids)."""
+    d, pairs = obj["node_count"], [tuple(e) for e in obj["edges"]]
+    for name, values in (("node_count", [d]), ("edges", [v for e in pairs for v in e])):
+        if not all(type(v) is int for v in values):  # refuses floats and booleans
+            raise ValueError(f"graph field {name!r} must hold integers")
+    return GraphInstance(d, _checked_edges(d, pairs, 1))
 
 
 def path_graph(n: int) -> GraphInstance:
@@ -138,7 +145,7 @@ def star_graph(n: int) -> GraphInstance:
 
 
 def empty_graph(n: int) -> GraphInstance:
-    return GraphInstance(n, np.zeros((n, n), dtype=np.int64))
+    return GraphInstance.from_edges(n, [])
 
 
 def random_graph(n: int, p: float, seed: int) -> GraphInstance:

@@ -1,7 +1,7 @@
 """Graph-based surplus maximization and its exact rounding.
 
-For a graph with adjacency A the concave cost
-`c(x) = sum_i min(sum_j A_ji x_j, x_i)` turns the surplus
+For a graph the concave cost
+`c(x) = sum_i min(sum_{j ~ i} x_j, x_i)` turns the surplus
 `U(x) = sum_i x_i - c(x)` on the unit box into a maximum-independent-set
 objective: the best achievable surplus equals the MIS size, attained at
 the 0/1 indicator of a maximum independent set.
@@ -62,12 +62,11 @@ def _check_unit_box(g: GraphInstance, x) -> np.ndarray:
 
 
 def surplus_exact(g: GraphInstance, x) -> Fraction:
-    """`U(x) = sum_i [x_i - min(sum_j A_ji x_j, x_i)]` in exact rationals."""
+    """`U(x) = sum_i [x_i - min(sum_{j ~ i} x_j, x_i)]` in exact rationals."""
     xf = [Fraction(v) for v in _check_unit_box(g, x)]
-    a = g.adjacency
     total = Fraction(0)
-    for i in range(g.node_count):
-        s = sum((xf[j] for j in np.nonzero(a[:, i])[0]), Fraction(0))
+    for i, js in enumerate(g.neighbors):
+        s = sum((xf[j] for j in js), Fraction(0))
         total += xf[i] - min(s, xf[i])
     return total
 
@@ -87,8 +86,7 @@ def _node_masks(g: GraphInstance) -> np.ndarray:
     d = g.node_count
     if d > MAX_ENUM_DIM:
         raise PreconditionError(f"enumeration capped at {MAX_ENUM_DIM} nodes")
-    flipped = g.adjacency[::-1, ::-1].astype(np.uint32)
-    return flipped @ (np.uint32(1) << np.arange(d, dtype=np.uint32))
+    return np.array([sum(1 << (d - 1 - j) for j in js) for js in reversed(g.neighbors)], dtype=np.uint32)
 
 
 def _union_table(nbr: np.ndarray) -> np.ndarray:
@@ -181,13 +179,12 @@ class RoundingState:
 
     def expected_surplus(self) -> Fraction:
         """`E[U] = sum_i p_i * prod_{j ~ i} (1 - p_j)` under independence."""
-        a = self.graph.adjacency
         total = Fraction(0)
-        for i in range(self.graph.node_count):
+        for i, js in enumerate(self.graph.neighbors):
             term = self.probs[i]
             if term == 0:
                 continue
-            for j in np.nonzero(a[:, i])[0]:
+            for j in js:
                 term *= 1 - self.probs[j]
                 if term == 0:
                     break
@@ -205,7 +202,7 @@ def _none_active(probs: list, nodes) -> Fraction:
     return out
 
 
-def _fix_gain(probs: list, nbrs: list, k: int) -> Fraction:
+def _fix_gain(probs: list, nbrs: tuple, k: int) -> Fraction:
     """`E[U | x_k = 1] - E[U | x_k = 0]`: only the terms of k and its neighbours move.
 
     `prod_{j ~ k} (1 - p_j) - sum_{i ~ k} p_i * prod_{j ~ i, j != k} (1 - p_j)`.
@@ -230,8 +227,7 @@ def derandomize(g: GraphInstance, xbar) -> np.ndarray:
     round-trip unchanged.  Guarantees `U(result) >= U(xbar)` exactly.
     """
     state = RoundingState.from_fractional(g, xbar)
-    nbrs = [g.neighbors(i).tolist() for i in range(g.node_count)]
     for i in range(g.node_count):
         if not state.is_fixed(i):
-            state.fix(i, 1 if _fix_gain(state.probs, nbrs, i) >= 0 else 0)
+            state.fix(i, 1 if _fix_gain(state.probs, g.neighbors, i) >= 0 else 0)
     return np.array([float(p) for p in state.probs])

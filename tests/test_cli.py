@@ -273,6 +273,74 @@ class TestHardness:
         assert err.startswith("precondition violated:") and "Traceback" not in err
 
 
+class TestGraphInputRefusals:
+    """Graph files and `graph_min_cost` costs share one parser and its refusals."""
+
+    @pytest.mark.parametrize("i, j", [(1, 2), (2, 1)])
+    def test_duplicate_edge_is_precondition_exit(self, capsys, tmp_path, i, j):
+        as_text = tmp_path / "dup.txt"
+        as_text.write_text(f"3 2\n1 2\n{i} {j}\n")
+        as_json = tmp_path / "dup.json"
+        as_json.write_text(json.dumps({"node_count": 3, "edges": [[1, 2], [i, j]]}))
+        for path in (as_text, as_json):
+            code, out, err = run_cli(capsys, "hardness", str(path))
+            assert code == 2 and out == ""
+            assert err == f"precondition violated: duplicate edge ({i}, {j})\n"
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_node_count_below_one_is_precondition_exit(self, capsys, tmp_path, count):
+        graph = tmp_path / "none.txt"
+        graph.write_text(f"{count} 0\n")
+        code, out, err = run_cli(capsys, "hardness", str(graph))
+        assert code == 2 and out == ""
+        assert err == "precondition violated: graph needs at least one node\n"
+
+    @pytest.mark.parametrize(
+        "graph, field",
+        [
+            ({"node_count": 3.7, "edges": [[1, 2.9]]}, "node_count"),
+            ({"node_count": True, "edges": []}, "node_count"),
+            ({"node_count": 3, "edges": [[1, 2.9]]}, "edges"),
+        ],
+    )
+    def test_non_integer_json_field_is_input_exit(self, capsys, tmp_path, graph, field):
+        as_graph = tmp_path / "graph.json"
+        as_graph.write_text(json.dumps(graph))
+        code, out, err = run_cli(capsys, "hardness", str(as_graph))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: graph field '{field}' must hold integers")
+        cfg = json.loads(_linear_graph_game(tmp_path, 3).read_text())
+        cfg["cost"]["graph"] = graph
+        as_cost = tmp_path / "game.json"
+        as_cost.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, "solve", str(as_cost))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: graph field '{field}' must hold integers")
+
+
+class TestNodeCountCheckedBeforeStorage:
+    """A huge node count is refused by name, without storage per node: each
+    run has a 512 MB address-space cap."""
+
+    def test_hardness_enumeration_cap(self, run_capped, tmp_path):
+        graph = tmp_path / "huge.txt"
+        graph.write_text("1000000000 0\n")
+        proc = run_capped("-m", "padd.cli", "hardness", str(graph))
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == "precondition violated: enumeration capped at 20 nodes\n"
+
+    def test_graph_cost_against_a_smaller_domain(self, run_capped, tmp_path):
+        path = tmp_path / "huge_graph_game.json"
+        path.write_text(json.dumps({
+            "value": {"kind": "affine", "weights": [1.0], "intercept": 0.0},
+            "cost": {"kind": "graph_min_cost", "graph": {"node_count": 100_000, "edges": [[1, 2]]}},
+            "domain": {"upper": [1.0]},
+        }))
+        proc = run_capped("-m", "padd.cli", "solve", str(path))
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error: config dimensions disagree: value 1, cost 100000, domain 1")
+
+
 class TestHardnessAboveEnumerationCap:
     @pytest.fixture
     def path30(self, tmp_path):
