@@ -169,6 +169,16 @@ def _load_graph(path) -> GraphInstance:
     return parse_graph_text(text)
 
 
+def _binary_surplus(g, x) -> int:
+    """`surplus_U` of a 0/1 point, by counting: its chosen nodes with no chosen neighbour."""
+    chosen = [v == 1.0 for v in np.asarray(x).tolist()]
+    free = chosen.copy()
+    for i, j in g.edges:
+        if chosen[i] and chosen[j]:
+            free[i] = free[j] = False
+    return sum(free)
+
+
 def _cmd_hardness(args) -> int:
     g = _load_graph(args.graph)
     payload = {"nodes": g.node_count, "edges": g.edge_count}
@@ -182,7 +192,7 @@ def _cmd_hardness(args) -> int:
         xbar = np.array([float(t) for t in args.round.split(",")])
         rounded = derandomize(g, xbar)
         payload["rounded"] = [float(v) for v in rounded]
-        payload["rounded_surplus"] = surplus_U(g, rounded)
+        payload["rounded_surplus"] = float(_binary_surplus(g, rounded))
         payload["fractional_surplus"] = surplus_U(g, xbar)
     if args.json:
         print(json.dumps(payload, indent=2))

@@ -27,7 +27,19 @@ with `q_e(a) = (1 - a^e) / (1 - a) = -expm1(e * log a) / (1 - a)` and
 `D_k = c_part(x) - (b_k + s_k) <= 0`, exactly 0 on the active piece.  No
 term subtracts two nearly equal costs, so near a = 1 the slopes keep the
 six digits that `(c(x) - c(a*x)) / (1 - a)` loses there.  The rows `q_e`
-and `1 / (1 - a)` are cached per grid and exponent set.
+and `1 / (1 - a)` are cached per grid and exponent set, with their largest
+and smallest entries in each block of `_BLOCK` columns.
+
+A bundle's payment is the largest slope on its row, but few of the row's
+columns are computed.  Rounding is monotone (a product by a fixed scalar,
+a sum, a max), so repeating the slope's operations on the block extrema,
+each at whichever end gives the larger result, bounds every slope the
+same code computes in that block, exactly, with no tolerance
+(`_RayForm.bounds`).  `ray_payment_batch` computes the block of the
+largest bound, then only the blocks whose bound exceeds the best slope
+found there; the skipped columns cannot beat it, so the maximum is the
+whole row's bit for bit.  A row with a NaN or infinite bound or best is
+computed whole, so it keeps the row maximum's NaN or inf.
 
 `ray_payment_batch` is the one payment code path: `_closed_payments`
 is the one place that maps a cost's shape to its payment formula, and
@@ -57,6 +69,10 @@ __all__ = ["ray_slope_sup", "bregman"]
 
 DEFAULT_GRID_N = 10001
 DEFAULT_EPS_LIMIT = 1e-6
+# fraction-grid columns per block of `ray_payment_batch`'s slope bounds
+_BLOCK = 64
+# (row, block) pairs evaluated per `slopes` call, which caps its arrays at 2 MB
+_PAIRS = 4096
 
 
 def ray_slope_sup(
@@ -74,8 +90,10 @@ def ray_slope_sup(
 
 
 @lru_cache(maxsize=16)
-def _grid_rows(grid_n: int, eps_limit: float, exponents: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """The rows `q_e(a)` and `1 / (1 - a)` of the fraction grid `0, ..., 1 - eps_limit` (shared, read-only).
+def _grid_rows(grid_n: int, eps_limit: float, exponents: tuple) -> tuple[np.ndarray, ...]:
+    """The rows `q_e(a)` and `1 / (1 - a)` of the fraction grid `0, ..., 1 - eps_limit`,
+    the columns of its `_BLOCK`-column blocks, and the largest and smallest
+    entries of `q_e` and of `1 / (1 - a)` in each block (shared, read-only).
 
     One row `q_e(a) = -expm1(e * log a) / (1 - a)` per exponent; `q_e(0) = 1`
     is set directly, without taking log 0, and `q_1 = 1` exactly.
@@ -92,8 +110,12 @@ def _grid_rows(grid_n: int, eps_limit: float, exponents: tuple) -> tuple[np.ndar
         if e != 1.0:
             q[1:] = -np.expm1(e * log_a) / gaps[1:]
     inv = 1.0 / gaps
-    qs.flags.writeable = inv.flags.writeable = False
-    return qs, inv
+    # the column indices of each block; the last block repeats the last column
+    blocks = np.minimum(np.arange(0, grid_n, _BLOCK)[:, None] + np.arange(_BLOCK), grid_n - 1)
+    rows = (qs, inv, blocks) + tuple(f(r[..., blocks], axis=-1) for r in (qs, inv) for f in (np.max, np.min))
+    for r in rows:
+        r.flags.writeable = False
+    return rows
 
 
 @dataclass(frozen=True)
@@ -135,21 +157,46 @@ class _RayForm:
             out += [s, t.min(axis=1, keepdims=True) - t]
         return out
 
-    def slopes(self, scalars: list[np.ndarray], qs: np.ndarray, inv: np.ndarray) -> np.ndarray:
-        """Chord slopes of the bundles with these `scalars` at the fractions whose rows are `qs`, `inv`.
+    def slopes(self, scalars: list[np.ndarray], qs: np.ndarray, inv: np.ndarray, cols) -> np.ndarray:
+        """Chord slopes of the bundles with these `scalars` at the grid columns `cols` of the rows `qs`, `inv`.
 
-        One row per bundle, one column per fraction; the a = 0 column has
+        `cols` is one index row for every bundle (one output column per
+        index) or one index row per bundle; column 0 is a = 0, where
         `q_e = inv = 1`.
         """
         ws, *sd = scalars
-        out = np.zeros((ws.shape[0], inv.size))
+        cols = np.asarray(cols)
+        inv = inv[cols]
+        out = np.zeros((ws.shape[0], inv.shape[-1]))
         for j, q in enumerate(qs):
-            out += ws[:, j, None] * q
+            out += ws[:, j, None] * q[cols]
         for (factor, _), s, d in zip(self.parts, sd[0::2], sd[1::2]):
             m = d[:, :1] * inv + s[:, :1]
             for k in range(1, s.shape[1]):
                 np.maximum(m, d[:, k, None] * inv + s[:, k, None], out=m)
             out += factor * m
+        return out
+
+    def bounds(self, scalars: list[np.ndarray], qhi, qlo, ihi, ilo) -> np.ndarray:
+        """Upper bounds on `slopes` in each block of grid columns, whose
+        rows lie in `[qlo, qhi]` and `[ilo, ihi]` (one column per block).
+
+        `slopes`' operations in its order, each at whichever end of its
+        operand's range gives the larger (or, under a max, smaller) result.
+        Rounding is monotone, so no slope in a block exceeds its bound, and
+        a block with a finite bound holds no NaN.
+        """
+        ws, *sd = scalars
+        out = np.zeros((ws.shape[0], ihi.size))
+        for j in range(len(qhi)):
+            w = ws[:, j, None]
+            out += np.maximum(w * qhi[j], w * qlo[j])
+        for (factor, _), s, d in zip(self.parts, sd[0::2], sd[1::2]):
+            hi = lo = -np.inf
+            for k in range(s.shape[1]):
+                at_hi, at_lo = d[:, k, None] * ihi + s[:, k, None], d[:, k, None] * ilo + s[:, k, None]
+                hi, lo = np.maximum(hi, np.maximum(at_hi, at_lo)), np.maximum(lo, np.minimum(at_hi, at_lo))
+            out += np.maximum(factor * hi, factor * lo)
         return out
 
 
@@ -227,20 +274,30 @@ def ray_payment_batch(
 
     Exact closed forms are used when the cost's curvature is known;
     otherwise the supremum is taken over the fraction grid, whose last node
-    stands for the limit a -> 1.  Rows equal to the zero bundle get payment
-    0 (no trade).
+    stands for the limit a -> 1, computing only the blocks of columns whose
+    exact bound can beat the best slope found.  Rows equal to the zero
+    bundle get payment 0 (no trade).
     """
     xs = np.asarray(xs, dtype=float)
     closed = _closed_payments(c, xs)
     if closed is not None:
         return closed
     form = _ray_form(c)
-    qs, inv = _grid_rows(grid_n, eps_limit, form.exponents)  # refuses a bad grid even when every row is zero
+    qs, inv, blocks, *extrema = _grid_rows(grid_n, eps_limit, form.exponents)  # refuses a bad grid even when every row is zero
     scalars = form.scalars(xs)
-    out = np.zeros(xs.shape[0])
-    for k in np.nonzero(np.any(xs > 0, axis=1))[0]:
-        out[k] = form.slopes([s[k : k + 1] for s in scalars], qs, inv).max()
-    return out
+    # each row's block of largest bound first, then only its blocks whose bound exceeds the best slope found
+    bound = form.bounds(scalars, *extrema)
+    top = bound.argmax(axis=1)
+    best = form.slopes(scalars, qs, inv, blocks[top]).max(axis=1)
+    todo = bound > best[:, None]
+    todo[np.arange(top.size), top] = False
+    todo[~(np.isfinite(best) & np.isfinite(bound).all(axis=1))] = True  # NaN or inf: the whole row
+    rows, ids = np.nonzero(todo)
+    for lo in range(0, rows.size, _PAIRS):
+        r = rows[lo : lo + _PAIRS]
+        slopes = form.slopes([s[r] for s in scalars], qs, inv, blocks[ids[lo : lo + _PAIRS]])
+        np.maximum.at(best, r, slopes.max(axis=1))
+    return np.where(np.any(xs > 0, axis=1), best, 0.0)
 
 
 def ray_payment_floor(c: FunctionExpr, xs: np.ndarray) -> np.ndarray:
@@ -256,7 +313,8 @@ def ray_payment_floor(c: FunctionExpr, xs: np.ndarray) -> np.ndarray:
     if closed is not None:
         return closed
     form = _ray_form(c)
-    floor = form.slopes(form.scalars(xs), np.ones((len(form.exponents), 1)), np.ones(1))[:, 0]
+    qs, inv, *_ = _grid_rows(2, DEFAULT_EPS_LIMIT, form.exponents)  # column 0 of every grid is a = 0
+    floor = form.slopes(form.scalars(xs), qs, inv, [0])[:, 0]
     return np.where(np.any(xs > 0, axis=1), floor, 0.0)
 
 

@@ -9,7 +9,9 @@ import pytest
 from mp_reference import grid_payment, rel_err
 
 import padd
+from padd import cli
 from padd.cli import ProblemConfig, main
+from padd.graphs import random_graph
 from padd.instances import convex_cost_demo
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -258,6 +260,27 @@ class TestHardness:
         payload = json.loads(out)
         assert set(payload["rounded"]) <= {0.0, 1.0}
         assert payload["rounded_surplus"] >= payload["fractional_surplus"]
+
+    def test_rounded_surplus_by_counting_prints_the_exact_pass(self, capsys, monkeypatch, tmp_path):
+        # the rounded point is binary, so its surplus is the count of chosen nodes with no chosen neighbour
+        g = random_graph(40, 0.1, 3)
+        big = tmp_path / "g40.txt"
+        big.write_text(f"40 {g.edge_count}\n" + "".join(f"{i + 1} {j + 1}\n" for i, j in g.edges))
+        runs = [
+            (GRAPHS / "path3.txt", "0.5,0.5,0.5"),
+            (GRAPHS / "cycle5.txt", "0.2,0.9,0.4,0.6,0.35"),
+            (GRAPHS / "triangle.txt", "1,0,0.25"),
+            (big, ",".join(f"{(7 * k % 11) / 10:g}" for k in range(40))),
+        ]
+        for path, point in runs:
+            for extra in ((), ("--json",)):
+                argv = ("hardness", str(path), "--round", point, *extra)
+                counted = run_cli(capsys, *argv)
+                with monkeypatch.context() as m:
+                    m.setattr(cli, "_binary_surplus", padd.surplus_exact)
+                    exact = run_cli(capsys, *argv)
+                assert counted == exact and counted[0] == 0
+        assert isinstance(cli._binary_surplus(g, padd.derandomize(g, [0.5] * 40)), int)
 
     def test_self_loop_rejected(self, capsys):
         code, _, err = run_cli(capsys, "hardness", str(GRAPHS / "selfloop_bad.txt"))

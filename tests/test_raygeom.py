@@ -19,7 +19,7 @@ from padd import (
     ray_slope_sup,
 )
 from padd.graphs import random_graph
-from padd.raygeom import _grid_rows, _ray_form, ray_payment_batch, ray_payment_floor
+from padd.raygeom import _BLOCK, _RayForm, _grid_rows, _ray_form, ray_payment_batch, ray_payment_floor
 
 SQUARE = PowerSum((1.0,), (2.0,))
 SQRT = PowerSum((1.0,), (0.5,))
@@ -186,8 +186,8 @@ def slope_rows(c, xs, grid_n=10001, eps=1e-6):
     """The kernel's chord slopes of each row of `xs` on the whole fraction grid."""
     form = _ray_form(c)
     scalars = form.scalars(xs)
-    qs, inv = _grid_rows(grid_n, eps, form.exponents)
-    return np.vstack([form.slopes([s[k : k + 1] for s in scalars], qs, inv) for k in range(len(xs))])
+    qs, inv, *_ = _grid_rows(grid_n, eps, form.exponents)
+    return np.vstack([form.slopes([s[k : k + 1] for s in scalars], qs, inv, np.arange(grid_n)) for k in range(len(xs))])
 
 
 def assert_floor_is_the_a0_slope(c, xs):
@@ -477,3 +477,161 @@ class TestBatchInvariance:
         for c, xs in INVARIANCE_TREES[:20]:
             assert_rows_batch_invariant(lambda ys: ray_payment_batch(c, ys, 101, 1e-3), xs[:40])
             assert_rows_batch_invariant(lambda ys: ray_payment_floor(c, ys), xs)
+
+
+# --- block bounds on the fraction grid --------------------------------------
+
+
+def negative_scale(factor, child):
+    """`Scale` with a negative factor, which its constructor refuses; the ray
+    form takes any factor, so this reaches the bound's negative-factor branch."""
+    node = object.__new__(Scale)
+    node.factor, node.child = factor, child
+    return node
+
+
+def signed_tree(rng, d, graph, depth=0):
+    """`random_tree` whose Scale nodes may carry a negative factor."""
+    r = rng.random()
+    if depth < 2 and r < 0.3:
+        return Sum([signed_tree(rng, d, graph, depth + 1) for _ in range(rng.integers(2, 4))])
+    if depth < 2 and r < 0.5:
+        factor = float(rng.uniform(0.1, 3.0))
+        child = signed_tree(rng, d, graph, depth + 1)
+        return negative_scale(-factor, child) if rng.random() < 0.5 else Scale(factor, child)
+    return random_leaf(rng, d, graph)
+
+
+FLAT = Sum([Affine((1.0,), 0.0), Scale(1e-10, KINKED)])
+
+
+def block_trees(count=40):
+    """Seeded general-shape trees of dimension 1-4 over all seven node kinds,
+    with negative Scale factors, and bundles that include the zero bundle, a
+    zero coordinate and rows scaled by 1e-7 and 1e7."""
+    trees = []
+    for seed in range(count):
+        rng = np.random.default_rng(9000 + seed)
+        d = int(rng.integers(1, 5))
+        graph = GraphInstance.from_edges(d, [(i, j) for i in range(d) for j in range(i + 1, d) if rng.random() < 0.5])
+        c = Sum([PowerSum(rng.uniform(0.01, 0.3, d), rng.choice((1.5, 2.0, 3.0), d)), signed_tree(rng, d, graph)])
+        while c.shape is not Shape.GENERAL:
+            c = Sum([c, signed_tree(rng, d, graph)])
+        xs = rng.uniform(0.0, 10.0, (8, d))
+        xs[0] = 0.0
+        xs[1, 0] = 0.0
+        xs[2] *= 1e-7
+        xs[3] *= 1e7
+        trees.append((c, xs))
+    # on FLAT the slopes of a row differ by about 1e-10 relative, so a skip with any slack loses the maximum
+    fixed = [(c, np.array([[0.0], [0.5], [0.7], [0.8], [0.9], [1.3], [4.0], [1e-7], [1e7]])) for c in (INTERIOR, KINKED, FLAT)]
+    return trees + fixed
+
+
+BLOCK_TREES = block_trees()
+BLOCK_GRIDS = (2, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1, 10001)
+
+
+def whole_row_payments(c, xs, grid_n, eps=1e-6):
+    """The largest slope of every row on the whole fraction grid (0 on the zero bundle)."""
+    trade = np.any(xs > 0, axis=1)
+    return np.where(trade, slope_rows(c, xs, grid_n, eps).max(axis=1), 0.0)
+
+
+def block_maxima(c, xs, grid_n, eps=1e-6):
+    """(largest slope of each block of `_BLOCK` columns, the block's bound), one row per bundle."""
+    form = _ray_form(c)
+    _, _, _, *extrema = _grid_rows(grid_n, eps, form.exponents)
+    rows = slope_rows(c, xs, grid_n, eps)
+    blocks = -(-grid_n // _BLOCK)
+    padded = np.full((len(xs), blocks * _BLOCK), -np.inf)
+    padded[:, :grid_n] = rows
+    return padded.reshape(len(xs), blocks, _BLOCK).max(axis=2), form.bounds(form.scalars(xs), *extrema)
+
+
+class TestBlockBounds:
+    def test_trees_cover_every_node_kind_and_sign(self):
+        kinds = set().union(*(node_kinds(c) for c, _ in BLOCK_TREES))
+        assert kinds == {"PowerSum", "Affine", "MinOfAffine", "Leontief", "GraphMinCost", "Sum", "Scale"}
+        parts = [part for c, _ in BLOCK_TREES for part in _ray_form(c).parts]
+        assert min(factor for factor, _ in parts) < 0 < max(factor for factor, _ in parts)
+        pieces = {len(node.pieces) for _, node in parts if isinstance(node, MinOfAffine)}
+        assert 1 in pieces and max(pieces) > 1
+        assert any(isinstance(node, Leontief) for _, node in parts)
+
+    @pytest.mark.parametrize("grid_n", BLOCK_GRIDS)
+    def test_payments_are_the_whole_row_maxima_bit_for_bit(self, grid_n):
+        for c, xs in BLOCK_TREES:
+            got = ray_payment_batch(c, xs, grid_n, 1e-6)
+            assert got.tobytes() == whole_row_payments(c, xs, grid_n).tobytes()
+
+    @pytest.mark.parametrize("grid_n", BLOCK_GRIDS)
+    def test_every_slope_is_within_its_block_bound(self, grid_n):
+        for c, xs in BLOCK_TREES:
+            top, bound = block_maxima(c, xs, grid_n)
+            assert np.all(np.isfinite(bound))
+            assert np.all(top <= bound)  # as floats, no slack; a NaN slope would fail
+
+    def test_overflowing_rows_keep_the_whole_row_inf_or_nan(self):
+        # x^2 at 1e200 overflows W_2 to inf; with a negative x^2 term it is inf - inf = NaN
+        cases = [
+            (Sum([SQUARE, SQRT]), [[1e200], [3.0]]),
+            (KINKED, [[1e200], [1e160]]),
+            (Sum([SQUARE, SQRT, negative_scale(-0.5, SQUARE)]), [[1e200], [2.0]]),
+            (Sum([SQUARE, negative_scale(-2.0, MinOfAffine([Affine((1e308,), 0.0)])), SQRT]), [[10.0], [1e-3]]),
+        ]
+        seen = set()
+        with np.errstate(over="ignore", invalid="ignore"):
+            for c, xs in cases:
+                xs = np.array(xs)
+                for grid_n in (2, _BLOCK + 1, 10001):
+                    got = ray_payment_batch(c, xs, grid_n, 1e-6)
+                    want = whole_row_payments(c, xs, grid_n)
+                    np.testing.assert_array_equal(got, want)
+                    seen |= {"inf" if np.isinf(v) else "nan" if np.isnan(v) else "finite" for v in got}
+                    top, bound = block_maxima(c, xs, grid_n)
+                    finite = np.isfinite(bound)
+                    assert np.all(top[finite] <= bound[finite])
+        assert seen == {"inf", "nan", "finite"}
+
+
+MIXED = Sum([SQUARE, SQRT])
+MIXED_2D = Sum([PowerSum((1.0, 1.0), (2.0, 2.0)), PowerSum((1.0, 1.0), (0.5, 0.5))])
+
+
+class TestFewColumnsPerPayment:
+    """Counts the columns `slopes` computes per one-row payment, so that a
+    silent fall-back to whole rows fails here."""
+
+    def columns(self, monkeypatch, c, x):
+        computed = []
+        slopes = _RayForm.slopes
+
+        def counting(form, *args):
+            out = slopes(form, *args)
+            computed.append(out.size)
+            return out
+
+        with monkeypatch.context() as m:
+            m.setattr(_RayForm, "slopes", counting)
+            pay = ray_payment_batch(c, np.array([x]))
+        assert pay.tobytes() == whole_row_payments(c, np.array([x]), 10001).tobytes()
+        return sum(computed)
+
+    @pytest.mark.parametrize(
+        "c,xs",
+        [
+            (MIXED, [(0.3,), (1.0,), (4.0,), (9.5,)]),
+            (KINKED, [(0.3,), (2.5,), (4.0,), (9.5,)]),
+            (MIXED_2D, [(0.5, 9.0), (3.0, 4.0), (9.5, 9.5)]),
+        ],
+        ids=["mixed", "kinked", "mixed_2d"],
+    )
+    def test_best_slope_at_a_grid_end_takes_at_most_two_blocks(self, monkeypatch, c, xs):
+        # here the best slope sits at a = 0 or at the last node, in the block of the largest bound
+        for x in xs:
+            assert self.columns(monkeypatch, c, x) <= 2 * _BLOCK
+
+    def test_interior_best_slope_takes_a_fifth_of_the_grid_at_most(self, monkeypatch):
+        # x^2 + min(3x, 2) near x = 0.8 peaks inside the fraction range, on a flat hump
+        assert self.columns(monkeypatch, KINKED, (0.8,)) <= 32 * _BLOCK
