@@ -51,7 +51,6 @@ from .equilibrium import (
 from .hardness import (
     RoundingState,
     brute_force_max,
-    build_cost,
     derandomize,
     mis_brute_force,
     surplus_U,
@@ -63,7 +62,6 @@ from .concavepricing import (
     OverfitReport,
     PricingClass,
     best_concave_price,
-    concave_fop_optimal,
     equivalence_check,
     overfit_scenario,
     seller_best_in_class,

@@ -189,7 +189,8 @@ def _cmd_hardness(args) -> int:
         mis = mis_brute_force(g)
         payload.update(max_surplus=val, argmax=[float(v) for v in arg], mis_size=mis, equal=val == mis)
     if args.round:
-        xbar = np.array([float(t) for t in args.round.split(",")])
+        point = Path(args.round[1:]).read_text().strip() if args.round.startswith("@") else args.round
+        xbar = np.array([float(t) for t in point.split(",")])
         rounded = derandomize(g, xbar)
         payload["rounded"] = [float(v) for v in rounded]
         payload["rounded_surplus"] = float(_binary_surplus(g, rounded))
@@ -335,7 +336,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hardness", help="graph surplus maximum vs. maximum independent set")
     p.add_argument("graph", help="graph file: 'd m' header then 1-based edge lines (or .json)")
-    p.add_argument("--round", help="comma-separated fractional point to round")
+    p.add_argument("--round", help="comma-separated fractional point to round, or @FILE holding it")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_hardness)
 

@@ -5,7 +5,9 @@ function is `u` itself: the buyer is then indifferent everywhere and the
 seller-favoring tie-break sends the trade to `argmax [u(x) - c(x)]`.  As
 a consequence the equilibrium under all concave pricing collapses to the
 linear-pricing equilibrium (`equivalence_check` tests this numerically on
-concrete instances).
+concrete instances).  For the anchored commitment of an equilibrium that
+argmax lies on the anchor's ray, which `response._ray_pick` searches for
+the linear seller too, so the check runs at any number of goods.
 
 `overfit_scenario` instantiates the counterexample in which *enlarging*
 the pricing class strictly lowers equilibrium revenue: a capped-line true
@@ -32,10 +34,10 @@ from .funcs import (
     PowerSum,
     Shape,
 )
-from .equilibrium import EquilibriumOutcome, ImitativeValue, fixed_bundle_outcome, solve_auto
+from .equilibrium import EquilibriumOutcome, solve_auto
 # golden_max is unused here; bench/tests/test_harness.py expects this module to bind it
 from .gridopt import coordinate_refine, golden_max, grid_scan  # noqa: F401
-from .response import SolverConfig, _anchored_form, _check_dims, _ray_fractions, _ray_limit, _rev_tie, _seller_pick
+from .response import SolverConfig, _anchored_form, _check_dims, _ray_pick, _rev_tie, _seller_pick
 from .response import seller_optimal_linear_price
 
 __all__ = [
@@ -44,7 +46,6 @@ __all__ = [
     "EquivalenceReport",
     "OverfitReport",
     "best_concave_price",
-    "concave_fop_optimal",
     "equivalence_check",
     "overfit_scenario",
     "overfit_instance",
@@ -101,7 +102,17 @@ def best_concave_price(
 
     The trade lands on `argmax [u(x) - c(x)]`; among revenue ties the
     larger payment (then the lexicographically larger bundle) wins, and a
-    negative maximum collapses to the zero trade.
+    negative maximum collapses to the zero trade.  The revenue is
+    `u - c` at the returned bundle (0 for the zero trade).
+
+    An anchored `u` (worth `level * min(r(x), 1)`, `r(x) = min_i x_i /
+    a_i` over the anchor's support) is searched on its ray alone: a box
+    bundle x and its projection `min(r(x), t_max) * a` have the same
+    value, the projection is no larger in any coordinate, so it costs no
+    more, and it lies in the box.  Its ties go to the largest fraction of
+    the anchor (`_ray_pick`), never to an off-ray bundle that merely
+    ties, such as one adding goods the cost charges nothing for.  Only
+    other reports scan the box grid.
     """
     cfg = cfg or SolverConfig()
     _check_dims(u, domain, c)
@@ -111,36 +122,22 @@ def best_concave_price(
     def gap(xs: np.ndarray) -> np.ndarray:
         return u.values(xs) - c.values(xs)
 
-    n_axis = cfg.points(domain.dim)
-    scan = grid_scan(gap, domain.upper, n_axis, cfg.refine_top_k, pool_tol=_rev_tie)
-    spacing = domain.upper / (n_axis - 1)
-    refined = coordinate_refine(gap, scan.rows, spacing, domain.upper, cfg.refine_passes, cfg.golden_tol)
-    pool = [scan.pool, refined]
     anchored = _anchored_form(u)
     if anchored is not None:
-        # moving one coordinate at a time never raises min_i x_i / anchor_i:
-        # search the anchor's ray itself
-        anchor, level = anchored
-        fractions = _ray_fractions(_ray_limit(anchor, domain), lambda ts: gap(ts * anchor), cfg.golden_tol)
-        pool.append(fractions * anchor)
-    pool = np.vstack(pool)
+        anchor, _ = anchored
+        pool = _ray_pick(anchor, domain, lambda ts: gap(ts * anchor), cfg.golden_tol)[None, :]
+    else:
+        n_axis = cfg.points(domain.dim)
+        scan = grid_scan(gap, domain.upper, n_axis, cfg.refine_top_k, pool_tol=_rev_tie)
+        spacing = domain.upper / (n_axis - 1)
+        refined = coordinate_refine(gap, scan.rows, spacing, domain.upper, cfg.refine_passes, cfg.golden_tol)
+        pool = np.vstack([scan.pool, refined])
     gaps = gap(pool)
-    top = gaps.max()
+    top = float(gaps.max())
     if top < 0.0:
         return ConcavePriceResult(price=u, bundle=np.zeros(domain.dim), revenue=0.0)
-    bundle = pool[_seller_pick(pool, gaps, _rev_tie(float(top)), u.values)]
-    return ConcavePriceResult(price=u, bundle=bundle, revenue=max(float(top), 0.0))
-
-
-def concave_fop_optimal(
-    v: FunctionExpr, c: FunctionExpr, xbar, cfg: SolverConfig | None = None
-) -> ImitativeValue:
-    """Optimal commitment trading at `xbar` when the seller may price concavely.
-
-    Identical parameters to the linear-pricing fixed-bundle solution: the
-    anchored function at level `ray_slope_sup(c, xbar)`.
-    """
-    return fixed_bundle_outcome(v, c, xbar, cfg).imitative
+    bundle = pool[_seller_pick(pool, gaps, _rev_tie(top), u.values)]
+    return ConcavePriceResult(price=u, bundle=bundle, revenue=max(float(gap(bundle[None, :])[0]), 0.0))
 
 
 def seller_best_in_class(
@@ -240,10 +237,9 @@ def equivalence_check(
     """Solve under both pricing classes and compare the outcomes.
 
     Both classes share the outer objective `v(xbar) - payment(xbar)` and
-    the anchored commitment at its maximizer (`concave_fop_optimal` gives
-    the linear solution's parameters), so the all-concave side commits to
-    the linear outcome's `imitative` and verifies the trade through
-    `best_concave_price`.
+    the anchored commitment at its maximizer, so the all-concave side
+    commits to the linear outcome's `imitative` and verifies the trade
+    through `best_concave_price`.
     """
     cfg = cfg or SolverConfig()
     linear = solve_auto(v, c, domain, cfg)

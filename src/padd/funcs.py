@@ -47,9 +47,6 @@ __all__ = [
     "grad_max_info",
     "expr_from_dict",
     "expr_to_dict",
-    "check_monotone",
-    "check_shape_by_sampling",
-    "check_supergradient",
 ]
 
 GRAD_CAP = 1e12
@@ -137,9 +134,6 @@ class BoxDomain:
         shifts = np.arange(self.dim - 1, -1, -1)
         bits = ((masks[:, None] >> shifts[None, :]) & 1).astype(float)
         return bits * self.upper
-
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.random((n, self.dim)) * self.upper
 
     def to_dict(self) -> dict:
         return {"upper": [float(b) for b in self.upper]}
@@ -533,24 +527,20 @@ class GraphMinCost(FunctionExpr):
     def _structural_shape(self) -> Shape:
         return Shape.CONCAVE
 
-    def _term_vertices(self, x: np.ndarray, i: int) -> list[np.ndarray]:
-        col = np.zeros(self.dim)
-        col[list(self.graph.neighbors[i])] = 1.0
-        s = float(col @ x)
-        e = np.zeros(self.dim)
-        e[i] = 1.0
-        if s < x[i]:
-            return [col]
-        if s > x[i]:
-            return [e]
-        return [col, e]
-
     def grad_max_info(self, x) -> np.ndarray:
-        x = as_bundle(x, self.dim)
-        total = np.zeros(self.dim)
-        for i in range(self.dim):
-            total += _pick_grad_max(np.asarray(self._term_vertices(x, i)), x)
-        return total
+        # term i's pieces are its neighbours' indicator and e_i; at a tie
+        # both score x_i and the lexicographically greater one wins, which
+        # is the indicator exactly when a neighbour precedes i
+        x = as_bundle(x, self.dim).tolist()
+        total = [0.0] * self.dim
+        for i, js in enumerate(self.graph.neighbors):
+            s = 0.0
+            for j in js:  # the neighbour sum of `values`, in its order
+                s += x[j]
+            active = js if s < x[i] or (s == x[i] and js and js[0] < i) else (i,)
+            for k in active:
+                total[k] += 1.0
+        return np.array(total)
 
     def to_dict(self) -> dict:
         return {"kind": "graph_min_cost", "graph": self.graph.to_dict()}
@@ -606,46 +596,3 @@ def expr_from_dict(obj: dict) -> FunctionExpr:
     if kind not in _KINDS:
         raise ValueError(f"unknown expression kind {kind!r}")
     return _KINDS[kind](obj)
-
-
-# --- sampling-based checkers (used by invariants and tests) ---------------
-
-
-def check_monotone(f: FunctionExpr, domain: BoxDomain, rng: np.random.Generator, n: int = 200, tol: float = 1e-12) -> bool:
-    """Randomized check of coordinate-wise monotonicity: x <= y => f(x) <= f(y)."""
-    xs = domain.sample(rng, n)
-    ys = xs + rng.random((n, domain.dim)) * (domain.upper - xs)
-    return bool(np.all(f.values(xs) <= f.values(ys) + tol))
-
-
-def check_shape_by_sampling(
-    f: FunctionExpr,
-    domain: BoxDomain,
-    rng: np.random.Generator,
-    n: int = 200,
-    tol: float = 1e-9,
-) -> dict:
-    """Midpoint concavity/convexity sampling; returns which directions hold."""
-    xs = domain.sample(rng, n)
-    ys = domain.sample(rng, n)
-    mids = f.values((xs + ys) / 2.0)
-    avg = (f.values(xs) + f.values(ys)) / 2.0
-    return {
-        "concave": bool(np.all(mids >= avg - tol)),
-        "convex": bool(np.all(mids <= avg + tol)),
-    }
-
-
-def check_supergradient(
-    f: FunctionExpr,
-    x,
-    g: np.ndarray,
-    domain: BoxDomain,
-    rng: np.random.Generator,
-    n: int = 100,
-    tol: float = 1e-9,
-) -> bool:
-    """Check `f(z) <= f(x) + g . (z - x)` on a domain sample."""
-    x = as_bundle(x, f.dim)
-    zs = domain.sample(rng, n)
-    return bool(np.all(f.values(zs) <= f.value(x) + (zs - x) @ np.asarray(g) + tol))

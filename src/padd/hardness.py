@@ -31,23 +31,17 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import PreconditionError
-from .funcs import MAX_ENUM_DIM, GraphMinCost
+from .funcs import MAX_ENUM_DIM
 from .graphs import GraphInstance
 
 __all__ = [
     "RoundingState",
-    "build_cost",
     "surplus_U",
     "surplus_exact",
     "brute_force_max",
     "mis_brute_force",
     "derandomize",
 ]
-
-
-def build_cost(g: GraphInstance) -> GraphMinCost:
-    """The concave per-node min(neighbor mass, own mass) cost of the graph."""
-    return GraphMinCost(g)
 
 
 def _check_unit_box(g: GraphInstance, x) -> np.ndarray:

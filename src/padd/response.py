@@ -6,6 +6,13 @@ revenue, then largest bundle).  `seller_optimal_linear_price` searches for
 the revenue-maximizing linear price against a reported value function; a
 candidate price is kept only when the buyer's best response against it is
 self-consistent with the supergradient condition that generated it.
+
+An anchored report, worth `level * min(min_i x_i / a_i, 1)`, is one ray
+problem: against a monotone price, a bundle's projection onto the
+anchor's ray has the same value, costs no more and stays in the box.  So
+an indifferent buyer, the linear-price seller and the all-concave seller
+(`concavepricing.best_concave_price`) all take `_ray_pick`, the
+seller-favoured fraction of the anchor, and read no grid density.
 """
 
 from __future__ import annotations
@@ -55,11 +62,12 @@ class SolverConfig:
     `grid_points` (points per axis by dimension; its keys are the only
     dimensions a grid search supports): every grid search, in
     `equilibrium._maximize`, `buyer_best_response`'s fallback,
-    `seller_optimal_linear_price` and `concavepricing`; the 1-d density
-    is also each good's grid in `equilibrium._maximize_per_good`, which
-    still requires the game's own dimension.  `refine_top_k`: the grid
-    cells that `_maximize`, `_maximize_per_good` (per good) and
-    `best_concave_price` refine.
+    `seller_optimal_linear_price` and `concavepricing`, none of which
+    runs for an anchored report; the 1-d density is also each good's
+    grid in `equilibrium._maximize_per_good`, which still requires the
+    game's own dimension.  `refine_top_k`: the grid cells that
+    `_maximize`, `_maximize_per_good` (per good) and `best_concave_price`
+    (non-anchored reports) refine.
     `refine_passes`, `golden_tol`: every coordinate refinement and golden
     search.  `tie_tol`: buyer utility ties in `response` and
     `concavepricing`.  `bundle_tol`: `verify_equilibrium`'s bundle check.
@@ -226,36 +234,19 @@ def _ray_limit(anchor: np.ndarray, domain: BoxDomain) -> float:
     return float(min(1.0, np.min(domain.upper[support] / anchor[support])))
 
 
-def _ray_fractions(t_max: float, score, golden_tol: float) -> np.ndarray:
-    """Candidate fractions 0, `t_max` and the refined best of `score` ((m, 1)
-    fractions to m values) on a 513-point grid of `[0, t_max]`, as a (3, 1) array."""
-    ts = np.linspace(0.0, t_max, 513)[:, None]
-    j = int(np.argmax(score(ts)))
-    t_ref = coordinate_refine(score, ts[j], [t_max / 512], [t_max], 1, golden_tol)
-    return np.vstack([[[0.0], [t_max]], t_ref])
+def _ray_pick(anchor: np.ndarray, domain: BoxDomain, rev, golden_tol: float) -> np.ndarray:
+    """The seller-favoured bundle `t * anchor` on the anchor's ray in the box.
 
-
-def _anchored_response(
-    anchor: np.ndarray,
-    level: float,
-    price: np.ndarray,
-    domain: BoxDomain,
-    c: FunctionExpr,
-    cfg: SolverConfig,
-) -> np.ndarray:
-    """Best response for an anchored value function, reduced to the fraction."""
+    `rev` maps (m, 1) fractions to the m revenues there.  The fraction runs
+    over `[0, _ray_limit]`: a 513-point grid picks a cell, one golden pass
+    refines it, and the largest fraction among {0, refined, t_max} within
+    `_rev_tie` of their best revenue wins.
+    """
     t_max = _ray_limit(anchor, domain)
-    pay_full = float(price @ anchor)
-    margin = level - pay_full
-    if margin > cfg.tie_tol:
-        return t_max * anchor
-    if margin < -cfg.tie_tol:
-        return np.zeros(anchor.size)
-    # indifferent along the whole ray: seller tie-break on revenue
-    def rev(ts: np.ndarray) -> np.ndarray:
-        return ts[:, 0] * pay_full - c.values(ts * anchor)
-
-    cands = _ray_fractions(t_max, rev, cfg.golden_tol)
+    ts = np.linspace(0.0, t_max, 513)[:, None]
+    j = int(np.argmax(rev(ts)))
+    t_ref = coordinate_refine(rev, ts[j], [t_max / 512], [t_max], 1, golden_tol)
+    cands = np.vstack([[[0.0], [t_max]], t_ref])
     rv = rev(cands)
     return cands[_seller_pick(cands, rv, _rev_tie(float(rv.max())))][0] * anchor
 
@@ -304,7 +295,14 @@ def buyer_best_response(
 
     anchored = _anchored_form(u)
     if anchored is not None:
-        return _anchored_response(*anchored, price, domain, c, cfg)
+        # worth level * min(r(x), 1): all of the ray, none of it, or the seller's pick
+        anchor, level = anchored
+        pay_full = float(price @ anchor)
+        if level - pay_full > cfg.tie_tol:
+            return _ray_limit(anchor, domain) * anchor
+        if level - pay_full < -cfg.tie_tol:
+            return np.zeros(u.dim)
+        return _ray_pick(anchor, domain, lambda ts: ts[:, 0] * pay_full - c.values(ts * anchor), cfg.golden_tol)
     if u.shape is Shape.CONVEX:
         # convex reports are maximized at a box corner
         return _finish_ties(domain.vertices(), u, price, c, cfg.tie_tol)
@@ -326,9 +324,11 @@ def buyer_best_response(
     return _finish_ties(scan.pool, u, price, c, cfg.tie_tol)
 
 
-def _consistent_record(u, p, domain, c, cfg):
-    """(revenue, response, price) when the buyer's response to `p` reproduces `p`."""
-    xbr = buyer_best_response(u, p, domain, c, cfg)
+def _consistent_record(u, p, domain, c, cfg, xbr=None):
+    """(revenue, response, price) when the buyer's response to `p` (`xbr`,
+    computed here unless given) reproduces `p`."""
+    if xbr is None:
+        xbr = buyer_best_response(u, p, domain, c, cfg)
     p_at = u.grad_max_info(xbr)
     if np.max(np.abs(p_at - p)) > 1e-6 * max(1.0, float(np.max(np.abs(p)))):
         return None
@@ -343,7 +343,8 @@ def seller_optimal_linear_price(
 ) -> SellerSolution:
     """Revenue-maximizing linear price against the reported value `u`.
 
-    Candidate prices are supergradients of `u` at grid bundles.  For each
+    Candidate prices are supergradients of `u` at grid bundles (for an
+    anchored `u`, the one supergradient at its `_ray_pick`).  For each
     distinct candidate the buyer's best response is computed and the pair
     (response bundle, supergradient at the response) is kept when provably
     self-consistent; the best-revenue pair wins, falling back to zero trade
@@ -360,13 +361,13 @@ def seller_optimal_linear_price(
     best_rev = -np.inf
     seen: set = set()
 
-    def try_price(p: np.ndarray) -> None:
+    def try_price(p: np.ndarray, xbr=None) -> None:
         nonlocal best_rev
         key = tuple(p)
         if key in seen or not np.all(np.isfinite(p)):
             return
         seen.add(key)
-        rec = _consistent_record(u, p, domain, c, cfg)
+        rec = _consistent_record(u, p, domain, c, cfg, xbr)
         if rec is not None:
             records.append(rec)
             best_rev = max(best_rev, rec[0])
@@ -374,13 +375,14 @@ def seller_optimal_linear_price(
     smooth = False
     anchored = _anchored_form(u)
     if anchored is not None:
-        # the supergradient takes only a handful of distinct values
+        # every supergradient vertex charges the level for the anchor, so the
+        # seller's trade is its pick on the ray, priced at the supergradient
+        # there; a price that charges exactly the level leaves the buyer
+        # indifferent, and the buyer's response is then this same search
         anchor, level = anchored
-        for i in np.nonzero(anchor > 0)[0]:
-            p = np.zeros(u.dim)
-            p[i] = level / anchor[i]
-            try_price(p)
-        try_price(np.zeros(u.dim))
+        x = _ray_pick(anchor, domain, lambda ts: ts[:, 0] * level - c.values(ts * anchor), cfg.golden_tol)
+        p = u.grad_max_info(x)
+        try_price(p, x if float(p @ anchor) == level else None)
     elif isinstance(u, MinOfAffine):
         for piece in u.pieces:
             try_price(np.asarray(piece.weights, dtype=float))

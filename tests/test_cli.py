@@ -282,6 +282,24 @@ class TestHardness:
                 assert counted == exact and counted[0] == 0
         assert isinstance(cli._binary_surplus(g, padd.derandomize(g, [0.5] * 40)), int)
 
+    @pytest.mark.parametrize("graph, point", [
+        ("path3.txt", "0.5,0.5,0.5"),
+        ("cycle5.txt", "0.2,0.9,0.4,0.6,0.35"),
+        ("triangle.txt", "1,0,0.25"),
+    ])
+    def test_round_point_from_file_prints_the_inline_output(self, capsys, tmp_path, graph, point):
+        held = tmp_path / "point.txt"
+        held.write_text(point + "\n")
+        for extra in ((), ("--json",)):
+            inline = run_cli(capsys, "hardness", str(GRAPHS / graph), "--round", point, *extra)
+            from_file = run_cli(capsys, "hardness", str(GRAPHS / graph), "--round", f"@{held}", *extra)
+            assert from_file == inline and inline[0] == 0
+
+    def test_round_point_file_missing_is_io_exit(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "hardness", str(GRAPHS / "triangle.txt"), "--round", f"@{tmp_path / 'none.txt'}")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "No such file" in err and "Traceback" not in err
+
     def test_self_loop_rejected(self, capsys):
         code, _, err = run_cli(capsys, "hardness", str(GRAPHS / "selfloop_bad.txt"))
         assert code == 2

@@ -21,6 +21,7 @@ from padd import (
     Shape,
     SolverConfig,
     bregman,
+    equivalence_check,
     fixed_bundle_outcome,
     seller_optimal_linear_price,
     solve_auto,
@@ -30,14 +31,14 @@ from padd import (
     verify_equilibrium,
 )
 from padd.graphs import cycle_graph, path_graph
-from padd.hardness import build_cost
+from padd.funcs import GraphMinCost
 from padd.instances import (
     capped_value_demo,
     concave_cost_demo,
     convex_cost_demo,
     equivalence_suite,
 )
-from padd import equilibrium
+from padd import equilibrium, response
 from padd.equilibrium import _maximize
 from padd.raygeom import ray_payment_batch, ray_payment_floor
 
@@ -115,7 +116,7 @@ class TestSolveBenchmarks:
         # commitment projects onto the support
         g = path_graph(3)
         v = Affine((1.0, 1.0, 1.0), 0.0)
-        out = solve_concave(v, build_cost(g), BoxDomain(np.ones(3)))
+        out = solve_concave(v, GraphMinCost(g), BoxDomain(np.ones(3)))
         assert out.buyer_surplus == 2.0
         assert np.array_equal(out.bundle, [1.0, 0.0, 1.0])
         assert out.imitative.support.tolist() == [True, False, True]
@@ -543,7 +544,7 @@ class TestVerifyAcceptsSolvedGames:
         # 6 goods: beyond the grid densities, but a linear value against a
         # concave cost solves on the box corners, and the anchored
         # commitment's best responses need no grid
-        v, c, box = Affine((3.0,) * 6, 0.0), build_cost(cycle_graph(6)), BoxDomain(np.ones(6))
+        v, c, box = Affine((3.0,) * 6, 0.0), GraphMinCost(cycle_graph(6)), BoxDomain(np.ones(6))
         out = solve_auto(v, c, box)
         assert np.array_equal(out.bundle, np.ones(6)) and out.payment == 6.0
         assert verify_equilibrium(out, v, c, box).passed
@@ -555,7 +556,7 @@ class TestVerifyAcceptsSolvedGames:
         # unit values against the graph cost: the buyer takes an independent
         # set for free, and the zero commitment must still verify
         n = graph.node_count
-        v, c, box = Affine((1.0,) * n), build_cost(graph), BoxDomain(np.ones(n))
+        v, c, box = Affine((1.0,) * n), GraphMinCost(graph), BoxDomain(np.ones(n))
         out = solve_auto(v, c, box)
         assert out.trade and out.payment == 0.0
         assert isinstance(out.imitative.to_expr(), Leontief)
@@ -569,6 +570,35 @@ class TestVerifyAcceptsSolvedGames:
         out = solve_auto(v, c, box, cfg)
         assert out.method == "convex_closed_form" and out.trade
         assert verify_equilibrium(out, v, c, box, cfg=cfg).passed
+
+    def test_fifty_separable_goods_solve_verify_and_match_concave_pricing(self):
+        # 8 sqrt(x) - 2 k x^2 is stationary at k^(-2/3); the 50-good density
+        # (2 points per axis) only admits the dimension, no grid is scanned
+        k = np.linspace(0.5, 2.0, 50)
+        v, c, box = PowerSum((8.0,) * 50, (0.5,) * 50), PowerSum(tuple(k), (2.0,) * 50), BoxDomain(np.full(50, 5.0))
+        cfg = SolverConfig(grid_points={1: 2001, 50: 2})
+        out = solve_auto(v, c, box, cfg)
+        assert out.method == "convex_closed_form" and out.trade
+        np.testing.assert_allclose(out.bundle, k ** (-2.0 / 3.0), rtol=1e-6, atol=0.0)
+        assert verify_equilibrium(out, v, c, box, cfg=cfg).passed
+        rep = equivalence_check(v, c, box, cfg)
+        assert rep.equivalent and rep.rich_bundle.tolist() == out.bundle.tolist()
+
+    @pytest.mark.parametrize("d", [1, 3, 4])
+    def test_ray_searches_per_verification_do_not_grow_with_goods(self, monkeypatch, d):
+        # the split-price response and the seller's ray pick, plus the
+        # response to the seller's one price when that price charges the
+        # level only to within rounding (here at d = 4): not one per good
+        v, c, box = PowerSum((8.0,) * d, (0.5,) * d), PowerSum((1.0, 1.5, 2.0, 2.5)[:d], (2.0,) * d), BoxDomain(np.full(d, 5.0))
+        out = solve_auto(v, c, box)
+        u = out.imitative.to_expr()
+        exact = float(seller_optimal_linear_price(u, c, box).price @ np.asarray(u.anchor)) == u.level
+        assert exact == (d < 4)
+        picks = []
+        ray_pick = response._ray_pick
+        monkeypatch.setattr(response, "_ray_pick", lambda *args: picks.append(args) or ray_pick(*args))
+        assert verify_equilibrium(out, v, c, box).passed
+        assert len(picks) == (2 if exact else 3)
 
 
 class TestOutcomeSerialization:
@@ -593,7 +623,7 @@ class TestOutcomeSerialization:
         v = Affine((1.0, 1.0, 1.0), 0.0)
         cfg = SolverConfig(lambda_split=(0.0, 1.0, 0.0))
         with pytest.raises(PreconditionError):
-            solve_concave(v, build_cost(g), BoxDomain(np.ones(3)), cfg)
+            solve_concave(v, GraphMinCost(g), BoxDomain(np.ones(3)), cfg)
 
 
 class TestFixedBundleOutcome:

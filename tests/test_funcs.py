@@ -20,8 +20,8 @@ from padd import (
     expr_to_dict,
     grad_max_info,
 )
-from padd.funcs import check_monotone, check_shape_by_sampling, check_supergradient
-from padd.graphs import clique_graph, path_graph
+from padd.graphs import clique_graph, cycle_graph, path_graph, random_graph
+from sampling import check_monotone, check_shape_by_sampling, check_supergradient, sample_box
 
 
 def catalog_instances():
@@ -71,7 +71,7 @@ class TestEvaluate:
 
     def test_batch_matches_scalar(self, rng):
         for f in catalog_instances():
-            xs = domain_for(f).sample(rng, 50)
+            xs = sample_box(domain_for(f), rng, 50)
             batch = f.values(xs)
             for i in range(50):
                 assert math.isclose(batch[i], f.value(xs[i]), rel_tol=1e-12, abs_tol=1e-12)
@@ -137,7 +137,7 @@ class TestGradMax:
             if f.shape not in (Shape.CONCAVE, Shape.LINEAR):
                 continue
             dom = domain_for(f)
-            for x in dom.sample(rng, 10):
+            for x in sample_box(dom, rng, 10):
                 g = grad_max_info(f, x)
                 if not np.all(np.isfinite(g)) or np.any(np.abs(g) >= 1e12):
                     continue
@@ -155,6 +155,24 @@ class TestGradMax:
     def test_rejects_convex(self):
         with pytest.raises(PreconditionError):
             grad_max_info(PowerSum((1.0,), (2.0,)), (1.0,))
+
+    @pytest.mark.parametrize("graph", [clique_graph(4), path_graph(5), cycle_graph(6), random_graph(12, 0.3, 2)],
+                             ids=["clique4", "path5", "cycle6", "random12"])
+    def test_graph_cost_matches_dense_term_vertices(self, graph):
+        # each term min(neighbour sum, x_i) is a min of the neighbours'
+        # indicator and e_i: take the active one, and at a tie the one of
+        # the two length-n vectors that is lexicographically greater
+        n, rng = graph.node_count, np.random.default_rng(5)
+        points = [rng.integers(0, 2, n).astype(float) for _ in range(20)]
+        points += [rng.integers(0, 3, n) / 2.0 for _ in range(20)] + [rng.random(n) for _ in range(20)]
+        for x in [np.zeros(n), np.ones(n), *points]:
+            want = np.zeros(n)
+            for i, js in enumerate(graph.neighbors):
+                col, e = np.zeros(n), np.zeros(n)
+                col[list(js)], e[i] = 1.0, 1.0
+                s = math.fsum(x[j] for j in js)
+                want += col if s < x[i] else e if s > x[i] else max(col, e, key=tuple)
+            assert GraphMinCost(graph).grad_max_info(x).tolist() == want.tolist(), x
 
 
 def random_convex_tree(rng, d, depth=0):
@@ -182,7 +200,7 @@ class TestGradient:
 
     def test_batch_matches_scalar(self, rng):
         f = Sum([PowerSum((2.0, 1.0), (0.5, 2.0)), Affine((0.5, 0.5), 0.0)])
-        xs = domain_for(f).sample(rng, 20) + 0.1
+        xs = sample_box(domain_for(f), rng, 20) + 0.1
         batch = f.gradient_batch(xs)
         for i in range(20):
             assert np.allclose(batch[i], f.grad_max_info(xs[i]), rtol=1e-13)
@@ -225,7 +243,7 @@ class TestSerialization:
     def test_round_trip_preserves_values(self, rng):
         for f in catalog_instances():
             back = expr_from_dict(json.loads(json.dumps(expr_to_dict(f))))
-            xs = domain_for(f).sample(rng, 20)
+            xs = sample_box(domain_for(f), rng, 20)
             assert np.array_equal(back.values(xs), f.values(xs))
 
     def test_unknown_kind_rejected(self):
@@ -262,7 +280,7 @@ class TestLeontiefAbsentGoods:
         blob = json.dumps(expr_to_dict(self.U))
         back = expr_from_dict(json.loads(blob))
         assert back.anchor == (2.0, 0.0, 4.0) and back.level == 6.0
-        xs = BoxDomain(np.full(3, 5.0)).sample(np.random.default_rng(3), 50)
+        xs = sample_box(BoxDomain(np.full(3, 5.0)), np.random.default_rng(3), 50)
         assert np.array_equal(back.values(xs), self.U.values(xs))
 
     def test_all_zero_or_negative_anchor_refused(self):

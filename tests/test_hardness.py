@@ -12,14 +12,14 @@ from padd import (
     RoundingState,
     Shape,
     brute_force_max,
-    build_cost,
+    GraphMinCost,
     derandomize,
     mis_brute_force,
     solve_concave,
     surplus_U,
     surplus_exact,
 )
-from padd.funcs import check_monotone
+from sampling import check_monotone
 from padd.graphs import (
     GraphInstance,
     clique_graph,
@@ -89,19 +89,19 @@ def surplus_oracle(g, x):
 
 class TestBuildCost:
     def test_empty_graph_costs_nothing(self):
-        c = build_cost(empty_graph(3))
+        c = GraphMinCost(empty_graph(3))
         assert c.value((1.0, 1.0, 1.0)) == 0.0
 
     def test_single_edge(self):
-        c = build_cost(GraphInstance.from_edges(2, [(0, 1)]))
+        c = GraphMinCost(GraphInstance.from_edges(2, [(0, 1)]))
         assert c.value((1.0, 1.0)) == 2.0
 
     def test_triangle_all_ones(self):
-        c = build_cost(clique_graph(3))
+        c = GraphMinCost(clique_graph(3))
         assert c.value((1.0, 1.0, 1.0)) == 3.0
 
     def test_structural_properties(self, rng):
-        c = build_cost(cycle_graph(5))
+        c = GraphMinCost(cycle_graph(5))
         assert c.shape is Shape.CONCAVE
         assert c.value(np.zeros(5)) == 0.0
         assert check_monotone(c, BoxDomain(np.ones(5)), rng)
@@ -119,7 +119,7 @@ class TestSurplus:
 
     def test_matches_value_minus_cost(self, rng):
         for name, g in hardness_corpus()[:8]:
-            c = build_cost(g)
+            c = GraphMinCost(g)
             v = Affine((1.0,) * g.node_count, 0.0)
             for _ in range(20):
                 x = rng.random(g.node_count)
@@ -235,7 +235,7 @@ class TestEquilibriumConsistency:
         for name, g in hardness_corpus()[:12]:
             d = g.node_count
             v = Affine((1.0,) * d, 0.0)
-            out = solve_concave(v, build_cost(g), BoxDomain(np.ones(d)))
+            out = solve_concave(v, GraphMinCost(g), BoxDomain(np.ones(d)))
             assert out.buyer_surplus == mis_brute_force(g), name
 
 

@@ -2,17 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from padd import (
     Affine,
     BoxDomain,
     DimensionError,
+    GraphMinCost,
     Leontief,
     MinOfAffine,
     PowerSum,
     PreconditionError,
     SolverConfig,
     Sum,
+    best_concave_price,
     buyer_best_response,
     grad_max_info,
     optimal_price_family,
@@ -21,8 +24,9 @@ from padd import (
 
 from padd.graphs import cycle_graph
 from padd.gridopt import grid_blocks
-from padd.hardness import build_cost
+from padd import response
 from padd.response import _revenue, _utility
+from sampling import sample_box
 
 SQUARE = PowerSum((1.0,), (2.0,))
 SQRT = PowerSum((1.0,), (0.5,))
@@ -61,7 +65,7 @@ class TestBuyerBestResponse:
             x = buyer_best_response(u, price, dom, SQUARE if u.dim == 1 else PowerSum((1.0, 1.0), (2.0, 2.0)))
             p = np.asarray(price)
             best = u.value(x) - float(p @ x)
-            zs = dom.sample(rng, 1000)
+            zs = sample_box(dom, rng, 1000)
             utils = u.values(zs) - zs @ p
             assert np.all(utils <= best + 1e-6)
 
@@ -71,7 +75,7 @@ class TestBuyerBestResponse:
         x = buyer_best_response(u, price, BOX100, SQUARE)
         best_util = u.value(x) - float(price @ x)
         rev_x = float(price @ x) - SQUARE.value(x)
-        zs = BOX100.sample(rng, 1000)
+        zs = sample_box(BOX100, rng, 1000)
         utils = u.values(zs) - zs @ price
         tied = zs[utils >= best_util - 1e-8]
         revs = tied @ price - SQUARE.values(tied)
@@ -111,7 +115,7 @@ class TestAnchoredIndifference:
             ((4.0,), 8.0, (2.0,), (10.0,), PowerSum((5.0,), (0.5,))),
             ((4.0,), 8.0, (2.0,), (10.0,), PowerSum((3.0,), (0.5,))),
             # graph cost on an independent set at zero price: all t tie, t_max = 1/2
-            ((0.0, 2.0, 0.0, 2.0), 0.0, (0.0,) * 4, (1.0,) * 4, build_cost(cycle_graph(4))),
+            ((0.0, 2.0, 0.0, 2.0), 0.0, (0.0,) * 4, (1.0,) * 4, GraphMinCost(cycle_graph(4))),
         ],
         ids=["convex_interior", "concave_zero", "concave_t_max", "graph_all_tie"],
     )
@@ -123,6 +127,63 @@ class TestAnchoredIndifference:
             assert np.array_equal(x, t_ref * a)
         else:
             assert np.max(np.abs(x - t_ref * a)) <= (ts[1] - ts[0]) * a.max()
+
+
+@st.composite
+def anchored_games(draw):
+    """An anchored report on a box of up to 3 goods, some outside the
+    anchor's support, some bounds below the anchor (a truncated ray), and a
+    cost whose every exponent is at least 1 or every one at most 1."""
+    d = draw(st.integers(1, 3))
+    anchor = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.5, 4.0]), min_size=d, max_size=d).filter(any))
+    upper = draw(st.lists(st.sampled_from([0.3, 1.0, 2.0, 5.0]), min_size=d, max_size=d))
+    level = draw(st.sampled_from([0.5, 2.0, 6.0, 20.0]))
+    exponents = draw(st.sampled_from([(0.5, 0.8, 1.0), (1.0, 1.5, 2.0, 3.0)]))
+    coeffs = draw(st.lists(st.sampled_from([0.25, 1.0, 3.0]), min_size=d, max_size=d))
+    powers = draw(st.lists(st.sampled_from(exponents), min_size=d, max_size=d))
+    return Leontief(anchor, level), PowerSum(coeffs, powers), BoxDomain(np.array(upper))
+
+
+class TestRayPick:
+    """On an anchored report a box bundle and its projection onto the
+    anchor's ray have the same value and the projection costs no more, so
+    the ray pick is the seller's best over the whole box."""
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(anchored_games())
+    def test_beats_every_row_of_a_dense_box_grid(self, game):
+        u, c, box = game
+        anchor = np.asarray(u.anchor)
+
+        def gap(xs):
+            return u.values(xs) - c.values(xs)
+
+        x = response._ray_pick(anchor, box, lambda ts: gap(ts * anchor), SolverConfig().golden_tol)
+        assert box.contains(x) and np.all(x[anchor == 0] == 0)
+        at_pick = gap(x[None, :])[0]
+        best_row = max(gap(rows).max() for _, rows in grid_blocks(box.upper, {1: 20001, 2: 301, 3: 41}[u.dim]))
+        assert at_pick >= best_row - 1e-9 * max(1.0, abs(best_row))
+        res = best_concave_price(u, c, box)
+        assert res.bundle.tolist() == (x if at_pick >= 0.0 else np.zeros(u.dim)).tolist()
+
+    @pytest.mark.parametrize(
+        "u",
+        [
+            Leontief((1.0, 0.0, 2.0, 0.5, 3.0), 4.0),
+            MinOfAffine([Affine((2.0, 0.0, 0.0, 0.0, 0.0), 0.0), Affine((0.0, 0.0, 0.0, 4.0, 0.0), 0.0), Affine((0.0,) * 5, 3.0)]),
+        ],
+        ids=["leontief", "min_of_affine"],
+    )
+    def test_anchored_reports_read_no_grid_density(self, monkeypatch, u):
+        def refuse(cfg, dim):
+            raise AssertionError(f"grid density read for dimension {dim}")
+
+        monkeypatch.setattr(SolverConfig, "points", refuse)
+        c, box = PowerSum((1.0,) * 5, (2.0,) * 5), BoxDomain(np.full(5, 3.0))
+        sol = seller_optimal_linear_price(u, c, box)
+        assert sol.verified and sol.revenue > 0.0
+        res = best_concave_price(u, c, box)
+        assert res.revenue > 0.0 and np.max(np.abs(res.bundle - sol.bundle)) <= 1e-6
 
 
 class TestSellerOptimalLinearPrice:
