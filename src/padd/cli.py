@@ -55,13 +55,17 @@ class ProblemConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ProblemConfig":
+        if not isinstance(obj, dict):
+            raise ValueError("config must be a JSON object")
         known = {"value", "cost", "domain", "solver"}
         unknown = set(obj) - known
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        for field_name in ("value", "cost", "domain"):
-            if field_name not in obj:
+        for field_name in ("value", "cost", "domain", "solver"):
+            if field_name not in obj and field_name != "solver":
                 raise ValueError(f"config is missing the {field_name!r} field")
+            if not isinstance(obj.get(field_name, {}), dict):
+                raise ValueError(f"config field {field_name!r} must be a JSON object")
         config = cls(
             value=expr_from_dict(obj["value"]),
             cost=expr_from_dict(obj["cost"]),
@@ -367,8 +371,9 @@ def main(argv=None) -> int:
     except PreconditionError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError, ValueError, KeyError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, json.JSONDecodeError, ValueError, KeyError, TypeError, MemoryError) as exc:
+        # a MemoryError is an input too large to allocate, e.g. a huge grid
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

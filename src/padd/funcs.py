@@ -23,6 +23,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Real
 from typing import Sequence
 
 import numpy as np
@@ -140,7 +141,7 @@ class BoxDomain:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "BoxDomain":
-        return cls(np.asarray(obj["upper"], dtype=float))
+        return cls(np.asarray(_field(obj, "upper", _NUMBERS), dtype=float))
 
 
 def _pick_grad_max(vertices: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -565,23 +566,37 @@ def grad_max_info(f: FunctionExpr, x) -> np.ndarray:
 
 # --- serialization --------------------------------------------------------
 
-_KINDS = {}
+def _is_number(value, kind=Real) -> bool:
+    """`value` is a `kind` (`Real` or `Integral`) number; booleans are not."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
-def _register(kind: str, parser):
-    _KINDS[kind] = parser
+# (test, description) of a JSON field's value
+_NUMBER = (_is_number, "a number")
+_NUMBERS = (lambda v: all(map(_is_number, v if isinstance(v, list) else [v])), "a number or a list of numbers")
+_LIST = (lambda v: isinstance(v, list), "a list")
+_OBJECTS = (lambda v: isinstance(v, list) and all(isinstance(p, dict) for p in v), "a list of JSON objects")
+_STRING = (lambda v: isinstance(v, str), "a string")
 
 
-_register("power_sum", lambda d: PowerSum(d["coeffs"], d["exponents"]))
-_register("affine", lambda d: Affine(d["weights"], d.get("intercept", 0.0)))
-_register("leontief", lambda d: Leontief(d["anchor"], d["level"]))
-_register(
-    "min_of_affine",
-    lambda d: MinOfAffine([_KINDS["affine"](p) for p in d["pieces"]]),
-)
-_register("sum", lambda d: Sum([expr_from_dict(c) for c in d["children"]]))
-_register("scale", lambda d: Scale(d["factor"], expr_from_dict(d["child"])))
-_register("graph_min_cost", lambda d: GraphMinCost(parse_graph_json(d["graph"])))
+def _field(obj: dict, key: str, kind: tuple, default=None):
+    """`obj[key]` of a JSON object (`default` when given and the key is
+    absent), refused by the field's name unless it is of the `kind` above."""
+    value = obj[key] if default is None else obj.get(key, default)
+    if not kind[0](value):
+        raise ValueError(f"field {key!r} must be {kind[1]}, got {value!r}")
+    return value
+
+
+_KINDS = {
+    "power_sum": lambda d: PowerSum(_field(d, "coeffs", _NUMBERS), _field(d, "exponents", _NUMBERS)),
+    "affine": lambda d: Affine(_field(d, "weights", _NUMBERS), _field(d, "intercept", _NUMBER, 0.0)),
+    "leontief": lambda d: Leontief(_field(d, "anchor", _NUMBERS), _field(d, "level", _NUMBER)),
+    "min_of_affine": lambda d: MinOfAffine([_KINDS["affine"](p) for p in _field(d, "pieces", _OBJECTS)]),
+    "sum": lambda d: Sum([expr_from_dict(c) for c in _field(d, "children", _LIST)]),
+    "scale": lambda d: Scale(_field(d, "factor", _NUMBER), expr_from_dict(d["child"])),
+    "graph_min_cost": lambda d: GraphMinCost(parse_graph_json(d["graph"])),
+}
 
 
 def expr_to_dict(f: FunctionExpr) -> dict:
@@ -589,10 +604,9 @@ def expr_to_dict(f: FunctionExpr) -> dict:
 
 
 def expr_from_dict(obj: dict) -> FunctionExpr:
-    try:
-        kind = obj["kind"]
-    except (TypeError, KeyError):
-        raise ValueError("expression object needs a 'kind' field") from None
+    if not isinstance(obj, dict) or "kind" not in obj:
+        raise ValueError("expression object needs a 'kind' field")
+    kind = _field(obj, "kind", _STRING)
     if kind not in _KINDS:
         raise ValueError(f"unknown expression kind {kind!r}")
     return _KINDS[kind](obj)

@@ -9,8 +9,8 @@ it:
 For convex differentiable costs the supremum is the (unattained) limit
 `x . grad c(x)`; for concave costs it is attained at a = 0 and equals
 c(x); for anything else it is the largest slope on the fraction grid
-`linspace(0, 1 - eps_limit, grid_n)`, whose last node stands for the
-limit a -> 1.
+`linspace(0, 1 - 1e-6, grid_n)`, whose fixed last node `1 - _GRID_GAP`
+stands for the limit a -> 1.
 
 On that grid every catalog cost reduces, per bundle x, to a few scalars
 (`_ray_form`): PowerSum and Affine nodes give monomial weights
@@ -27,19 +27,21 @@ with `q_e(a) = (1 - a^e) / (1 - a) = -expm1(e * log a) / (1 - a)` and
 `D_k = c_part(x) - (b_k + s_k) <= 0`, exactly 0 on the active piece.  No
 term subtracts two nearly equal costs, so near a = 1 the slopes keep the
 six digits that `(c(x) - c(a*x)) / (1 - a)` loses there.  The rows `q_e`
-and `1 / (1 - a)` are cached per grid and exponent set, with their largest
-and smallest entries in each block of `_BLOCK` columns.
+and `1 / (1 - a)` are cached per grid and exponent set, with the largest
+`q_e` and the smallest `1 / (1 - a)` in each block of `_BLOCK` columns.
 
 A bundle's payment is the largest slope on its row, but few of the row's
-columns are computed.  Rounding is monotone (a product by a fixed scalar,
-a sum, a max), so repeating the slope's operations on the block extrema,
-each at whichever end gives the larger result, bounds every slope the
-same code computes in that block, exactly, with no tolerance
-(`_RayForm.bounds`).  `ray_payment_batch` computes the block of the
-largest bound, then only the blocks whose bound exceeds the best slope
-found there; the skipped columns cannot beat it, so the maximum is the
-whole row's bit for bit.  A row with a NaN or infinite bound or best is
-computed whole, so it keeps the row maximum's NaN or inf.
+columns are computed.  Scale factors and coefficients are non-negative
+(`_ray_form` refuses others), so on a bundle every `W_e >= 0` and every
+`D_k <= 0`: each slope term is non-decreasing in `q_e` and non-increasing
+in `1 / (1 - a)`, and rounding is monotone (a product by a fixed scalar, a
+sum, a max).  So `slopes` at a block's extreme virtual column, its largest
+`q_e` and smallest `1 / (1 - a)`, bounds every slope it computes in that
+block, exactly.  `ray_payment_batch` computes the block of the largest
+bound, then only the blocks whose bound exceeds the best slope found
+there; the skipped columns cannot beat it, so the maximum is the whole
+row's bit for bit.  A row with a NaN or infinite bound or best is computed
+whole, so it keeps the row maximum's NaN or inf.
 
 `ray_payment_batch` is the one payment code path: `_closed_payments`
 is the one place that maps a cost's shape to its payment formula, and
@@ -68,41 +70,35 @@ from .funcs import FunctionExpr, GraphMinCost, Leontief, MinOfAffine, PowerSum, 
 __all__ = ["ray_slope_sup", "bregman"]
 
 DEFAULT_GRID_N = 10001
-DEFAULT_EPS_LIMIT = 1e-6
+# the fraction grid ends at 1 - _GRID_GAP, standing for the limit a -> 1
+_GRID_GAP = 1e-6
 # fraction-grid columns per block of `ray_payment_batch`'s slope bounds
 _BLOCK = 64
 # (row, block) pairs evaluated per `slopes` call, which caps its arrays at 2 MB
 _PAIRS = 4096
 
 
-def ray_slope_sup(
-    c: FunctionExpr,
-    x,
-    grid_n: int = DEFAULT_GRID_N,
-    eps_limit: float = DEFAULT_EPS_LIMIT,
-) -> float:
+def ray_slope_sup(c: FunctionExpr, x, grid_n: int = DEFAULT_GRID_N) -> float:
     """Largest slope of the chord of `t -> c(t*x)` ending at t = 1: the
     payment at one non-zero bundle, `ray_payment_batch` on a one-row batch."""
     x = as_bundle(x, c.dim)
     if not np.any(x > 0):
         raise PreconditionError("ray-slope supremum is undefined at the zero bundle")
-    return float(ray_payment_batch(c, x[None, :], grid_n, eps_limit)[0])
+    return float(ray_payment_batch(c, x[None, :], grid_n)[0])
 
 
 @lru_cache(maxsize=16)
-def _grid_rows(grid_n: int, eps_limit: float, exponents: tuple) -> tuple[np.ndarray, ...]:
-    """The rows `q_e(a)` and `1 / (1 - a)` of the fraction grid `0, ..., 1 - eps_limit`,
-    the columns of its `_BLOCK`-column blocks, and the largest and smallest
-    entries of `q_e` and of `1 / (1 - a)` in each block (shared, read-only).
+def _grid_rows(grid_n: int, exponents: tuple) -> tuple[np.ndarray, ...]:
+    """The rows `q_e(a)` and `1 / (1 - a)` of the fraction grid `0, ..., 1 - _GRID_GAP`,
+    the columns of its `_BLOCK`-column blocks, and in each block the largest
+    `q_e` and the smallest `1 / (1 - a)` (shared, read-only).
 
     One row `q_e(a) = -expm1(e * log a) / (1 - a)` per exponent; `q_e(0) = 1`
     is set directly, without taking log 0, and `q_1 = 1` exactly.
     """
     if grid_n < 2:
         raise PreconditionError("fraction grid needs at least 2 points")
-    if not (0.0 < eps_limit < 1.0):
-        raise PreconditionError("eps_limit must lie in (0, 1)")
-    alphas = np.linspace(0.0, 1.0 - eps_limit, grid_n)
+    alphas = np.linspace(0.0, 1.0 - _GRID_GAP, grid_n)
     gaps = 1.0 - alphas
     qs = np.ones((len(exponents), grid_n))
     log_a = np.log(alphas[1:])
@@ -112,7 +108,7 @@ def _grid_rows(grid_n: int, eps_limit: float, exponents: tuple) -> tuple[np.ndar
     inv = 1.0 / gaps
     # the column indices of each block; the last block repeats the last column
     blocks = np.minimum(np.arange(0, grid_n, _BLOCK)[:, None] + np.arange(_BLOCK), grid_n - 1)
-    rows = (qs, inv, blocks) + tuple(f(r[..., blocks], axis=-1) for r in (qs, inv) for f in (np.max, np.min))
+    rows = qs, inv, blocks, qs[:, blocks].max(axis=-1), inv[blocks].min(axis=-1)
     for r in rows:
         r.flags.writeable = False
     return rows
@@ -177,28 +173,6 @@ class _RayForm:
             out += factor * m
         return out
 
-    def bounds(self, scalars: list[np.ndarray], qhi, qlo, ihi, ilo) -> np.ndarray:
-        """Upper bounds on `slopes` in each block of grid columns, whose
-        rows lie in `[qlo, qhi]` and `[ilo, ihi]` (one column per block).
-
-        `slopes`' operations in its order, each at whichever end of its
-        operand's range gives the larger (or, under a max, smaller) result.
-        Rounding is monotone, so no slope in a block exceeds its bound, and
-        a block with a finite bound holds no NaN.
-        """
-        ws, *sd = scalars
-        out = np.zeros((ws.shape[0], ihi.size))
-        for j in range(len(qhi)):
-            w = ws[:, j, None]
-            out += np.maximum(w * qhi[j], w * qlo[j])
-        for (factor, _), s, d in zip(self.parts, sd[0::2], sd[1::2]):
-            hi = lo = -np.inf
-            for k in range(s.shape[1]):
-                at_hi, at_lo = d[:, k, None] * ihi + s[:, k, None], d[:, k, None] * ilo + s[:, k, None]
-                hi, lo = np.maximum(hi, np.maximum(at_hi, at_lo)), np.maximum(lo, np.minimum(at_hi, at_lo))
-            out += np.maximum(factor * hi, factor * lo)
-        return out
-
 
 def _pieces(node: MinOfAffine | Leontief, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Intercepts `b` and slopes `s` (one column per piece) with `node(a*x) = min_k (b_k + a * s_k)`."""
@@ -218,7 +192,9 @@ def _pieces(node: MinOfAffine | Leontief, xs: np.ndarray) -> tuple[np.ndarray, n
 def _ray_form(c: FunctionExpr) -> _RayForm:
     """`c` as monomial weights plus piecewise-linear parts; every catalog tree has one.
 
-    Built on first use and kept on the node, which is immutable.
+    Built on first use and kept on the node, which is immutable.  A
+    negative or NaN Scale factor or coefficient is refused by name: the
+    block bounds of `ray_payment_batch` rest on their signs.
     """
     form = c.__dict__.get("_ray_form")
     if form is not None:
@@ -227,8 +203,13 @@ def _ray_form(c: FunctionExpr) -> _RayForm:
     graphs = []
     parts = []
 
+    def check(what: str, value: float) -> None:
+        if not value >= 0.0:  # NaN fails too
+            raise PreconditionError(f"the ray form needs a non-negative {what}, got {value!r}")
+
     def walk(node: FunctionExpr, factor: float) -> None:
         if isinstance(node, Scale):
+            check("Scale factor", node.factor)
             walk(node.child, factor * node.factor)
         elif isinstance(node, Sum):
             for child in node.children:
@@ -241,6 +222,7 @@ def _ray_form(c: FunctionExpr) -> _RayForm:
         else:
             terms = zip(node.coeffs, node.exponents) if isinstance(node, PowerSum) else ((w, 1.0) for w in node.weights)
             for i, (k, e) in enumerate(terms):
+                check(f"{type(node).__name__} coefficient", k)
                 groups.setdefault(e, []).append((i, factor * k))
 
     walk(c, 1.0)
@@ -264,12 +246,7 @@ def _closed_payments(c: FunctionExpr, xs: np.ndarray) -> np.ndarray | None:
     return None
 
 
-def ray_payment_batch(
-    c: FunctionExpr,
-    xs: np.ndarray,
-    grid_n: int = DEFAULT_GRID_N,
-    eps_limit: float = DEFAULT_EPS_LIMIT,
-) -> np.ndarray:
+def ray_payment_batch(c: FunctionExpr, xs: np.ndarray, grid_n: int = DEFAULT_GRID_N) -> np.ndarray:
     """Payments on the rows of `xs`.
 
     Exact closed forms are used when the cost's curvature is known;
@@ -283,10 +260,10 @@ def ray_payment_batch(
     if closed is not None:
         return closed
     form = _ray_form(c)
-    qs, inv, blocks, *extrema = _grid_rows(grid_n, eps_limit, form.exponents)  # refuses a bad grid even when every row is zero
+    qs, inv, blocks, qhi, ilo = _grid_rows(grid_n, form.exponents)  # refuses a bad grid even when every row is zero
     scalars = form.scalars(xs)
     # each row's block of largest bound first, then only its blocks whose bound exceeds the best slope found
-    bound = form.bounds(scalars, *extrema)
+    bound = form.slopes(scalars, qhi, ilo, np.arange(ilo.size))
     top = bound.argmax(axis=1)
     best = form.slopes(scalars, qs, inv, blocks[top]).max(axis=1)
     todo = bound > best[:, None]
@@ -313,7 +290,7 @@ def ray_payment_floor(c: FunctionExpr, xs: np.ndarray) -> np.ndarray:
     if closed is not None:
         return closed
     form = _ray_form(c)
-    qs, inv, *_ = _grid_rows(2, DEFAULT_EPS_LIMIT, form.exponents)  # column 0 of every grid is a = 0
+    qs, inv, *_ = _grid_rows(2, form.exponents)  # column 0 of every grid is a = 0
     floor = form.slopes(form.scalars(xs), qs, inv, [0])[:, 0]
     return np.where(np.any(xs > 0, axis=1), floor, 0.0)
 

@@ -37,6 +37,7 @@ from .funcs import (
     Shape,
     Sum,
     _column_sum,
+    _is_number,
     as_bundle,
     as_price,
 )
@@ -132,11 +133,6 @@ class SolverConfig:
             # JSON object keys are strings; __post_init__ refuses a key that is no integer
             kwargs["grid_points"] = {int(k) if str(k).isdecimal() else k: v for k, v in kwargs["grid_points"].items()}
         return cls(**kwargs)
-
-
-def _is_number(value, kind) -> bool:
-    """`value` is a `kind` (`Real` or `Integral`) number; booleans are not."""
-    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass(eq=False)
@@ -402,11 +398,15 @@ def seller_optimal_linear_price(
                 smooth = True
             except NotImplementedError:
                 smooth = False
-        order = np.argsort(-potential) if smooth else range(n_axis**domain.dim - 1)
-        for j in order:
-            if smooth and potential[j] <= max(best_rev, 0.0) + 1e-12:
-                break
-            try_price(u.grad_max_info(grid_rows(domain.upper, n_axis, [j + 1])[0]))
+        if smooth:
+            for j in np.argsort(-potential):
+                if potential[j] <= max(best_rev, 0.0) + 1e-12:
+                    break
+                try_price(u.grad_max_info(grid_rows(domain.upper, n_axis, [j + 1])[0]))
+        else:
+            for _, xs in grid_blocks(domain.upper, n_axis, 1):
+                for x in xs:
+                    try_price(u.grad_max_info(x))
 
     if smooth and records:
         _refine_smooth(u, c, domain, records, n_axis, cfg)

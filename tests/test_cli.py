@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -380,6 +381,143 @@ class TestNodeCountCheckedBeforeStorage:
         proc = run_capped("-m", "padd.cli", "solve", str(path))
         assert proc.returncode == 1 and proc.stdout == ""
         assert proc.stderr.startswith("error: config dimensions disagree: value 1, cost 100000, domain 1")
+
+
+# a general-shape game that reaches every node kind's parser, the box and
+# every solver option, on small grids
+MIXED_GAME = {
+    "value": {
+        "kind": "sum",
+        "children": [
+            {"kind": "power_sum", "coeffs": [10.0], "exponents": [0.5]},
+            {"kind": "leontief", "anchor": [1.0], "level": 0.5},
+        ],
+    },
+    "cost": {
+        "kind": "sum",
+        "children": [
+            {"kind": "power_sum", "coeffs": [1.0], "exponents": [2.0]},
+            {
+                "kind": "scale",
+                "factor": 2.0,
+                "child": {
+                    "kind": "min_of_affine",
+                    "pieces": [
+                        {"kind": "affine", "weights": [1.0], "intercept": 0.0},
+                        {"kind": "affine", "weights": [0.0], "intercept": 1.0},
+                    ],
+                },
+            },
+        ],
+    },
+    "domain": {"upper": [3.0]},
+    "solver": {"grid_points": {"1": 101}, "ray_grid_n": 101, "refine_passes": 1},
+}
+
+NODE = ("value", "children", 0)
+AFFINE = ("cost", "children", 1, "child", "pieces", 0)
+# (path into MIXED_GAME, the value put there, a text the one stderr line must hold)
+MALFORMED = {
+    "config_list": ((), [1, 2], "config must be a JSON object"),
+    "value_number": (("value",), 5, "'value' must be a JSON object"),
+    "domain_list": (("domain",), [3.0], "'domain' must be a JSON object"),
+    "solver_list": (("solver",), [], "'solver' must be a JSON object"),
+    "kind_list": (NODE + ("kind",), ["power_sum"], "field 'kind' must be a string"),
+    "kind_number": (NODE + ("kind",), 1, "field 'kind' must be a string"),
+    "kind_unknown": (NODE + ("kind",), "cube", "unknown expression kind"),
+    "coeffs_bool": (NODE + ("coeffs",), [True], "field 'coeffs'"),
+    "coeffs_string": (NODE + ("coeffs",), ["12"], "field 'coeffs'"),
+    "coeffs_nested": (NODE + ("coeffs",), [[10.0]], "field 'coeffs'"),
+    "coeffs_null": (NODE + ("coeffs",), None, "field 'coeffs'"),
+    "coeffs_nan": (NODE + ("coeffs",), [math.nan], "must be finite"),
+    "exponents_inf": (NODE + ("exponents",), [math.inf], "must be finite"),
+    "exponents_object": (NODE + ("exponents",), {"0": 0.5}, "field 'exponents'"),
+    "anchor_string": (("value", "children", 1, "anchor"), "1", "field 'anchor'"),
+    "level_bool": (("value", "children", 1, "level"), False, "field 'level'"),
+    "level_list": (("value", "children", 1, "level"), [0.5], "field 'level'"),
+    "factor_string": (("cost", "children", 1, "factor"), "2", "field 'factor'"),
+    "factor_bool": (("cost", "children", 1, "factor"), True, "field 'factor'"),
+    "factor_inf": (("cost", "children", 1, "factor"), math.inf, "must be finite"),
+    "weights_bool": (AFFINE + ("weights",), [True], "field 'weights'"),
+    "intercept_string": (AFFINE + ("intercept",), "0", "field 'intercept'"),
+    "intercept_nan": (AFFINE + ("intercept",), math.nan, "must be finite"),
+    "children_number": (("cost", "children"), 3, "field 'children' must be a list"),
+    "child_string": (("cost", "children", 0), "x^2", "'kind' field"),
+    "pieces_object": (("cost", "children", 1, "child", "pieces"), {"kind": "affine"}, "field 'pieces' must be a list"),
+    "piece_string": (("cost", "children", 1, "child", "pieces", 0), "x", "field 'pieces' must be a list of JSON objects"),
+    "upper_bool": (("domain", "upper"), [True], "field 'upper'"),
+    "upper_string": (("domain", "upper"), ["3"], "field 'upper'"),
+    "upper_nan": (("domain", "upper"), [math.nan], "finite and positive"),
+    "upper_empty": (("domain", "upper"), [], "1-d vector"),
+    "grid_points_list": (("solver", "grid_points"), [101], "grid_points"),
+    "grid_points_bool": (("solver", "grid_points"), {"1": True}, "grid_points"),
+    "grid_points_one": (("solver", "grid_points"), {"1": 1}, "grid_points"),
+    "ray_grid_n_string": (("solver", "ray_grid_n"), "101", "ray_grid_n"),
+    "ray_grid_n_float": (("solver", "ray_grid_n"), 101.0, "ray_grid_n"),
+    "refine_passes_bool": (("solver", "refine_passes"), True, "refine_passes"),
+    "refine_top_k_zero": (("solver", "refine_top_k"), 0, "refine_top_k"),
+    "golden_tol_nan": (("solver", "golden_tol"), math.nan, "golden_tol"),
+    "tie_tol_string": (("solver", "tie_tol"), "1e-8", "tie_tol"),
+    "bundle_tol_inf": (("solver", "bundle_tol"), math.inf, "bundle_tol"),
+    "no_trade_tol_negative": (("solver", "no_trade_tol"), -1.0, "no_trade_tol"),
+    "lambda_split_string": (("solver", "lambda_split"), "1", "lambda_split"),
+    "lambda_split_bool": (("solver", "lambda_split"), [True], "lambda_split"),
+    "unknown_option": (("solver", "seed"), 0, "unknown solver options"),
+}
+
+
+def _game_config(tmp_path, path=None, value=None):
+    """MIXED_GAME written to a file, with `value` put at `path` (the whole config for `()`)."""
+    cfg = json.loads(json.dumps(MIXED_GAME))
+    if path == ():
+        cfg = value
+    elif path:
+        *parents, last = path
+        node = cfg
+        for key in parents:
+            node = node[key]
+        node[last] = value
+    out = tmp_path / "game.json"
+    out.write_text(json.dumps(cfg))  # NaN and Infinity as Python's json writes them
+    return out
+
+
+def assert_one_line_refusal(code, out, err):
+    assert code in (1, 2) and out == ""
+    assert err.count("\n") == 1 and err.endswith("\n") and "Traceback" not in err
+    assert err.startswith("error: " if code == 1 else "precondition violated: ")
+
+
+class TestMalformedConfigs:
+    """Every malformed config field exits 1 or 2 with one stderr line naming
+    what is wrong, and nothing on stdout."""
+
+    def test_the_well_formed_game_solves(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "solve", str(_game_config(tmp_path)))
+        assert code == 0 and err == "" and "trade           yes" in out
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_refused_with_one_line(self, capsys, tmp_path, case):
+        path, value, says = MALFORMED[case]
+        code, out, err = run_cli(capsys, "solve", str(_game_config(tmp_path, path, value)))
+        assert_one_line_refusal(code, out, err)
+        assert says in err
+
+    @pytest.mark.parametrize(
+        "path, value, argv",
+        [
+            (("solver", "ray_grid_n"), 10**12, ()),
+            (("solver", "grid_points"), {"1": 2 * 10**10}, ()),
+            (("solver", "refine_passes"), 1, ("--samples", str(10**12))),
+        ],
+        ids=["ray_grid_n", "grid_points", "verify_samples"],
+    )
+    def test_oversized_arrays_are_an_input_exit(self, run_capped, tmp_path, path, value, argv):
+        # each run has a 512 MB address-space cap, so nothing is really allocated
+        config = _game_config(tmp_path, path, value)
+        proc = run_capped("-m", "padd.cli", "verify" if argv else "solve", str(config), *argv)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error: Unable to allocate") and proc.stderr.count("\n") == 1
 
 
 class TestHardnessAboveEnumerationCap:

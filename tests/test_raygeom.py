@@ -23,6 +23,13 @@ from padd.raygeom import _BLOCK, _RayForm, _grid_rows, _ray_form, ray_payment_ba
 
 SQUARE = PowerSum((1.0,), (2.0,))
 SQRT = PowerSum((1.0,), (0.5,))
+# the ray kernel's fraction grid of n points is linspace(0, 1 - GAP, n)
+GAP = 1e-6
+
+
+def grid_id(grid_n):
+    """Test id of the n-point fraction grid: its size and its gap below 1."""
+    return f"{grid_n}-{GAP:g}"
 
 
 def chord_slope_sup_oracle(c, x, n=10001, eps=1e-6):
@@ -120,13 +127,13 @@ class TestBregman:
 class TestAlphaGridPreconditions:
     MIXED = Sum([SQUARE, SQRT])
 
-    @pytest.mark.parametrize("grid_n,eps_limit", [(1, 1e-6), (0, 1e-6), (11, 0.0), (11, 1.0)])
-    def test_batch_and_scalar_share_the_checks(self, grid_n, eps_limit):
+    @pytest.mark.parametrize("grid_n", [1, 0], ids=grid_id)
+    def test_batch_and_scalar_share_the_checks(self, grid_n):
         xs = np.array([[1.0], [2.0]])
         with pytest.raises(PreconditionError):
-            ray_payment_batch(self.MIXED, xs, grid_n=grid_n, eps_limit=eps_limit)
+            ray_payment_batch(self.MIXED, xs, grid_n=grid_n)
         with pytest.raises(PreconditionError):
-            ray_slope_sup(self.MIXED, xs[0], grid_n=grid_n, eps_limit=eps_limit)
+            ray_slope_sup(self.MIXED, xs[0], grid_n=grid_n)
 
     def test_batch_with_one_point_grid_raises(self):
         with pytest.raises(PreconditionError, match="at least 2 points"):
@@ -169,42 +176,47 @@ def general_monomial_trees(count=40):
 MONOMIAL_TREES = general_monomial_trees()
 
 
-def reference_slopes(c, x, cx, grid_n=10001, eps=1e-6):
+def fractions(grid_n=10001):
+    """The fraction grid of the ray kernel."""
+    return np.linspace(0.0, 1.0 - GAP, grid_n)
+
+
+def reference_slopes(c, x, cx, grid_n=10001):
     """Float chord slopes from `c.values` on the fractions of x (they lose about 1e-10 near a = 1)."""
-    alphas = np.linspace(0.0, 1.0 - eps, grid_n)
+    alphas = fractions(grid_n)
     return (cx - c.values(alphas[:, None] * x)) / (1.0 - alphas)
 
 
-def reference_payments(c, xs, grid_n=10001, eps=1e-6):
+def reference_payments(c, xs, grid_n=10001):
     cx = c.values(xs)
     return np.array(
-        [reference_slopes(c, x, cx[k], grid_n, eps).max() if np.any(x > 0) else 0.0 for k, x in enumerate(xs)]
+        [reference_slopes(c, x, cx[k], grid_n).max() if np.any(x > 0) else 0.0 for k, x in enumerate(xs)]
     )
 
 
-def slope_rows(c, xs, grid_n=10001, eps=1e-6):
+def slope_rows(c, xs, grid_n=10001):
     """The kernel's chord slopes of each row of `xs` on the whole fraction grid."""
     form = _ray_form(c)
     scalars = form.scalars(xs)
-    qs, inv, *_ = _grid_rows(grid_n, eps, form.exponents)
+    qs, inv, *_ = _grid_rows(grid_n, form.exponents)
     return np.vstack([form.slopes([s[k : k + 1] for s in scalars], qs, inv, np.arange(grid_n)) for k in range(len(xs))])
 
 
 def assert_floor_is_the_a0_slope(c, xs):
     floor = ray_payment_floor(c, xs)
-    first = slope_rows(c, xs, 11, 0.5)[:, 0]
+    first = slope_rows(c, xs, 11)[:, 0]
     trade = np.any(xs > 0, axis=1)
     assert np.all(floor[~trade] == 0.0)
     assert floor[trade].tobytes() == first[trade].tobytes()
 
 
-def assert_batch_scalar_one_row_bit_identical(c, xs, grid_n=10001, eps=1e-6):
-    batch = ray_payment_batch(c, xs, grid_n, eps)
+def assert_batch_scalar_one_row_bit_identical(c, xs, grid_n=10001):
+    batch = ray_payment_batch(c, xs, grid_n)
     trade = np.any(xs > 0, axis=1)
     assert np.all(batch[~trade] == 0.0)
-    scalar = [ray_slope_sup(c, x, grid_n, eps) for x in xs[trade]]
+    scalar = [ray_slope_sup(c, x, grid_n) for x in xs[trade]]
     assert np.array(scalar).tobytes() == batch[trade].tobytes()
-    one_row = [ray_payment_batch(c, xs[k : k + 1], grid_n, eps)[0] for k in range(len(xs))]
+    one_row = [ray_payment_batch(c, xs[k : k + 1], grid_n)[0] for k in range(len(xs))]
     assert np.array(one_row).tobytes() == batch.tobytes()
 
 
@@ -217,22 +229,22 @@ class TestMonomialRayKernel:
         assert all(_ray_form(c).parts == () == _ray_form(c).graphs for c, _ in MONOMIAL_TREES)
         assert {c.dim for c, _ in MONOMIAL_TREES} == {1, 2, 3}
 
-    @pytest.mark.parametrize("grid_n,eps", [(10001, 1e-6), (101, 1e-3)])
-    def test_ray_costs_match_values(self, grid_n, eps):
+    @pytest.mark.parametrize("grid_n", [10001, 101], ids=grid_id)
+    def test_ray_costs_match_values(self, grid_n):
         # the ray costs enter the kernel only through their chords, so the
         # slopes are compared with exact chord slopes of the costs' definitions
-        alphas = np.linspace(0.0, 1.0 - eps, grid_n)[list(SAMPLED)]
+        alphas = fractions(grid_n)[list(SAMPLED)]
         for c, xs in MONOMIAL_TREES:
-            rows = slope_rows(c, xs, grid_n, eps)[:, list(SAMPLED)]
+            rows = slope_rows(c, xs, grid_n)[:, list(SAMPLED)]
             for x, row in zip(xs, rows):
                 want = chord_slopes(c, x, alphas)
                 assert max(rel_err(got, w) for got, w in zip(row, want)) <= 1e-13
 
-    @pytest.mark.parametrize("grid_n,eps", [(10001, 1e-6), (101, 1e-3)])
-    def test_payments_match_reference(self, grid_n, eps):
+    @pytest.mark.parametrize("grid_n", [10001, 101], ids=grid_id)
+    def test_payments_match_reference(self, grid_n):
         for c, xs in MONOMIAL_TREES:
-            got = ray_payment_batch(c, xs, grid_n, eps)
-            np.testing.assert_allclose(got, reference_payments(c, xs, grid_n, eps), rtol=1e-9, atol=0.0)
+            got = ray_payment_batch(c, xs, grid_n)
+            np.testing.assert_allclose(got, reference_payments(c, xs, grid_n), rtol=1e-9, atol=0.0)
 
     def test_batch_rows_equal_scalar_bit_for_bit(self):
         for c, xs in MONOMIAL_TREES:
@@ -326,10 +338,10 @@ class TestRayFormAllNodes:
 
     def test_payments_match_mpmath(self):
         for c, xs in GENERAL_TREES:
-            got = ray_payment_batch(c, xs, 101, 1e-3)
+            got = ray_payment_batch(c, xs, 101)
             assert got[0] == 0.0
             for x, pay in zip(xs[1:], got[1:]):
-                assert rel_err(pay, grid_payment(c, x, 101, 1e-3)) <= 1e-13
+                assert rel_err(pay, grid_payment(c, x, 101)) <= 1e-13
 
     @pytest.mark.parametrize("name", sorted(FIXED_TREES))
     def test_fixed_trees_match_mpmath_at_default_grid(self, name, rng):
@@ -343,24 +355,24 @@ class TestRayFormAllNodes:
         assert_floor_is_the_a0_slope(c, xs)
 
     def test_attained_fraction_is_the_exact_argmax(self):
-        alphas = np.linspace(0.0, 1.0 - 1e-3, 101)
+        alphas = fractions(101)
         want = chord_slopes(INTERIOR, (1.3,), alphas)
         i = max(range(len(alphas)), key=want.__getitem__)
-        pay = ray_slope_sup(INTERIOR, (1.3,), 101, 1e-3)
-        slopes = slope_rows(INTERIOR, np.array([[1.3]]), 101, 1e-3)[0]
+        pay = ray_slope_sup(INTERIOR, (1.3,), 101)
+        slopes = slope_rows(INTERIOR, np.array([[1.3]]), 101)[0]
         assert 0 < i < 100 and int(np.argmax(slopes)) == i and pay == slopes[i]
         assert rel_err(pay, want[i]) <= 1e-13
 
     def test_batch_scalar_and_one_row_bit_identical(self):
         for c, xs in GENERAL_TREES:
-            assert_batch_scalar_one_row_bit_identical(c, xs, 101, 1e-3)
+            assert_batch_scalar_one_row_bit_identical(c, xs, 101)
 
     def test_floor_is_the_a0_slope_and_below_sub_batches(self):
         for c, xs in GENERAL_TREES:
             assert_floor_is_the_a0_slope(c, xs)
             floor = ray_payment_floor(c, xs)
-            assert np.all(ray_payment_batch(c, xs[1:3], 101, 1e-3) >= floor[1:3])
-            assert np.all(ray_payment_batch(c, xs[3:], 101, 1e-3) >= floor[3:])
+            assert np.all(ray_payment_batch(c, xs[1:3], 101) >= floor[1:3])
+            assert np.all(ray_payment_batch(c, xs[3:], 101) >= floor[3:])
 
 
 def shaped_monomial_trees(shape, count=12):
@@ -386,8 +398,8 @@ class TestOnePaymentPerShape:
     def test_scalar_equals_one_row_batch_bit_for_bit(self, shape):
         for c, xs in shaped_monomial_trees(shape):
             for x in xs:
-                pay = ray_slope_sup(c, x, 101, 1e-3)
-                assert np.float64(pay).tobytes() == ray_payment_batch(c, x[None, :], 101, 1e-3)[0].tobytes()
+                pay = ray_slope_sup(c, x, 101)
+                assert np.float64(pay).tobytes() == ray_payment_batch(c, x[None, :], 101)[0].tobytes()
                 if shape is Shape.CONVEX:
                     # the a -> 1 limit x . grad c(x), which the unit prices charge
                     assert math.isclose(pay, float(x @ c.grad_max_info(x)), rel_tol=1e-13)
@@ -399,19 +411,19 @@ class TestOnePaymentPerShape:
         # c(x), x . grad c(x) and the ray form avoid matrix products, so a
         # row's payment does not depend on the batch around it
         for c, xs in shaped_monomial_trees(shape):
-            batch = ray_payment_batch(c, xs, 101, 1e-3)
-            scalar = [ray_slope_sup(c, x, 101, 1e-3) for x in xs]
+            batch = ray_payment_batch(c, xs, 101)
+            scalar = [ray_slope_sup(c, x, 101) for x in xs]
             assert np.array(scalar).tobytes() == batch.tobytes()
 
-    @pytest.mark.parametrize("grid_n,eps", [(10001, 1e-6), (101, 1e-3)])
-    def test_every_node_kind_scalar_equals_batch(self, grid_n, eps):
+    @pytest.mark.parametrize("grid_n", [10001, 101], ids=grid_id)
+    def test_every_node_kind_scalar_equals_batch(self, grid_n):
         kinds, shapes = set(), set()
         for c, xs in INVARIANCE_TREES:
             kinds |= node_kinds(c)
             shapes.add(c.shape)
             xs = xs[np.any(xs > 0, axis=1)][:30]
-            scalar = [ray_slope_sup(c, x, grid_n, eps) for x in xs]
-            assert np.array(scalar).tobytes() == ray_payment_batch(c, xs, grid_n, eps).tobytes()
+            scalar = [ray_slope_sup(c, x, grid_n) for x in xs]
+            assert np.array(scalar).tobytes() == ray_payment_batch(c, xs, grid_n).tobytes()
         assert kinds == {"PowerSum", "Affine", "MinOfAffine", "Leontief", "GraphMinCost", "Sum", "Scale"}
         assert shapes == set(Shape)
 
@@ -475,31 +487,11 @@ class TestBatchInvariance:
 
     def test_ray_payment_batch_and_floor(self):
         for c, xs in INVARIANCE_TREES[:20]:
-            assert_rows_batch_invariant(lambda ys: ray_payment_batch(c, ys, 101, 1e-3), xs[:40])
+            assert_rows_batch_invariant(lambda ys: ray_payment_batch(c, ys, 101), xs[:40])
             assert_rows_batch_invariant(lambda ys: ray_payment_floor(c, ys), xs)
 
 
 # --- block bounds on the fraction grid --------------------------------------
-
-
-def negative_scale(factor, child):
-    """`Scale` with a negative factor, which its constructor refuses; the ray
-    form takes any factor, so this reaches the bound's negative-factor branch."""
-    node = object.__new__(Scale)
-    node.factor, node.child = factor, child
-    return node
-
-
-def signed_tree(rng, d, graph, depth=0):
-    """`random_tree` whose Scale nodes may carry a negative factor."""
-    r = rng.random()
-    if depth < 2 and r < 0.3:
-        return Sum([signed_tree(rng, d, graph, depth + 1) for _ in range(rng.integers(2, 4))])
-    if depth < 2 and r < 0.5:
-        factor = float(rng.uniform(0.1, 3.0))
-        child = signed_tree(rng, d, graph, depth + 1)
-        return negative_scale(-factor, child) if rng.random() < 0.5 else Scale(factor, child)
-    return random_leaf(rng, d, graph)
 
 
 FLAT = Sum([Affine((1.0,), 0.0), Scale(1e-10, KINKED)])
@@ -507,16 +499,16 @@ FLAT = Sum([Affine((1.0,), 0.0), Scale(1e-10, KINKED)])
 
 def block_trees(count=40):
     """Seeded general-shape trees of dimension 1-4 over all seven node kinds,
-    with negative Scale factors, and bundles that include the zero bundle, a
-    zero coordinate and rows scaled by 1e-7 and 1e7."""
+    and bundles that include the zero bundle, a zero coordinate and rows
+    scaled by 1e-7 and 1e7."""
     trees = []
     for seed in range(count):
         rng = np.random.default_rng(9000 + seed)
         d = int(rng.integers(1, 5))
         graph = GraphInstance.from_edges(d, [(i, j) for i in range(d) for j in range(i + 1, d) if rng.random() < 0.5])
-        c = Sum([PowerSum(rng.uniform(0.01, 0.3, d), rng.choice((1.5, 2.0, 3.0), d)), signed_tree(rng, d, graph)])
+        c = Sum([PowerSum(rng.uniform(0.01, 0.3, d), rng.choice((1.5, 2.0, 3.0), d)), random_tree(rng, d, graph)])
         while c.shape is not Shape.GENERAL:
-            c = Sum([c, signed_tree(rng, d, graph)])
+            c = Sum([c, random_tree(rng, d, graph)])
         xs = rng.uniform(0.0, 10.0, (8, d))
         xs[0] = 0.0
         xs[1, 0] = 0.0
@@ -524,37 +516,53 @@ def block_trees(count=40):
         xs[3] *= 1e7
         trees.append((c, xs))
     # on FLAT the slopes of a row differ by about 1e-10 relative, so a skip with any slack loses the maximum
-    fixed = [(c, np.array([[0.0], [0.5], [0.7], [0.8], [0.9], [1.3], [4.0], [1e-7], [1e7]])) for c in (INTERIOR, KINKED, FLAT)]
-    return trees + fixed
+    fixed = [INTERIOR, KINKED, FLAT, Sum([INTERIOR, Scale(0.0, KINKED)])]
+    return trees + [(c, np.array([[0.0], [0.5], [0.7], [0.8], [0.9], [1.3], [4.0], [1e-7], [1e7]])) for c in fixed]
 
 
 BLOCK_TREES = block_trees()
 BLOCK_GRIDS = (2, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1, 10001)
 
 
-def whole_row_payments(c, xs, grid_n, eps=1e-6):
+def whole_row_payments(c, xs, grid_n):
     """The largest slope of every row on the whole fraction grid (0 on the zero bundle)."""
     trade = np.any(xs > 0, axis=1)
-    return np.where(trade, slope_rows(c, xs, grid_n, eps).max(axis=1), 0.0)
+    return np.where(trade, slope_rows(c, xs, grid_n).max(axis=1), 0.0)
 
 
-def block_maxima(c, xs, grid_n, eps=1e-6):
-    """(largest slope of each block of `_BLOCK` columns, the block's bound), one row per bundle."""
+def block_extrema(qs, inv):
+    """Each block's largest `q_e` and smallest `1 / (1 - a)`, the last block's over its own columns only."""
+    starts = np.arange(0, inv.size, _BLOCK)
+    return np.stack([np.maximum.reduceat(q, starts) for q in qs]), np.minimum.reduceat(inv, starts)
+
+
+def block_maxima(c, xs, grid_n):
+    """(largest slope of each block of `_BLOCK` columns, the slope code at the
+    block's largest `q_e` and smallest `1 / (1 - a)`), one row per bundle."""
     form = _ray_form(c)
-    _, _, _, *extrema = _grid_rows(grid_n, eps, form.exponents)
-    rows = slope_rows(c, xs, grid_n, eps)
+    qs, inv, *_ = _grid_rows(grid_n, form.exponents)
     blocks = -(-grid_n // _BLOCK)
     padded = np.full((len(xs), blocks * _BLOCK), -np.inf)
-    padded[:, :grid_n] = rows
-    return padded.reshape(len(xs), blocks, _BLOCK).max(axis=2), form.bounds(form.scalars(xs), *extrema)
+    padded[:, :grid_n] = slope_rows(c, xs, grid_n)
+    qhi, ilo = block_extrema(qs, inv)
+    return padded.reshape(len(xs), blocks, _BLOCK).max(axis=2), form.slopes(form.scalars(xs), qhi, ilo, np.arange(blocks))
+
+
+def unchecked(cls, **fields):
+    """A catalog node built without its constructor's checks, which refuse a
+    negative or NaN factor, coefficient or weight."""
+    node = object.__new__(cls)
+    node.__dict__.update(fields)
+    return node
 
 
 class TestBlockBounds:
     def test_trees_cover_every_node_kind_and_sign(self):
+        # every sign the catalog builds: zero and positive factors
         kinds = set().union(*(node_kinds(c) for c, _ in BLOCK_TREES))
         assert kinds == {"PowerSum", "Affine", "MinOfAffine", "Leontief", "GraphMinCost", "Sum", "Scale"}
         parts = [part for c, _ in BLOCK_TREES for part in _ray_form(c).parts]
-        assert min(factor for factor, _ in parts) < 0 < max(factor for factor, _ in parts)
+        assert min(factor for factor, _ in parts) == 0.0 < max(factor for factor, _ in parts)
         pieces = {len(node.pieces) for _, node in parts if isinstance(node, MinOfAffine)}
         assert 1 in pieces and max(pieces) > 1
         assert any(isinstance(node, Leontief) for _, node in parts)
@@ -562,7 +570,7 @@ class TestBlockBounds:
     @pytest.mark.parametrize("grid_n", BLOCK_GRIDS)
     def test_payments_are_the_whole_row_maxima_bit_for_bit(self, grid_n):
         for c, xs in BLOCK_TREES:
-            got = ray_payment_batch(c, xs, grid_n, 1e-6)
+            got = ray_payment_batch(c, xs, grid_n)
             assert got.tobytes() == whole_row_payments(c, xs, grid_n).tobytes()
 
     @pytest.mark.parametrize("grid_n", BLOCK_GRIDS)
@@ -572,20 +580,29 @@ class TestBlockBounds:
             assert np.all(np.isfinite(bound))
             assert np.all(top <= bound)  # as floats, no slack; a NaN slope would fail
 
+    @pytest.mark.parametrize("grid_n", BLOCK_GRIDS)
+    def test_cached_extrema_are_each_blocks_largest_q_and_smallest_inverse_gap(self, grid_n):
+        exponents = (0.3, 0.5, 1.0, 1.5, 2.0, 3.0)
+        qs, inv, blocks, qhi, ilo = _grid_rows(grid_n, exponents)
+        want_qhi, want_ilo = block_extrema(qs, inv)
+        assert qhi.tobytes() == want_qhi.tobytes() and ilo.tobytes() == want_ilo.tobytes()
+        assert blocks.shape == (ilo.size, _BLOCK)
+
     def test_overflowing_rows_keep_the_whole_row_inf_or_nan(self):
-        # x^2 at 1e200 overflows W_2 to inf; with a negative x^2 term it is inf - inf = NaN
+        # x^2 at 1e200 overflows W_2 to inf; a zero factor times it is NaN, and
+        # so is a piece's D_k once its slopes w_k . x all overflow (inf - inf)
         cases = [
             (Sum([SQUARE, SQRT]), [[1e200], [3.0]]),
             (KINKED, [[1e200], [1e160]]),
-            (Sum([SQUARE, SQRT, negative_scale(-0.5, SQUARE)]), [[1e200], [2.0]]),
-            (Sum([SQUARE, negative_scale(-2.0, MinOfAffine([Affine((1e308,), 0.0)])), SQRT]), [[10.0], [1e-3]]),
+            (Sum([SQUARE, SQRT, Scale(0.0, SQUARE)]), [[1e200], [2.0]]),
+            (Sum([SQUARE, MinOfAffine([Affine((1e308,), 0.0), Affine((1e308,), 1.0)])]), [[10.0], [1e-3]]),
         ]
         seen = set()
         with np.errstate(over="ignore", invalid="ignore"):
             for c, xs in cases:
                 xs = np.array(xs)
                 for grid_n in (2, _BLOCK + 1, 10001):
-                    got = ray_payment_batch(c, xs, grid_n, 1e-6)
+                    got = ray_payment_batch(c, xs, grid_n)
                     want = whole_row_payments(c, xs, grid_n)
                     np.testing.assert_array_equal(got, want)
                     seen |= {"inf" if np.isinf(v) else "nan" if np.isnan(v) else "finite" for v in got}
@@ -594,22 +611,43 @@ class TestBlockBounds:
                     assert np.all(top[finite] <= bound[finite])
         assert seen == {"inf", "nan", "finite"}
 
+    @pytest.mark.parametrize(
+        "c,name",
+        [
+            (Sum([SQUARE, SQRT, unchecked(Scale, factor=-0.5, child=SQUARE)]), "Scale factor, got -0.5"),
+            (Sum([SQUARE, unchecked(Scale, factor=math.nan, child=KINKED)]), "Scale factor, got nan"),
+            (Sum([SQRT, unchecked(PowerSum, coeffs=(-1.0,), exponents=(2.0,))]), "PowerSum coefficient, got -1.0"),
+            (Sum([SQUARE, SQRT, unchecked(Affine, weights=(-2.0,), intercept=0.0)]), "Affine coefficient, got -2.0"),
+        ],
+        ids=["negative_factor", "nan_factor", "negative_coefficient", "negative_weight"],
+    )
+    def test_negative_or_nan_factor_is_refused_by_name(self, c, name):
+        # the block bounds rest on these signs, so the ray form refuses any other
+        assert c.shape is Shape.GENERAL
+        with pytest.raises(PreconditionError, match=f"non-negative {name}"):
+            ray_payment_batch(c, np.array([[1.0], [2.0]]))
+        with pytest.raises(PreconditionError, match=f"non-negative {name}"):
+            ray_payment_floor(c, np.array([[1.0]]))
+
 
 MIXED = Sum([SQUARE, SQRT])
 MIXED_2D = Sum([PowerSum((1.0, 1.0), (2.0, 2.0)), PowerSum((1.0, 1.0), (0.5, 0.5))])
 
 
 class TestFewColumnsPerPayment:
-    """Counts the columns `slopes` computes per one-row payment, so that a
-    silent fall-back to whole rows fails here."""
+    """Counts the fraction-grid columns `slopes` computes per one-row
+    payment, so that a silent fall-back to whole rows fails here; the block
+    bounds, which `slopes` computes on the blocks' extrema, are not counted."""
 
     def columns(self, monkeypatch, c, x):
         computed = []
         slopes = _RayForm.slopes
+        grid_inv = _grid_rows(10001, _ray_form(c).exponents)[1]
 
-        def counting(form, *args):
-            out = slopes(form, *args)
-            computed.append(out.size)
+        def counting(form, scalars, qs, inv, cols):
+            out = slopes(form, scalars, qs, inv, cols)
+            if inv is grid_inv:
+                computed.append(out.size)
             return out
 
         with monkeypatch.context() as m:
