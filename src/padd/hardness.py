@@ -11,12 +11,19 @@ surplus.  On binary vectors each term reduces to "node active and no
 neighbor active", so under independent per-coordinate randomization the
 expected surplus has the closed form `sum_i p_i * prod_{j ~ i} (1 - p_j)`.
 Fixing coordinates one at a time toward the larger conditional expectation
-is carried out in exact rational arithmetic, making the dominance
-`U(rounded) >= U(fractional)` exact rather than Monte-Carlo approximate.
-Fixing coordinate k moves only the terms of k and its neighbours, so each
-choice reads the local delta
-`E1 - E0 = prod_{j ~ k} (1 - p_j) - sum_{i ~ k} p_i * prod_{j ~ i, j != k} (1 - p_j)`,
-O(deg^2) rational operations per coordinate.
+makes the dominance `U(rounded) >= U(fractional)` exact rather than
+Monte-Carlo approximate, provided each choice reads the exact sign of
+`E1 - E0 = prod_{j ~ k} (1 - p_j) - sum_{i ~ k} p_i * prod_{j ~ i, j != k} (1 - p_j)`.
+Fixing coordinate k moves only the terms of k and its neighbours, so that
+local delta is O(deg^2) operations per coordinate.
+
+Those operations are on integers, not rationals.  Every float in `[0, 1]`
+is dyadic, `m / 2^k`, so on the point's largest `k`, `K`, each coordinate
+is `P_i / 2^K` with an integer `P_i`, and `1 - p_j` is `(2^K - P_j) / 2^K`.
+A product of `n` such factors is an integer over `2^(K n)`; shifting each
+term of the delta left by `K (L - n)`, with `L` its longest term, puts
+them all over `2^(K L)`, so the integer sum has the sign of the exact
+delta.  `surplus_exact` sums and takes `min` on the same integers.
 
 `brute_force_max` and `mis_brute_force` enumerate the `2^d` cube as uint32
 subset masks in 65,536-mask chunks with bitwise popcounts; they share the
@@ -55,14 +62,20 @@ def _check_unit_box(g: GraphInstance, x) -> np.ndarray:
     return x
 
 
+def _dyadic(x: np.ndarray) -> tuple[list[int], int]:
+    """Numerators `P_i` of the coordinates over one denominator `2^K`, and `K`."""
+    ratios = [v.as_integer_ratio() for v in x.tolist()]
+    k = max(den for _, den in ratios).bit_length() - 1
+    return [num << (k + 1 - den.bit_length()) for num, den in ratios], k
+
+
 def surplus_exact(g: GraphInstance, x) -> Fraction:
-    """`U(x) = sum_i [x_i - min(sum_{j ~ i} x_j, x_i)]` in exact rationals."""
-    xf = [Fraction(v) for v in _check_unit_box(g, x)]
-    total = Fraction(0)
+    """`U(x) = sum_i [x_i - min(sum_{j ~ i} x_j, x_i)]`, exact: integer sums over `2^K`."""
+    p, k = _dyadic(_check_unit_box(g, x))
+    total = 0
     for i, js in enumerate(g.neighbors):
-        s = sum((xf[j] for j in js), Fraction(0))
-        total += xf[i] - min(s, xf[i])
-    return total
+        total += p[i] - min(sum(p[j] for j in js), p[i])
+    return Fraction(total, 1 << k)
 
 
 def surplus_U(g: GraphInstance, x) -> float:
@@ -151,11 +164,7 @@ def mis_brute_force(g: GraphInstance) -> int:
 
 @dataclass
 class RoundingState:
-    """Per-coordinate Bernoulli marginals during derandomized rounding.
-
-    Probabilities are exact rationals; a coordinate counts as fixed once
-    its probability is exactly 0 or 1.
-    """
+    """Per-coordinate Bernoulli marginals of a fractional point, as exact rationals."""
 
     graph: GraphInstance
     probs: list
@@ -164,12 +173,6 @@ class RoundingState:
     def from_fractional(cls, g: GraphInstance, x) -> "RoundingState":
         x = _check_unit_box(g, x)
         return cls(graph=g, probs=[Fraction(v) for v in x])
-
-    def is_fixed(self, i: int) -> bool:
-        return self.probs[i] == 0 or self.probs[i] == 1
-
-    def fix(self, i: int, value: int) -> None:
-        self.probs[i] = Fraction(int(value))
 
     def expected_surplus(self) -> Fraction:
         """`E[U] = sum_i p_i * prod_{j ~ i} (1 - p_j)` under independence."""
@@ -186,25 +189,30 @@ class RoundingState:
         return total
 
 
-def _none_active(probs: list, nodes) -> Fraction:
-    """`prod_{j in nodes} (1 - p_j)`, stopping at the first zero factor."""
-    out = Fraction(1)
+def _scaled_none_active(p: list, one: int, nodes) -> int:
+    """`prod_{j in nodes} (one - P_j)`, stopping at the first zero factor."""
+    out = 1
     for j in nodes:
-        out *= 1 - probs[j]
-        if out == 0:
+        out *= one - p[j]
+        if not out:
             break
     return out
 
 
-def _fix_gain(probs: list, nbrs: tuple, k: int) -> Fraction:
-    """`E[U | x_k = 1] - E[U | x_k = 0]`: only the terms of k and its neighbours move.
+def _scaled_gain(p: list, k: int, nbrs: tuple, bits: int) -> int:
+    """`E[U | x_k = 1] - E[U | x_k = 0]` times `2^(bits L)`: an integer with the gain's sign.
 
-    `prod_{j ~ k} (1 - p_j) - sum_{i ~ k} p_i * prod_{j ~ i, j != k} (1 - p_j)`.
+    `p` holds the numerators over `one = 2^bits`.  The terms of k and of each
+    neighbour i have `deg(k)` and `deg(i)` factors; `L` is the largest.
     """
-    gain = _none_active(probs, nbrs[k])
-    for i in nbrs[k]:
-        if probs[i] != 0:
-            gain -= probs[i] * _none_active(probs, (j for j in nbrs[i] if j != k))
+    one = 1 << bits
+    near = nbrs[k]
+    longest = max(len(nbrs[i]) for i in (k, *near))
+    gain = _scaled_none_active(p, one, near) << bits * (longest - len(near))
+    for i in near:
+        if p[i]:
+            rest = _scaled_none_active(p, one, (j for j in nbrs[i] if j != k))
+            gain -= p[i] * rest << bits * (longest - len(nbrs[i]))
     return gain
 
 
@@ -212,16 +220,16 @@ def derandomize(g: GraphInstance, xbar) -> np.ndarray:
     """Round a fractional point to a binary one with no surplus loss.
 
     Walks the coordinates in index order, fixing each to the choice with the
-    larger exact conditional expected surplus (ties fix to 1).  The choice
-    reads the sign of the local delta (`_fix_gain`)
-    `E1 - E0 = prod_{j ~ k} (1 - p_j) - sum_{i ~ k} p_i * prod_{j ~ i, j != k} (1 - p_j)`,
-    O(deg^2) rational operations per coordinate against O(d + |E|) for a
-    full `RoundingState.expected_surplus`.  Coordinates
+    larger exact conditional expected surplus (ties fix to 1): the sign of
+    the local delta `E1 - E0` (`_scaled_gain`), O(deg^2) operations on the
+    point's integer numerators over `2^K` per coordinate, against
+    O(d + |E|) for a full `RoundingState.expected_surplus`.  Coordinates
     that are already exactly 0 or 1 are left untouched, so binary inputs
     round-trip unchanged.  Guarantees `U(result) >= U(xbar)` exactly.
     """
-    state = RoundingState.from_fractional(g, xbar)
-    for i in range(g.node_count):
-        if not state.is_fixed(i):
-            state.fix(i, 1 if _fix_gain(state.probs, g.neighbors, i) >= 0 else 0)
-    return np.array([float(p) for p in state.probs])
+    p, bits = _dyadic(_check_unit_box(g, xbar))
+    one = 1 << bits
+    for k in range(g.node_count):
+        if p[k] != 0 and p[k] != one:
+            p[k] = one if _scaled_gain(p, k, g.neighbors, bits) >= 0 else 0
+    return np.array([float(v == one) for v in p])

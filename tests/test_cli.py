@@ -6,7 +6,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from fraction_rounding import fraction_derandomize, fraction_surplus
 from mp_reference import grid_payment, rel_err
 
 import padd
@@ -282,6 +284,31 @@ class TestHardness:
                     exact = run_cli(capsys, *argv)
                 assert counted == exact and counted[0] == 0
         assert isinstance(cli._binary_surplus(g, padd.derandomize(g, [0.5] * 40)), int)
+
+    @pytest.mark.parametrize("decimals", [3, None], ids=["3-decimal", "full-precision"])
+    def test_integer_rounding_prints_the_fraction_pass(self, capsys, monkeypatch, tmp_path, decimals):
+        # a seeded 2,000-node graph of mean degree 4, rounded from a point held in a file
+        n = 2000
+        rng = np.random.default_rng(n)
+        edges = set()
+        while len(edges) < 2 * n:
+            i, j = sorted(rng.integers(1, n + 1, size=2).tolist())
+            if i != j:
+                edges.add((i, j))
+        graph = tmp_path / "g2000.txt"
+        graph.write_text(f"{n} {len(edges)}\n" + "".join(f"{i} {j}\n" for i, j in sorted(edges)))
+        x = rng.random(n)
+        if decimals is not None:
+            x = np.round(x, decimals)
+        point = tmp_path / "point.txt"
+        point.write_text(",".join(map(repr, x.tolist())))
+        argv = ("hardness", str(graph), "--round", f"@{point}", "--json")
+        integer = run_cli(capsys, *argv)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "derandomize", fraction_derandomize)
+            m.setattr(cli, "surplus_U", lambda g, x: float(fraction_surplus(g, x)))
+            fraction = run_cli(capsys, *argv)
+        assert integer == fraction and integer[0] == 0
 
     @pytest.mark.parametrize("graph, point", [
         ("path3.txt", "0.5,0.5,0.5"),

@@ -19,6 +19,7 @@ from padd import (
     surplus_U,
     surplus_exact,
 )
+from fraction_rounding import fix_gain, fraction_derandomize, fraction_surplus
 from sampling import check_monotone
 from padd.graphs import (
     GraphInstance,
@@ -31,6 +32,7 @@ from padd.graphs import (
     random_graph,
     star_graph,
 )
+from padd.hardness import _dyadic, _scaled_gain
 from padd.instances import hardness_corpus
 
 
@@ -54,16 +56,17 @@ def reference_max(g):
 def reference_derandomize(g, xbar):
     """Method of conditional expectations with two full `E[U]` sums per coordinate."""
     state = RoundingState.from_fractional(g, xbar)
+    probs = state.probs
     for i in range(g.node_count):
-        if state.is_fixed(i):
+        if probs[i] == 0 or probs[i] == 1:
             continue
-        state.fix(i, 1)
+        probs[i] = Fraction(1)
         e1 = state.expected_surplus()
-        state.fix(i, 0)
+        probs[i] = Fraction(0)
         e0 = state.expected_surplus()
         if e1 >= e0:
-            state.fix(i, 1)
-    return np.array([float(p) for p in state.probs])
+            probs[i] = Fraction(1)
+    return np.array([float(p) for p in probs])
 
 
 def branching_mis(g):
@@ -367,6 +370,22 @@ class TestLocalDeltaRounding:
             assert rounded.tolist() == reference_derandomize(g, x).tolist()
             assert rounded[[0, 4, 5, 6]].tolist() == [1.0] * 4
 
+    @pytest.mark.parametrize("tiny", [5e-324, 2.5e-310, 1e-300, 2.0**-60])
+    def test_subnormal_and_mixed_exponent_points(self, rng, tiny):
+        # a tiny coordinate puts every numerator on 2^K with K up to 1074,
+        # next to 3-decimal, scaled-down and exact 0/1 coordinates
+        for d, p in ((8, 0.3), (15, 0.2), (30, 0.1)):
+            g = random_graph(d, p, d)
+            for _ in range(3):
+                x = rng.random(d)
+                x[rng.random(d) < 0.3] = tiny
+                x[rng.random(d) < 0.2] *= 1e-8
+                pick = rng.random(d) < 0.2
+                x[pick] = np.round(x[pick], 3)
+                x[rng.random(d) < 0.1] = 1.0
+                assert derandomize(g, x).tolist() == reference_derandomize(g, x).tolist(), (d, p, tiny)
+                assert surplus_exact(g, x) == fraction_surplus(g, x), (d, p, tiny)
+
     def test_exact_tie_fixes_to_one(self):
         # E1 - E0 = (1 - p1) - p1 = 0 at node 0
         assert derandomize(path_graph(2), (0.5, 0.5)).tolist() == [1.0, 0.0]
@@ -410,6 +429,22 @@ def small_graphs(draw, max_nodes=10):
 
 
 unit_floats = st.one_of(st.sampled_from([0.0, 1.0, 0.5]), st.floats(0.0, 1.0))
+# full precision, 3 decimals, exact 0/1 and -0.0, subnormals (K up to 1074)
+# and tiny normals, mixed within one point
+dyadic_coordinates = st.one_of(
+    st.floats(0.0, 1.0),
+    st.integers(0, 1000).map(lambda n: n / 1000),
+    st.sampled_from([0.0, 1.0, -0.0, 5e-324, 2.5e-310]),
+    st.floats(0.0, 1e-300),
+    st.floats(1e-12, 1e-6),
+)
+
+
+@st.composite
+def graph_points(draw):
+    g = draw(small_graphs())
+    x = draw(st.lists(dyadic_coordinates, min_size=g.node_count, max_size=g.node_count))
+    return g, np.array(x)
 
 
 class TestHardnessProperties:
@@ -443,3 +478,28 @@ class TestHardnessProperties:
         assert set(np.unique(rounded)) <= {0.0, 1.0}
         assert surplus_exact(g, rounded) >= surplus_exact(g, x)
         assert rounded.tolist() == reference_derandomize(g, x).tolist()
+
+    @settings(derandomize=True, deadline=None)
+    @given(graph_points())
+    def test_integer_gain_has_the_fraction_sign_at_every_step(self, case):
+        # both walks fix the same coordinate the same way, so they see the same states
+        g, x = case
+        p, bits = _dyadic(x)
+        one = 1 << bits
+        probs = RoundingState.from_fractional(g, x).probs
+        assert probs == [Fraction(v, one) for v in p]
+        for k in range(g.node_count):
+            if p[k] == 0 or p[k] == one:
+                continue
+            scaled, exact = _scaled_gain(p, k, g.neighbors, bits), fix_gain(probs, g.neighbors, k)
+            assert (scaled > 0) - (scaled < 0) == (exact > 0) - (exact < 0), k
+            p[k], probs[k] = (one, Fraction(1)) if scaled >= 0 else (0, Fraction(0))
+        assert derandomize(g, x).tolist() == [float(v) for v in probs] == fraction_derandomize(g, x).tolist()
+
+    @settings(derandomize=True, deadline=None)
+    @given(graph_points())
+    def test_surplus_exact_equals_the_fraction_sum(self, case):
+        g, x = case
+        got = surplus_exact(g, x)
+        assert isinstance(got, Fraction) and got == fraction_surplus(g, x)
+        assert surplus_U(g, x) == float(fraction_surplus(g, x))
