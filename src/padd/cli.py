@@ -28,7 +28,7 @@ from .equilibrium import (
     verify_equilibrium,
 )
 from .errors import PreconditionError
-from .funcs import MAX_ENUM_DIM, BoxDomain, FunctionExpr, expr_from_dict, expr_to_dict
+from .funcs import MAX_ENUM_DIM, BoxDomain, FunctionExpr, as_bundle, expr_from_dict, expr_to_dict
 from .graphs import GraphInstance, parse_graph_json, parse_graph_text
 from .hardness import brute_force_max, derandomize, mis_brute_force, surplus_U
 from .instances import SCENARIOS, hardness_corpus
@@ -142,7 +142,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_fixed_bundle(args) -> int:
     config = ProblemConfig.load(args.config)
-    bundle = np.array([float(t) for t in args.bundle.split(",")])
+    bundle = as_bundle([float(t) for t in args.bundle.split(",")], config.domain.dim)
     if not config.domain.contains(bundle):
         raise PreconditionError("bundle lies outside the production box")
     out = fixed_bundle_outcome(config.value, config.cost, bundle, config.solver)
@@ -304,7 +304,7 @@ def _cmd_reproduce(args) -> int:
 def _cmd_verify(args) -> int:
     config = ProblemConfig.load(args.config)
     out = _SOLVERS[args.mode](config.value, config.cost, config.domain, config.solver)
-    report = verify_equilibrium(out, config.value, config.cost, config.domain, args.samples, config.solver)
+    report = verify_equilibrium(out, config.value, config.cost, config.domain, config.solver)
     _print_outcome(out)
     print()
     if report.vacuous:
@@ -358,7 +358,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="solve and check the equilibrium conditions")
     p.add_argument("config")
     p.add_argument("--mode", choices=sorted(_SOLVERS), default="auto")
-    p.add_argument("--samples", type=int, default=10001)
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -36,8 +36,8 @@ from .funcs import (
 )
 from .equilibrium import EquilibriumOutcome, solve_auto
 # golden_max is unused here; bench/tests/test_harness.py expects this module to bind it
-from .gridopt import coordinate_refine, golden_max, grid_scan  # noqa: F401
-from .response import SolverConfig, _anchored_form, _check_dims, _ray_pick, _rev_tie, _seller_pick
+from .gridopt import REFINE_PASSES, REFINE_TOP_K, coordinate_refine, golden_max, grid_scan  # noqa: F401
+from .response import _TIE_TOL, SolverConfig, _anchored_form, _check_dims, _ray_pick, _rev_tie, _seller_pick
 from .response import seller_optimal_linear_price
 
 __all__ = [
@@ -125,12 +125,12 @@ def best_concave_price(
     anchored = _anchored_form(u)
     if anchored is not None:
         anchor, _ = anchored
-        pool = _ray_pick(anchor, domain, lambda ts: gap(ts * anchor), cfg.golden_tol)[None, :]
+        pool = _ray_pick(anchor, domain, lambda ts: gap(ts * anchor))[None, :]
     else:
         n_axis = cfg.points(domain.dim)
-        scan = grid_scan(gap, domain.upper, n_axis, cfg.refine_top_k, pool_tol=_rev_tie)
+        scan = grid_scan(gap, domain.upper, n_axis, REFINE_TOP_K, pool_tol=_rev_tie)
         spacing = domain.upper / (n_axis - 1)
-        refined = coordinate_refine(gap, scan.rows, spacing, domain.upper, cfg.refine_passes, cfg.golden_tol)
+        refined = coordinate_refine(gap, scan.rows, spacing, domain.upper, REFINE_PASSES)
         pool = np.vstack([scan.pool, refined])
     gaps = gap(pool)
     top = float(gaps.max())
@@ -182,22 +182,26 @@ def _response_to_price_expr(
         return price.values(xs) - c.values(xs)
 
     n_axis = cfg.points(domain.dim)
-    scan = grid_scan(util, domain.upper, n_axis, 1, pool_tol=lambda top: cfg.tie_tol)
+    scan = grid_scan(util, domain.upper, n_axis, 1, pool_tol=lambda top: _TIE_TOL)
     spacing = domain.upper / (n_axis - 1)
-    x = coordinate_refine(util, scan.rows, spacing, domain.upper, cfg.refine_passes, cfg.golden_tol)
+    x = coordinate_refine(util, scan.rows, spacing, domain.upper, REFINE_PASSES)
     # seller tie-break among near-optimal grid bundles
     cands = np.vstack([scan.pool, x])
     uvals = util(cands)
     max_util = float(uvals.max())
-    pick = cands[_seller_pick(cands, uvals, cfg.tie_tol, rev)]
-    if np.count_nonzero(uvals >= max_util - cfg.tie_tol) > 1:
+    pick = cands[_seller_pick(cands, uvals, _TIE_TOL, rev)]
+    if np.count_nonzero(uvals >= max_util - _TIE_TOL) > 1:
         # buyer indifference region: polish the seller's revenue inside it
-        refined = coordinate_refine(rev, pick, spacing, domain.upper, cfg.refine_passes, cfg.golden_tol)[0]
-        still_tied = util(refined[None, :])[0] >= max_util - cfg.tie_tol
+        refined = coordinate_refine(rev, pick, spacing, domain.upper, REFINE_PASSES)[0]
+        still_tied = util(refined[None, :])[0] >= max_util - _TIE_TOL
         revs = rev(np.vstack([refined, pick]))
         if still_tied and revs[0] > revs[1]:
             pick = refined
     return pick
+
+
+_EQUIV_BUNDLE_TOL = 1e-3  # largest coordinate gap between equivalent bundles
+_EQUIV_VALUE_TOL = 1e-4  # largest payment, surplus and revenue gap of equivalent outcomes
 
 
 @dataclass(eq=False)
@@ -213,16 +217,14 @@ class EquivalenceReport:
     payment_delta: float
     surplus_delta: float
     revenue_delta: float
-    bundle_tol: float
-    value_tol: float
 
     @property
     def equivalent(self) -> bool:
         return (
-            self.bundle_delta <= self.bundle_tol
-            and self.payment_delta <= self.value_tol
-            and self.surplus_delta <= self.value_tol
-            and self.revenue_delta <= self.value_tol
+            self.bundle_delta <= _EQUIV_BUNDLE_TOL
+            and self.payment_delta <= _EQUIV_VALUE_TOL
+            and self.surplus_delta <= _EQUIV_VALUE_TOL
+            and self.revenue_delta <= _EQUIV_VALUE_TOL
         )
 
 
@@ -231,8 +233,6 @@ def equivalence_check(
     c: FunctionExpr,
     domain: BoxDomain,
     cfg: SolverConfig | None = None,
-    bundle_tol: float = 1e-3,
-    value_tol: float = 1e-4,
 ) -> EquivalenceReport:
     """Solve under both pricing classes and compare the outcomes.
 
@@ -265,8 +265,6 @@ def equivalence_check(
         payment_delta=abs(rich_payment - linear.payment),
         surplus_delta=abs(rich_surplus - linear.buyer_surplus),
         revenue_delta=abs(rich_revenue - linear.seller_revenue),
-        bundle_tol=bundle_tol,
-        value_tol=value_tol,
     )
 
 

@@ -34,7 +34,8 @@ from .funcs import (
     Shape,
     as_bundle,
 )
-from .gridopt import axis_rows, coordinate_refine, golden_max, grid_blocks, grid_rows, grid_scan, refine_bracket, top_k
+from .gridopt import REFINE_PASSES, REFINE_TOP_K, axis_rows, coordinate_refine, golden_max, grid_blocks, grid_rows
+from .gridopt import grid_scan, refine_bracket, top_k
 from .raygeom import ray_payment_batch, ray_payment_floor, ray_slope_sup
 from .response import SolverConfig, _separable, buyer_best_response, seller_optimal_linear_price
 
@@ -55,6 +56,10 @@ METHOD_GENERAL = "general"
 METHOD_CONVEX = "convex_closed_form"
 METHOD_CONCAVE = "concave_closed_form"
 METHOD_FIXED = "fixed_bundle"
+
+_NO_TRADE_TOL = 1e-12  # surplus at or below which a solve trades nothing; closer candidates tie
+_FRACTION_SAMPLES = 10001  # fractions of the bundle in `verify_equilibrium`'s seller check
+_BUNDLE_TOL = 1e-6  # `verify_equilibrium`'s largest coordinate gap to the buyer's response
 
 
 @dataclass(eq=False)
@@ -205,7 +210,7 @@ def _maximize(obj_batch, domain: BoxDomain, cfg: SolverConfig, bound_batch=None)
 
     `bound_batch`, when given, must be at least `obj_batch` on every row in
     floating point, bit for bit.  The objective is then evaluated only on
-    the rows that can reach the top `refine_top_k`; see `_pruned_values`.
+    the rows that can reach the top `REFINE_TOP_K`; see `_pruned_values`.
     The result is identical.
     `_solve` passes `v - (c - c(0))` for costs without a closed payment
     form: its a = 0 chord slope `c(x) - c(0)` is the first entry of the
@@ -214,27 +219,27 @@ def _maximize(obj_batch, domain: BoxDomain, cfg: SolverConfig, bound_batch=None)
     """
     n = cfg.points(domain.dim)
     if bound_batch is None:
-        _, vals, starts, _ = grid_scan(obj_batch, domain.upper, n, cfg.refine_top_k)
+        _, vals, starts, _ = grid_scan(obj_batch, domain.upper, n, REFINE_TOP_K)
     else:
         rows = partial(grid_rows, domain.upper, n)
         bound = np.concatenate([bound_batch(xs) for _, xs in grid_blocks(domain.upper, n)])
-        vals = _pruned_values(obj_batch, bound, rows, cfg.refine_top_k)
-        idx = top_k(vals, cfg.refine_top_k)
+        vals = _pruned_values(obj_batch, bound, rows, REFINE_TOP_K)
+        idx = top_k(vals, REFINE_TOP_K)
         vals, starts = vals[idx], rows(idx)
 
     spacing = domain.upper / (n - 1)
-    refined = coordinate_refine(obj_batch, starts, spacing, domain.upper, cfg.refine_passes, cfg.golden_tol)
+    refined = coordinate_refine(obj_batch, starts, spacing, domain.upper, REFINE_PASSES)
     candidates = [(float(vals[0]), tuple(starts[0]))]
     candidates += [(float(val), tuple(x)) for val, x in zip(obj_batch(refined), refined)]
-    best, top = _pick(candidates, cfg.no_trade_tol)
+    best, top = _pick(candidates)
     return np.asarray(best, dtype=float), top
 
 
-def _pick(candidates, tol: float):
+def _pick(candidates):
     """(point, value) of the best of the (value, point) `candidates`: the
-    smallest (lexicographically) point within `tol` of the best value."""
+    smallest (lexicographically) point within `_NO_TRADE_TOL` of the best."""
     top = max(val for val, _ in candidates)
-    return min(x for val, x in candidates if val >= top - tol), top
+    return min(x for val, x in candidates if val >= top - _NO_TRADE_TOL), top
 
 
 def _maximize_per_good(obj_batch, domain: BoxDomain, cfg: SolverConfig):
@@ -243,8 +248,8 @@ def _maximize_per_good(obj_batch, domain: BoxDomain, cfg: SolverConfig):
     `obj_batch` on the axis row `t * e_i` must be good i's term at t (every
     term vanishes at 0), so each good is a 1-d problem, searched the way
     `_maximize` searches one good: the `cfg.points(1)` grid on `[0,
-    upper_i]`, golden refinement of its top `refine_top_k` points, then
-    the smallest t within `no_trade_tol` of the good's best (`_pick`).
+    upper_i]`, golden refinement of its top `REFINE_TOP_K` points, then
+    the smallest t within `_NO_TRADE_TOL` of the good's best (`_pick`).
     All goods' grids are one objective call and each golden step one call
     for all k * d brackets; the value is the sum of the goods' bests.  The
     d-dimensional density is still required, so the grid and this search
@@ -256,7 +261,7 @@ def _maximize_per_good(obj_batch, domain: BoxDomain, cfg: SolverConfig):
     upper = domain.upper[:, None]
     ts = np.stack([np.linspace(0.0, b, n) for b in domain.upper])  # (d, n), the 1-d grid rows of each good
     vals = obj_batch(axis_rows(ts, goods, d)).reshape(d, n)
-    idx = np.stack([top_k(row, cfg.refine_top_k) for row in vals])
+    idx = np.stack([top_k(row, REFINE_TOP_K) for row in vals])
     starts = np.take_along_axis(ts, idx, axis=1)  # (d, k)
     goods_k = np.repeat(np.arange(d), starts.shape[1])  # the good of each of the k * d brackets
 
@@ -264,13 +269,11 @@ def _maximize_per_good(obj_batch, domain: BoxDomain, cfg: SolverConfig):
         return obj_batch(axis_rows(pos, goods_k, d)).reshape(pos.shape)
 
     t = starts
-    for _ in range(cfg.refine_passes):
+    for _ in range(REFINE_PASSES):
         lo, hi = refine_bracket(t, upper / (n - 1), upper)
-        t = golden_max(along, lo.ravel(), hi.ravel(), tol=cfg.golden_tol).reshape(starts.shape)
+        t = golden_max(along, lo.ravel(), hi.ravel()).reshape(starts.shape)
     refined = along(t.ravel()).reshape(starts.shape)
-    picks = [
-        _pick([(vals[i, idx[i, 0]], starts[i, 0]), *zip(refined[i], t[i])], cfg.no_trade_tol) for i in range(d)
-    ]
+    picks = [_pick([(vals[i, idx[i, 0]], starts[i, 0]), *zip(refined[i], t[i])]) for i in range(d)]
     return np.array([x for x, _ in picks]), sum(top for _, top in picks)
 
 
@@ -405,7 +408,7 @@ def _solve(v: FunctionExpr, c: FunctionExpr, domain: BoxDomain, cfg: SolverConfi
     else:
         # a closed-form payment is its own floor: a bound would only add a full-grid sort
         x, best = _maximize(objective, domain, cfg, bound if c.shape is Shape.GENERAL else None)
-    if best <= cfg.no_trade_tol or not np.any(x > 0):
+    if best <= _NO_TRADE_TOL or not np.any(x > 0):
         return _no_trade(domain.dim, method)
     payment = float(ray_payment_batch(c, x[None, :], cfg.ray_grid_n)[0])
     return _trade_outcome(v, c, x, payment, method, cfg)
@@ -489,7 +492,6 @@ def verify_equilibrium(
     v: FunctionExpr,
     c: FunctionExpr,
     domain: BoxDomain,
-    sample_n: int = 10001,
     cfg: SolverConfig | None = None,
 ) -> VerificationReport:
     """Check the solved outcome against the defining best-response conditions.
@@ -501,15 +503,13 @@ def verify_equilibrium(
     No-trade outcomes pass vacuously.
     """
     cfg = cfg or SolverConfig()
-    if sample_n < 2:
-        raise PreconditionError("fraction feasibility needs at least 2 samples (a = 0 and a = 1)")
     if not outcome.trade:
         return VerificationReport(checks=[], vacuous=True)
 
     x, p = outcome.bundle, outcome.payment
     checks = []
 
-    alphas = np.linspace(0.0, 1.0, sample_n)
+    alphas = np.linspace(0.0, 1.0, _FRACTION_SAMPLES)
     margins = alphas * p - c.values(alphas[:, None] * x)
     worst = float(margins.max() - margins[-1])  # the last fraction is a = 1, the bundle itself
     tol_a = 1e-9 * max(1.0, abs(p))
@@ -521,7 +521,7 @@ def verify_equilibrium(
     xbr = buyer_best_response(u_expr, outcome.unit_prices, domain, c, cfg)
     dev = float(np.max(np.abs(xbr - x)))
     checks.append(
-        CheckResult("buyer_best_response_at_split_price", dev <= cfg.bundle_tol, dev)
+        CheckResult("buyer_best_response_at_split_price", dev <= _BUNDLE_TOL, dev)
     )
 
     sol = seller_optimal_linear_price(u_expr, c, domain, cfg)

@@ -575,14 +575,18 @@ def _is_number(value, kind=Real) -> bool:
 _NUMBER = (_is_number, "a number")
 _NUMBERS = (lambda v: all(map(_is_number, v if isinstance(v, list) else [v])), "a number or a list of numbers")
 _LIST = (lambda v: isinstance(v, list), "a list")
+_OBJECT = (lambda v: isinstance(v, dict), "a JSON object")
 _OBJECTS = (lambda v: isinstance(v, list) and all(isinstance(p, dict) for p in v), "a list of JSON objects")
 _STRING = (lambda v: isinstance(v, str), "a string")
 
 
 def _field(obj: dict, key: str, kind: tuple, default=None):
     """`obj[key]` of a JSON object (`default` when given and the key is
-    absent), refused by the field's name unless it is of the `kind` above."""
-    value = obj[key] if default is None else obj.get(key, default)
+    absent), refused by the field's name when it is missing or not of the
+    `kind` above."""
+    if default is None and key not in obj:
+        raise ValueError(f"field {key!r} is missing")
+    value = obj.get(key, default)
     if not kind[0](value):
         raise ValueError(f"field {key!r} must be {kind[1]}, got {value!r}")
     return value
@@ -594,8 +598,8 @@ _KINDS = {
     "leontief": lambda d: Leontief(_field(d, "anchor", _NUMBERS), _field(d, "level", _NUMBER)),
     "min_of_affine": lambda d: MinOfAffine([_KINDS["affine"](p) for p in _field(d, "pieces", _OBJECTS)]),
     "sum": lambda d: Sum([expr_from_dict(c) for c in _field(d, "children", _LIST)]),
-    "scale": lambda d: Scale(_field(d, "factor", _NUMBER), expr_from_dict(d["child"])),
-    "graph_min_cost": lambda d: GraphMinCost(parse_graph_json(d["graph"])),
+    "scale": lambda d: Scale(_field(d, "factor", _NUMBER), expr_from_dict(_field(d, "child", _OBJECT))),
+    "graph_min_cost": lambda d: GraphMinCost(parse_graph_json(_field(d, "graph", _OBJECT))),
 }
 
 

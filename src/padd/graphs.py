@@ -116,7 +116,15 @@ def parse_graph_text(text: str) -> GraphInstance:
 
 def parse_graph_json(obj: dict) -> GraphInstance:
     """Parse the JSON form of `GraphInstance.to_dict` (1-based integer ids)."""
-    d, pairs = obj["node_count"], [tuple(e) for e in obj["edges"]]
+    if not isinstance(obj, dict):
+        raise ValueError("graph must be a JSON object")
+    missing = [name for name in ("node_count", "edges") if name not in obj]
+    if missing:
+        raise ValueError(f"graph field {missing[0]!r} is missing")
+    edges = obj["edges"]
+    if not (isinstance(edges, list) and all(isinstance(e, list) and len(e) == 2 for e in edges)):
+        raise ValueError("graph field 'edges' must be a list of [i, j] pairs")
+    d, pairs = obj["node_count"], [tuple(e) for e in edges]
     for name, values in (("node_count", [d]), ("edges", [v for e in pairs for v in e])):
         if not all(type(v) is int for v in values):  # refuses floats and booleans
             raise ValueError(f"graph field {name!r} must hold integers")

@@ -32,18 +32,23 @@ __all__ = ["golden_max", "refine_bracket", "coordinate_refine", "axis_rows", "to
 # grid rows per block of a streamed grid search
 _BLOCK = 8192
 
+REFINE_TOP_K = 3  # best grid cells that a search refines
+REFINE_PASSES = 2  # coordinate passes of a refinement
+_GOLDEN_TOL = 1e-10  # bracket width at which a golden search stops
+_GOLDEN_MAX_STEPS = 200  # cap on the steps of one golden search
+
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
 
-def _golden(lo: float, hi: float, tol: float, max_iter: int):
+def _golden(lo: float, hi: float):
     """Golden-section search on one bracket as a generator: it yields each
     position to evaluate, is sent the value there, and returns its pick."""
     a, b = (hi, lo) if hi < lo else (lo, hi)
     h = b - a
-    if h <= tol:
+    if h <= _GOLDEN_TOL:
         return (a + b) / 2.0
-    n = min(max_iter, math.ceil(math.log(tol / h) / math.log(_INVPHI)))
+    n = min(_GOLDEN_MAX_STEPS, math.ceil(math.log(_GOLDEN_TOL / h) / math.log(_INVPHI)))
     c, d = a + _INVPHI2 * h, a + _INVPHI * h
     yc = yield c
     yd = yield d
@@ -60,7 +65,7 @@ def _golden(lo: float, hi: float, tol: float, max_iter: int):
     return c if yc > yd else d
 
 
-def golden_max(f, lo, hi, tol: float = 1e-10, max_iter: int = 200) -> np.ndarray:
+def golden_max(f, lo, hi) -> np.ndarray:
     """Maximize k unimodal functions, one on each bracket `[lo[j], hi[j]]`.
 
     `f` maps an array of positions whose last axis runs over the k
@@ -73,7 +78,7 @@ def golden_max(f, lo, hi, tol: float = 1e-10, max_iter: int = 200) -> np.ndarray
     """
     lo = np.array(lo, dtype=float, ndmin=1).tolist()
     hi = np.array(hi, dtype=float, ndmin=1).tolist()
-    searches = [_golden(a, b, tol, max_iter) for a, b in zip(lo, hi)]
+    searches = [_golden(a, b) for a, b in zip(lo, hi)]
     pos, ys, done = [None] * len(lo), [None] * len(lo), [False] * len(lo)
     while not all(done):
         for j, search in enumerate(searches):
@@ -100,7 +105,7 @@ def refine_bracket(x, spacing, upper):
     return np.maximum(0.0, x - spacing), np.where(hi >= upper - 4.0 * np.spacing(upper), upper, hi)
 
 
-def coordinate_refine(f, starts, spacing, upper, passes: int, tol: float) -> np.ndarray:
+def coordinate_refine(f, starts, spacing, upper, passes: int) -> np.ndarray:
     """Refined copies of the rows of `starts` ((k, d)), as a (k, d) array.
 
     Each pass golden-maximizes the batch objective `f` ((m, d) rows to m
@@ -117,7 +122,7 @@ def coordinate_refine(f, starts, spacing, upper, passes: int, tol: float) -> np.
                 ys[:, _i] = ts.ravel()
                 return f(ys).reshape(ts.shape)
 
-            x[:, i] = golden_max(along, lo, hi, tol=tol)
+            x[:, i] = golden_max(along, lo, hi)
     return x
 
 

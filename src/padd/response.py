@@ -41,7 +41,7 @@ from .funcs import (
     as_bundle,
     as_price,
 )
-from .gridopt import axis_rows, coordinate_refine, golden_max, grid_blocks, grid_rows, grid_scan
+from .gridopt import REFINE_PASSES, axis_rows, coordinate_refine, golden_max, grid_blocks, grid_rows, grid_scan
 from .raygeom import DEFAULT_GRID_N
 
 __all__ = [
@@ -53,6 +53,7 @@ __all__ = [
 ]
 
 _REV_TIE_REL = 1e-12
+_TIE_TOL = 1e-8  # buyer utilities this close to the best tie; the seller breaks the tie
 
 
 @dataclass
@@ -66,37 +67,25 @@ class SolverConfig:
     `seller_optimal_linear_price` and `concavepricing`, none of which
     runs for an anchored report; the 1-d density is also each good's
     grid in `equilibrium._maximize_per_good`, which still requires the
-    game's own dimension.  `refine_top_k`: the grid cells that
-    `_maximize`, `_maximize_per_good` (per good) and `best_concave_price`
-    (non-anchored reports) refine.
-    `refine_passes`, `golden_tol`: every coordinate refinement and golden
-    search.  `tie_tol`: buyer utility ties in `response` and
-    `concavepricing`.  `bundle_tol`: `verify_equilibrium`'s bundle check.
-    `no_trade_tol`: the surplus at or below which `equilibrium` reports no
-    trade.  `ray_grid_n`: the numeric ray grid of `raygeom`.
-    `lambda_split`: the payment split of `equilibrium`'s outcomes (None:
-    even over the goods bought).
+    game's own dimension.  `ray_grid_n`: the numeric ray grid of
+    `raygeom`.  `lambda_split`: the payment split of `equilibrium`'s
+    outcomes (None: even over the goods bought), which picks the
+    reported member of the optimal price family.
+
+    Tolerances and refinement counts are constants of the modules that
+    read them: the refinement schedule in `gridopt`, the buyer's utility
+    tie tolerance here, the no-trade threshold and the verification
+    tolerances in `equilibrium`, the equivalence tolerances in
+    `concavepricing`.
     """
 
     grid_points: dict = field(default_factory=lambda: {1: 2001, 2: 201, 3: 51, 4: 21})
-    refine_top_k: int = 3
-    refine_passes: int = 2
-    golden_tol: float = 1e-10
-    tie_tol: float = 1e-8
-    bundle_tol: float = 1e-6
-    no_trade_tol: float = 1e-12
     ray_grid_n: int = DEFAULT_GRID_N
     lambda_split: tuple | None = None
 
     def __post_init__(self):
-        for name in ("golden_tol", "tie_tol", "bundle_tol", "no_trade_tol"):
-            tol = getattr(self, name)
-            if not (_is_number(tol, Real) and math.isfinite(tol) and tol > 0):
-                raise ValueError(f"solver option {name} must be finite and positive")
-        for name, least in (("refine_top_k", 1), ("refine_passes", 0), ("ray_grid_n", 2)):
-            n = getattr(self, name)
-            if not (_is_number(n, Integral) and n >= least):
-                raise ValueError(f"solver option {name} must be an integer of at least {least}")
+        if not (_is_number(self.ray_grid_n, Integral) and self.ray_grid_n >= 2):
+            raise ValueError("solver option ray_grid_n must be an integer of at least 2")
         if not (
             isinstance(self.grid_points, Mapping)
             and all(_is_number(d, Integral) and _is_number(n, Integral) and n >= 2 for d, n in self.grid_points.items())
@@ -109,6 +98,7 @@ class SolverConfig:
             and abs(math.fsum(lam) - 1.0) <= 1e-9
         ):
             raise ValueError("solver option lambda_split must be finite, non-negative weights that sum to 1")
+        self.lambda_split = None if lam is None else tuple(lam)  # one type, so a config equals its JSON round trip
 
     def points(self, dim: int) -> int:
         """Points per axis for a `dim`-dimensional grid search."""
@@ -230,7 +220,7 @@ def _ray_limit(anchor: np.ndarray, domain: BoxDomain) -> float:
     return float(min(1.0, np.min(domain.upper[support] / anchor[support])))
 
 
-def _ray_pick(anchor: np.ndarray, domain: BoxDomain, rev, golden_tol: float) -> np.ndarray:
+def _ray_pick(anchor: np.ndarray, domain: BoxDomain, rev) -> np.ndarray:
     """The seller-favoured bundle `t * anchor` on the anchor's ray in the box.
 
     `rev` maps (m, 1) fractions to the m revenues there.  The fraction runs
@@ -241,7 +231,7 @@ def _ray_pick(anchor: np.ndarray, domain: BoxDomain, rev, golden_tol: float) -> 
     t_max = _ray_limit(anchor, domain)
     ts = np.linspace(0.0, t_max, 513)[:, None]
     j = int(np.argmax(rev(ts)))
-    t_ref = coordinate_refine(rev, ts[j], [t_max / 512], [t_max], 1, golden_tol)
+    t_ref = coordinate_refine(rev, ts[j], [t_max / 512], [t_max], 1)
     cands = np.vstack([[[0.0], [t_max]], t_ref])
     rv = rev(cands)
     return cands[_seller_pick(cands, rv, _rev_tie(float(rv.max())))][0] * anchor
@@ -258,14 +248,8 @@ def _revenue(price: np.ndarray, c: FunctionExpr, xs: np.ndarray) -> np.ndarray:
     return _column_sum(price, xs, 0.0) - c.values(xs)
 
 
-def _finish_ties(
-    cands: np.ndarray,
-    u: FunctionExpr,
-    price: np.ndarray,
-    c: FunctionExpr,
-    tie_tol: float,
-) -> np.ndarray:
-    pick = _seller_pick(cands, _utility(u, price, cands), tie_tol, lambda tied: _revenue(price, c, tied))
+def _finish_ties(cands: np.ndarray, u: FunctionExpr, price: np.ndarray, c: FunctionExpr) -> np.ndarray:
+    pick = _seller_pick(cands, _utility(u, price, cands), _TIE_TOL, lambda tied: _revenue(price, c, tied))
     return cands[pick].copy()
 
 
@@ -278,7 +262,7 @@ def buyer_best_response(
 ) -> np.ndarray:
     """Bundle maximizing `u(x) - price . x` over the box.
 
-    Among bundles whose utility is within `cfg.tie_tol` of the maximum, the one
+    Among bundles whose utility is within `_TIE_TOL` of the maximum, the one
     maximizing the seller's revenue `price . x - c(x)` is returned (the
     cost enters only through this tie-break); remaining ties go to the
     lexicographically largest bundle.
@@ -294,14 +278,14 @@ def buyer_best_response(
         # worth level * min(r(x), 1): all of the ray, none of it, or the seller's pick
         anchor, level = anchored
         pay_full = float(price @ anchor)
-        if level - pay_full > cfg.tie_tol:
+        if level - pay_full > _TIE_TOL:
             return _ray_limit(anchor, domain) * anchor
-        if level - pay_full < -cfg.tie_tol:
+        if level - pay_full < -_TIE_TOL:
             return np.zeros(u.dim)
-        return _ray_pick(anchor, domain, lambda ts: ts[:, 0] * pay_full - c.values(ts * anchor), cfg.golden_tol)
+        return _ray_pick(anchor, domain, lambda ts: ts[:, 0] * pay_full - c.values(ts * anchor))
     if u.shape is Shape.CONVEX:
         # convex reports are maximized at a box corner
-        return _finish_ties(domain.vertices(), u, price, c, cfg.tie_tol)
+        return _finish_ties(domain.vertices(), u, price, c)
 
     if u.dim == 1 or _separable(u):
         # one golden search per coordinate, all in lockstep
@@ -309,15 +293,15 @@ def buyer_best_response(
             return u.values(axis_rows(ts, np.arange(u.dim), u.dim)).reshape(ts.shape) - price * ts
 
         zero = np.zeros(u.dim)
-        ts = np.vstack([zero, domain.upper, golden_max(utility, zero, domain.upper, tol=cfg.golden_tol)])
+        ts = np.vstack([zero, domain.upper, golden_max(utility, zero, domain.upper)])
         us = utility(ts)
-        keep = us >= us.max(axis=0) - cfg.tie_tol
+        keep = us >= us.max(axis=0) - _TIE_TOL
         per_coord = [sorted(set(ts[keep[:, i], i].tolist())) for i in range(u.dim)]
-        return _finish_ties(np.array(list(itertools.product(*per_coord))), u, price, c, cfg.tie_tol)
+        return _finish_ties(np.array(list(itertools.product(*per_coord))), u, price, c)
 
     n = cfg.points(domain.dim)
-    scan = grid_scan(lambda xs: _utility(u, price, xs), domain.upper, n, 1, pool_tol=lambda top: cfg.tie_tol)
-    return _finish_ties(scan.pool, u, price, c, cfg.tie_tol)
+    scan = grid_scan(lambda xs: _utility(u, price, xs), domain.upper, n, 1, pool_tol=lambda top: _TIE_TOL)
+    return _finish_ties(scan.pool, u, price, c)
 
 
 def _consistent_record(u, p, domain, c, cfg, xbr=None):
@@ -376,7 +360,7 @@ def seller_optimal_linear_price(
         # there; a price that charges exactly the level leaves the buyer
         # indifferent, and the buyer's response is then this same search
         anchor, level = anchored
-        x = _ray_pick(anchor, domain, lambda ts: ts[:, 0] * level - c.values(ts * anchor), cfg.golden_tol)
+        x = _ray_pick(anchor, domain, lambda ts: ts[:, 0] * level - c.values(ts * anchor))
         p = u.grad_max_info(x)
         try_price(p, x if float(p @ anchor) == level else None)
     elif isinstance(u, MinOfAffine):
@@ -436,7 +420,7 @@ def _refine_smooth(u, c, domain, records, n_axis, cfg):
         return out
 
     spacing = domain.upper / (n_axis - 1)
-    x = coordinate_refine(revenue, bundle0, spacing, domain.upper, cfg.refine_passes, cfg.golden_tol)[0]
+    x = coordinate_refine(revenue, bundle0, spacing, domain.upper, REFINE_PASSES)[0]
     if revenue(x[None, :])[0] > rev0:
         rec = _consistent_record(u, u.grad_max_info(x), domain, c, cfg)
         if rec is not None and rec[0] > rev0:

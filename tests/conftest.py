@@ -25,11 +25,11 @@ def run_capped():
     """Run `python *argv` with padd importable and a 512 MB address-space cap,
     so that a memory regression fails the test instead of exhausting the machine."""
 
-    def run(*argv):
+    def run(*argv, timeout=120):
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
         return subprocess.run(
-            [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120,
+            [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=timeout,
             preexec_fn=_cap_address_space,
         )
 

@@ -152,7 +152,7 @@ def test_criterion_6_pricing_class_equivalence():
     shapes = {c.shape for _, _, c, _ in suite}
     failures = []
     for name, v, c, box in suite:
-        rep = equivalence_check(v, c, box, bundle_tol=1e-3, value_tol=1e-4)
+        rep = equivalence_check(v, c, box)
         if not rep.equivalent:
             failures.append(name)
     ok = (

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from fraction_rounding import fraction_derandomize, fraction_surplus
+from hypothesis import given, settings, strategies as st
 from mp_reference import grid_payment, rel_err
 
 import padd
@@ -16,6 +17,7 @@ from padd import cli
 from padd.cli import ProblemConfig, main
 from padd.graphs import random_graph
 from padd.instances import convex_cost_demo
+from padd.response import SolverConfig
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 CONFIGS = FIXTURES / "configs"
@@ -136,8 +138,12 @@ class TestSolve:
         bad.write_text(json.dumps(cfg))
         code, out, err = run_cli(capsys, "solve", str(bad))
         assert code == 1
+        name = next(iter(option))
+        if name in REMOVED_OPTIONS:  # refused by name as an unknown option
+            assert err == f"error: unknown solver options: [{name!r}]\n"
+            return
         assert err.startswith("error: solver option")
-        assert f"option {next(iter(option))} " in err
+        assert f"option {name} " in err
         assert "Traceback" not in err and out == ""
 
     @pytest.mark.parametrize("value_coeff", [1.0, 4.0], ids=["no_trade", "trade"])
@@ -238,6 +244,13 @@ class TestFixedBundle:
             capsys, "fixed-bundle", str(CONFIGS / "convex_demo.json"), "--bundle", "500"
         )
         assert code == 2
+
+    @pytest.mark.parametrize("config, dim", [("convex_demo.json", 1), ("five_goods.json", 5)])
+    def test_wrong_dimension_is_named(self, capsys, config, dim):
+        # a 2-good bundle against the 5-good box used to fail in a numpy broadcast
+        code, out, err = run_cli(capsys, "fixed-bundle", str(CONFIGS / config), "--bundle", "1,2")
+        assert code == 2 and out == ""
+        assert err == f"precondition violated: bundle has dimension 2, expected {dim}\n"
 
 
 class TestHardness:
@@ -365,6 +378,25 @@ class TestGraphInputRefusals:
         assert err == "precondition violated: graph needs at least one node\n"
 
     @pytest.mark.parametrize(
+        "graph, says",
+        [
+            (5, "graph must be a JSON object"),
+            ([[1, 2]], "graph must be a JSON object"),
+            ({"edges": [[1, 2]]}, "graph field 'node_count' is missing"),
+            ({"node_count": 3}, "graph field 'edges' is missing"),
+            ({"node_count": 3, "edges": [1, 2]}, "graph field 'edges' must be a list of [i, j] pairs"),
+            ({"node_count": 3, "edges": [[1, 2, 3]]}, "graph field 'edges' must be a list of [i, j] pairs"),
+        ],
+        ids=["number", "list", "no_node_count", "no_edges", "flat_edges", "edge_triple"],
+    )
+    def test_malformed_json_graph_file_is_named(self, capsys, tmp_path, graph, says):
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(graph))
+        code, out, err = run_cli(capsys, "hardness", str(path))
+        assert code == 1 and out == ""
+        assert err == f"error: {says}\n"
+
+    @pytest.mark.parametrize(
         "graph, field",
         [
             ({"node_count": 3.7, "edges": [[1, 2.9]]}, "node_count"),
@@ -411,7 +443,7 @@ class TestNodeCountCheckedBeforeStorage:
 
 
 # a general-shape game that reaches every node kind's parser, the box and
-# every solver option, on small grids
+# the solver's grids, on small grids
 MIXED_GAME = {
     "value": {
         "kind": "sum",
@@ -438,11 +470,13 @@ MIXED_GAME = {
         ],
     },
     "domain": {"upper": [3.0]},
-    "solver": {"grid_points": {"1": 101}, "ray_grid_n": 101, "refine_passes": 1},
+    "solver": {"grid_points": {"1": 101}, "ray_grid_n": 101},
 }
 
 NODE = ("value", "children", 0)
 AFFINE = ("cost", "children", 1, "child", "pieces", 0)
+# tolerances and refinement counts that used to be solver options
+REMOVED_OPTIONS = ("refine_passes", "refine_top_k", "golden_tol", "tie_tol", "bundle_tol", "no_trade_tol")
 # (path into MIXED_GAME, the value put there, a text the one stderr line must hold)
 MALFORMED = {
     "config_list": ((), [1, 2], "config must be a JSON object"),
@@ -457,6 +491,7 @@ MALFORMED = {
     "coeffs_nested": (NODE + ("coeffs",), [[10.0]], "field 'coeffs'"),
     "coeffs_null": (NODE + ("coeffs",), None, "field 'coeffs'"),
     "coeffs_nan": (NODE + ("coeffs",), [math.nan], "must be finite"),
+    "coeffs_missing": (NODE, {"kind": "power_sum", "exponents": [0.5]}, "field 'coeffs' is missing"),
     "exponents_inf": (NODE + ("exponents",), [math.inf], "must be finite"),
     "exponents_object": (NODE + ("exponents",), {"0": 0.5}, "field 'exponents'"),
     "anchor_string": (("value", "children", 1, "anchor"), "1", "field 'anchor'"),
@@ -465,6 +500,12 @@ MALFORMED = {
     "factor_string": (("cost", "children", 1, "factor"), "2", "field 'factor'"),
     "factor_bool": (("cost", "children", 1, "factor"), True, "field 'factor'"),
     "factor_inf": (("cost", "children", 1, "factor"), math.inf, "must be finite"),
+    "child_missing": (("cost", "children", 1), {"kind": "scale", "factor": 1.0}, "field 'child' is missing"),
+    "child_list": (("cost", "children", 1, "child"), [], "field 'child' must be a JSON object"),
+    "graph_list": (("cost", "children", 0), {"kind": "graph_min_cost", "graph": [1, 2]}, "field 'graph' must be a JSON object"),
+    "node_count_missing": (
+        ("cost", "children", 0), {"kind": "graph_min_cost", "graph": {"edges": []}}, "graph field 'node_count' is missing"
+    ),
     "weights_bool": (AFFINE + ("weights",), [True], "field 'weights'"),
     "intercept_string": (AFFINE + ("intercept",), "0", "field 'intercept'"),
     "intercept_nan": (AFFINE + ("intercept",), math.nan, "must be finite"),
@@ -481,12 +522,13 @@ MALFORMED = {
     "grid_points_one": (("solver", "grid_points"), {"1": 1}, "grid_points"),
     "ray_grid_n_string": (("solver", "ray_grid_n"), "101", "ray_grid_n"),
     "ray_grid_n_float": (("solver", "ray_grid_n"), 101.0, "ray_grid_n"),
-    "refine_passes_bool": (("solver", "refine_passes"), True, "refine_passes"),
-    "refine_top_k_zero": (("solver", "refine_top_k"), 0, "refine_top_k"),
-    "golden_tol_nan": (("solver", "golden_tol"), math.nan, "golden_tol"),
-    "tie_tol_string": (("solver", "tie_tol"), "1e-8", "tie_tol"),
-    "bundle_tol_inf": (("solver", "bundle_tol"), math.inf, "bundle_tol"),
-    "no_trade_tol_negative": (("solver", "no_trade_tol"), -1.0, "no_trade_tol"),
+    # a removed option is refused by name, whatever its value
+    "refine_passes_bool": (("solver", "refine_passes"), True, "unknown solver options: ['refine_passes']"),
+    "refine_top_k_zero": (("solver", "refine_top_k"), 0, "unknown solver options: ['refine_top_k']"),
+    "golden_tol_nan": (("solver", "golden_tol"), math.nan, "unknown solver options: ['golden_tol']"),
+    "tie_tol_string": (("solver", "tie_tol"), "1e-8", "unknown solver options: ['tie_tol']"),
+    "bundle_tol_inf": (("solver", "bundle_tol"), math.inf, "unknown solver options: ['bundle_tol']"),
+    "no_trade_tol_negative": (("solver", "no_trade_tol"), -1.0, "unknown solver options: ['no_trade_tol']"),
     "lambda_split_string": (("solver", "lambda_split"), "1", "lambda_split"),
     "lambda_split_bool": (("solver", "lambda_split"), [True], "lambda_split"),
     "unknown_option": (("solver", "seed"), 0, "unknown solver options"),
@@ -531,20 +573,27 @@ class TestMalformedConfigs:
         assert says in err
 
     @pytest.mark.parametrize(
-        "path, value, argv",
-        [
-            (("solver", "ray_grid_n"), 10**12, ()),
-            (("solver", "grid_points"), {"1": 2 * 10**10}, ()),
-            (("solver", "refine_passes"), 1, ("--samples", str(10**12))),
-        ],
-        ids=["ray_grid_n", "grid_points", "verify_samples"],
+        "path, value",
+        [(("solver", "ray_grid_n"), 10**12), (("solver", "grid_points"), {"1": 2 * 10**10})],
+        ids=["ray_grid_n", "grid_points"],
     )
-    def test_oversized_arrays_are_an_input_exit(self, run_capped, tmp_path, path, value, argv):
+    def test_oversized_arrays_are_an_input_exit(self, run_capped, tmp_path, path, value):
         # each run has a 512 MB address-space cap, so nothing is really allocated
         config = _game_config(tmp_path, path, value)
-        proc = run_capped("-m", "padd.cli", "verify" if argv else "solve", str(config), *argv)
+        proc = run_capped("-m", "padd.cli", "solve", str(config))
         assert proc.returncode == 1 and proc.stdout == ""
         assert proc.stderr.startswith("error: Unable to allocate") and proc.stderr.count("\n") == 1
+
+    def test_huge_refinement_count_is_refused_at_once(self, run_capped, tmp_path):
+        # 10^9 refinement passes used to run without bound; the count is now a
+        # constant, so the key is refused before any solving
+        cfg = json.loads((CONFIGS / "convex_demo.json").read_text())
+        cfg["solver"]["refine_passes"] = 1_000_000_000
+        config = tmp_path / "huge_passes.json"
+        config.write_text(json.dumps(cfg))
+        proc = run_capped("-m", "padd.cli", "solve", str(config), timeout=20)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == "error: unknown solver options: ['refine_passes']\n"
 
 
 class TestHardnessAboveEnumerationCap:
@@ -650,12 +699,6 @@ class TestVerifyCommand:
         assert "all checks passed" in out
         assert out.count("PASS") == 3
 
-    @pytest.mark.parametrize("samples", ["0", "1"])
-    def test_too_few_fraction_samples_is_precondition_exit(self, capsys, samples):
-        code, _, err = run_cli(capsys, "verify", str(CONFIGS / "convex_demo.json"), "--samples", samples)
-        assert code == 2
-        assert "at least 2 samples" in err
-
     def test_general_cost_with_min_of_affine(self, capsys, tmp_path):
         # x^2 + min(3x, 2) has no closed payment form, so the ray grid prices it
         pieces = [
@@ -704,6 +747,18 @@ class TestVerifyCommand:
         assert "verification: all checks passed" in out
 
 
+@st.composite
+def solver_configs(draw):
+    """`SolverConfig`s over every field: grid densities by dimension, the
+    ray grid and a payment split (as a tuple or list) or none."""
+    grid_points = draw(st.dictionaries(st.integers(1, 60), st.integers(2, 10**6), max_size=6))
+    split = None
+    if draw(st.booleans()):
+        weights = draw(st.lists(st.floats(0.0, 1e3), min_size=1, max_size=6).filter(lambda w: sum(w) > 0))
+        split = draw(st.sampled_from([tuple, list]))(w / math.fsum(weights) for w in weights)
+    return SolverConfig(grid_points=grid_points, ray_grid_n=draw(st.integers(2, 10**6)), lambda_split=split)
+
+
 class TestConfigRoundTrip:
     def test_bundled_configs_are_byte_identical(self):
         for path in sorted(CONFIGS.glob("*.json")):
@@ -713,6 +768,20 @@ class TestConfigRoundTrip:
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError):
             ProblemConfig.from_dict({"value": {}, "cost": {}, "domain": {}, "extra": 1})
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(solver_configs())
+    def test_solver_config_round_trips(self, cfg):
+        assert SolverConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+        d = len(cfg.lambda_split) if cfg.lambda_split is not None else 2
+        game = ProblemConfig(
+            value=padd.PowerSum((1.0,) * d, (0.5,) * d),
+            cost=padd.PowerSum((1.0,) * d, (2.0,) * d),
+            domain=padd.BoxDomain(np.ones(d)),
+            solver=cfg,
+        )
+        text = game.to_json_text()
+        assert ProblemConfig.from_json_text(text).to_json_text() == text
 
 
 class TestEntryPoint:

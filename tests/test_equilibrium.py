@@ -38,7 +38,7 @@ from padd.instances import (
     convex_cost_demo,
     equivalence_suite,
 )
-from padd import equilibrium, response
+from padd import equilibrium, gridopt, response
 from padd.equilibrium import _maximize
 from padd.raygeom import ray_payment_batch, ray_payment_floor
 
@@ -326,10 +326,13 @@ class TestPerGoodSearch:
     @given(st.sampled_from([CONVEX_GOOD, CONCAVE_GOOD]).flatmap(lambda good: one_good_power_games(*good)))
     def test_one_good_is_bit_identical_to_the_grid(self, game):
         v, c, box, _ = game
-        for options in ({}, {"refine_top_k": 1, "refine_passes": 1}):
-            cfg = SolverConfig(**options)
-            x_grid, best_grid = _maximize(closed_objective(v, c), box, cfg)
-            x_good, best_good = equilibrium._maximize_per_good(closed_objective(v, c), box, cfg)
+        cfg = SolverConfig()
+        for top_k, passes in ((3, 2), (1, 1)):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(equilibrium, "REFINE_TOP_K", top_k)
+                mp.setattr(equilibrium, "REFINE_PASSES", passes)
+                x_grid, best_grid = _maximize(closed_objective(v, c), box, cfg)
+                x_good, best_good = equilibrium._maximize_per_good(closed_objective(v, c), box, cfg)
             assert x_good.tobytes() == x_grid.tobytes()
             assert np.float64(best_good).tobytes() == np.float64(best_grid).tobytes()
 
@@ -360,9 +363,9 @@ class TestPerGoodSearch:
         # golden steps per bracket of width 2 * spacing, plus its two first
         # positions and the final (3, k) comparison
         n = cfg.points(1)
-        steps = math.ceil(math.log(cfg.golden_tol / (2 * 5.0 / (n - 1))) / math.log((math.sqrt(5.0) - 1.0) / 2.0))
-        brackets = cfg.refine_top_k * 4
-        refinement = cfg.refine_passes * brackets * (steps + 4) + brackets
+        steps = math.ceil(math.log(gridopt._GOLDEN_TOL / (2 * 5.0 / (n - 1))) / math.log((math.sqrt(5.0) - 1.0) / 2.0))
+        brackets = equilibrium.REFINE_TOP_K * 4
+        refinement = equilibrium.REFINE_PASSES * brackets * (steps + 4) + brackets
         # the grid path evaluated all 21^4 = 194,481 grid rows
         assert sum(rows) <= 4 * n + refinement + 8 < 21**4
 
@@ -734,6 +737,12 @@ class TestGeneralShapeCost:
         assert out.method == "general"
 
 
+REMOVED_OPTIONS = {
+    "refine_top_k", "refine_passes", "golden_tol", "tie_tol", "bundle_tol", "no_trade_tol",
+    "eps_limit", "vertex_enumeration",
+}
+
+
 class TestSolverConfigValidation:
     @pytest.mark.parametrize(
         "option",
@@ -768,9 +777,10 @@ class TestSolverConfigValidation:
     )
     def test_invalid_option_rejected(self, option):
         (name, value), = option.items()
-        if name in ("eps_limit", "vertex_enumeration"):
-            # no longer options: the ray grid's end is a constant, and the
-            # solver derives corner enumeration from the game's shapes
+        if name in REMOVED_OPTIONS:
+            # no longer options: tolerances, refinement counts and the ray
+            # grid's end are module constants, and the solver derives corner
+            # enumeration from the game's shapes
             with pytest.raises(TypeError):
                 SolverConfig(**option)
             with pytest.raises(ValueError, match=rf"unknown solver options: \['{name}'\]"):
@@ -788,7 +798,7 @@ class TestSolverConfigValidation:
             SolverConfig.from_dict({"grid_points": {"1.5": 2001}})
 
     def test_defaults_and_round_trip_accepted(self):
-        cfg = SolverConfig(refine_passes=0, refine_top_k=1, ray_grid_n=2, lambda_split=(0.25, 0.75))
+        cfg = SolverConfig(ray_grid_n=2, lambda_split=(0.25, 0.75))
         assert SolverConfig.from_dict(cfg.to_dict()).to_dict() == cfg.to_dict()
 
 
@@ -836,12 +846,11 @@ TIGHT_2D = (
 
 class TestPrunedGrid:
     @pytest.mark.parametrize("instance", [MIXED_1D, KINKED_1D, MIXED_2D], ids=["mixed_1d", "kinked_1d", "mixed_2d"])
-    @pytest.mark.parametrize(
-        "options", [{"refine_top_k": 1}, {"refine_top_k": 3}], ids=["top1", "top3"],
-    )
-    def test_bound_leaves_maximizer_bit_identical(self, instance, options):
+    @pytest.mark.parametrize("top_k", [1, 3], ids=["top1", "top3"])
+    def test_bound_leaves_maximizer_bit_identical(self, monkeypatch, instance, top_k):
         v, c, box, grid = instance
-        cfg = SolverConfig(grid_points=grid, **options)
+        monkeypatch.setattr(equilibrium, "REFINE_TOP_K", top_k)
+        cfg = SolverConfig(grid_points=grid)
         batch, bound = _general_objective(v, c, cfg)
         x_all, best_all = _maximize(batch, box, cfg)
         x_pruned, best_pruned = _maximize(batch, box, cfg, bound_batch=bound)
@@ -926,9 +935,10 @@ class TestPrunedGrid:
     @pytest.mark.parametrize(
         "instance,top_k", [(TIGHT_1D, 1), (TIGHT_2D, 2), (TIGHT_2D, 3)], ids=["tight_1d-1", "tight_2d-2", "tight_2d-3"]
     )
-    def test_tight_bound_keeps_argmax_and_tie_break(self, instance, top_k):
+    def test_tight_bound_keeps_argmax_and_tie_break(self, monkeypatch, instance, top_k):
         v, c, box, grid = instance
-        cfg = SolverConfig(grid_points=grid, refine_top_k=top_k)
+        monkeypatch.setattr(equilibrium, "REFINE_TOP_K", top_k)
+        cfg = SolverConfig(grid_points=grid)
         batch, bound = _general_objective(v, c, cfg)
         x_all, best_all = _maximize(batch, box, cfg)
         x_pruned, best_pruned = _maximize(batch, box, cfg, bound_batch=bound)
@@ -937,7 +947,7 @@ class TestPrunedGrid:
 
     def test_tight_2d_grid_ties_second_and_third(self):
         # rows 2 and 3 of the stable top-3 are mirror images with equal values,
-        # so refine_top_k = 2 cuts through a tie that the pruning must respect
+        # so REFINE_TOP_K = 2 cuts through a tie that the pruning must respect
         v, c, box, grid = TIGHT_2D
         cfg = SolverConfig(grid_points=grid)
         batch, _ = _general_objective(v, c, cfg)

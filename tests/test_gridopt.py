@@ -65,7 +65,7 @@ class TestGoldenMax:
         def f(t):
             return np.sqrt(t) * 8.0 - t * t
 
-        got = golden_max(f, lo, hi, tol=1e-10)
+        got = golden_max(f, lo, hi)
         want = scalar_golden(lambda t: float(f(np.float64(t))), lo, hi, 1e-10)
         assert got.shape == (1,) and got[0] == want
 
@@ -78,7 +78,7 @@ class TestGoldenMax:
             return -((t - 0.3) ** 2)
 
         lo, hi = np.array([0.0, 0.2, 0.29]), np.array([1.0, 0.4, 0.29 + 5e-11])
-        got = golden_max(f, lo, hi, tol=1e-10)
+        got = golden_max(f, lo, hi)
         want = [scalar_golden(lambda t: float(f(np.float64(t))), a, b, 1e-10) for a, b in zip(lo, hi)]
         assert got.tolist() == want
 
@@ -88,8 +88,10 @@ class TestCoordinateRefine:
     @given(refine_cases())
     def test_lockstep_equals_one_start_at_a_time(self, case):
         f, starts, spacing, upper, passes, tol = case
-        together = coordinate_refine(f, starts, spacing, upper, passes, tol)
-        alone = np.vstack([coordinate_refine(f, s, spacing, upper, passes, tol) for s in starts])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gridopt, "_GOLDEN_TOL", tol)
+            together = coordinate_refine(f, starts, spacing, upper, passes)
+            alone = np.vstack([coordinate_refine(f, s, spacing, upper, passes) for s in starts])
         assert together.shape == starts.shape
         assert together.tobytes() == alone.tobytes()
 
@@ -106,7 +108,7 @@ class TestCoordinateRefine:
                 counted.append(len(xs))
                 return f(xs)
 
-            coordinate_refine(g, starts[:k], spacing, upper, 2, 1e-10)
+            coordinate_refine(g, starts[:k], spacing, upper, 2)
             calls[k] = counted
         assert len(calls[3]) == len(calls[1])
         assert sum(calls[3]) == 3 * sum(calls[1])

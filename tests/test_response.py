@@ -158,7 +158,7 @@ class TestRayPick:
         def gap(xs):
             return u.values(xs) - c.values(xs)
 
-        x = response._ray_pick(anchor, box, lambda ts: gap(ts * anchor), SolverConfig().golden_tol)
+        x = response._ray_pick(anchor, box, lambda ts: gap(ts * anchor))
         assert box.contains(x) and np.all(x[anchor == 0] == 0)
         at_pick = gap(x[None, :])[0]
         best_row = max(gap(rows).max() for _, rows in grid_blocks(box.upper, {1: 20001, 2: 301, 3: 41}[u.dim]))
