@@ -20,7 +20,7 @@ def show(title, v, c, box):
 
     # the committed value function is worth the payment at the bundle and
     # proportionally less below it
-    u = out.imitative.to_expr()
+    u = out.imitative
     xs = np.linspace(0, 1.25 * out.bundle[0], 6)
     profile = ", ".join(f"u({x:.3g})={u.value((x,)):.4g}" for x in xs)
     print(f"  commitment      {profile}")

@@ -39,7 +39,6 @@ from .response import (
 )
 from .equilibrium import (
     EquilibriumOutcome,
-    ImitativeValue,
     VerificationReport,
     fixed_bundle_outcome,
     solve_auto,

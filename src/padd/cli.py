@@ -147,20 +147,12 @@ def _cmd_fixed_bundle(args) -> int:
         raise PreconditionError("bundle lies outside the production box")
     out = fixed_bundle_outcome(config.value, config.cost, bundle, config.solver)
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "payment": out.payment,
-                    "imitative": out.imitative.to_dict(),
-                    "buyer_surplus": out.buyer_surplus,
-                },
-                indent=2,
-            )
-        )
+        payload = out.to_dict()
+        print(json.dumps({key: payload[key] for key in ("payment", "imitative", "buyer_surplus")}, indent=2))
     else:
         print(f"bundle          {_fmt_vec(bundle)}")
         print(f"total payment   {_fmt(out.payment)}")
-        print(f"anchored value  anchor = [{_fmt_vec(out.imitative.anchor)}], level = {_fmt(out.payment)}")
+        print(f"anchored value  anchor = [{_fmt_vec(out.bundle)}], level = {_fmt(out.payment)}")
         print(f"buyer surplus   {_fmt(out.buyer_surplus)}")
     return 0
 
@@ -171,16 +163,6 @@ def _load_graph(path) -> GraphInstance:
     if p.suffix == ".json":
         return parse_graph_json(json.loads(text))
     return parse_graph_text(text)
-
-
-def _binary_surplus(g, x) -> int:
-    """`surplus_U` of a 0/1 point, by counting: its chosen nodes with no chosen neighbour."""
-    chosen = [v == 1.0 for v in np.asarray(x).tolist()]
-    free = chosen.copy()
-    for i, j in g.edges:
-        if chosen[i] and chosen[j]:
-            free[i] = free[j] = False
-    return sum(free)
 
 
 def _cmd_hardness(args) -> int:
@@ -197,7 +179,7 @@ def _cmd_hardness(args) -> int:
         xbar = np.array([float(t) for t in point.split(",")])
         rounded = derandomize(g, xbar)
         payload["rounded"] = [float(v) for v in rounded]
-        payload["rounded_surplus"] = float(_binary_surplus(g, rounded))
+        payload["rounded_surplus"] = surplus_U(g, rounded)
         payload["fractional_surplus"] = surplus_U(g, xbar)
     if args.json:
         print(json.dumps(payload, indent=2))
@@ -235,9 +217,8 @@ def _cmd_overfit(args) -> int:
     return 0
 
 
-def _sample_curve_rows(v, c, imit, x_hi: float, n: int = 101):
+def _sample_curve_rows(v, c, u_expr, x_hi: float, n: int = 101):
     xs = np.linspace(0.0, x_hi, n)
-    u_expr = imit.to_expr()
     for x in xs:
         pt = np.array([x])
         yield ["curve", repr(float(x)), repr(v.value(pt)), repr(c.value(pt)), repr(u_expr.value(pt)), "", "", ""]

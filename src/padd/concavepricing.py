@@ -85,9 +85,9 @@ class PricingClass:
 
 @dataclass(eq=False)
 class ConcavePriceResult:
-    """Seller's best concave pricing response to a committed value function."""
+    """Seller's best concave pricing response to a committed value function
+    (the price is the committed function itself)."""
 
-    price: FunctionExpr
     bundle: np.ndarray
     revenue: float
 
@@ -135,9 +135,9 @@ def best_concave_price(
     gaps = gap(pool)
     top = float(gaps.max())
     if top < 0.0:
-        return ConcavePriceResult(price=u, bundle=np.zeros(domain.dim), revenue=0.0)
+        return ConcavePriceResult(bundle=np.zeros(domain.dim), revenue=0.0)
     bundle = pool[_seller_pick(pool, gaps, _rev_tie(top), u.values)]
-    return ConcavePriceResult(price=u, bundle=bundle, revenue=max(float(gap(bundle[None, :])[0]), 0.0))
+    return ConcavePriceResult(bundle=bundle, revenue=max(float(gap(bundle[None, :])[0]), 0.0))
 
 
 def seller_best_in_class(
@@ -248,7 +248,7 @@ def equivalence_check(
         rich_bundle = np.zeros(domain.dim)
         rich_payment = rich_surplus = rich_revenue = 0.0
     else:
-        u_expr = linear.imitative.to_expr()
+        u_expr = linear.imitative
         res = best_concave_price(u_expr, c, domain, cfg)
         rich_bundle = res.bundle
         rich_payment = u_expr.value(res.bundle)

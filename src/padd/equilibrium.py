@@ -37,10 +37,9 @@ from .funcs import (
 from .gridopt import REFINE_PASSES, REFINE_TOP_K, axis_rows, coordinate_refine, golden_max, grid_blocks, grid_rows
 from .gridopt import grid_scan, refine_bracket, top_k
 from .raygeom import ray_payment_batch, ray_payment_floor, ray_slope_sup
-from .response import SolverConfig, _separable, buyer_best_response, seller_optimal_linear_price
+from .response import SolverConfig, _separable, buyer_best_response, optimal_price_family, seller_optimal_linear_price
 
 __all__ = [
-    "ImitativeValue",
     "EquilibriumOutcome",
     "CheckResult",
     "VerificationReport",
@@ -63,66 +62,50 @@ _BUNDLE_TOL = 1e-6  # `verify_equilibrium`'s largest coordinate gap to the buyer
 
 
 @dataclass(eq=False)
-class ImitativeValue:
-    """Anchored value function the buyer commits to: worth `payment` at the
-    anchor bundle and proportionally less for fractions of it.
-
-    Zero anchor coordinates mark absent goods (boundary equilibria); the
-    induced `Leontief` expression then caps the fraction over the support
-    only.
-    """
-
-    anchor: np.ndarray
-    payment: float
-
-    def __post_init__(self):
-        self.anchor = as_bundle(self.anchor)
-        if self.payment < 0:
-            raise PreconditionError("payment must be non-negative")
-        if self.payment > 0 and not np.any(self.anchor > 0):
-            raise PreconditionError("positive payment needs a non-zero anchor")
-
-    @property
-    def support(self) -> np.ndarray:
-        return self.anchor > 0
-
-    def to_expr(self) -> FunctionExpr:
-        if not np.any(self.support):
-            return Affine(np.zeros(self.anchor.size), 0.0)
-        return Leontief(tuple(self.anchor), self.payment)
-
-    def value(self, x) -> float:
-        return self.to_expr().value(x)
-
-    def to_dict(self) -> dict:
-        return {"anchor": [float(a) for a in self.anchor], "payment": float(self.payment)}
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "ImitativeValue":
-        return cls(np.asarray(obj["anchor"], dtype=float), float(obj["payment"]))
-
-
-@dataclass(eq=False)
 class EquilibriumOutcome:
     """Full description of a solved game: trade point, payment, payoffs.
 
-    `payment` is the total amount paid for the bundle; `unit_prices` are
-    the per-good linear prices induced by the simplex split
-    `price_split`, so `unit_prices . bundle == payment`.
+    `payment` is the total amount paid for the bundle.  The commitment
+    `imitative` and the unit prices of the simplex split `price_split`
+    (`unit_prices . bundle == payment`) are derived from the two.
     """
 
     bundle: np.ndarray
     payment: float
-    imitative: ImitativeValue
     price_split: np.ndarray
-    unit_prices: np.ndarray
     buyer_surplus: float
     seller_revenue: float
     method: str
 
+    def __post_init__(self):
+        self.bundle = as_bundle(self.bundle)
+        if self.payment < 0:
+            raise PreconditionError("payment must be non-negative")
+        if self.payment > 0 and not self.trade:
+            raise PreconditionError("positive payment needs a non-zero bundle")
+        if np.shape(self.price_split) != self.bundle.shape:
+            raise DimensionError(f"price split has {np.size(self.price_split)} weights for {self.bundle.size} goods")
+
     @property
     def trade(self) -> bool:
         return bool(np.any(self.bundle > 0))
+
+    @property
+    def imitative(self) -> FunctionExpr:
+        """The committed `Leontief`: worth `payment` at the bundle, less on
+        fractions of it, capped over the support only (zero without trade)."""
+        if not self.trade:
+            return Affine(np.zeros(self.bundle.size), 0.0)
+        return Leontief(tuple(self.bundle), self.payment)
+
+    @property
+    def unit_prices(self) -> np.ndarray:
+        """`optimal_price_family` of the split on the support, 0 elsewhere."""
+        unit = np.zeros(self.bundle.size)
+        support = self.bundle > 0
+        if np.any(support):
+            unit[support] = optimal_price_family(self.bundle[support], self.payment, self.price_split[support])
+        return unit
 
     def to_dict(self) -> dict:
         return {
@@ -134,17 +117,16 @@ class EquilibriumOutcome:
             "unit_prices": [float(v) for v in self.unit_prices],
             "buyer_surplus": float(self.buyer_surplus),
             "seller_revenue": float(self.seller_revenue),
-            "imitative": self.imitative.to_dict(),
+            "imitative": {"anchor": [float(v) for v in self.bundle], "payment": float(self.payment)},
         }
 
     @classmethod
     def from_dict(cls, obj: dict) -> "EquilibriumOutcome":
+        """Read `to_dict`'s form, less the derived `imitative` and `unit_prices`."""
         return cls(
             bundle=np.asarray(obj["bundle"], dtype=float),
             payment=float(obj["payment"]),
-            imitative=ImitativeValue.from_dict(obj["imitative"]),
             price_split=np.asarray(obj["price_split"], dtype=float),
-            unit_prices=np.asarray(obj["unit_prices"], dtype=float),
             buyer_surplus=float(obj["buyer_surplus"]),
             seller_revenue=float(obj["seller_revenue"]),
             method=str(obj["method"]),
@@ -336,9 +318,7 @@ def _no_trade(dim: int, method: str) -> EquilibriumOutcome:
     return EquilibriumOutcome(
         bundle=zero,
         payment=0.0,
-        imitative=ImitativeValue(zero.copy(), 0.0),
         price_split=zero.copy(),
-        unit_prices=zero.copy(),
         buyer_surplus=0.0,
         seller_revenue=0.0,
         method=method,
@@ -356,16 +336,10 @@ def _trade_outcome(
     bundle = np.where(bundle > 0, bundle, 0.0)
     if not np.any(bundle > 0):
         return _no_trade(bundle.size, method)
-    lam = _split_for(bundle, cfg)
-    unit = np.zeros(bundle.size)
-    support = bundle > 0
-    unit[support] = lam[support] * (payment / bundle[support])
     return EquilibriumOutcome(
         bundle=bundle,
         payment=payment,
-        imitative=ImitativeValue(bundle.copy(), payment),
-        price_split=lam,
-        unit_prices=unit,
+        price_split=_split_for(bundle, cfg),
         buyer_surplus=v.value(bundle) - payment,
         seller_revenue=payment - c.value(bundle),
         method=method,
@@ -480,7 +454,11 @@ class CheckResult:
 @dataclass
 class VerificationReport:
     checks: list
-    vacuous: bool = False
+
+    @property
+    def vacuous(self) -> bool:
+        """No trade: there is nothing to check."""
+        return not self.checks
 
     @property
     def passed(self) -> bool:
@@ -504,7 +482,7 @@ def verify_equilibrium(
     """
     cfg = cfg or SolverConfig()
     if not outcome.trade:
-        return VerificationReport(checks=[], vacuous=True)
+        return VerificationReport(checks=[])
 
     x, p = outcome.bundle, outcome.payment
     checks = []
@@ -517,7 +495,7 @@ def verify_equilibrium(
         CheckResult("seller_fraction_feasibility", worst <= tol_a, max(worst, 0.0))
     )
 
-    u_expr = outcome.imitative.to_expr()
+    u_expr = outcome.imitative
     xbr = buyer_best_response(u_expr, outcome.unit_prices, domain, c, cfg)
     dev = float(np.max(np.abs(xbr - x)))
     checks.append(

@@ -116,9 +116,9 @@ class BoxDomain:
     def dim(self) -> int:
         return self.upper.size
 
-    def contains(self, x, tol: float = 0.0) -> bool:
+    def contains(self, x) -> bool:
         x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= -tol) and np.all(x <= self.upper + tol))
+        return bool(np.all(x >= 0.0) and np.all(x <= self.upper))
 
     def grid(self, points_per_axis: int) -> np.ndarray:
         """All grid points as an (n, d) array in lexicographic row order."""

@@ -9,7 +9,7 @@ the text and JSON interchange formats and 0-based everywhere else.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -50,14 +50,16 @@ def _checked_edges(node_count: int, pairs, base: int) -> list[tuple[int, int]]:
 
 @dataclass(eq=False)
 class GraphInstance:
-    """A simple undirected graph on ``node_count`` nodes."""
+    """A simple undirected graph on ``node_count`` nodes; `edges` are given
+    with ids from `base` on (1 from the parsers) and stored 0-based."""
 
     node_count: int
     edges: list[tuple[int, int]] = field(repr=False)
+    base: InitVar[int] = 0
 
-    def __post_init__(self):
+    def __post_init__(self, base):
         self.node_count = operator.index(self.node_count)
-        self.edges = _checked_edges(self.node_count, self.edges, 0)
+        self.edges = _checked_edges(self.node_count, self.edges, base)
 
     @classmethod
     def from_edges(cls, node_count: int, edges) -> "GraphInstance":
@@ -111,7 +113,7 @@ def parse_graph_text(text: str) -> GraphInstance:
         if len(parts) != 2:
             raise ValueError(f"bad edge line {ln!r}")
         pairs.append((int(parts[0]), int(parts[1])))
-    return GraphInstance(d, _checked_edges(d, pairs, 1))
+    return GraphInstance(d, pairs, 1)
 
 
 def parse_graph_json(obj: dict) -> GraphInstance:
@@ -128,7 +130,7 @@ def parse_graph_json(obj: dict) -> GraphInstance:
     for name, values in (("node_count", [d]), ("edges", [v for e in pairs for v in e])):
         if not all(type(v) is int for v in values):  # refuses floats and booleans
             raise ValueError(f"graph field {name!r} must hold integers")
-    return GraphInstance(d, _checked_edges(d, pairs, 1))
+    return GraphInstance(d, pairs, 1)
 
 
 def path_graph(n: int) -> GraphInstance:

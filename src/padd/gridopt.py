@@ -27,10 +27,13 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import PreconditionError
+
 __all__ = ["golden_max", "refine_bracket", "coordinate_refine", "axis_rows", "top_k", "grid_rows", "grid_blocks", "grid_scan"]
 
 # grid rows per block of a streamed grid search
 _BLOCK = 8192
+_MAX_GRID_ROWS = 10**7  # rows of the largest grid a search scans (about 1.5 s at 150 ns a row)
 
 REFINE_TOP_K = 3  # best grid cells that a search refines
 REFINE_PASSES = 2  # coordinate passes of a refinement
@@ -153,16 +156,29 @@ def top_k(vals: np.ndarray, k: int) -> np.ndarray:
 def grid_rows(upper, n: int, idx) -> np.ndarray:
     """Rows `idx` (flat lexicographic indices) of the `n`-per-axis grid on
     the box `[0, upper]`, bit for bit `BoxDomain(upper).grid(n)[idx]`."""
-    digits = np.unravel_index(np.asarray(idx, dtype=np.intp), (n,) * len(upper))
-    return np.stack([np.linspace(0.0, b, n)[i] for b, i in zip(upper, digits)], axis=1)
+    return _rows([np.linspace(0.0, b, n) for b in upper], idx)
+
+
+def _rows(axes, idx) -> np.ndarray:
+    digits = np.unravel_index(np.asarray(idx, dtype=np.intp), tuple(a.size for a in axes))
+    return np.stack([a[i] for a, i in zip(axes, digits)], axis=1)
 
 
 def grid_blocks(upper, n: int, start: int = 0):
     """Yield (first index, rows) for consecutive `_BLOCK`-row blocks of the
-    grid, from flat index `start` on."""
+    grid, from flat index `start` on.
+
+    A grid of more than `_MAX_GRID_ROWS` rows is refused once its axes are
+    made (so an axis too long to allocate stays a `MemoryError`).
+    """
+    axes = [np.linspace(0.0, b, n) for b in upper]
     total = n ** len(upper)
+    if total > _MAX_GRID_ROWS:
+        raise PreconditionError(
+            f"grid of {n}^{len(upper)} = {total} rows exceeds the {_MAX_GRID_ROWS} rows a search scans"
+        )
     for lo in range(start, total, _BLOCK):
-        yield lo, grid_rows(upper, n, np.arange(lo, min(lo + _BLOCK, total)))
+        yield lo, _rows(axes, np.arange(lo, min(lo + _BLOCK, total)))
 
 
 class GridScan(NamedTuple):

@@ -15,7 +15,6 @@ from mp_reference import grid_payment, rel_err
 import padd
 from padd import cli
 from padd.cli import ProblemConfig, main
-from padd.graphs import random_graph
 from padd.instances import convex_cost_demo
 from padd.response import SolverConfig
 
@@ -276,27 +275,6 @@ class TestHardness:
         payload = json.loads(out)
         assert set(payload["rounded"]) <= {0.0, 1.0}
         assert payload["rounded_surplus"] >= payload["fractional_surplus"]
-
-    def test_rounded_surplus_by_counting_prints_the_exact_pass(self, capsys, monkeypatch, tmp_path):
-        # the rounded point is binary, so its surplus is the count of chosen nodes with no chosen neighbour
-        g = random_graph(40, 0.1, 3)
-        big = tmp_path / "g40.txt"
-        big.write_text(f"40 {g.edge_count}\n" + "".join(f"{i + 1} {j + 1}\n" for i, j in g.edges))
-        runs = [
-            (GRAPHS / "path3.txt", "0.5,0.5,0.5"),
-            (GRAPHS / "cycle5.txt", "0.2,0.9,0.4,0.6,0.35"),
-            (GRAPHS / "triangle.txt", "1,0,0.25"),
-            (big, ",".join(f"{(7 * k % 11) / 10:g}" for k in range(40))),
-        ]
-        for path, point in runs:
-            for extra in ((), ("--json",)):
-                argv = ("hardness", str(path), "--round", point, *extra)
-                counted = run_cli(capsys, *argv)
-                with monkeypatch.context() as m:
-                    m.setattr(cli, "_binary_surplus", padd.surplus_exact)
-                    exact = run_cli(capsys, *argv)
-                assert counted == exact and counted[0] == 0
-        assert isinstance(cli._binary_surplus(g, padd.derandomize(g, [0.5] * 40)), int)
 
     @pytest.mark.parametrize("decimals", [3, None], ids=["3-decimal", "full-precision"])
     def test_integer_rounding_prints_the_fraction_pass(self, capsys, monkeypatch, tmp_path, decimals):
@@ -594,6 +572,26 @@ class TestMalformedConfigs:
         proc = run_capped("-m", "padd.cli", "solve", str(config), timeout=20)
         assert proc.returncode == 1 and proc.stdout == ""
         assert proc.stderr == "error: unknown solver options: ['refine_passes']\n"
+
+    def test_huge_grid_is_refused_at_once(self, run_capped, tmp_path):
+        # 100,000 points per axis in 2 goods is a 10^10-row grid, which used
+        # to be scanned for about 25 minutes
+        game = {
+            "value": {"kind": "min_of_affine", "pieces": [
+                {"kind": "affine", "weights": [4.0, 2.0], "intercept": 0.0},
+                {"kind": "affine", "weights": [0.0, 0.0], "intercept": 6.0},
+            ]},
+            "cost": {"kind": "power_sum", "coeffs": [1.0, 1.0], "exponents": [2.0, 2.0]},
+            "domain": {"upper": [5.0, 5.0]},
+            "solver": {"grid_points": {"1": 2001, "2": 100000}},
+        }
+        config = tmp_path / "huge_grid.json"
+        config.write_text(json.dumps(game))
+        proc = run_capped("-m", "padd.cli", "solve", str(config), timeout=20)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == (
+            "precondition violated: grid of 100000^2 = 10000000000 rows exceeds the 10000000 rows a search scans\n"
+        )
 
 
 class TestHardnessAboveEnumerationCap:

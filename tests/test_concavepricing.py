@@ -51,10 +51,8 @@ class TestBestConcavePrice:
         assert abs(32.0 / np.sqrt(x) - 2.0 * x) < 1e-6
         assert abs(res.revenue - (v.value(res.bundle) - c.value(res.bundle))) < 1e-12
 
-    def test_price_function_is_the_report(self):
-        u = Leontief((4.0,), 32.0)
-        res = best_concave_price(u, SQUARE, BOX100)
-        assert res.price is u
+    def test_anchored_report_trades_at_its_anchor(self):
+        res = best_concave_price(Leontief((4.0,), 32.0), SQUARE, BOX100)
         assert np.allclose(res.bundle, [4.0])
         assert abs(res.revenue - 16.0) < 1e-9
 
@@ -64,7 +62,7 @@ class TestBestConcavePrice:
         checked = 0
         for name, v, c, box in equivalence_suite():
             out = solve_auto(v, c, box)
-            reports = [out.imitative.to_expr()] if out.trade else []
+            reports = [out.imitative] if out.trade else []
             reports += [v] if v.shape in (Shape.CONCAVE, Shape.LINEAR) else []
             for u in reports:
                 res = best_concave_price(u, c, box)
@@ -75,12 +73,12 @@ class TestBestConcavePrice:
 
 class TestFopIdentity:
     def test_concave_cost_examples(self):
-        imit = fixed_bundle_outcome(Scale(4.0, PowerSum((1.0,), (0.25,))), SQRT, (16.0,)).imitative
-        assert imit.payment == 4.0 and imit.anchor.tolist() == [16.0]
-        imit = fixed_bundle_outcome(Scale(64.0, SQRT), SQUARE, (4.0,)).imitative
-        assert imit.payment == 32.0
-        imit = fixed_bundle_outcome(Scale(2.0, SQRT), Affine((1.5,), 0.0), (2.0,)).imitative
-        assert imit.payment == 3.0  # linear cost: payment equals the cost
+        out = fixed_bundle_outcome(Scale(4.0, PowerSum((1.0,), (0.25,))), SQRT, (16.0,))
+        assert out.payment == 4.0 and out.bundle.tolist() == [16.0]
+        out = fixed_bundle_outcome(Scale(64.0, SQRT), SQUARE, (4.0,))
+        assert out.payment == 32.0
+        out = fixed_bundle_outcome(Scale(2.0, SQRT), Affine((1.5,), 0.0), (2.0,))
+        assert out.payment == 3.0  # linear cost: payment equals the cost
 
 
 class TestEquivalence:
@@ -125,7 +123,7 @@ class TestEquivalence:
             from padd import solve_auto
 
             out = solve_auto(v, c, box)
-            u = fixed_bundle_outcome(v, c, out.bundle).imitative.to_expr()
+            u = fixed_bundle_outcome(v, c, out.bundle).imitative
             at_bundle = u.value(out.bundle) - c.value(out.bundle)
             zs = sample_box(box, rng, 1000)
             gaps = u.values(zs) - c.values(zs)

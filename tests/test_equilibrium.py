@@ -13,7 +13,6 @@ from padd import (
     BoxDomain,
     DimensionError,
     EquilibriumOutcome,
-    ImitativeValue,
     Leontief,
     PowerSum,
     PreconditionError,
@@ -119,10 +118,10 @@ class TestSolveBenchmarks:
         out = solve_concave(v, GraphMinCost(g), BoxDomain(np.ones(3)))
         assert out.buyer_surplus == 2.0
         assert np.array_equal(out.bundle, [1.0, 0.0, 1.0])
-        assert out.imitative.support.tolist() == [True, False, True]
+        assert out.imitative.anchor == (1.0, 0.0, 1.0)
         assert out.unit_prices[1] == 0.0
         assert abs(float(out.unit_prices @ out.bundle) - out.payment) < 1e-12
-        u = out.imitative.to_expr()
+        u = out.imitative
         assert u.value(out.bundle) == out.payment
         assert u.value(np.zeros(3)) == 0.0
 
@@ -193,8 +192,7 @@ class TestConsistencyAcrossSolvers:
         for v, c, box in cases:
             out = solve_auto(v, c, box)
             assert out.trade
-            imit = ImitativeValue(out.bundle.copy(), out.payment)
-            sol = seller_optimal_linear_price(imit.to_expr(), c, box)
+            sol = seller_optimal_linear_price(Leontief(tuple(out.bundle), out.payment), c, box)
             assert sol.verified
             assert np.max(np.abs(sol.bundle - out.bundle)) < 1e-6
             assert abs(float(sol.price @ sol.bundle) - out.payment) < 1e-6
@@ -465,7 +463,7 @@ class TestFixedBundle:
         res = fixed_bundle_outcome(v, c, (4.0,))
         assert res.payment == 32.0
         assert res.buyer_surplus == 96.0
-        assert isinstance(res.imitative.to_expr(), Leontief)
+        assert isinstance(res.imitative, Leontief)
 
     def test_concave_demo_bundle(self):
         v, c, _ = concave_cost_demo()
@@ -562,7 +560,7 @@ class TestVerifyAcceptsSolvedGames:
         v, c, box = Affine((1.0,) * n), GraphMinCost(graph), BoxDomain(np.ones(n))
         out = solve_auto(v, c, box)
         assert out.trade and out.payment == 0.0
-        assert isinstance(out.imitative.to_expr(), Leontief)
+        assert isinstance(out.imitative, Leontief)
         assert verify_equilibrium(out, v, c, box).passed
 
     def test_five_goods_with_configured_grid(self):
@@ -594,7 +592,7 @@ class TestVerifyAcceptsSolvedGames:
         # level only to within rounding (here at d = 4): not one per good
         v, c, box = PowerSum((8.0,) * d, (0.5,) * d), PowerSum((1.0, 1.5, 2.0, 2.5)[:d], (2.0,) * d), BoxDomain(np.full(d, 5.0))
         out = solve_auto(v, c, box)
-        u = out.imitative.to_expr()
+        u = out.imitative
         exact = float(seller_optimal_linear_price(u, c, box).price @ np.asarray(u.anchor)) == u.level
         assert exact == (d < 4)
         picks = []
@@ -613,6 +611,58 @@ class TestOutcomeSerialization:
         assert np.array_equal(back.bundle, out.bundle)
         assert back.payment == out.payment
         assert np.array_equal(back.unit_prices, out.unit_prices)
+
+    @staticmethod
+    def outcomes():
+        # a trade, no trade, a boundary outcome with an absent good, a custom split, a fixed bundle
+        v, c, box = convex_cost_demo()
+        two = (PowerSum((8.0, 4.0), (0.5, 0.5)), PowerSum((1.0, 0.5), (2.0, 2.0)), BoxDomain(np.array([5.0, 5.0])))
+        return {
+            "trade": solve_auto(v, c, box),
+            "no_trade": solve_auto(SQRT, SQRT, BoxDomain(np.array([100.0]))),
+            "boundary": solve_concave(Affine((1.0, 1.0, 1.0), 0.0), GraphMinCost(path_graph(3)), BoxDomain(np.ones(3))),
+            "split": solve_auto(*two, SolverConfig(lambda_split=(0.25, 0.75))),
+            "fixed_bundle": fixed_bundle_outcome(v, c, (4.0,)),
+        }
+
+    def test_json_round_trip_is_byte_identical(self):
+        for name, out in self.outcomes().items():
+            text = json.dumps(out.to_dict())
+            assert json.dumps(EquilibriumOutcome.from_dict(json.loads(text)).to_dict()) == text, name
+
+    def test_commitment_is_the_leontief_of_bundle_and_payment(self, rng):
+        for name, out in self.outcomes().items():
+            xs = rng.uniform(0.0, 2.0 * out.bundle.max() + 1.0, size=(200, out.bundle.size))
+            if out.trade:
+                want = Leontief(tuple(out.bundle), out.payment).values(xs)
+            else:
+                want = np.zeros(len(xs))
+            assert out.imitative.values(xs).tolist() == want.tolist(), name
+
+    def test_derived_keys_are_not_read(self):
+        # a file whose commitment or unit prices disagree with its bundle
+        # loads the commitment and prices of the bundle it traded
+        out = self.outcomes()["split"]
+        obj = out.to_dict()
+        obj["imitative"] = {"anchor": [9.0, 9.0], "payment": 1.0}
+        obj["unit_prices"] = [1.0, 2.0]
+        assert EquilibriumOutcome.from_dict(obj).to_dict() == out.to_dict()
+
+    @pytest.mark.parametrize(
+        "bundle, payment, split, says",
+        [
+            ([1.0], -1.0, [1.0], "payment must be non-negative"),
+            ([math.nan], 1.0, [1.0], "bundle coordinates must be finite"),
+            ([0.0, 0.0], 2.0, [0.5, 0.5], "positive payment needs a non-zero bundle"),
+            ([4.0], 32.0, [0.5, 0.5], "price split has 2 weights for 1 goods"),
+        ],
+        ids=["negative_payment", "nan_bundle", "payment_without_trade", "split_length"],
+    )
+    def test_from_dict_refuses_an_inconsistent_outcome(self, bundle, payment, split, says):
+        obj = self.outcomes()["trade"].to_dict()
+        obj.update(bundle=bundle, payment=payment, price_split=split)
+        with pytest.raises(PreconditionError, match=says):
+            EquilibriumOutcome.from_dict(obj)
 
     @pytest.mark.parametrize("value", [SQRT, Scale(4.0, SQRT)], ids=["no_trade", "trade"])
     @pytest.mark.parametrize("solver", [solve_general, solve_concave, solve_auto])

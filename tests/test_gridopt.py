@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from padd import Affine, BoxDomain, MinOfAffine, PowerSum, Sum, solve_auto
+from padd import Affine, BoxDomain, MinOfAffine, PowerSum, PreconditionError, SolverConfig, Sum, solve_auto
+from padd import best_concave_price, buyer_best_response, seller_optimal_linear_price, solve_general
 from padd import gridopt
 from padd.gridopt import axis_rows, coordinate_refine, golden_max, grid_blocks, grid_rows, grid_scan, refine_bracket, top_k
 from padd.response import _rev_tie, _separable
@@ -223,6 +224,30 @@ class TestGridScan:
     def test_pool_is_none_without_a_tolerance(self):
         got = grid_scan(lambda rows: rows[:, 0], np.array([1.0]), 5, 2)
         assert got.pool is None and got.idx.tolist() == [4, 3]
+
+
+class TestGridRowCap:
+    def test_grid_blocks_refuses_more_rows_than_the_cap(self, monkeypatch):
+        monkeypatch.setattr(gridopt, "_MAX_GRID_ROWS", 100)
+        assert sum(len(rows) for _, rows in grid_blocks(np.ones(2), 10)) == 100
+        with pytest.raises(PreconditionError, match=r"^grid of 11\^2 = 121 rows exceeds the 100 rows a search scans$"):
+            next(grid_blocks(np.ones(2), 11))
+
+    @pytest.mark.parametrize("search", ["pruned_solve", "seller", "buyer", "concave_price"])
+    def test_every_grid_search_is_refused_at_once(self, search):
+        # 10^5 points per axis in 2 goods: a 10^10-row grid
+        box, cfg = BoxDomain(np.full(2, 5.0)), SolverConfig(grid_points={1: 2001, 2: 100000})
+        v, c = PowerSum((1.0, 1.0), (0.5, 0.5)), PowerSum((1.0, 1.0), (2.0, 2.0))
+        capped = MinOfAffine([Affine((4.0, 2.0), 0.0), Affine((0.0, 0.0), 6.0)])
+        general = Sum([c, PowerSum((1.0, 1.0), (0.5, 0.5))])  # mixed curvature: the pruned bound pass
+        run = {
+            "pruned_solve": lambda: solve_general(capped, general, box, cfg),
+            "seller": lambda: seller_optimal_linear_price(v, c, box, cfg),
+            "buyer": lambda: buyer_best_response(Sum([v, capped]), (1.0, 1.0), box, c, cfg),
+            "concave_price": lambda: best_concave_price(v, c, box, cfg),
+        }[search]
+        with pytest.raises(PreconditionError, match="= 10000000000 rows exceeds"):
+            run()
 
 
 # 4 goods, default 21^4 grid: the largest default grid search (the capped

@@ -32,6 +32,7 @@ from padd.graphs import (
     random_graph,
     star_graph,
 )
+from padd import graphs
 from padd.hardness import _dyadic, _scaled_gain
 from padd.instances import hardness_corpus
 
@@ -299,6 +300,16 @@ class TestGraphParsing:
         ):
             with pytest.raises(PreconditionError, match="graph needs at least one node"):
                 build()
+
+    def test_a_parsed_graph_is_validated_once(self, monkeypatch):
+        # the parsers hand their 1-based pairs to the constructor, which checks them
+        bases = []
+        checked = graphs._checked_edges
+        monkeypatch.setattr(graphs, "_checked_edges", lambda *args: bases.append(args[2]) or checked(*args))
+        assert parse_graph_text("3 2\n1 2\n2 3\n").edges == [(0, 1), (1, 2)]
+        assert parse_graph_json({"node_count": 3, "edges": [[3, 1]]}).edges == [(0, 2)]
+        assert GraphInstance(3, [(2, 0)]).edges == [(0, 2)]
+        assert bases == [1, 1, 0]
 
     def test_edges_are_sorted_zero_based_pairs(self):
         g = GraphInstance.from_edges(4, [(3, 1), (2, 0), (0, 1)])
