@@ -85,6 +85,9 @@ class EquilibriumOutcome:
             raise PreconditionError("positive payment needs a non-zero bundle")
         if np.shape(self.price_split) != self.bundle.shape:
             raise DimensionError(f"price split has {np.size(self.price_split)} weights for {self.bundle.size} goods")
+        if self.trade:  # refuse, by name, a split that is no simplex over the support
+            support = self.bundle > 0
+            optimal_price_family(self.bundle[support], self.payment, self.price_split[support])
 
     @property
     def trade(self) -> bool:

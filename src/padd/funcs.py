@@ -5,12 +5,11 @@ set of node kinds, so evaluation, gradients, payment-maximizing
 supergradients, and convexity/concavity classification are all exact: no
 numerical differentiation anywhere in the core formulas.
 
-A node has two derivatives: `gradient_batch`, the gradient on the rows of
-a batch (the smooth nodes only), and `grad_max_info`, the derivative at
-one bundle, which every node has.  At a smooth point `grad_max_info` is
-the `gradient_batch` row of a one-row batch, bit for bit; at a kink it is
-the supergradient that maximizes `g . x`, and an entry that blows up at a
-zero coordinate is clamped to `GRAD_CAP`.
+A node's derivative at a bundle is `grad_max_info`: the gradient where it
+is smooth and, at a kink, the supergradient that maximizes `g . x`.  Every
+node also has `gradient_batch`, which gives each row of a batch the bits of
+`grad_max_info` at that row, except that a `PowerSum` entry that blows up
+at a zero coordinate is `inf` there and `GRAD_CAP` in `grad_max_info`.
 
 All expressions are defined on the non-negative orthant, are monotone
 non-decreasing, and (apart from affine pieces with a positive intercept)
@@ -144,13 +143,6 @@ class BoxDomain:
         return cls(np.asarray(_field(obj, "upper", _NUMBERS), dtype=float))
 
 
-def _pick_grad_max(vertices: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """argmax of g . x over the vertex list; ties prefer the lex-greatest vector."""
-    scores = vertices @ x
-    cand = vertices[scores == scores.max()]  # exact-score ties only
-    return max(cand, key=tuple).copy()
-
-
 def _column_sum(weights: tuple, cols: np.ndarray, intercept: float) -> np.ndarray:
     """`cols @ weights + intercept`, summed column by column, so that a row
     gets the same bits in any batch (a matrix product may not)."""
@@ -187,13 +179,11 @@ class FunctionExpr:
         raise NotImplementedError
 
     def gradient_batch(self, xs: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        """`grad_max_info` of each row of an (n, d) batch."""
+        return np.array([self.grad_max_info(x) for x in np.asarray(xs, dtype=float)]).reshape(-1, self.dim)
 
     def to_dict(self) -> dict:
         raise NotImplementedError
-
-    def __call__(self, x) -> float:
-        return self.value(x)
 
 
 @dataclass
@@ -361,8 +351,11 @@ class Leontief(FunctionExpr):
         return np.asarray(verts)
 
     def grad_max_info(self, x) -> np.ndarray:
+        # the active vertex maximizing g . x; exact-score ties go to the lex-greatest
         x = as_bundle(x, self.dim)
-        return _pick_grad_max(self._active_vertices(x), x)
+        verts = self._active_vertices(x)
+        scores = verts @ x
+        return max(verts[scores == scores.max()], key=tuple).copy()
 
     def to_dict(self) -> dict:
         return {"kind": "leontief", "anchor": list(self.anchor), "level": self.level}
@@ -397,22 +390,18 @@ class MinOfAffine(FunctionExpr):
             return Shape.LINEAR
         return Shape.CONCAVE
 
-    def _active_vertices(self, x: np.ndarray) -> np.ndarray:
-        # exact breakpoint arithmetic: a piece is active iff it attains the min
-        vals = [p.value(x) for p in self.pieces]
-        m = min(vals)
-        verts = [np.asarray(p.weights, dtype=float) for p, v in zip(self.pieces, vals) if v == m]
-        return np.unique(np.asarray(verts), axis=0)
-
     def grad_max_info(self, x) -> np.ndarray:
-        x = as_bundle(x, self.dim)
-        return _pick_grad_max(self._active_vertices(x), x)
+        return self.gradient_batch(as_bundle(x, self.dim)[None, :])[0]
 
     def gradient_batch(self, xs: np.ndarray) -> np.ndarray:
-        """Only a single piece (an affine function) is smooth everywhere."""
-        if len(self.pieces) != 1:
-            raise NotImplementedError("a min of several affine pieces has no gradient at its kinks")
-        return self.pieces[0].gradient_batch(xs)
+        """Per row, the weights with the largest `g . x` among the pieces that
+        attain the minimum exactly; ties go to the lexicographically greatest."""
+        xs = np.asarray(xs, dtype=float)
+        pieces = sorted(self.pieces, key=lambda p: p.weights, reverse=True)  # argmax keeps the first tie
+        vals = np.stack([p.values(xs) for p in pieces])
+        scores = np.stack([_column_sum(p.weights, xs, 0.0) for p in pieces])
+        scores[vals > vals.min(axis=0)] = -np.inf
+        return np.array([p.weights for p in pieces])[np.argmax(scores, axis=0)]
 
     def to_dict(self) -> dict:
         return {"kind": "min_of_affine", "pieces": [p.to_dict() for p in self.pieces]}

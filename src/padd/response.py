@@ -323,12 +323,22 @@ def seller_optimal_linear_price(
 ) -> SellerSolution:
     """Revenue-maximizing linear price against the reported value `u`.
 
-    Candidate prices are supergradients of `u` at grid bundles (for an
+    Candidate prices are supergradients of `u` at candidate rows (for an
     anchored `u`, the one supergradient at its `_ray_pick`).  For each
     distinct candidate the buyer's best response is computed and the pair
     (response bundle, supergradient at the response) is kept when provably
     self-consistent; the best-revenue pair wins, falling back to zero trade
     whenever even the best verified revenue is negative.
+
+    The buyer's response to `p` has `p` in the superdifferential of `u`
+    there (Rockafellar, *Convex Analysis*, 1970, Thm 23.5), so a consistent
+    record's revenue is the potential `grad_max_info(x) . x - c(x)` at its
+    response `x`, smooth or kinked.  Candidate rows, where responses land
+    (the box corners for a convex report, else the grid), are tried best
+    potential first until it is at most the best revenue.  A 1-d response
+    is a golden search that can land a cell off its row, so 1-d rows rank
+    by `p . x_next - c(x_prev)` (costs are monotone); separable reports
+    reach such responses only through `_refine`.
     """
     cfg = cfg or SolverConfig()
     _check_dims(u, domain, c)
@@ -352,7 +362,6 @@ def seller_optimal_linear_price(
             records.append(rec)
             best_rev = max(best_rev, rec[0])
 
-    smooth = False
     anchored = _anchored_form(u)
     if anchored is not None:
         # every supergradient vertex charges the level for the anchor, so the
@@ -363,37 +372,29 @@ def seller_optimal_linear_price(
         x = _ray_pick(anchor, domain, lambda ts: ts[:, 0] * level - c.values(ts * anchor))
         p = u.grad_max_info(x)
         try_price(p, x if float(p @ anchor) == level else None)
-    elif isinstance(u, MinOfAffine):
-        for piece in u.pieces:
-            try_price(np.asarray(piece.weights, dtype=float))
     else:
         n_axis = cfg.points(domain.dim)
-
-        def potential_at(xs: np.ndarray) -> np.ndarray:
-            grads = u.gradient_batch(xs)
-            finite = np.all(np.isfinite(grads), axis=1)
-            safe = np.where(finite[:, None], grads, 0.0)
-            return np.where(finite, np.einsum("ij,ij->i", safe, xs) - c.values(xs), -np.inf)
-
-        if u.shape in (Shape.CONCAVE, Shape.LINEAR):
-            try:
-                # grid rows from index 1 on: row 0 is the origin
-                potential = np.concatenate([potential_at(xs) for _, xs in grid_blocks(domain.upper, n_axis, 1)])
-                smooth = True
-            except NotImplementedError:
-                smooth = False
-        if smooth:
-            for j in np.argsort(-potential):
-                if potential[j] <= max(best_rev, 0.0) + 1e-12:
-                    break
-                try_price(u.grad_max_info(grid_rows(domain.upper, n_axis, [j + 1])[0]))
+        # candidate rows from index 1 on: row 0 is the origin
+        if u.shape is Shape.CONVEX:
+            corners = domain.vertices()
+            blocks, row = [(1, corners[1:])], lambda j: corners[j + 1]
         else:
-            for _, xs in grid_blocks(domain.upper, n_axis, 1):
-                for x in xs:
-                    try_price(u.grad_max_info(x))
+            blocks, row = grid_blocks(domain.upper, n_axis, 1), lambda j: grid_rows(domain.upper, n_axis, [j + 1])[0]
+        golden = u.dim == 1 and u.shape is not Shape.CONVEX
+        cell = domain.upper / (n_axis - 1) if golden else 0.0
 
-    if smooth and records:
-        _refine_smooth(u, c, domain, records, n_axis, cfg)
+        def key_at(xs: np.ndarray) -> np.ndarray:
+            # a zero coordinate adds nothing, even where `PowerSum`'s batch has inf
+            grads = np.where(xs > 0.0, u.gradient_batch(xs), 0.0)
+            return np.einsum("ij,ij->i", grads, np.minimum(xs + cell, domain.upper)) - c.values(np.maximum(xs - cell, 0.0))
+
+        keys = np.concatenate([key_at(xs) for _, xs in blocks])
+        for j in np.argsort(-keys):
+            if keys[j] <= max(best_rev, 0.0) + 1e-12:
+                break
+            try_price(u.grad_max_info(row(j)))
+        if records:
+            _refine(u, c, domain, records, n_axis, cfg, golden)
 
     if records:
         revs = np.array([r for r, _, _ in records])
@@ -405,9 +406,11 @@ def seller_optimal_linear_price(
     return SellerSolution(price=zero, bundle=zero.copy(), revenue=0.0, verified=bool(records))
 
 
-def _refine_smooth(u, c, domain, records, n_axis, cfg):
+def _refine(u, c, domain, records, n_axis, cfg, golden):
     """Coordinate golden refinement of the revenue around the best record;
-    appends the refined record to `records` when it is consistent and better."""
+    appends the refined record to `records` when it is consistent and better.
+    A golden-search buyer (`golden`) also weighs the refined bundle, which
+    its search stops short of at a kink, within `_TIE_TOL` of its utility."""
     rev0, bundle0, _ = max(records, key=lambda rbp: rbp[0])
 
     def revenue(xs: np.ndarray) -> np.ndarray:
@@ -422,7 +425,11 @@ def _refine_smooth(u, c, domain, records, n_axis, cfg):
     spacing = domain.upper / (n_axis - 1)
     x = coordinate_refine(revenue, bundle0, spacing, domain.upper, REFINE_PASSES)[0]
     if revenue(x[None, :])[0] > rev0:
-        rec = _consistent_record(u, u.grad_max_info(x), domain, c, cfg)
+        p = u.grad_max_info(x)
+        xbr = buyer_best_response(u, p, domain, c, cfg)
+        if golden:
+            xbr = _finish_ties(np.vstack([xbr, x]), u, p, c)
+        rec = _consistent_record(u, p, domain, c, cfg, xbr)
         if rec is not None and rec[0] > rev0:
             records.append(rec)
 

@@ -655,8 +655,11 @@ class TestOutcomeSerialization:
             ([math.nan], 1.0, [1.0], "bundle coordinates must be finite"),
             ([0.0, 0.0], 2.0, [0.5, 0.5], "positive payment needs a non-zero bundle"),
             ([4.0], 32.0, [0.5, 0.5], "price split has 2 weights for 1 goods"),
+            # the convex demo's `padd solve --json` with its split edited
+            ([4.0], 32.0, [0.5], "split weights must be non-negative and sum to 1"),
+            ([2.0, 4.0], 6.0, [1.5, -0.5], "split weights must be non-negative and sum to 1"),
         ],
-        ids=["negative_payment", "nan_bundle", "payment_without_trade", "split_length"],
+        ids=["negative_payment", "nan_bundle", "payment_without_trade", "split_length", "split_sum", "split_negative"],
     )
     def test_from_dict_refuses_an_inconsistent_outcome(self, bundle, payment, split, says):
         obj = self.outcomes()["trade"].to_dict()

@@ -190,13 +190,47 @@ def random_convex_tree(rng, d, depth=0):
 
 
 class TestGradient:
-    def test_kink_raises(self):
-        # a kinked node has no batch gradient; at the kink the scalar
-        # derivative is the piece that maximizes the payment g . x
+    def test_kinked_batch_rows_carry_the_scalar_bits(self):
+        # every row of a kinked node's batch is its scalar derivative, kinks
+        # included: there it is the supergradient that maximizes g . x
         f = MinOfAffine([Affine((2.0,), 0.0), Affine((0.0,), 4.0)])
-        with pytest.raises(NotImplementedError):
-            f.gradient_batch(np.array([[2.0]]))
+        assert f.gradient_batch(np.array([[1.0], [2.0], [3.0]])).tolist() == [[2.0], [2.0], [0.0]]
         assert f.grad_max_info((2.0,)).tolist() == [2.0]
+        rng = np.random.default_rng(1)
+        nodes = [
+            MinOfAffine([Affine((2.0, 1.0), 0.0), Affine((1.0, 3.0), 0.0), Affine((0.0, 0.0), 4.0)]),
+            MinOfAffine([Affine((1.0, 1.0), 0.0), Affine((1.0, 1.0), 1.0), Affine((0.5, 2.0), 0.0)]),
+            Leontief((2.0, 4.0), 6.0),
+            Leontief((1.0, 0.0, 2.0), 3.0),
+            GraphMinCost(cycle_graph(4)),
+            GraphMinCost(random_graph(6, 0.4, 3)),
+        ]
+        for f in nodes:
+            # half-integer bundles land on the kinks: tied pieces, tied anchor
+            # ratios, neighbour sums equal to the node's own coordinate
+            xs = np.vstack([np.zeros(f.dim), rng.integers(0, 9, (80, f.dim)) / 2.0, rng.random((40, f.dim)) * 5.0])
+            batch = f.gradient_batch(xs)
+            assert batch.shape == xs.shape
+            for x, row in zip(xs, batch):
+                assert f.grad_max_info(x).tobytes() == row.tobytes(), (f, x)
+        assert MinOfAffine([Affine((1.0,))]).gradient_batch(np.zeros((0, 1))).shape == (0, 1)
+        assert Leontief((1.0,), 1.0).gradient_batch(np.zeros((0, 1))).shape == (0, 1)
+
+    def test_min_of_affine_takes_the_payment_maximizing_active_piece(self):
+        # on half-integer bundles and small integer weights every sum is
+        # exact, so the active pieces are those of the exact minimum
+        rng = np.random.default_rng(2)
+        for _ in range(30):
+            d = int(rng.integers(1, 4))
+            k = int(rng.integers(2, 5))
+            pieces = [Affine(rng.integers(0, 4, d) / 2.0, float(rng.integers(0, 3)) if j else 0.0) for j in range(k)]
+            f = MinOfAffine(pieces)
+            for x in rng.integers(0, 7, (20, d)) / 2.0:
+                vals = [math.fsum(np.multiply(p.weights, x)) + p.intercept for p in pieces]
+                active = [p.weights for p, v in zip(pieces, vals) if v == min(vals)]
+                score = max(math.fsum(np.multiply(w, x)) for w in active)
+                want = max(w for w in active if math.fsum(np.multiply(w, x)) == score)
+                assert f.grad_max_info(x).tolist() == list(want), (pieces, x)
 
     def test_batch_matches_scalar(self, rng):
         f = Sum([PowerSum((2.0, 1.0), (0.5, 2.0)), Affine((0.5, 0.5), 0.0)])
@@ -209,7 +243,8 @@ class TestGradient:
         # Python's scalar powers differed from numpy's in the last ulp on 277
         # of these bundles, so a supergradient price need not carry the bits
         # of the batch potential that ranked its bundle; convex trees (the
-        # seller's prices against a convex report) carry them too
+        # seller's prices against a convex report) carry them too, and so do
+        # sums and scalings of kinked nodes, on their kinks as well
         rng = np.random.default_rng(0)
         trees = [(PowerSum((1.5, 2.0, 0.7), (1.5, 0.3, 3.0)), rng.random((2000, 3)) * 5.0)]
         trees.append((Sum([PowerSum((1.0,), (2.0,)), MinOfAffine([Affine((0.5,), 0.0)])]), rng.random((50, 1)) * 5.0))
@@ -221,6 +256,11 @@ class TestGradient:
                 xs[rng.random((50, d)) < 0.2] = 0.0
                 trees.append((f, xs))
         assert {type(f).__name__ for f, _ in trees[2:]} >= {"Sum", "Scale"}
+        kinks = np.vstack([rng.integers(0, 9, (60, 2)) / 2.0, rng.random((60, 2)) * 5.0])
+        kinked = MinOfAffine([Affine((2.0, 1.0), 0.0), Affine((1.0, 3.0), 0.0), Affine((0.0, 0.0), 4.0)])
+        trees.append((Sum([kinked, Leontief((1.0, 2.0), 3.0), PowerSum((1.0, 2.0), (1.0, 1.0))]), kinks))
+        trees.append((Scale(2.5, Sum([GraphMinCost(path_graph(2)), Scale(0.5, kinked)])), kinks))
+        trees.append((Sum([PowerSum((1.0, 2.0), (0.5, 0.3)), kinked]), kinks[np.all(kinks > 0, axis=1)]))
         for f, xs in trees:
             for x, row in zip(xs, f.gradient_batch(xs)):
                 assert f.grad_max_info(x).tobytes() == row.tobytes()

@@ -13,6 +13,7 @@ from padd import (
     MinOfAffine,
     PowerSum,
     PreconditionError,
+    Scale,
     SolverConfig,
     Sum,
     best_concave_price,
@@ -22,7 +23,7 @@ from padd import (
     seller_optimal_linear_price,
 )
 
-from padd.graphs import cycle_graph
+from padd.graphs import cycle_graph, path_graph
 from padd.gridopt import grid_blocks
 from padd import response
 from padd.response import _revenue, _utility
@@ -309,11 +310,101 @@ class TestOptimalPriceFamily:
             optimal_price_family((1.0, 1.0), 5.0, (1.0,))
 
 
+def every_row_revenue(u, c, box, cfg):
+    """The best consistent revenue over the price `grad_max_info(x)` of
+    every grid row `x`, floored at zero trade: the exhaustive search, one
+    buyer response per distinct row price, that the ranked search replaced."""
+    best, seen = 0.0, set()
+    for _, xs in grid_blocks(box.upper, cfg.points(box.dim), 1):
+        for x in xs:
+            p = u.grad_max_info(x)
+            if tuple(p) in seen or not np.all(np.isfinite(p)):
+                continue
+            seen.add(tuple(p))
+            rec = response._consistent_record(u, p, box, c, cfg)
+            if rec is not None:
+                best = max(best, rec[0])
+    return best
+
+
+def min_of_affine(rng, d):
+    # piece 0 passes through the origin, so the minimum vanishes there
+    k = int(rng.integers(2, 4))
+    return MinOfAffine([Affine(rng.choice([0.0, 0.5, 1.0, 2.0, 3.0], d), float(rng.choice([0.0, 1.0, 2.0])) if j else 0.0) for j in range(k)])
+
+
+KINKED_REPORTS = {
+    "min_of_affine": min_of_affine,
+    "sum": lambda rng, d: Sum([PowerSum(rng.uniform(0.2, 2.0, d), rng.choice([0.3, 0.5, 0.8, 1.0], d)), min_of_affine(rng, d)]),
+    "scale": lambda rng, d: Scale(float(rng.uniform(0.5, 3.0)), min_of_affine(rng, d)),
+    "leontief_in_sum": lambda rng, d: Sum(
+        [Leontief(rng.choice([0.5, 1.0, 2.0], d), float(rng.uniform(1.0, 4.0))), PowerSum(rng.uniform(0.2, 2.0, d), rng.choice([0.5, 1.0], d))]
+    ),
+    "graph": lambda rng, d: Scale(float(rng.uniform(1.0, 3.0)), GraphMinCost(path_graph(d + 1))),
+}
+
+
+class TestRankedSellerSearch:
+    """Rows ranked by the potential, with an early stop, against one price
+    per grid row: the ranked search keeps every record the exhaustive one
+    finds, on kinked reports too."""
+
+    @pytest.mark.parametrize("n", [11, 21])
+    @pytest.mark.parametrize("family", sorted(KINKED_REPORTS))
+    def test_matches_every_row_price(self, family, n):
+        cfg = SolverConfig(grid_points={1: n, 2: n, 3: n})
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            d = 1 + seed % 2
+            u = KINKED_REPORTS[family](rng, d)
+            c = PowerSum(rng.uniform(0.1, 1.0, u.dim), rng.choice([1.0, 1.5, 2.0], u.dim))
+            box = BoxDomain(rng.choice([1.0, 2.0, 3.0, 5.0], u.dim))
+            if response._anchored_form(u) is not None:
+                continue
+            sol = seller_optimal_linear_price(u, c, box, cfg)
+            oracle = every_row_revenue(u, c, box, cfg)
+            assert sol.revenue >= oracle - response._rev_tie(oracle), (seed, u)
+
+    def test_flat_piece_across_a_coarse_cell(self):
+        # price 6.4 leaves the buyer indifferent on [0, 0.5], which the one
+        # row 0.3 of that price covers only through the widened 1-d key
+        # p * 0.6 - c(0): its potential 6.4 * 0.3 - c(0.3) = 1.71 ranks
+        # below the 2.1 that the price 1.4 of row 3 earns
+        u = Sum([Leontief((0.5,), 2.5), PowerSum((1.4,), (1.0,))])
+        c, box, cfg = PowerSum((0.7,), (1.0,)), BoxDomain([3.0]), SolverConfig(grid_points={1: 11})
+        oracle = every_row_revenue(u, c, box, cfg)
+        assert oracle > 2.3
+        assert seller_optimal_linear_price(u, c, box, cfg).revenue >= oracle
+
+    def test_kinked_one_good_optimum_is_analytic(self):
+        # sqrt(x) + min(3x, 2) against x^2: the best revenue sits at the kink
+        # x = 2/3, priced at the top of the superdifferential there,
+        # 1/(2 sqrt(2/3)) + 3; the best grid row, 0.665, earns 1.960513
+        u = Sum([SQRT, MinOfAffine([Affine((3.0,), 0.0), Affine((0.0,), 2.0)])])
+        sol = seller_optimal_linear_price(u, SQUARE, BoxDomain([5.0]))
+        assert sol.verified
+        assert abs(sol.revenue - (0.5 * math.sqrt(2.0 / 3.0) + 2.0 - 4.0 / 9.0)) <= 1e-9
+        assert abs(sol.bundle[0] - 2.0 / 3.0) <= 1e-9
+
+    def test_kinked_two_good_report_at_the_default_grid(self, monkeypatch):
+        # the exhaustive search made one grid response per row, 40,400 of
+        # them at 201 points per axis; the ranked one stops after a few
+        calls = []
+        monkeypatch.setattr(response, "buyer_best_response", lambda *a: calls.append(a) or buyer_best_response(*a))
+        u = Sum([PowerSum((2.0, 1.0), (0.5, 0.5)), MinOfAffine([Affine((3.0, 1.0), 0.0), Affine((0.0, 0.0), 2.0)])])
+        c, box = PowerSum((1.0, 1.0), (2.0, 2.0)), BoxDomain([3.0, 3.0])
+        sol = seller_optimal_linear_price(u, c, box)
+        assert len(calls) <= 10
+        assert sol.verified and sol.revenue > 2.6
+        assert np.max(np.abs(sol.price - grad_max_info(u, sol.bundle))) <= 1e-6 * np.max(sol.price)
+        assert sol.revenue == float(sol.price @ sol.bundle) - c.value(sol.bundle)
+
+
 class TestKinkedNonAnchoredReport:
     def test_graph_cost_report_yields_verified_or_zero(self):
         # a concave piecewise-linear report that is neither anchored nor a
-        # plain min-of-affine: the generic candidate loop must still return
-        # a consistent, non-negative solution
+        # plain min-of-affine: the ranked search must still return a
+        # consistent, non-negative solution
         from padd import GraphMinCost
         from padd.graphs import path_graph
 
