@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -218,10 +219,12 @@ def _cmd_overfit(args) -> int:
 
 
 def _sample_curve_rows(v, c, u_expr, x_hi: float, n: int = 101):
-    xs = np.linspace(0.0, x_hi, n)
-    for x in xs:
-        pt = np.array([x])
-        yield ["curve", repr(float(x)), repr(v.value(pt)), repr(c.value(pt)), repr(u_expr.value(pt)), "", "", ""]
+    """`n` curve rows on `[0, x_hi]`; each curve is one `values` batch, which
+    gives every row the bits that `value` gives it alone."""
+    xs = np.linspace(0.0, x_hi, n)[:, None]
+    columns = [xs[:, 0].tolist()] + [f.values(xs).tolist() for f in (v, c, u_expr)]
+    for row in zip(*columns):
+        yield ["curve", *map(repr, row), "", "", ""]
 
 
 def _write_scenario_csv(path: Path, scenario_id: str, title: str) -> None:
@@ -299,7 +302,9 @@ def _cmd_verify(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first `main` call (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="padd",
         description="Equilibria of posted-price games against a buyer committing to an imitative value function.",

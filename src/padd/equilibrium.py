@@ -61,13 +61,14 @@ _FRACTION_SAMPLES = 10001  # fractions of the bundle in `verify_equilibrium`'s s
 _BUNDLE_TOL = 1e-6  # `verify_equilibrium`'s largest coordinate gap to the buyer's response
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class EquilibriumOutcome:
     """Full description of a solved game: trade point, payment, payoffs.
 
     `payment` is the total amount paid for the bundle.  The commitment
     `imitative` and the unit prices of the simplex split `price_split`
-    (`unit_prices . bundle == payment`) are derived from the two.
+    (`unit_prices . bundle == payment`) are derived from the two.  The
+    split is a simplex over the goods bought and zero on the others.
     """
 
     bundle: np.ndarray
@@ -85,8 +86,10 @@ class EquilibriumOutcome:
             raise PreconditionError("positive payment needs a non-zero bundle")
         if np.shape(self.price_split) != self.bundle.shape:
             raise DimensionError(f"price split has {np.size(self.price_split)} weights for {self.bundle.size} goods")
+        support = self.bundle > 0
+        if np.any(np.asarray(self.price_split)[~support] != 0):
+            raise PreconditionError("payment split puts weight on an absent good")
         if self.trade:  # refuse, by name, a split that is no simplex over the support
-            support = self.bundle > 0
             optimal_price_family(self.bundle[support], self.payment, self.price_split[support])
 
     @property
@@ -305,11 +308,11 @@ def _split_weights(cfg: SolverConfig, dim: int) -> np.ndarray | None:
 
 
 def _split_for(bundle: np.ndarray, cfg: SolverConfig) -> np.ndarray:
+    """`cfg.lambda_split` (the outcome refuses weight on an absent good), or
+    an even split over the goods bought."""
     support = bundle > 0
     lam = _split_weights(cfg, bundle.size)
     if lam is not None:
-        if np.any(lam[~support] > 0):
-            raise PreconditionError("payment split puts weight on an absent good")
         return lam
     lam = np.zeros(bundle.size)
     lam[support] = 1.0 / support.sum()
@@ -446,7 +449,7 @@ def fixed_bundle_outcome(
 # --- verification ----------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class CheckResult:
     name: str
     passed: bool
@@ -454,7 +457,7 @@ class CheckResult:
     detail: str = ""
 
 
-@dataclass
+@dataclass(slots=True)
 class VerificationReport:
     checks: list
 

@@ -14,7 +14,10 @@ at a zero coordinate is `inf` there and `GRAD_CAP` in `grad_max_info`.
 All expressions are defined on the non-negative orthant, are monotone
 non-decreasing, and (apart from affine pieces with a positive intercept)
 vanish at the origin.  Nodes are immutable after construction; every
-operation here is a pure function, safe to call concurrently.
+operation here is a pure function, safe to call concurrently.  Each node's
+constant arrays (exponents, masks, supports, weight matrices) are built on
+first use and cached read-only on the node, which relies on that
+immutability.
 """
 
 from __future__ import annotations
@@ -68,14 +71,14 @@ def as_bundle(x, dim: int | None = None) -> np.ndarray:
 
     Bundles are finite, non-negative, and at least one-dimensional.
     """
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
+    arr = np.array(x, dtype=float, ndmin=1, copy=None)
     if arr.ndim != 1 or arr.size < 1:
         raise DimensionError(f"bundle must be a 1-d vector, got shape {arr.shape}")
     if dim is not None and arr.size != dim:
         raise DimensionError(f"bundle has dimension {arr.size}, expected {dim}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise PreconditionError("bundle coordinates must be finite")
-    if np.any(arr < 0):
+    if (arr < 0).any():
         raise PreconditionError("bundle coordinates must be non-negative")
     return arr
 
@@ -88,12 +91,12 @@ def _check_finite(what: str, *values: float) -> None:
 
 def as_price(p, dim: int | None = None) -> np.ndarray:
     """Validate a per-unit price vector (finite, non-negative)."""
-    arr = np.atleast_1d(np.asarray(p, dtype=float))
+    arr = np.array(p, dtype=float, ndmin=1, copy=None)
     if arr.ndim != 1:
         raise DimensionError(f"price must be a 1-d vector, got shape {arr.shape}")
     if dim is not None and arr.size != dim:
         raise DimensionError(f"price has dimension {arr.size}, expected {dim}")
-    if not np.all(np.isfinite(arr)) or np.any(arr < 0):
+    if not np.isfinite(arr).all() or (arr < 0).any():
         raise PreconditionError("prices must be finite and non-negative")
     return arr
 
@@ -143,9 +146,18 @@ class BoxDomain:
         return cls(np.asarray(_field(obj, "upper", _NUMBERS), dtype=float))
 
 
-def _column_sum(weights: tuple, cols: np.ndarray, intercept: float) -> np.ndarray:
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, made read-only: a node's cached constants."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _column_sum(weights, cols: np.ndarray, intercept) -> np.ndarray:
     """`cols @ weights + intercept`, summed column by column, so that a row
-    gets the same bits in any batch (a matrix product may not)."""
+    gets the same bits in any batch (a matrix product may not).  Weights
+    that are (m, 1) columns, with an (m, 1) intercept, give m such sums,
+    one row each."""
     out = 0.0
     for i, w in enumerate(weights):
         out = out + w * cols[:, i]
@@ -210,9 +222,14 @@ class PowerSum(FunctionExpr):
     def dim(self) -> int:
         return len(self.coeffs)
 
+    @cached_property
+    def _powers(self) -> tuple[np.ndarray, ...]:
+        """Exponents `b`, coefficients `k`, `b - 1`, `k * b`, and the masks `b == 1` and `b > 1`."""
+        b, k = np.array(self.exponents), np.array(self.coeffs)
+        return _read_only(b, k, b - 1.0, k * b, b == 1.0, b > 1.0)
+
     def values(self, xs: np.ndarray) -> np.ndarray:
-        powers = np.asarray(xs, dtype=float) ** np.asarray(self.exponents)
-        return _column_sum(self.coeffs, powers, 0.0)
+        return _column_sum(self.coeffs, np.asarray(xs, dtype=float) ** self._powers[0], 0.0)
 
     def _structural_shape(self) -> Shape:
         b = self.exponents
@@ -229,20 +246,21 @@ class PowerSum(FunctionExpr):
         exponent < 1 the entry is `GRAD_CAP` (0 without a coefficient)."""
         x = as_bundle(x, self.dim)
         g = self.gradient_batch(x[None, :])[0]
-        axis = (x == 0.0) & (np.asarray(self.exponents) < 1.0)
-        g[axis] = np.where(np.asarray(self.coeffs)[axis] > 0, GRAD_CAP, 0.0)
+        b, k, *_ = self._powers
+        axis = (x == 0.0) & (b < 1.0)
+        g[axis] = np.where(k[axis] > 0, GRAD_CAP, 0.0)
         return g
 
     def gradient_batch(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
-        b = np.asarray(self.exponents)
-        k = np.asarray(self.coeffs)
+        _, k, b_less_1, kb, unit, above = self._powers
         with np.errstate(divide="ignore", invalid="ignore"):
-            g = xs ** (b - 1.0)
-            g *= k * b  # in place: the grid's gradients are the solve's largest array
-        # exponent-1 terms are constant; fix 0^0 artifacts explicitly
-        np.copyto(g, k, where=(xs == 0.0) & (b == 1.0))
-        np.copyto(g, 0.0, where=(xs == 0.0) & (b > 1.0))
+            g = xs ** b_less_1
+            g *= kb  # in place: the grid's gradients are the solve's largest array
+        zero = xs == 0.0
+        if zero.any():  # exponent-1 terms are constant; fix 0^0 artifacts explicitly
+            np.copyto(g, k, where=zero & unit)
+            np.copyto(g, 0.0, where=zero & above)
         return g
 
     def to_dict(self) -> dict:
@@ -326,25 +344,30 @@ class Leontief(FunctionExpr):
     def dim(self) -> int:
         return len(self.anchor)
 
+    @cached_property
+    def _support(self) -> tuple[np.ndarray, np.ndarray]:
+        """The anchor's support (ascending indices) and its anchor coordinates."""
+        a = np.array(self.anchor)
+        support = np.flatnonzero(a > 0)
+        return _read_only(support, a[support])
+
     def values(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        a = np.asarray(self.anchor)
-        ratios = xs[:, a > 0] / a[a > 0]
+        support, a = self._support
+        ratios = np.asarray(xs, dtype=float)[:, support] / a
         return self.level * np.minimum(ratios.min(axis=1), 1.0)
 
     def _structural_shape(self) -> Shape:
         return Shape.CONCAVE
 
     def _active_vertices(self, x: np.ndarray) -> np.ndarray:
-        a = np.asarray(self.anchor)
-        support = np.nonzero(a > 0)[0]
-        r = x[support] / a[support]
+        support, a = self._support
+        r = x[support] / a
         r_min = float(r.min())
         verts = []
         if r_min <= 1.0:
             for i in support[r == r_min]:
                 v = np.zeros(self.dim)
-                v[i] = self.level / a[i]
+                v[i] = self.level / self.anchor[i]
                 verts.append(v)
         if r_min >= 1.0:
             verts.append(np.zeros(self.dim))
@@ -381,9 +404,19 @@ class MinOfAffine(FunctionExpr):
     def dim(self) -> int:
         return self.pieces[0].dim
 
+    @cached_property
+    def _matrices(self) -> tuple[np.ndarray, ...]:
+        """`_column_sum`'s weight columns (one row per piece) and intercepts
+        in piece order, the same in descending lexicographic weight order,
+        and the weights in that order (one row per piece)."""
+        ranked = sorted(self.pieces, key=lambda p: p.weights, reverse=True)
+        weights, by_rank = np.array([p.weights for p in self.pieces]), np.array([p.weights for p in ranked])
+        return _read_only(weights.T[:, :, None], np.array([[p.intercept] for p in self.pieces]),
+                          by_rank.T[:, :, None], np.array([[p.intercept] for p in ranked]), by_rank)
+
     def values(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        return np.min(np.stack([p.values(xs) for p in self.pieces]), axis=0)
+        cols, intercepts, *_ = self._matrices
+        return _column_sum(cols, np.asarray(xs, dtype=float), intercepts).min(axis=0)
 
     def _structural_shape(self) -> Shape:
         if len(self.pieces) == 1:
@@ -395,13 +428,15 @@ class MinOfAffine(FunctionExpr):
 
     def gradient_batch(self, xs: np.ndarray) -> np.ndarray:
         """Per row, the weights with the largest `g . x` among the pieces that
-        attain the minimum exactly; ties go to the lexicographically greatest."""
-        xs = np.asarray(xs, dtype=float)
-        pieces = sorted(self.pieces, key=lambda p: p.weights, reverse=True)  # argmax keeps the first tie
-        vals = np.stack([p.values(xs) for p in pieces])
-        scores = np.stack([_column_sum(p.weights, xs, 0.0) for p in pieces])
+        attain the minimum exactly; ties go to the lexicographically greatest
+        (the ranked order, since argmax keeps the first tie).  A value here
+        is its score plus the intercept, which differs from `Affine.values`
+        at most in the sign of a zero, and no comparison sees that."""
+        _, _, cols, intercepts, weights = self._matrices
+        scores = _column_sum(cols, np.asarray(xs, dtype=float), 0.0)
+        vals = scores + intercepts
         scores[vals > vals.min(axis=0)] = -np.inf
-        return np.array([p.weights for p in pieces])[np.argmax(scores, axis=0)]
+        return weights[np.argmax(scores, axis=0)]
 
     def to_dict(self) -> dict:
         return {"kind": "min_of_affine", "pieces": [p.to_dict() for p in self.pieces]}
@@ -518,19 +553,39 @@ class GraphMinCost(FunctionExpr):
         return Shape.CONCAVE
 
     def grad_max_info(self, x) -> np.ndarray:
-        # term i's pieces are its neighbours' indicator and e_i; at a tie
-        # both score x_i and the lexicographically greater one wins, which
-        # is the indicator exactly when a neighbour precedes i
-        x = as_bundle(x, self.dim).tolist()
-        total = [0.0] * self.dim
-        for i, js in enumerate(self.graph.neighbors):
-            s = 0.0
-            for j in js:  # the neighbour sum of `values`, in its order
-                s += x[j]
-            active = js if s < x[i] or (s == x[i] and js and js[0] < i) else (i,)
-            for k in active:
-                total[k] += 1.0
-        return np.array(total)
+        return self.gradient_batch(as_bundle(x, self.dim)[None, :])[0]
+
+    @cached_property
+    def _positions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The neighbour index by position: nodes by descending degree, the
+        count of nodes with more than p neighbours for each position p, each
+        ordered node's offset into the flat ascending neighbour lists and
+        those lists, and per node whether its first neighbour precedes it."""
+        nbrs = self.graph.neighbors
+        degree = np.array([len(js) for js in nbrs], dtype=np.intp)
+        order = np.argsort(-degree, kind="stable")
+        counts = degree.size - np.cumsum(np.bincount(degree))[: degree.max()]
+        offsets = np.concatenate([[0], np.cumsum(degree)[:-1]])[order]
+        flat = np.array([j for js in nbrs for j in js], dtype=np.intp)
+        first_below = np.array([bool(js) and js[0] < i for i, js in enumerate(nbrs)])
+        return _read_only(order, counts, offsets, flat, first_below)
+
+    def gradient_batch(self, xs: np.ndarray) -> np.ndarray:
+        """Term i's pieces are its neighbours' indicator and e_i.  At a tie
+        both score x_i and the lexicographically greater one wins, which is
+        the indicator exactly when a neighbour precedes i.  The neighbour
+        sums are those of `values`, added in its order one neighbour
+        position at a time, and the pieces are counted on integers."""
+        xs = np.asarray(xs, dtype=float)
+        order, counts, offsets, flat, first_below = self._positions
+        sums = np.zeros(xs.shape)
+        for p, m in enumerate(counts):
+            sums[:, order[:m]] += xs[:, flat[offsets[:m] + p]]
+        takes_neighbours = (sums < xs) | ((sums == xs) & first_below)
+        pieces = (~takes_neighbours).astype(np.int64)
+        for p, m in enumerate(counts):  # i ~ k exactly when k ~ i
+            pieces[:, order[:m]] += takes_neighbours[:, flat[offsets[:m] + p]]
+        return pieces.astype(float)
 
     def to_dict(self) -> dict:
         return {"kind": "graph_min_cost", "graph": self.graph.to_dict()}

@@ -23,6 +23,7 @@ node's `values` does), each start gets exactly the bits it gets alone.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -129,10 +130,18 @@ def coordinate_refine(f, starts, spacing, upper, passes: int) -> np.ndarray:
     return x
 
 
+@lru_cache(maxsize=16)
+def _identity(dim: int) -> np.ndarray:
+    """`np.eye(dim)`, shared and read-only."""
+    eye = np.eye(dim)
+    eye.flags.writeable = False
+    return eye
+
+
 def axis_rows(ts, axes, dim: int) -> np.ndarray:
     """The rows `t * e_axis`, one per entry of `ts` in C order, as an
     (ts.size, dim) array; `axes` broadcasts to the shape of `ts`."""
-    return (np.asarray(ts, dtype=float)[..., None] * np.eye(dim)[axes]).reshape(-1, dim)
+    return (np.asarray(ts, dtype=float)[..., None] * _identity(dim)[axes]).reshape(-1, dim)
 
 
 def top_k(vals: np.ndarray, k: int) -> np.ndarray:

@@ -18,12 +18,15 @@ Fixing coordinate k moves only the terms of k and its neighbours, so that
 local delta is O(deg^2) operations per coordinate.
 
 Those operations are on integers, not rationals.  Every float in `[0, 1]`
-is dyadic, `m / 2^k`, so on the point's largest `k`, `K`, each coordinate
-is `P_i / 2^K` with an integer `P_i`, and `1 - p_j` is `(2^K - P_j) / 2^K`.
-A product of `n` such factors is an integer over `2^(K n)`; shifting each
-term of the delta left by `K (L - n)`, with `L` its longest term, puts
-them all over `2^(K L)`, so the integer sum has the sign of the exact
-delta.  `surplus_exact` sums and takes `min` on the same integers.
+is dyadic, so each coordinate is `P_i / 2^k_i` with integers `P_i` and
+`k_i` (its own exponent, 0 for 0 and 1), and `1 - p_j` is
+`(2^k_j - P_j) / 2^k_j`.  A product of such factors is an integer over 2
+to the sum of their exponents; shifting each term of the delta left to
+the largest exponent among the delta's terms puts them all over one power
+of 2, so the integer sum has the sign of the exact delta.  `surplus_exact`
+sums and takes `min` the same way, node by node.  A coordinate's own
+exponent keeps one subnormal coordinate (`k = 1074`) from lengthening the
+integers of every other one.
 
 `brute_force_max` and `mis_brute_force` enumerate the `2^d` cube as uint32
 subset masks in 65,536-mask chunks with bitwise popcounts; they share the
@@ -62,20 +65,30 @@ def _check_unit_box(g: GraphInstance, x) -> np.ndarray:
     return x
 
 
-def _dyadic(x: np.ndarray) -> tuple[list[int], int]:
-    """Numerators `P_i` of the coordinates over one denominator `2^K`, and `K`."""
+def _dyadic(x: np.ndarray) -> tuple[list[int], list[int]]:
+    """Each coordinate as `P_i / 2^k_i` in lowest terms: the numerators `P_i` and the exponents `k_i`."""
     ratios = [v.as_integer_ratio() for v in x.tolist()]
-    k = max(den for _, den in ratios).bit_length() - 1
-    return [num << (k + 1 - den.bit_length()) for num, den in ratios], k
+    return [num for num, _ in ratios], [den.bit_length() - 1 for _, den in ratios]
+
+
+def _common_sum(terms: list[tuple[int, int]]) -> tuple[int, int]:
+    """The sum of the terms `(n, e)`, each `n / 2^e`, as a numerator over 2
+    to their largest exponent, and that exponent."""
+    top = max((e for _, e in terms), default=0)
+    return sum(n << (top - e) for n, e in terms), top
 
 
 def surplus_exact(g: GraphInstance, x) -> Fraction:
-    """`U(x) = sum_i [x_i - min(sum_{j ~ i} x_j, x_i)]`, exact: integer sums over `2^K`."""
+    """`U(x) = sum_i [x_i - min(sum_{j ~ i} x_j, x_i)]`, exact: each node's
+    term on the largest exponent of its coordinates, then `_common_sum`."""
     p, k = _dyadic(_check_unit_box(g, x))
-    total = 0
+    terms = []
     for i, js in enumerate(g.neighbors):
-        total += p[i] - min(sum(p[j] for j in js), p[i])
-    return Fraction(total, 1 << k)
+        exp = max([k[i], *(k[j] for j in js)])
+        own = p[i] << (exp - k[i])
+        terms.append((own - min(sum(p[j] << (exp - k[j]) for j in js), own), exp))
+    total, exp = _common_sum(terms)
+    return Fraction(total, 1 << exp)
 
 
 def surplus_U(g: GraphInstance, x) -> float:
@@ -189,31 +202,33 @@ class RoundingState:
         return total
 
 
-def _scaled_none_active(p: list, one: int, nodes) -> int:
-    """`prod_{j in nodes} (one - P_j)`, stopping at the first zero factor."""
-    out = 1
+def _scaled_none_active(q: list, k: list, nodes) -> tuple[int, int]:
+    """`prod_{j in nodes} (1 - p_j)` as (numerator, exponent), `q` holding
+    the numerators `2^k_j - P_j`; a zero factor makes it (0, 0)."""
+    num, exp = 1, 0
     for j in nodes:
-        out *= one - p[j]
-        if not out:
-            break
-    return out
+        if not q[j]:
+            return 0, 0
+        num *= q[j]
+        exp += k[j]
+    return num, exp
 
 
-def _scaled_gain(p: list, k: int, nbrs: tuple, bits: int) -> int:
-    """`E[U | x_k = 1] - E[U | x_k = 0]` times `2^(bits L)`: an integer with the gain's sign.
+def _scaled_gain(p: list, q: list, k: list, node: int, nbrs: tuple) -> int:
+    """`E[U | x_node = 1] - E[U | x_node = 0]` times 2 to the largest
+    exponent of its terms: an integer with the gain's sign.
 
-    `p` holds the numerators over `one = 2^bits`.  The terms of k and of each
-    neighbour i have `deg(k)` and `deg(i)` factors; `L` is the largest.
+    `p`, `k` and `q` hold each coordinate's numerator, exponent and the
+    numerator of `1 - p_j`.  The terms are node's own and one per
+    neighbour i that is not 0.
     """
-    one = 1 << bits
-    near = nbrs[k]
-    longest = max(len(nbrs[i]) for i in (k, *near))
-    gain = _scaled_none_active(p, one, near) << bits * (longest - len(near))
+    near = nbrs[node]
+    terms = [_scaled_none_active(q, k, near)]
     for i in near:
         if p[i]:
-            rest = _scaled_none_active(p, one, (j for j in nbrs[i] if j != k))
-            gain -= p[i] * rest << bits * (longest - len(nbrs[i]))
-    return gain
+            num, exp = _scaled_none_active(q, k, (j for j in nbrs[i] if j != node))
+            terms.append((-p[i] * num, k[i] + exp))
+    return _common_sum(terms)[0]
 
 
 def derandomize(g: GraphInstance, xbar) -> np.ndarray:
@@ -222,14 +237,15 @@ def derandomize(g: GraphInstance, xbar) -> np.ndarray:
     Walks the coordinates in index order, fixing each to the choice with the
     larger exact conditional expected surplus (ties fix to 1): the sign of
     the local delta `E1 - E0` (`_scaled_gain`), O(deg^2) operations on the
-    point's integer numerators over `2^K` per coordinate, against
-    O(d + |E|) for a full `RoundingState.expected_surplus`.  Coordinates
-    that are already exactly 0 or 1 are left untouched, so binary inputs
-    round-trip unchanged.  Guarantees `U(result) >= U(xbar)` exactly.
+    coordinates' integer numerators per coordinate, against O(d + |E|)
+    for a full `RoundingState.expected_surplus`.  Coordinates that are
+    already exactly 0 or 1 (exponent 0) are left untouched, so binary
+    inputs round-trip unchanged.  Guarantees `U(result) >= U(xbar)` exactly.
     """
-    p, bits = _dyadic(_check_unit_box(g, xbar))
-    one = 1 << bits
-    for k in range(g.node_count):
-        if p[k] != 0 and p[k] != one:
-            p[k] = one if _scaled_gain(p, k, g.neighbors, bits) >= 0 else 0
-    return np.array([float(v == one) for v in p])
+    p, k = _dyadic(_check_unit_box(g, xbar))
+    q = [(1 << e) - num for num, e in zip(p, k)]
+    for node in range(g.node_count):
+        if k[node]:
+            one = _scaled_gain(p, q, k, node, g.neighbors) >= 0
+            p[node], q[node], k[node] = (1, 0, 0) if one else (0, 1, 0)
+    return np.array([float(v) for v in p])

@@ -210,6 +210,25 @@ class TestLinearValueGraphGames:
         assert code == 0 and err == ""
         assert "verification: all checks passed" in out
 
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_split_on_an_absent_good_is_precondition_exit(self, capsys, tmp_path, command):
+        # sum(x) against the 3-node path's cost trades (1, 0, 1); the split weighs good 2
+        cfg = {
+            "value": {"kind": "affine", "weights": [1.0] * 3},
+            "cost": {"kind": "graph_min_cost", "graph": {"node_count": 3, "edges": [[1, 2], [2, 3]]}},
+            "domain": {"upper": [1.0] * 3},
+            "solver": {"lambda_split": [0.25, 0.5, 0.25]},
+        }
+        path = tmp_path / "path3_split.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, command, str(path))
+        assert (code, out) == (2, "")
+        assert err == "precondition violated: payment split puts weight on an absent good\n"
+        cfg["solver"]["lambda_split"] = [0.25, 0.0, 0.75]
+        path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, command, str(path))
+        assert code == 0 and err == "" and "bundle          1, 0, 1" in out
+
     def test_beyond_the_corner_cap_is_precondition_exit(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "solve", str(_linear_graph_game(tmp_path, 21)))
         assert code == 2 and out == ""

@@ -658,8 +658,13 @@ class TestOutcomeSerialization:
             # the convex demo's `padd solve --json` with its split edited
             ([4.0], 32.0, [0.5], "split weights must be non-negative and sum to 1"),
             ([2.0, 4.0], 6.0, [1.5, -0.5], "split weights must be non-negative and sum to 1"),
+            # the support's weights form a simplex, but the absent good has one too
+            ([2.0, 0.0], 6.0, [1.0, 0.5], "payment split puts weight on an absent good"),
+            ([2.0, 0.0], 6.0, [1.0, math.nan], "payment split puts weight on an absent good"),
+            ([0.0, 0.0], 0.0, [0.5, 0.5], "payment split puts weight on an absent good"),
         ],
-        ids=["negative_payment", "nan_bundle", "payment_without_trade", "split_length", "split_sum", "split_negative"],
+        ids=["negative_payment", "nan_bundle", "payment_without_trade", "split_length", "split_sum", "split_negative",
+             "split_on_absent_good", "nan_split_on_absent_good", "split_without_trade"],
     )
     def test_from_dict_refuses_an_inconsistent_outcome(self, bundle, payment, split, says):
         obj = self.outcomes()["trade"].to_dict()
@@ -680,6 +685,13 @@ class TestOutcomeSerialization:
         cfg = SolverConfig(lambda_split=(0.0, 1.0, 0.0))
         with pytest.raises(PreconditionError):
             solve_concave(v, GraphMinCost(g), BoxDomain(np.ones(3)), cfg)
+
+    def test_zero_weight_on_an_absent_good_round_trips(self):
+        out = self.outcomes()["boundary"]
+        assert out.bundle.tolist() == [1.0, 0.0, 1.0] and out.price_split.tolist() == [0.5, 0.0, 0.5]
+        obj = out.to_dict()
+        obj["price_split"] = [0.5, -0.0, 0.5]
+        assert EquilibriumOutcome.from_dict(obj).to_dict()["unit_prices"] == obj["unit_prices"]
 
 
 class TestFixedBundleOutcome:

@@ -496,15 +496,15 @@ class TestHardnessProperties:
         # both walks fix the same coordinate the same way, so they see the same states
         g, x = case
         p, bits = _dyadic(x)
-        one = 1 << bits
+        q = [(1 << e) - num for num, e in zip(p, bits)]
         probs = RoundingState.from_fractional(g, x).probs
-        assert probs == [Fraction(v, one) for v in p]
+        assert probs == [Fraction(v, 1 << e) for v, e in zip(p, bits)]
         for k in range(g.node_count):
-            if p[k] == 0 or p[k] == one:
+            if probs[k] == 0 or probs[k] == 1:
                 continue
-            scaled, exact = _scaled_gain(p, k, g.neighbors, bits), fix_gain(probs, g.neighbors, k)
+            scaled, exact = _scaled_gain(p, q, bits, k, g.neighbors), fix_gain(probs, g.neighbors, k)
             assert (scaled > 0) - (scaled < 0) == (exact > 0) - (exact < 0), k
-            p[k], probs[k] = (one, Fraction(1)) if scaled >= 0 else (0, Fraction(0))
+            (p[k], q[k], bits[k]), probs[k] = ((1, 0, 0), Fraction(1)) if scaled >= 0 else ((0, 1, 0), Fraction(0))
         assert derandomize(g, x).tolist() == [float(v) for v in probs] == fraction_derandomize(g, x).tolist()
 
     @settings(derandomize=True, deadline=None)
