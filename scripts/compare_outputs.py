@@ -1,7 +1,6 @@
 """Compare the benchmark op outputs of two checkouts, bit for bit.
 
     python3 scripts/compare_outputs.py PARENT CHANGE --seeds 7311 8422 9533
-        [--workloads closed_form general_ray graph_hardness]
 
 PARENT and CHANGE are checkout roots (each holding `src/padd` and
 `bench/workloads.py`).  For every workload and seed, a fresh interpreter
@@ -74,7 +73,6 @@ def main(argv=None) -> int:
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
-    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     args = parser.parse_args(argv)
     for root in (args.parent, args.change):
         if not (root / "bench" / "workloads.py").is_file() or not (root / "src" / "padd").is_dir():
@@ -83,7 +81,7 @@ def main(argv=None) -> int:
 
     total = differ = 0
     try:
-        for workload in args.workloads:
+        for workload in WORKLOADS:
             for seed in args.seeds:
                 parent = op_digests(args.parent, workload, seed)
                 change = op_digests(args.change, workload, seed)

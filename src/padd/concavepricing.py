@@ -204,7 +204,7 @@ _EQUIV_BUNDLE_TOL = 1e-3  # largest coordinate gap between equivalent bundles
 _EQUIV_VALUE_TOL = 1e-4  # largest payment, surplus and revenue gap of equivalent outcomes
 
 
-@dataclass(eq=False, slots=True)
+@dataclass(eq=False)
 class EquivalenceReport:
     """Linear-pricing equilibrium vs. the all-concave pricing equilibrium."""
 

@@ -61,7 +61,7 @@ _FRACTION_SAMPLES = 10001  # fractions of the bundle in `verify_equilibrium`'s s
 _BUNDLE_TOL = 1e-6  # `verify_equilibrium`'s largest coordinate gap to the buyer's response
 
 
-@dataclass(eq=False, slots=True)
+@dataclass(eq=False)
 class EquilibriumOutcome:
     """Full description of a solved game: trade point, payment, payoffs.
 
@@ -449,7 +449,7 @@ def fixed_bundle_outcome(
 # --- verification ----------------------------------------------------------
 
 
-@dataclass(slots=True)
+@dataclass
 class CheckResult:
     name: str
     passed: bool
@@ -457,7 +457,7 @@ class CheckResult:
     detail: str = ""
 
 
-@dataclass(slots=True)
+@dataclass
 class VerificationReport:
     checks: list
 

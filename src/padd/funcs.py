@@ -555,37 +555,22 @@ class GraphMinCost(FunctionExpr):
     def grad_max_info(self, x) -> np.ndarray:
         return self.gradient_batch(as_bundle(x, self.dim)[None, :])[0]
 
-    @cached_property
-    def _positions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The neighbour index by position: nodes by descending degree, the
-        count of nodes with more than p neighbours for each position p, each
-        ordered node's offset into the flat ascending neighbour lists and
-        those lists, and per node whether its first neighbour precedes it."""
-        nbrs = self.graph.neighbors
-        degree = np.array([len(js) for js in nbrs], dtype=np.intp)
-        order = np.argsort(-degree, kind="stable")
-        counts = degree.size - np.cumsum(np.bincount(degree))[: degree.max()]
-        offsets = np.concatenate([[0], np.cumsum(degree)[:-1]])[order]
-        flat = np.array([j for js in nbrs for j in js], dtype=np.intp)
-        first_below = np.array([bool(js) and js[0] < i for i, js in enumerate(nbrs)])
-        return _read_only(order, counts, offsets, flat, first_below)
-
     def gradient_batch(self, xs: np.ndarray) -> np.ndarray:
         """Term i's pieces are its neighbours' indicator and e_i.  At a tie
         both score x_i and the lexicographically greater one wins, which is
         the indicator exactly when a neighbour precedes i.  The neighbour
-        sums are those of `values`, added in its order one neighbour
-        position at a time, and the pieces are counted on integers."""
+        sums are those of `values`; counts of 1.0 are exact in floats."""
         xs = np.asarray(xs, dtype=float)
-        order, counts, offsets, flat, first_below = self._positions
-        sums = np.zeros(xs.shape)
-        for p, m in enumerate(counts):
-            sums[:, order[:m]] += xs[:, flat[offsets[:m] + p]]
-        takes_neighbours = (sums < xs) | ((sums == xs) & first_below)
-        pieces = (~takes_neighbours).astype(np.int64)
-        for p, m in enumerate(counts):  # i ~ k exactly when k ~ i
-            pieces[:, order[:m]] += takes_neighbours[:, flat[offsets[:m] + p]]
-        return pieces.astype(float)
+        counts = np.zeros(xs.shape)
+        for i, js in enumerate(self.graph.neighbors):
+            neigh = np.zeros(xs.shape[0])
+            for j in js:
+                neigh += xs[:, j]
+            takes = (neigh < xs[:, i]) | ((neigh == xs[:, i]) & bool(js and js[0] < i))
+            counts[:, i] += ~takes
+            for j in js:
+                counts[:, j] += takes
+        return counts
 
     def to_dict(self) -> dict:
         return {"kind": "graph_min_cost", "graph": self.graph.to_dict()}

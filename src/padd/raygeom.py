@@ -65,7 +65,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import PreconditionError
-from .funcs import FunctionExpr, GraphMinCost, Leontief, MinOfAffine, PowerSum, Scale, Shape, Sum, _read_only, as_bundle
+from .funcs import FunctionExpr, GraphMinCost, Leontief, MinOfAffine, PowerSum, Scale, Shape, Sum, as_bundle
 
 __all__ = ["ray_slope_sup", "bregman"]
 
@@ -122,14 +122,13 @@ class _RayForm:
     `terms[j]` the pairs `(i, k_i)` of `exponents[j]`; `graphs` holds
     `(factor, node)` of the GraphMinCost nodes, which add to the weight of
     exponent 1; `parts` holds `(factor, node)` of the MinOfAffine
-    and Leontief nodes, and `intercepts` each part's `b` of `_pieces`.
+    and Leontief nodes.
     """
 
     exponents: tuple
     terms: tuple
     graphs: tuple
     parts: tuple
-    intercepts: tuple
 
     def scalars(self, xs: np.ndarray) -> list[np.ndarray]:
         """Per-bundle scalars of the rows of `xs`.
@@ -148,8 +147,8 @@ class _RayForm:
                     w = w + factor * node.values(xs)
             ws[:, j] = w
         out = [ws]
-        for (_, node), b in zip(self.parts, self.intercepts):
-            s = _pieces(node, xs)
+        for _, node in self.parts:
+            b, s = _pieces(node, xs)
             t = b + s
             out += [s, t.min(axis=1, keepdims=True) - t]
         return out
@@ -157,11 +156,12 @@ class _RayForm:
     def slopes(self, scalars: list[np.ndarray], qs: np.ndarray, inv: np.ndarray, cols) -> np.ndarray:
         """Chord slopes of the bundles with these `scalars` at the grid columns `cols` of the rows `qs`, `inv`.
 
-        `cols` indexes the columns of every bundle (an index row or a slice;
-        one output column per column taken) or holds one index row per
-        bundle; column 0 is a = 0, where `q_e = inv = 1`.
+        `cols` is one index row for every bundle (one output column per
+        index) or one index row per bundle; column 0 is a = 0, where
+        `q_e = inv = 1`.
         """
         ws, *sd = scalars
+        cols = np.asarray(cols)
         inv = inv[cols]
         out = np.zeros((ws.shape[0], inv.shape[-1]))
         for j, q in enumerate(qs):
@@ -174,19 +174,19 @@ class _RayForm:
         return out
 
 
-def _pieces(node: MinOfAffine | Leontief, xs: np.ndarray) -> np.ndarray:
-    """Slopes `s` (one column per piece) with `node(a*x) = min_k (b_k + a * s_k)`, `b` the part's intercepts."""
+def _pieces(node: MinOfAffine | Leontief, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Intercepts `b` and slopes `s` (one column per piece) with `node(a*x) = min_k (b_k + a * s_k)`."""
     if isinstance(node, Leontief):
         r = None
         for i, a in enumerate(node.anchor):
             if a > 0:
                 r = xs[:, i] / a if r is None else np.minimum(r, xs[:, i] / a)
-        return np.stack([node.level * r, np.zeros_like(r)], axis=1)
+        return np.array([0.0, node.level]), np.stack([node.level * r, np.zeros_like(r)], axis=1)
     s = np.zeros((xs.shape[0], len(node.pieces)))
     for k, piece in enumerate(node.pieces):
         for i, w in enumerate(piece.weights):
             s[:, k] += w * xs[:, i]
-    return s
+    return np.array([piece.intercept for piece in node.pieces]), s
 
 
 def _ray_form(c: FunctionExpr) -> _RayForm:
@@ -227,10 +227,7 @@ def _ray_form(c: FunctionExpr) -> _RayForm:
 
     walk(c, 1.0)
     exponents = tuple(sorted(groups))
-    terms = tuple(tuple(groups[e]) for e in exponents)
-    intercepts = _read_only(*(np.array([0.0, node.level] if isinstance(node, Leontief) else
-                                       [piece.intercept for piece in node.pieces]) for _, node in parts))
-    form = _RayForm(exponents, terms, tuple(graphs), tuple(parts), intercepts)
+    form = _RayForm(exponents, tuple(tuple(groups[e]) for e in exponents), tuple(graphs), tuple(parts))
     c.__dict__["_ray_form"] = form
     return form
 
@@ -266,20 +263,18 @@ def ray_payment_batch(c: FunctionExpr, xs: np.ndarray, grid_n: int = DEFAULT_GRI
     qs, inv, blocks, qhi, ilo = _grid_rows(grid_n, form.exponents)  # refuses a bad grid even when every row is zero
     scalars = form.scalars(xs)
     # each row's block of largest bound first, then only its blocks whose bound exceeds the best slope found
-    bound = form.slopes(scalars, qhi, ilo, slice(None))
+    bound = form.slopes(scalars, qhi, ilo, np.arange(ilo.size))
     top = bound.argmax(axis=1)
     best = form.slopes(scalars, qs, inv, blocks[top]).max(axis=1)
     todo = bound > best[:, None]
     todo[np.arange(top.size), top] = False
-    finite = np.isfinite(best) & np.isfinite(bound).all(axis=1)
-    if todo.any() or not finite.all():
-        todo[~finite] = True  # NaN or inf: the whole row
-        rows, ids = np.nonzero(todo)
-        for lo in range(0, rows.size, _PAIRS):
-            r = rows[lo : lo + _PAIRS]
-            slopes = form.slopes([s[r] for s in scalars], qs, inv, blocks[ids[lo : lo + _PAIRS]])
-            np.maximum.at(best, r, slopes.max(axis=1))
-    return np.where((xs > 0).any(axis=1), best, 0.0)
+    todo[~(np.isfinite(best) & np.isfinite(bound).all(axis=1))] = True  # NaN or inf: the whole row
+    rows, ids = np.nonzero(todo)
+    for lo in range(0, rows.size, _PAIRS):
+        r = rows[lo : lo + _PAIRS]
+        slopes = form.slopes([s[r] for s in scalars], qs, inv, blocks[ids[lo : lo + _PAIRS]])
+        np.maximum.at(best, r, slopes.max(axis=1))
+    return np.where(np.any(xs > 0, axis=1), best, 0.0)
 
 
 def ray_payment_floor(c: FunctionExpr, xs: np.ndarray) -> np.ndarray:
@@ -297,7 +292,7 @@ def ray_payment_floor(c: FunctionExpr, xs: np.ndarray) -> np.ndarray:
     form = _ray_form(c)
     qs, inv, *_ = _grid_rows(2, form.exponents)  # column 0 of every grid is a = 0
     floor = form.slopes(form.scalars(xs), qs, inv, [0])[:, 0]
-    return np.where((xs > 0).any(axis=1), floor, 0.0)
+    return np.where(np.any(xs > 0, axis=1), floor, 0.0)
 
 
 def bregman(f: FunctionExpr, z, x) -> float:

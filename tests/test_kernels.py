@@ -147,7 +147,7 @@ class TestNodeKernels:
 
 
 class TestGraphGradientBatch:
-    """The vectorized batch (and `grad_max_info`, its one-row case) against
+    """The batch (and `grad_max_info`, its one-row case) against
     the scalar rule, one row at a time."""
 
     @staticmethod
@@ -180,6 +180,18 @@ class TestGraphGradientBatch:
         assert same_bits(f.gradient_batch(xs), ref.graph_min_cost_gradient_batch(f, xs))
         for x in xs[:100]:  # all-zero rows first: every term ties, a node with a lower neighbour takes the indicator
             assert same_bits(f.grad_max_info(x), ref.graph_min_cost_grad_max_info(f, x))
+
+    def test_ties_on_inexact_neighbour_sums(self):
+        # the centre's x is its neighbour sum added in `values`' order, which
+        # other orders of the same floats often miss in the last bit
+        g = star_graph(7)
+        f = GraphMinCost(g)
+        xs = np.random.default_rng(3).random((500, g.node_count))
+        for x in xs:
+            x[0] = 0.0
+            for j in g.neighbors[0]:
+                x[0] += x[j]
+        assert same_bits(f.gradient_batch(xs), ref.graph_min_cost_gradient_batch(f, xs))
 
     def test_empty_batch(self):
         f = GraphMinCost(cycle_graph(4))
