@@ -519,7 +519,11 @@ class Scale(FunctionExpr):
         return self.factor * self.child.grad_max_info(x)
 
     def gradient_batch(self, xs: np.ndarray) -> np.ndarray:
-        return self.factor * self.child.gradient_batch(xs)
+        g = self.child.gradient_batch(xs)
+        if self.factor == 0.0:
+            # `grad_max_info` caps the child's inf (and 0 * inf NaN) entries; 0 times a cap is 0
+            return self.factor * np.where(np.isfinite(g), g, 0.0)
+        return self.factor * g
 
     def to_dict(self) -> dict:
         return {"kind": "scale", "factor": self.factor, "child": self.child.to_dict()}

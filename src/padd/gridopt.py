@@ -13,11 +13,17 @@ carry the bits of `BoxDomain.grid`, and every catalog node gives a row the
 same bits in any batch, so a scan picks exactly what one evaluation of the
 whole grid picks while holding O(block x d) rows, not O(n^d x d).
 
-`golden_max` advances k brackets in lockstep, one objective call for all k
-positions per step, and `coordinate_refine` refines k starts at once.  A
-bracket keeps the schedule and float operations it has alone, so with an
+`golden_max` advances k brackets in lockstep and `coordinate_refine`
+refines k starts at once.  Each golden step picks its one new position
+from one comparison of values already known, so a call of the objective
+can evaluate the next three steps of every bracket under both outcomes
+of the comparisons still open (7 positions per bracket), and the steps
+are then replayed with the real values: a search of n steps makes
+`1 + ceil((n - 1) / 3)` calls instead of one per step.  A bracket keeps
+the positions, float operations and comparisons it has alone, so with an
 objective that gives a row the same bits in any batch (as every catalog
-node's `values` does), each start gets exactly the bits it gets alone.
+node's `values` does), each start gets exactly the bits it gets alone,
+whatever else shares its calls.
 """
 
 from __future__ import annotations
@@ -40,61 +46,110 @@ REFINE_TOP_K = 3  # best grid cells that a search refines
 REFINE_PASSES = 2  # coordinate passes of a refinement
 _GOLDEN_TOL = 1e-10  # bracket width at which a golden search stops
 _GOLDEN_MAX_STEPS = 200  # cap on the steps of one golden search
+_GOLDEN_LOOKAHEAD = 3  # golden steps that one objective call evaluates ahead
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
 
-def _golden(lo: float, hi: float):
-    """Golden-section search on one bracket as a generator: it yields each
-    position to evaluate, is sent the value there, and returns its pick."""
-    a, b = (hi, lo) if hi < lo else (lo, hi)
-    h = b - a
-    if h <= _GOLDEN_TOL:
-        return (a + b) / 2.0
-    n = min(_GOLDEN_MAX_STEPS, math.ceil(math.log(_GOLDEN_TOL / h) / math.log(_INVPHI)))
-    c, d = a + _INVPHI2 * h, a + _INVPHI * h
-    yc = yield c
-    yd = yield d
-    for _ in range(n - 1):
-        h *= _INVPHI
-        if yc > yd:
-            d, yd = c, yc
-            c = a + _INVPHI2 * h
-            yc = yield c
-        else:
-            a, c, yc = c, d, yd
-            d = a + _INVPHI * h
-            yd = yield d
-    return c if yc > yd else d
-
-
 def golden_max(f, lo, hi) -> np.ndarray:
     """Maximize k unimodal functions, one on each bracket `[lo[j], hi[j]]`.
 
-    `f` maps an array of positions whose last axis runs over the k
-    brackets to the values there, of the same shape.  Each bracket takes
-    its own number of golden-section steps from its own width (a finished
-    one re-evaluates its pick while the others go on), and returns the
-    best of {interior point, lo, hi}, exact ties to the larger position,
-    so exact boundary maxima are returned exactly.  Each step is one call
-    of `f` on k positions, and the final comparison one call on (3, k).
+    `f` maps an (m, k) array of positions, column j in bracket j, to the
+    values there, of the same shape.  Each bracket takes its own number n
+    of golden-section steps from its own width and returns the best of
+    {interior point, lo, hi}, exact ties to the larger position, so exact
+    boundary maxima are returned exactly.
+
+    A golden step keeps one of the two interior points and evaluates one
+    new position, chosen by one comparison of known values.  So the
+    first call of `f` evaluates lo, hi and the first two interior
+    positions, and each later call evaluates the next `_GOLDEN_LOOKAHEAD`
+    steps of every bracket under both outcomes of each comparison still
+    open (1 + 2 + 4 positions, see `_lookahead`); the steps are then
+    replayed with the real values, and the final comparison reuses stored
+    values.  A search of n steps makes `1 + ceil((n - 1) / 3)` calls, and
+    a bracket that is done evaluates its c again while the others go on.
+    With an `f` that gives a row the same bits in any batch, each bracket
+    takes exactly the positions, float operations and comparisons of a
+    search that evaluates one position per call on that bracket alone.
     """
     lo = np.array(lo, dtype=float, ndmin=1).tolist()
     hi = np.array(hi, dtype=float, ndmin=1).tolist()
-    searches = [_golden(a, b) for a, b in zip(lo, hi)]
-    pos, ys, done = [None] * len(lo), [None] * len(lo), [False] * len(lo)
-    while not all(done):
-        for j, search in enumerate(searches):
-            if not done[j]:
-                try:
-                    pos[j] = search.send(ys[j])
-                except StopIteration as stop:
-                    pos[j], done[j] = stop.value, True
-        if not all(done):
-            ys = f(np.array(pos)).tolist()
-    ys = f(np.array([lo, hi, pos])).tolist()
-    return np.array([max((ys[0][j], lo[j]), (ys[1][j], hi[j]), (ys[2][j], x))[1] for j, x in enumerate(pos)])
+    brackets = []  # per bracket [a, h, c, d, steps left, yc, yd]
+    for l, u in zip(lo, hi):
+        a, b = (u, l) if u < l else (l, u)
+        h = b - a
+        if h <= _GOLDEN_TOL:
+            brackets.append([a, h, (a + b) / 2.0, (a + b) / 2.0, 0])
+        else:
+            n = min(_GOLDEN_MAX_STEPS, math.ceil(math.log(_GOLDEN_TOL / h) / math.log(_INVPHI)))
+            brackets.append([a, h, a + _INVPHI2 * h, a + _INVPHI * h, n - 1])
+    ylo, yhi, yc, yd = f(np.array([lo, hi, [s[2] for s in brackets], [s[3] for s in brackets]])).tolist()
+    for s, y in zip(brackets, zip(yc, yd)):
+        s += y
+    while (depth := min(_GOLDEN_LOOKAHEAD, max((s[4] for s in brackets), default=0))) > 0:
+        trees = []  # per bracket: its points a, c, d and the new positions, the last width, the states
+        for a, h, c, d, left, yc, yd in brackets:
+            pts = [a, c, d]
+            if left > 0:
+                program, states = _lookahead(yc > yd, depth)
+                widths = []
+                for _ in range(depth):
+                    h *= _INVPHI
+                    widths.append(h)
+                for base, level, factor in program:
+                    pts.append(pts[base] + factor * widths[level])
+            else:
+                pts += [c] * ((1 << depth) - 1)
+                states = None
+            trees.append((pts, h, states))
+        ys = f(np.array([pts[3:] for pts, _, _ in trees]).T)
+        for s, (pts, h, states), y in zip(brackets, trees, ys.T.tolist()):
+            steps = min(depth, s[4])
+            s[4] -= depth
+            if steps > 0:
+                y = [None, s[5], s[6], *y]  # the value at each point
+                g = 0
+                for level in range(1, steps):
+                    _, c, d = states[g]
+                    g += (1 << (level - 1)) if y[c] > y[d] else (2 << (level - 1))
+                a, c, d = states[g]
+                s[:] = pts[a], h, pts[c], pts[d], s[4], y[c], y[d]
+    picks = [(yc, c) if yc > yd else (yd, d) for _, _, c, d, _, yc, yd in brackets]
+    return np.array([max((y0, l), (y1, u), pick)[1] for y0, l, y1, u, pick in zip(ylo, lo, yhi, hi, picks)])
+
+
+@lru_cache(maxsize=None)
+def _lookahead(low: bool, depth: int):
+    """The index program of `depth` golden steps from the points (a, c, d):
+    the first step to the low side (`yc > yd`: keep a, c becomes d) if
+    `low`, else to the high side (c becomes a, d becomes c), and each
+    later step to both sides.
+
+    Points are numbered a, c, d = 0, 1, 2, then the new positions 3, 4, ...
+    in level order: level l holds the 2**l nodes after step l + 1, the low
+    children of level l - 1 before its high children, so node g (counted
+    over all levels) has its low child at g + 2**l and its high child at
+    g + 2**(l + 1).  Returns the program, per node (base point, level,
+    factor) with the node's position `point[base] + factor * h_l` for the
+    width h_l of level l; and the states, per node its (a, c, d) as point
+    numbers.
+    """
+    program = []
+
+    def step(state, low, level):
+        a, c, d = state
+        program.append((a, level, _INVPHI2) if low else (c, level, _INVPHI))
+        new = len(program) + 2
+        return (a, new, c) if low else (c, d, new)
+
+    nodes = [step((0, 1, 2), low, 0)]
+    states = list(nodes)
+    for level in range(1, depth):
+        nodes = [step(s, True, level) for s in nodes] + [step(s, False, level) for s in nodes]
+        states += nodes
+    return tuple(program), tuple(states)
 
 
 def refine_bracket(x, spacing, upper):

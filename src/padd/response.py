@@ -449,4 +449,7 @@ def optimal_price_family(xstar, pstar: float, lam) -> np.ndarray:
         raise PreconditionError("payment must be non-negative")
     if np.any(lam < 0) or abs(float(lam.sum()) - 1.0) > 1e-9:
         raise PreconditionError("split weights must be non-negative and sum to 1")
-    return lam * (pstar / xstar)
+    with np.errstate(over="ignore"):  # a subnormal amount can cost more per unit than a float holds
+        per_unit = pstar / xstar
+    # a good with no weight costs nothing per unit, even where that overflowed
+    return lam * np.where(np.isinf(per_unit) & (lam == 0.0), 0.0, per_unit)

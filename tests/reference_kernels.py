@@ -4,11 +4,16 @@ every constant array on each call.
 The library caches each node's constant arrays and skips fix-ups that a
 batch does not need; these functions recompute everything from the node's
 stored tuples, so the library must give the same bits (compared as int64
-views, so -0.0 and NaN payloads count).
+views, so -0.0 and NaN payloads count).  `golden_max` is the golden search
+that evaluates one position per bracket and call, which the library's
+three-steps-ahead search must match bit for bit.
 """
+
+import math
 
 import numpy as np
 
+from padd import gridopt
 from padd.errors import DimensionError, PreconditionError
 from padd.funcs import GRAD_CAP, as_bundle
 
@@ -104,6 +109,51 @@ def graph_min_cost_grad_max_info(f, x):
 def graph_min_cost_gradient_batch(f, xs):
     """One scalar `graph_min_cost_grad_max_info` per row."""
     return np.array([graph_min_cost_grad_max_info(f, x) for x in np.asarray(xs, dtype=float)]).reshape(-1, f.dim)
+
+
+def _golden(lo, hi):
+    """Golden-section search on one bracket as a generator: it yields each
+    position to evaluate, is sent the value there, and returns its pick."""
+    a, b = (hi, lo) if hi < lo else (lo, hi)
+    h = b - a
+    if h <= gridopt._GOLDEN_TOL:
+        return (a + b) / 2.0
+    n = min(gridopt._GOLDEN_MAX_STEPS, math.ceil(math.log(gridopt._GOLDEN_TOL / h) / math.log(gridopt._INVPHI)))
+    c, d = a + gridopt._INVPHI2 * h, a + gridopt._INVPHI * h
+    yc = yield c
+    yd = yield d
+    for _ in range(n - 1):
+        h *= gridopt._INVPHI
+        if yc > yd:
+            d, yd = c, yc
+            c = a + gridopt._INVPHI2 * h
+            yc = yield c
+        else:
+            a, c, yc = c, d, yd
+            d = a + gridopt._INVPHI * h
+            yd = yield d
+    return c if yc > yd else d
+
+
+def golden_max(f, lo, hi):
+    """`gridopt.golden_max` one golden step per objective call: each step
+    evaluates the k brackets' next positions, (k,), a finished bracket
+    re-evaluating its pick, and the final comparison is one call on (3, k)."""
+    lo = np.array(lo, dtype=float, ndmin=1).tolist()
+    hi = np.array(hi, dtype=float, ndmin=1).tolist()
+    searches = [_golden(a, b) for a, b in zip(lo, hi)]
+    pos, ys, done = [None] * len(lo), [None] * len(lo), [False] * len(lo)
+    while not all(done):
+        for j, search in enumerate(searches):
+            if not done[j]:
+                try:
+                    pos[j] = search.send(ys[j])
+                except StopIteration as stop:
+                    pos[j], done[j] = stop.value, True
+        if not all(done):
+            ys = f(np.array(pos)).tolist()
+    ys = f(np.array([lo, hi, pos])).tolist()
+    return np.array([max((ys[0][j], lo[j]), (ys[1][j], hi[j]), (ys[2][j], x))[1] for j, x in enumerate(pos)])
 
 
 def axis_rows(ts, axes, dim):

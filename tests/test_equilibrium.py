@@ -358,12 +358,17 @@ class TestPerGoodSearch:
         monkeypatch.setattr(v, "values", counting)
         out = solve_auto(v, c, box, cfg)
         assert out.method == "convex_closed_form" and out.trade
-        # golden steps per bracket of width 2 * spacing, plus its two first
-        # positions and the final (3, k) comparison
+        # golden steps of a bracket of width 2 * spacing; each search's first
+        # call evaluates lo, hi, c and d of every bracket, each later call
+        # 2**depth - 1 positions of every bracket for its next `depth` steps
         n = cfg.points(1)
         steps = math.ceil(math.log(gridopt._GOLDEN_TOL / (2 * 5.0 / (n - 1))) / math.log((math.sqrt(5.0) - 1.0) / 2.0))
+        per_bracket, left = 4, steps - 1
+        while left > 0:
+            per_bracket += 2 ** min(gridopt._GOLDEN_LOOKAHEAD, left) - 1
+            left -= gridopt._GOLDEN_LOOKAHEAD
         brackets = equilibrium.REFINE_TOP_K * 4
-        refinement = equilibrium.REFINE_PASSES * brackets * (steps + 4) + brackets
+        refinement = equilibrium.REFINE_PASSES * brackets * per_bracket + brackets
         # the grid path evaluated all 21^4 = 194,481 grid rows
         assert sum(rows) <= 4 * n + refinement + 8 < 21**4
 
@@ -602,7 +607,46 @@ class TestVerifyAcceptsSolvedGames:
         assert len(picks) == (2 if exact else 3)
 
 
+SUBNORMALS = [5e-324, 1e-310, 2.2e-308]
+METHODS = [equilibrium.METHOD_GENERAL, equilibrium.METHOD_CONVEX, equilibrium.METHOD_CONCAVE, equilibrium.METHOD_FIXED]
+
+
+@st.composite
+def outcomes(draw):
+    """Trade and no-trade outcomes with 1-4 goods, signed zeros and
+    subnormals in the bundle, and a simplex split over the support."""
+    d = draw(st.integers(1, 4))
+    coordinate = st.one_of(st.sampled_from([0.0, -0.0, *SUBNORMALS]), st.floats(1e-3, 1e3))
+    bundle = np.array(draw(st.lists(coordinate, min_size=d, max_size=d)))
+    split = np.array(draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=d, max_size=d)))
+    support = bundle > 0
+    if support.any():
+        raw = np.array(draw(st.lists(st.one_of(st.sampled_from([0.0, *SUBNORMALS]), st.floats(1e-3, 1.0)),
+                                     min_size=int(support.sum()), max_size=int(support.sum()))))
+        raw[draw(st.integers(0, raw.size - 1))] += 1.0  # a simplex needs a positive weight
+        split[support] = raw / raw.sum()
+        payment = draw(st.one_of(st.sampled_from([0.0, -0.0, *SUBNORMALS]), st.floats(1e-3, 1e3)))
+    else:
+        payment = draw(st.sampled_from([0.0, -0.0]))
+    real = st.one_of(st.sampled_from([0.0, -0.0, *SUBNORMALS]), st.floats(-1e3, 1e3))
+    return EquilibriumOutcome(bundle, payment, split, draw(real), draw(real), draw(st.sampled_from(METHODS)))
+
+
 class TestOutcomeSerialization:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(outcomes())
+    def test_drawn_outcomes_round_trip_through_json_byte_identical(self, out):
+        text = json.dumps(out.to_dict())
+        back = EquilibriumOutcome.from_dict(json.loads(text))
+        assert json.dumps(back.to_dict()) == text
+        assert back.trade == out.trade
+
+    def test_a_subnormal_amount_prices_without_a_warning(self):
+        # its unit price overflows to inf; a good with no weight still costs 0
+        bundle = np.array([5e-324, 2.0])
+        assert EquilibriumOutcome(bundle, 1.0, np.array([0.0, 1.0]), 0.0, 1.0, "grid").unit_prices.tolist() == [0.0, 0.5]
+        assert EquilibriumOutcome(bundle, 1.0, np.array([0.5, 0.5]), 0.0, 1.0, "grid").unit_prices.tolist() == [math.inf, 0.25]
+
     def test_round_trip(self):
         v, c, box = convex_cost_demo()
         out = solve_auto(v, c, box)

@@ -1,14 +1,16 @@
 import math
+import traceback
 import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
+import reference_kernels as ref
 from hypothesis import given, settings, strategies as st
 
-from padd import Affine, BoxDomain, MinOfAffine, PowerSum, PreconditionError, SolverConfig, Sum, solve_auto
-from padd import best_concave_price, buyer_best_response, seller_optimal_linear_price, solve_general
-from padd import gridopt
+from padd import Affine, BoxDomain, Leontief, MinOfAffine, PowerSum, PreconditionError, PricingClass, SolverConfig, Sum, solve_auto
+from padd import best_concave_price, buyer_best_response, seller_best_in_class, seller_optimal_linear_price, solve_general
+from padd import concavepricing, equilibrium, gridopt, response
 from padd.gridopt import axis_rows, coordinate_refine, golden_max, grid_blocks, grid_rows, grid_scan, refine_bracket, top_k
 from padd.response import _rev_tie, _separable
 
@@ -60,6 +62,34 @@ def refine_cases(draw):
     return f, starts, spacing, upper, draw(st.integers(1, 2)), draw(st.sampled_from([1e-10, 1e-6, 1e-3]))
 
 
+def width_for_steps(n):
+    """A bracket width on which a golden search takes `n` steps (none for n = 0)."""
+    return 0.5 * gridopt._GOLDEN_TOL if n == 0 else gridopt._GOLDEN_TOL / INVPHI ** (n - 0.5)
+
+
+KINK = MinOfAffine([Affine((3.0,), 0.0), Affine((0.0,), 2.0)])
+
+# elementwise objectives of positions of any shape
+OBJECTIVES = {
+    "smooth": lambda t: np.sqrt(t) * 8.0 - t * t,
+    "constant": lambda t: np.zeros_like(t),
+    "kink": lambda t: KINK.values(np.reshape(t, (-1, 1))).reshape(np.shape(t)) - 0.25 * t * t,
+    "nan_above_0.6": lambda t: np.where(t > 0.6, np.nan, -((t - 0.3) ** 2)),
+}
+
+
+@st.composite
+def golden_cases(draw):
+    brackets = []
+    for _ in range(draw(st.integers(1, 5))):
+        # step counts n with n - 1 = 0, 1 and 2 (mod 3), widths <= tol, empty brackets
+        n = draw(st.integers(0, 45))
+        width = draw(st.sampled_from([width_for_steps(n), 0.0, gridopt._GOLDEN_TOL])) if n == 0 else width_for_steps(n)
+        lo = draw(st.floats(0.0, 1.5))
+        brackets.append((lo + width, lo) if draw(st.booleans()) else (lo, lo + width))
+    return draw(st.sampled_from(sorted(OBJECTIVES))), np.array(brackets)
+
+
 class TestGoldenMax:
     @pytest.mark.parametrize("lo,hi", [(0.0, 3.0), (3.0, 0.0), (1.0, 1.0 + 1e-12), (0.5, 0.75)])
     def test_one_bracket_matches_the_scalar_search_bit_for_bit(self, lo, hi):
@@ -82,6 +112,93 @@ class TestGoldenMax:
         got = golden_max(f, lo, hi)
         want = [scalar_golden(lambda t: float(f(np.float64(t))), a, b, 1e-10) for a, b in zip(lo, hi)]
         assert got.tolist() == want
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(golden_cases())
+    def test_every_bracket_matches_the_scalar_search_bit_for_bit(self, case):
+        name, brackets = case
+        f = OBJECTIVES[name]
+        got = golden_max(f, brackets[:, 0], brackets[:, 1])
+        want = np.array([scalar_golden(lambda t: float(f(np.float64(t))), lo, hi, gridopt._GOLDEN_TOL) for lo, hi in brackets])
+        assert got.tobytes() == want.tobytes()
+
+    def test_a_bracket_within_the_tolerance_weighs_its_midpoint(self):
+        got = golden_max(lambda t: -np.abs(t - 1.0), [1.0 - 2e-11, 0.0], [1.0 + 2e-11, 3.0])
+        assert got[0] == 1.0
+
+    def test_a_constant_objective_picks_the_larger_position(self):
+        got = golden_max(OBJECTIVES["constant"], [0.0, 2.0, 1.0], [1.0, 1.5, 1.0 + 1e-12])
+        assert got.tolist() == [1.0, 2.0, 1.0 + 1e-12]
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6, 7, 36, 37, 38, 200])
+    def test_a_search_of_n_steps_makes_one_call_per_three_steps_after_the_first(self, n):
+        shapes = []
+
+        def f(t):
+            shapes.append(t.shape)
+            return OBJECTIVES["smooth"](t)
+
+        golden_max(f, [0.5, 1.0], [0.5 + width_for_steps(n), 1.0 + width_for_steps(max(n - 4, 0))])
+        rest = [2 ** min(3, left) - 1 for left in range(n - 1, 0, -3)]
+        assert len(shapes) == 1 + math.ceil((n - 1) / 3)
+        assert shapes == [(4, 2)] + [(m, 2) for m in rest]
+
+    def test_steps_are_capped(self):
+        calls = []
+        golden_max(lambda t: calls.append(t) or -t, [0.0], [1e300])
+        assert len(calls) == 1 + math.ceil((gridopt._GOLDEN_MAX_STEPS - 1) / 3)
+
+
+def output_bits(out):
+    """Every float of an output, exactly, in a comparable structure."""
+    if isinstance(out, np.ndarray):
+        return out.dtype.str, out.shape, out.tobytes()
+    if isinstance(out, float):
+        return out.hex()
+    if isinstance(out, (tuple, list)):
+        return [output_bits(o) for o in out]
+    if hasattr(out, "__dict__"):
+        return {key: output_bits(val) for key, val in vars(out).items()}
+    return repr(out)
+
+
+SQRT2, SQUARE2 = PowerSum((8.0, 4.0), (0.5, 0.5)), PowerSum((1.0, 0.5), (2.0, 2.0))
+BOX2, SMALL = BoxDomain(np.array([3.0, 4.0])), SolverConfig(grid_points={1: 401, 2: 21})
+SQRT1, SQUARE1 = PowerSum((1.0,), (0.5,)), PowerSum((1.0,), (2.0,))
+
+# every caller of `golden_max` (the function that must be on the stack), each on a small game
+GOLDEN_CALLERS = {
+    "maximize_grid": ("_maximize", lambda: solve_auto(Leontief((1.0, 2.0), 3.0), SQUARE2, BOX2, SMALL)),
+    "maximize_pruned": ("_maximize", lambda: solve_general(
+        PowerSum((20.0, 10.0), (0.5, 0.5)), Sum([SQUARE2, PowerSum((1.0, 1.0), (0.5, 0.5))]), BOX2, SMALL
+    )),
+    "maximize_per_good": ("_maximize_per_good", lambda: solve_auto(SQRT2, SQUARE2, BOX2, SMALL)),
+    "separable_buyer": ("buyer_best_response", lambda: buyer_best_response(SQRT2, (1.0, 2.0), BOX2, SQUARE2, SMALL)),
+    "ray_pick": ("_ray_pick", lambda: best_concave_price(Leontief((1.0, 2.0), 3.0), SQUARE2, BOX2, SMALL)),
+    "concave_price": ("best_concave_price", lambda: best_concave_price(SQRT2, SQUARE2, BOX2, SMALL)),
+    "price_expr_response": ("_response_to_price_expr", lambda: seller_best_in_class(
+        SQRT1, SQUARE1, BoxDomain(np.array([10.0])), PricingClass("linear_plus_extra", extra=(SQRT1,)), SMALL
+    )),
+    "seller_refine": ("_refine", lambda: seller_optimal_linear_price(SQRT2, SQUARE2, BOX2, SMALL)),
+}
+
+
+class TestSameBitsAsOneStepPerCall:
+    @pytest.mark.parametrize("case", sorted(GOLDEN_CALLERS))
+    def test_every_caller_gets_the_bits_of_the_reference_search(self, monkeypatch, case):
+        caller, run = GOLDEN_CALLERS[case]
+        got = output_bits(run())
+        reached = set()
+
+        def reference(f, lo, hi):
+            reached.update(frame.name for frame in traceback.extract_stack())
+            return ref.golden_max(f, lo, hi)
+
+        for module in (gridopt, equilibrium, response, concavepricing):
+            monkeypatch.setattr(module, "golden_max", reference)
+        want = output_bits(run())
+        assert caller in reached
+        assert got == want
 
 
 class TestCoordinateRefine:

@@ -12,7 +12,8 @@ import pytest
 import reference_kernels as ref
 from hypothesis import given, settings, strategies as st
 
-from padd import Affine, GraphMinCost, Leontief, MinOfAffine, PowerSum, Scale, Sum, as_bundle
+from padd import Affine, BoxDomain, GraphMinCost, Leontief, MinOfAffine, PowerSum, Scale, SolverConfig, Sum, as_bundle
+from padd import seller_optimal_linear_price
 from padd.cli import _sample_curve_rows
 from padd.errors import DimensionError, PreconditionError
 from padd.gridopt import axis_rows
@@ -51,9 +52,9 @@ def trees(d):
 
 
 @st.composite
-def tree_and_rows(draw):
+def tree_and_rows(draw, nodes=trees):
     d = draw(st.integers(1, 4))
-    f = draw(trees(d))
+    f = draw(nodes(d))
     n = draw(st.integers(1, 12))
     xs = np.array(draw(st.lists(st.lists(coordinates, min_size=d, max_size=d), min_size=n, max_size=n)))
     return f, xs
@@ -86,7 +87,10 @@ def ref_gradient(f, xs):
     if isinstance(f, Affine):
         return np.broadcast_to(np.asarray(f.weights), xs.shape).copy()
     if isinstance(f, Scale):
-        return f.factor * ref_gradient(f.child, xs)
+        g = ref_gradient(f.child, xs)
+        if f.factor == 0.0:  # `grad_max_info` caps the entries that are not finite here
+            g = np.where(np.isfinite(g), g, 0.0)
+        return f.factor * g
     out = ref_gradient(f.children[0], xs)
     for c in f.children[1:]:
         out = out + ref_gradient(c, xs)
@@ -128,6 +132,37 @@ class TestNodeKernels:
                 with np.errstate(divide="ignore", invalid="ignore"):
                     for x in xs:
                         assert same_bits(node.grad_max_info(x), oracle(node, x))
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(tree_and_rows(), st.sampled_from([0.0, -0.0]))
+    def test_zero_scale_gives_zero_rows(self, case, zero):
+        child, xs = case
+        got = Scale(zero, child).gradient_batch(xs)
+        assert got.shape == xs.shape and not got.any()
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(tree_and_rows(nodes=leaves), st.sampled_from([0.0, -0.0]))
+    def test_zero_scale_batch_rows_are_grad_max_info_bytes(self, case, zero):
+        # over a leaf, whose batch rows are its `grad_max_info` bits but for
+        # `PowerSum`'s inf at a zero coordinate
+        child, xs = case
+        f = Scale(zero, child)
+        got = f.gradient_batch(xs)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for r, x in enumerate(xs):
+                assert same_bits(got[r], f.grad_max_info(x))
+
+    def test_zero_scale_over_a_root_at_zero_gives_zero_rows(self):
+        f = Scale(0.0, PowerSum((1.0, 1.0), (0.5, 0.5)))
+        xs = np.array([[0.0, 1.0], [0.0, 0.0], [4.0, 0.0]])
+        assert same_bits(f.gradient_batch(xs), np.zeros((3, 2)))
+        assert np.isinf(Scale(2.0, f.child).gradient_batch(xs)[0, 0])  # other factors keep the batch's inf
+
+    def test_seller_search_under_a_zero_scale_raises_no_warning(self):
+        # under error::RuntimeWarning, 0 * inf in the batch used to raise here
+        u = Sum([Scale(0, PowerSum((1, 1), (0.5, 0.5))), PowerSum((2, 2), (0.5, 0.5))])
+        res = seller_optimal_linear_price(u, PowerSum((1, 1), (2, 2)), BoxDomain([4, 4]), SolverConfig(grid_points={2: 21}))
+        assert res.verified and res.revenue > 0.0
 
     def test_power_sum_zero_fix_ups_run_only_with_a_zero(self):
         f = PowerSum((2.0, 3.0, 0.0), (0.5, 1.0, 2.0))
