@@ -52,7 +52,11 @@ class CheckoutError(RuntimeError):
 
 
 def op_digests(root: Path, workload: str, seed: int) -> dict[str, str]:
-    """{op name: digest} of one pass of `workload` at `seed` in the checkout `root`."""
+    """{op name: digest} of one pass of `workload` at `seed` in the checkout `root`.
+
+    A relative `root` is taken from the current directory: the child runs
+    in the checkout, so it gets the resolved path."""
+    root = Path(root).resolve()
     env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
     env.pop("PYTHONPATH", None)
     proc = subprocess.run([sys.executable, "-c", _PASS, str(root), workload, str(seed)],

@@ -5,11 +5,11 @@ set of node kinds, so evaluation, gradients, payment-maximizing
 supergradients, and convexity/concavity classification are all exact: no
 numerical differentiation anywhere in the core formulas.
 
-A node's derivative at a bundle is `grad_max_info`: the gradient where it
-is smooth and, at a kink, the supergradient that maximizes `g . x`.  Every
-node also has `gradient_batch`, which gives each row of a batch the bits of
-`grad_max_info` at that row, except that a `PowerSum` entry that blows up
-at a zero coordinate is `inf` there and `GRAD_CAP` in `grad_max_info`.
+A node's derivative at a bundle is the gradient where it is smooth and, at
+a kink, the supergradient that maximizes `g . x`; an entry that blows up at
+a zero coordinate (a `PowerSum` exponent below 1) is `GRAD_CAP`.  Each node
+computes it in `gradient_batch`, which gives every row of a batch the bits
+that row gets alone, and `grad_max_info` is that batch on one row.
 
 All expressions are defined on the non-negative orthant, are monotone
 non-decreasing, and (apart from affine pieces with a positive intercept)
@@ -187,12 +187,12 @@ class FunctionExpr:
         raise NotImplementedError
 
     def grad_max_info(self, x) -> np.ndarray:
-        """The derivative at one bundle (see the module docstring)."""
-        raise NotImplementedError
+        """The derivative at one bundle: `gradient_batch` on a one-row batch."""
+        return self.gradient_batch(as_bundle(x, self.dim)[None, :])[0]
 
     def gradient_batch(self, xs: np.ndarray) -> np.ndarray:
-        """`grad_max_info` of each row of an (n, d) batch."""
-        return np.array([self.grad_max_info(x) for x in np.asarray(xs, dtype=float)]).reshape(-1, self.dim)
+        """The derivative (see the module docstring) at each row of an (n, d) batch."""
+        raise NotImplementedError
 
     def to_dict(self) -> dict:
         raise NotImplementedError
@@ -224,9 +224,11 @@ class PowerSum(FunctionExpr):
 
     @cached_property
     def _powers(self) -> tuple[np.ndarray, ...]:
-        """Exponents `b`, coefficients `k`, `b - 1`, `k * b`, and the masks `b == 1` and `b > 1`."""
+        """Exponents `b`, coefficients `k`, `b - 1`, `k * b`, the masks `b == 1`,
+        `b > 1` and `b < 1`, and the entries at a zero coordinate with `b < 1`:
+        `GRAD_CAP`, or 0 without a coefficient."""
         b, k = np.array(self.exponents), np.array(self.coeffs)
-        return _read_only(b, k, b - 1.0, k * b, b == 1.0, b > 1.0)
+        return _read_only(b, k, b - 1.0, k * b, b == 1.0, b > 1.0, b < 1.0, np.where(k > 0, GRAD_CAP, 0.0))
 
     def values(self, xs: np.ndarray) -> np.ndarray:
         return _column_sum(self.coeffs, np.asarray(xs, dtype=float) ** self._powers[0], 0.0)
@@ -241,26 +243,17 @@ class PowerSum(FunctionExpr):
             return Shape.CONVEX
         return Shape.GENERAL
 
-    def grad_max_info(self, x) -> np.ndarray:
-        """`gradient_batch` on a one-row batch; where a zero coordinate has
-        exponent < 1 the entry is `GRAD_CAP` (0 without a coefficient)."""
-        x = as_bundle(x, self.dim)
-        g = self.gradient_batch(x[None, :])[0]
-        b, k, *_ = self._powers
-        axis = (x == 0.0) & (b < 1.0)
-        g[axis] = np.where(k[axis] > 0, GRAD_CAP, 0.0)
-        return g
-
     def gradient_batch(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
-        _, k, b_less_1, kb, unit, above = self._powers
+        _, k, b_less_1, kb, unit, above, below, cap = self._powers
         with np.errstate(divide="ignore", invalid="ignore"):
             g = xs ** b_less_1
             g *= kb  # in place: the grid's gradients are the solve's largest array
         zero = xs == 0.0
-        if zero.any():  # exponent-1 terms are constant; fix 0^0 artifacts explicitly
+        if zero.any():  # exponent-1 terms are constant; fix 0^0 and unbounded entries explicitly
             np.copyto(g, k, where=zero & unit)
             np.copyto(g, 0.0, where=zero & above)
+            np.copyto(g, cap, where=zero & below)
         return g
 
     def to_dict(self) -> dict:
@@ -299,10 +292,6 @@ class Affine(FunctionExpr):
 
     def _structural_shape(self) -> Shape:
         return Shape.LINEAR
-
-    def grad_max_info(self, x) -> np.ndarray:
-        as_bundle(x, self.dim)
-        return np.asarray(self.weights, dtype=float)
 
     def gradient_batch(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
@@ -345,40 +334,37 @@ class Leontief(FunctionExpr):
         return len(self.anchor)
 
     @cached_property
-    def _support(self) -> tuple[np.ndarray, np.ndarray]:
-        """The anchor's support (ascending indices) and its anchor coordinates."""
+    def _support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The anchor's support (ascending indices), its anchor coordinates
+        and the slopes `level / a_i` there."""
         a = np.array(self.anchor)
         support = np.flatnonzero(a > 0)
-        return _read_only(support, a[support])
+        return _read_only(support, a[support], self.level / a[support])
 
     def values(self, xs: np.ndarray) -> np.ndarray:
-        support, a = self._support
+        support, a, _ = self._support
         ratios = np.asarray(xs, dtype=float)[:, support] / a
         return self.level * np.minimum(ratios.min(axis=1), 1.0)
 
     def _structural_shape(self) -> Shape:
         return Shape.CONCAVE
 
-    def _active_vertices(self, x: np.ndarray) -> np.ndarray:
-        support, a = self._support
-        r = x[support] / a
-        r_min = float(r.min())
-        verts = []
-        if r_min <= 1.0:
-            for i in support[r == r_min]:
-                v = np.zeros(self.dim)
-                v[i] = self.level / self.anchor[i]
-                verts.append(v)
-        if r_min >= 1.0:
-            verts.append(np.zeros(self.dim))
-        return np.asarray(verts)
-
-    def grad_max_info(self, x) -> np.ndarray:
-        # the active vertex maximizing g . x; exact-score ties go to the lex-greatest
-        x = as_bundle(x, self.dim)
-        verts = self._active_vertices(x)
-        scores = verts @ x
-        return max(verts[scores == scores.max()], key=tuple).copy()
+    def gradient_batch(self, xs: np.ndarray) -> np.ndarray:
+        """Per row, the active vertex with the largest `g . x`: `level / a_i`
+        times e_i for a coordinate i at the smallest ratio when that ratio is
+        at most 1, else 0.  Exact-score ties go to the lexicographically
+        greatest vertex: the first with a positive slope, else the first."""
+        support, a, slopes = self._support
+        cols = np.asarray(xs, dtype=float)[:, support]
+        ratios = cols / a
+        r_min = ratios.min(axis=1, keepdims=True)
+        scores = np.where(ratios == r_min, slopes * cols, -np.inf)
+        best = scores == scores.max(axis=1, keepdims=True)
+        pick = np.argmax(best * np.where(slopes > 0, 2, 1), axis=1)
+        rows = np.flatnonzero(r_min[:, 0] <= 1.0)
+        g = np.zeros((cols.shape[0], self.dim))
+        g[rows, support[pick[rows]]] = slopes[pick[rows]]
+        return g
 
     def to_dict(self) -> dict:
         return {"kind": "leontief", "anchor": list(self.anchor), "level": self.level}
@@ -422,9 +408,6 @@ class MinOfAffine(FunctionExpr):
         if len(self.pieces) == 1:
             return Shape.LINEAR
         return Shape.CONCAVE
-
-    def grad_max_info(self, x) -> np.ndarray:
-        return self.gradient_batch(as_bundle(x, self.dim)[None, :])[0]
 
     def gradient_batch(self, xs: np.ndarray) -> np.ndarray:
         """Per row, the weights with the largest `g . x` among the pieces that
@@ -476,12 +459,9 @@ class Sum(FunctionExpr):
             return Shape.CONVEX
         return Shape.GENERAL
 
-    def grad_max_info(self, x) -> np.ndarray:
+    def gradient_batch(self, xs: np.ndarray) -> np.ndarray:
         # the payment-maximizing supergradient of a sum separates into
         # per-child maximizers (Minkowski sum of the supergradient sets)
-        return np.sum([c.grad_max_info(x) for c in self.children], axis=0)
-
-    def gradient_batch(self, xs: np.ndarray) -> np.ndarray:
         out = self.children[0].gradient_batch(xs)
         for c in self.children[1:]:
             out = out + c.gradient_batch(xs)
@@ -515,15 +495,8 @@ class Scale(FunctionExpr):
     def _structural_shape(self) -> Shape:
         return self.child.shape
 
-    def grad_max_info(self, x) -> np.ndarray:
-        return self.factor * self.child.grad_max_info(x)
-
     def gradient_batch(self, xs: np.ndarray) -> np.ndarray:
-        g = self.child.gradient_batch(xs)
-        if self.factor == 0.0:
-            # `grad_max_info` caps the child's inf (and 0 * inf NaN) entries; 0 times a cap is 0
-            return self.factor * np.where(np.isfinite(g), g, 0.0)
-        return self.factor * g
+        return self.factor * self.child.gradient_batch(xs)
 
     def to_dict(self) -> dict:
         return {"kind": "scale", "factor": self.factor, "child": self.child.to_dict()}
@@ -555,9 +528,6 @@ class GraphMinCost(FunctionExpr):
 
     def _structural_shape(self) -> Shape:
         return Shape.CONCAVE
-
-    def grad_max_info(self, x) -> np.ndarray:
-        return self.gradient_batch(as_bundle(x, self.dim)[None, :])[0]
 
     def gradient_batch(self, xs: np.ndarray) -> np.ndarray:
         """Term i's pieces are its neighbours' indicator and e_i.  At a tie

@@ -96,9 +96,10 @@ class GraphInstance:
 def parse_graph_text(text: str) -> GraphInstance:
     """Parse the plain-text format: first line ``d m``, then ``m`` lines ``i j``.
 
-    Node ids on edge lines are 1-based.
+    Node ids on edge lines are 1-based; blank lines and lines that start
+    with ``#`` after their indentation are skipped.
     """
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+    lines = [s for s in map(str.strip, text.splitlines()) if s and not s.startswith("#")]
     if not lines:
         raise ValueError("empty graph file")
     head = lines[0].split()

@@ -384,7 +384,8 @@ def seller_optimal_linear_price(
         cell = domain.upper / (n_axis - 1) if golden else 0.0
 
         def key_at(xs: np.ndarray) -> np.ndarray:
-            # a zero coordinate adds nothing, even where `PowerSum`'s batch has inf
+            # a zero coordinate adds nothing: the 1-d key widens a row by a cell,
+            # where a `GRAD_CAP` entry times the cell would outrank every other row
             grads = np.where(xs > 0.0, u.gradient_batch(xs), 0.0)
             return np.einsum("ij,ij->i", grads, np.minimum(xs + cell, domain.upper)) - c.values(np.maximum(xs - cell, 0.0))
 

@@ -39,6 +39,7 @@ def power_sum_gradient_batch(f, xs):
         g *= k * b
     np.copyto(g, k, where=(xs == 0.0) & (b == 1.0))
     np.copyto(g, 0.0, where=(xs == 0.0) & (b > 1.0))
+    np.copyto(g, np.where(k > 0, GRAD_CAP, 0.0), where=(xs == 0.0) & (b < 1.0))
     return g
 
 

@@ -248,6 +248,10 @@ class TestGraphParsing:
         g = parse_graph_text("3 2\n1 2\n2 3\n")
         assert g.node_count == 3 and g.edges == [(0, 1), (1, 2)]
 
+    def test_comments_are_skipped_when_indented(self):
+        g = parse_graph_text("# a path\n3 2\n  # note\n1 2\n\t# another\n\n2 3\n   #\n")
+        assert g.node_count == 3 and g.edges == [(0, 1), (1, 2)]
+
     def test_json_mirror(self):
         g = path_graph(4)
         assert parse_graph_json(g.to_dict()).edges == g.edges

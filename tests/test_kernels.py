@@ -87,10 +87,7 @@ def ref_gradient(f, xs):
     if isinstance(f, Affine):
         return np.broadcast_to(np.asarray(f.weights), xs.shape).copy()
     if isinstance(f, Scale):
-        g = ref_gradient(f.child, xs)
-        if f.factor == 0.0:  # `grad_max_info` caps the entries that are not finite here
-            g = np.where(np.isfinite(g), g, 0.0)
-        return f.factor * g
+        return f.factor * ref_gradient(f.child, xs)
     out = ref_gradient(f.children[0], xs)
     for c in f.children[1:]:
         out = out + ref_gradient(c, xs)
@@ -141,22 +138,80 @@ class TestNodeKernels:
         assert got.shape == xs.shape and not got.any()
 
     @settings(derandomize=True, deadline=None, max_examples=200)
-    @given(tree_and_rows(nodes=leaves), st.sampled_from([0.0, -0.0]))
+    @given(tree_and_rows(), st.sampled_from([0.0, -0.0]))
     def test_zero_scale_batch_rows_are_grad_max_info_bytes(self, case, zero):
-        # over a leaf, whose batch rows are its `grad_max_info` bits but for
-        # `PowerSum`'s inf at a zero coordinate
         child, xs = case
         f = Scale(zero, child)
         got = f.gradient_batch(xs)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for r, x in enumerate(xs):
-                assert same_bits(got[r], f.grad_max_info(x))
+        for r, x in enumerate(xs):
+            assert same_bits(got[r], f.grad_max_info(x))
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(tree_and_rows())
+    def test_batch_rows_are_grad_max_info_bytes(self, case):
+        f, xs = case
+        got = f.gradient_batch(xs)
+        for r, x in enumerate(xs):
+            one = f.grad_max_info(x)
+            assert same_bits(got[r], one)
+            assert one.tobytes() == f.gradient_batch(x[None])[0].tobytes()
+
+    @pytest.mark.parametrize("f, x, want", [
+        (Sum([PowerSum((-0.0,), (2.0,))]), 1.0, -0.0),
+        (Sum([Leontief((1.0,), -0.0)]), 0.0, -0.0),
+        (Sum([PowerSum((-0.0,), (2.0,)), Leontief((1.0,), -0.0)]), 0.5, -0.0),
+        (Sum([PowerSum((-0.0,), (2.0,)), Leontief((1.0,), 0.0)]), 0.5, 0.0),
+    ])
+    def test_sums_of_signed_zeros_keep_the_batch_sign(self, f, x, want):
+        # a sum adds its children's entries from the first child on, so an
+        # entry that is -0.0 in every child stays -0.0, in one row as in many
+        assert same_bits(f.grad_max_info((x,)), np.array([want]))
+        assert same_bits(f.gradient_batch(np.array([[x], [x]])), np.array([[want], [want]]))
+
+    @pytest.mark.parametrize("anchor, level", [
+        ((3.0, 7.0), 2.9), ((2.0, 4.0), 6.0), ((1.0, 1.0, 1.0), 2.0), ((0.0, 2.0, 1.0), 3.0),
+        ((2.0, 0.0), 1.5), ((2.0, 3.0), 0.0), ((2.0, 3.0), -0.0), ((5.0, 0.5), 5e-324),
+    ])
+    def test_leontief_batch_matches_the_reference_on_ties(self, anchor, level):
+        f = Leontief(anchor, level)
+        a = np.array(anchor)
+        ts = np.linspace(0.0, 1.5, 301)  # every support ratio tied, exactly 1 at t = 1
+        xs = np.vstack([ts[:, None] * a, np.zeros(f.dim), -0.0 * a, a, a + 0.5, a * 1.25, a + np.arange(f.dim)])
+        want = np.array([ref.leontief_grad_max_info(f, x) for x in xs])
+        assert same_bits(f.gradient_batch(xs), want)
+        for x, row in zip(xs, want):
+            assert same_bits(f.grad_max_info(x), row)
+
+    def test_leontief_ties_go_to_the_largest_score_then_the_first(self):
+        f = Leontief((3.0, 7.0), 2.9)
+        xs = np.linspace(0.0, 1.0, 2001)[:, None] * np.array([3.0, 7.0])
+        tied = xs[xs[:, 0] / 3.0 == xs[:, 1] / 7.0]
+        scores = (2.9 / np.array([3.0, 7.0])) * tied
+        got = f.gradient_batch(tied)
+        # the ratios tie, but `level / a_i * x_i` can differ in the last bit
+        assert (scores[:, 1] > scores[:, 0]).any() and (scores[:, 1] < scores[:, 0]).any()
+        assert np.array_equal(got[:, 1] > 0, scores[:, 1] > scores[:, 0])
+        assert f.grad_max_info((3.0, 7.0)).tolist() == [2.9 / 3.0, 0.0]  # ratio exactly 1
+        assert f.grad_max_info((3.5, 7.0)).tolist() == [0.0, 2.9 / 7.0]
+        assert f.grad_max_info((3.5, 7.5)).tolist() == [0.0, 0.0]  # above 1
+        assert f.grad_max_info((0.0, 0.0)).tolist() == [2.9 / 3.0, 0.0]
+        assert Leontief((0.0, 2.0), 3.0).grad_max_info((0.0, 1.0)).tolist() == [0.0, 1.5]  # zero anchor coordinate
+        assert same_bits(Leontief((2.0,), -0.0).grad_max_info((1.0,)), np.array([-0.0]))
+        assert same_bits(Leontief((2.0,), -0.0).grad_max_info((3.0,)), np.array([0.0]))
+
+    def test_seller_price_against_a_leontief_sum_keeps_its_bits(self):
+        u = Sum([Leontief((2, 3), 4), PowerSum((1, 1), (0.5, 0.5))])
+        res = seller_optimal_linear_price(u, PowerSum((0.5, 0.5), (2, 2)), BoxDomain([4, 4]))
+        assert res.verified
+        assert res.bundle.tolist() == [0.8, 1.2]
+        assert res.price.tolist() == [0.5590169943749475, 1.7897687979209718]
+        assert res.revenue == 1.5549361530051238
 
     def test_zero_scale_over_a_root_at_zero_gives_zero_rows(self):
         f = Scale(0.0, PowerSum((1.0, 1.0), (0.5, 0.5)))
         xs = np.array([[0.0, 1.0], [0.0, 0.0], [4.0, 0.0]])
         assert same_bits(f.gradient_batch(xs), np.zeros((3, 2)))
-        assert np.isinf(Scale(2.0, f.child).gradient_batch(xs)[0, 0])  # other factors keep the batch's inf
+        assert Scale(2.0, f.child).gradient_batch(xs)[0, 0] == 2e12  # other factors scale the cap
 
     def test_seller_search_under_a_zero_scale_raises_no_warning(self):
         # under error::RuntimeWarning, 0 * inf in the batch used to raise here
@@ -169,7 +224,7 @@ class TestNodeKernels:
         xs = np.array([[1.0, 2.0, 3.0], [0.0, -0.0, 0.0], [4.0, 0.0, 0.0]])
         with np.errstate(divide="ignore", invalid="ignore"):
             assert same_bits(f.gradient_batch(xs), ref.power_sum_gradient_batch(f, xs))
-        assert f.gradient_batch(xs)[1].tolist() == [math.inf, 3.0, 0.0]
+        assert f.gradient_batch(xs)[1].tolist() == [1e12, 3.0, 0.0]
 
     def test_cached_constants_are_read_only(self):
         nodes = [PowerSum((1.0, 2.0), (0.5, 2.0)), Leontief((0.0, 2.0), 3.0),
