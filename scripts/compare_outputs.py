@@ -1,14 +1,16 @@
 """Compare the benchmark op outputs of two checkouts, bit for bit.
 
     python3 scripts/compare_outputs.py PARENT CHANGE --seeds 7311 8422 9533
+    python3 scripts/compare_outputs.py PARENT CHANGE --seeds 7311 --workloads general_ray
 
 PARENT and CHANGE are checkout roots (each holding `src/padd` and
-`bench/workloads.py`).  For every workload and seed, a fresh interpreter
-per checkout imports that checkout's `bench/workloads.py` (and so its
-`src/padd`), runs one pass over the workload's ops and prints each op's
-`workloads.digest`, the sha256 of its output with every float in hex.  The
-two digest sets are compared and every op that differs, or exists on one
-side only, is listed.  An op that raises is digested by its error message.
+`bench/workloads.py`).  For every workload (all three, or those that
+`--workloads` names) and seed, a fresh interpreter per checkout imports
+that checkout's `bench/workloads.py` (and so its `src/padd`), runs one
+pass over the workload's ops and prints each op's `workloads.digest`, the
+sha256 of its output with every float in hex.  The two digest sets are
+compared and every op that differs, or exists on one side only, is
+listed.  An op that raises is digested by its error message.
 
 Exit code: 0 when no op differs, 1 when some op differs, 2 when a checkout
 cannot be run.
@@ -77,6 +79,7 @@ def main(argv=None) -> int:
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
+    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=WORKLOADS, metavar="NAME")
     args = parser.parse_args(argv)
     for root in (args.parent, args.change):
         if not (root / "bench" / "workloads.py").is_file() or not (root / "src" / "padd").is_dir():
@@ -85,7 +88,7 @@ def main(argv=None) -> int:
 
     total = differ = 0
     try:
-        for workload in WORKLOADS:
+        for workload in args.workloads:
             for seed in args.seeds:
                 parent = op_digests(args.parent, workload, seed)
                 change = op_digests(args.change, workload, seed)

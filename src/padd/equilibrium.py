@@ -200,10 +200,10 @@ def _maximize(obj_batch, domain: BoxDomain, cfg: SolverConfig, bound_batch=None)
     floating point, bit for bit.  The objective is then evaluated only on
     the rows that can reach the top `REFINE_TOP_K`; see `_pruned_values`.
     The result is identical.
-    `_solve` passes `v - (c - c(0))` for costs without a closed payment
-    form: its a = 0 chord slope `c(x) - c(0)` is the first entry of the
-    slope array that the payment maximizes, so with monotone rounding the
-    bound holds in floating point.
+    `_solve` passes `v - ray_payment_floor(c)` for costs without a closed
+    payment form: the floor is the larger of the first (a = 0) and last
+    entries of the slope array that the payment maximizes, so with
+    monotone rounding the bound holds in floating point.
     """
     n = cfg.points(domain.dim)
     if bound_batch is None:
@@ -375,8 +375,8 @@ def _solve(v: FunctionExpr, c: FunctionExpr, domain: BoxDomain, cfg: SolverConfi
         return v.values(xs) - ray_payment_batch(c, xs, cfg.ray_grid_n)
 
     def bound(xs):
-        # the payment is at least its a = 0 chord slope, c(x) - c(0)
-        return v.values(xs) - ray_payment_floor(c, xs)
+        # the payment is at least its first and last grid slopes
+        return v.values(xs) - ray_payment_floor(c, xs, cfg.ray_grid_n)
 
     if v.shape is Shape.LINEAR and c.shape in (Shape.CONCAVE, Shape.LINEAR):
         corners = domain.vertices()

@@ -50,11 +50,11 @@ form's scalars, the convex `x . grad c(x)` and the concave payment
 `c.values(x)` are all computed elementwise (no matrix product), so any
 batch gives a row the bits it has alone.
 
-`ray_payment_floor` is the a = 0 entry of the same slope code, `c(x) -
-c(0)`, vectorized over rows: it equals every bundle's first slope bit for
-bit, so `v(x) - (c(x) - c(0))` bounds the buyer's objective
-`v(x) - payment(x)` from above in floating point, which is what lets the
-general solver skip grid rows exactly.
+`ray_payment_floor` is the larger of each row's first (a = 0) and last
+slopes, from the same code on the same grid: entries of the row that the
+payment maximizes, bit for bit, so `v(x) - floor(x)` bounds the buyer's
+objective `v(x) - payment(x)` from above in floating point, which is what
+lets the general solver skip grid rows exactly.
 """
 
 from __future__ import annotations
@@ -277,21 +277,21 @@ def ray_payment_batch(c: FunctionExpr, xs: np.ndarray, grid_n: int = DEFAULT_GRI
     return np.where(np.any(xs > 0, axis=1), best, 0.0)
 
 
-def ray_payment_floor(c: FunctionExpr, xs: np.ndarray) -> np.ndarray:
-    """Row-wise lower bound on `ray_payment_batch(c, xs, ...)`, exact in floating point.
+def ray_payment_floor(c: FunctionExpr, xs: np.ndarray, grid_n: int = DEFAULT_GRID_N) -> np.ndarray:
+    """Row-wise lower bound on `ray_payment_batch(c, xs, grid_n)`, exact in floating point.
 
-    Without a closed form this is the a = 0 chord slope `c(x) - c(0)`,
-    computed by the slope code of `ray_payment_batch` at `q_e = 1 / (1 - a)
-    = 1`, so it equals that row's first slope bit for bit (0 on the zero
-    bundle); with one, it is the closed-form payment itself.
+    Without a closed form: the larger of the row's a = 0 slope `c(x) - c(0)`
+    and its last grid slope (standing for the limit a -> 1), each computed by
+    `ray_payment_batch`'s slope code on its grid rows, so bit for bit that
+    row's entry (0 on the zero bundle).  With one: the closed-form payment.
     """
     xs = np.asarray(xs, dtype=float)
     closed = _closed_payments(c, xs)
     if closed is not None:
         return closed
     form = _ray_form(c)
-    qs, inv, *_ = _grid_rows(2, form.exponents)  # column 0 of every grid is a = 0
-    floor = form.slopes(form.scalars(xs), qs, inv, [0])[:, 0]
+    qs, inv, *_ = _grid_rows(grid_n, form.exponents)
+    floor = form.slopes(form.scalars(xs), qs, inv, [0, grid_n - 1]).max(axis=1)
     return np.where(np.any(xs > 0, axis=1), floor, 0.0)
 
 

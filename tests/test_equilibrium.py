@@ -918,7 +918,7 @@ def _general_objective(v, c, cfg):
         return v.values(xs) - ray_payment_batch(c, xs, cfg.ray_grid_n)
 
     def bound(xs):
-        return v.values(xs) - ray_payment_floor(c, xs)
+        return v.values(xs) - ray_payment_floor(c, xs, cfg.ray_grid_n)
 
     return batch, bound
 
@@ -1031,7 +1031,33 @@ class TestPrunedGrid:
         monkeypatch.setattr(equilibrium, "ray_payment_batch", counting)
         out = solve_general(v, c, box)
         assert out.method == "general" and out.trade
-        assert 0 < sum(rows) < grid[1]
+        # one block of grid rows, then only the golden refinement's small batches
+        assert rows[0] == equilibrium._PRUNE_BLOCK and max(rows[1:]) < equilibrium._PRUNE_BLOCK
+        assert sum(rows) < grid[1]
+
+    @pytest.mark.parametrize(
+        "instance,grid",
+        [(MIXED_1D, {1: 2001}), (KINKED_1D, {1: 2001}), (MIXED_2D, {2: 101})],
+        ids=["mixed_1d", "kinked_1d", "mixed_2d"],
+    )
+    def test_end_slope_floor_leaves_one_block_of_grid_rows(self, monkeypatch, instance, grid):
+        # the last slope bounds these payments tightly; the a = 0 slope alone
+        # leaves 587 to 1,107 rows to evaluate
+        v, c, box, _ = instance
+        evaluated = []
+        pruned_values = equilibrium._pruned_values
+
+        def counting(obj_batch, bound, rows, k):
+            def obj(xs):
+                evaluated.append(len(xs))
+                return obj_batch(xs)
+
+            return pruned_values(obj, bound, rows, k)
+
+        monkeypatch.setattr(equilibrium, "_pruned_values", counting)
+        out = solve_general(v, c, box, SolverConfig(grid_points=grid))
+        assert out.trade
+        assert evaluated == [equilibrium._PRUNE_BLOCK]
 
     @pytest.mark.parametrize("instance", [TIGHT_1D, TIGHT_2D], ids=["tight_1d", "tight_2d"])
     def test_tight_bound_equals_objective(self, instance):

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mp_reference import chord_slopes, grid_payment, rel_err
 from padd import (
     Affine,
+    BoxDomain,
     GraphMinCost,
     GraphInstance,
     Leontief,
@@ -14,10 +16,12 @@ from padd import (
     PreconditionError,
     Scale,
     Shape,
+    SolverConfig,
     Sum,
     bregman,
     ray_slope_sup,
 )
+from padd.equilibrium import REFINE_TOP_K, _maximize, _pruned_values
 from padd.graphs import random_graph
 from padd.raygeom import _BLOCK, _RayForm, _grid_rows, _ray_form, ray_payment_batch, ray_payment_floor
 
@@ -202,12 +206,15 @@ def slope_rows(c, xs, grid_n=10001):
     return np.vstack([form.slopes([s[k : k + 1] for s in scalars], qs, inv, np.arange(grid_n)) for k in range(len(xs))])
 
 
-def assert_floor_is_the_a0_slope(c, xs):
-    floor = ray_payment_floor(c, xs)
-    first = slope_rows(c, xs, 11)[:, 0]
+def assert_floor_is_the_larger_end_slope(c, xs):
+    """The floor is the larger of each row's first and last slopes on the grid, bit for bit."""
     trade = np.any(xs > 0, axis=1)
-    assert np.all(floor[~trade] == 0.0)
-    assert floor[trade].tobytes() == first[trade].tobytes()
+    for grid_n in (2, 11, 101, 10001):
+        floor = ray_payment_floor(c, xs, grid_n)
+        rows = slope_rows(c, xs, grid_n)
+        ends = np.maximum(rows[:, 0], rows[:, -1])
+        assert np.all(floor[~trade] == 0.0)
+        assert floor[trade].tobytes() == ends[trade].tobytes()
 
 
 def assert_batch_scalar_one_row_bit_identical(c, xs, grid_n=10001):
@@ -258,9 +265,9 @@ class TestMonomialRayKernel:
             assert np.all(ray_payment_batch(c, xs[2:4]) >= floor[2:4])
             assert floor[0] == 0.0
 
-    def test_floor_is_the_a0_slope(self):
+    def test_floor_is_the_larger_end_slope(self):
         for c, xs in MONOMIAL_TREES:
-            assert_floor_is_the_a0_slope(c, xs)
+            assert_floor_is_the_larger_end_slope(c, xs)
 
 
 # --- every node kind ---------------------------------------------------------
@@ -352,7 +359,7 @@ class TestRayFormAllNodes:
         for x, pay in zip(xs[1:], ray_payment_batch(c, xs)[1:]):
             assert rel_err(pay, grid_payment(c, x)) <= 1e-13
         assert_batch_scalar_one_row_bit_identical(c, xs)
-        assert_floor_is_the_a0_slope(c, xs)
+        assert_floor_is_the_larger_end_slope(c, xs)
 
     def test_attained_fraction_is_the_exact_argmax(self):
         alphas = fractions(101)
@@ -367,9 +374,9 @@ class TestRayFormAllNodes:
         for c, xs in GENERAL_TREES:
             assert_batch_scalar_one_row_bit_identical(c, xs, 101)
 
-    def test_floor_is_the_a0_slope_and_below_sub_batches(self):
+    def test_floor_is_the_larger_end_slope_and_below_sub_batches(self):
         for c, xs in GENERAL_TREES:
-            assert_floor_is_the_a0_slope(c, xs)
+            assert_floor_is_the_larger_end_slope(c, xs)
             floor = ray_payment_floor(c, xs)
             assert np.all(ray_payment_batch(c, xs[1:3], 101) >= floor[1:3])
             assert np.all(ray_payment_batch(c, xs[3:], 101) >= floor[3:])
@@ -521,6 +528,14 @@ def block_trees(count=40):
 
 
 BLOCK_TREES = block_trees()
+# x^2 at 1e200 overflows W_2 to inf; a zero factor times it is NaN, and
+# so is a piece's D_k once its slopes w_k . x all overflow (inf - inf)
+OVERFLOW_CASES = [
+    (Sum([SQUARE, SQRT]), [[1e200], [3.0]]),
+    (KINKED, [[1e200], [1e160]]),
+    (Sum([SQUARE, SQRT, Scale(0.0, SQUARE)]), [[1e200], [2.0]]),
+    (Sum([SQUARE, MinOfAffine([Affine((1e308,), 0.0), Affine((1e308,), 1.0)])]), [[10.0], [1e-3]]),
+]
 BLOCK_GRIDS = (2, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1, 10001)
 
 
@@ -589,17 +604,9 @@ class TestBlockBounds:
         assert blocks.shape == (ilo.size, _BLOCK)
 
     def test_overflowing_rows_keep_the_whole_row_inf_or_nan(self):
-        # x^2 at 1e200 overflows W_2 to inf; a zero factor times it is NaN, and
-        # so is a piece's D_k once its slopes w_k . x all overflow (inf - inf)
-        cases = [
-            (Sum([SQUARE, SQRT]), [[1e200], [3.0]]),
-            (KINKED, [[1e200], [1e160]]),
-            (Sum([SQUARE, SQRT, Scale(0.0, SQUARE)]), [[1e200], [2.0]]),
-            (Sum([SQUARE, MinOfAffine([Affine((1e308,), 0.0), Affine((1e308,), 1.0)])]), [[10.0], [1e-3]]),
-        ]
         seen = set()
         with np.errstate(over="ignore", invalid="ignore"):
-            for c, xs in cases:
+            for c, xs in OVERFLOW_CASES:
                 xs = np.array(xs)
                 for grid_n in (2, _BLOCK + 1, 10001):
                     got = ray_payment_batch(c, xs, grid_n)
@@ -628,6 +635,97 @@ class TestBlockBounds:
             ray_payment_batch(c, np.array([[1.0], [2.0]]))
         with pytest.raises(PreconditionError, match=f"non-negative {name}"):
             ray_payment_floor(c, np.array([[1.0]]))
+
+
+# --- the payment floor that prunes the outer grid ----------------------------
+
+
+def node_trees(d):
+    """Nested Sum/Scale (zero factors included) over leaves of the five other node kinds, of dimension d."""
+    weights = st.lists(st.floats(0.0, 3.0), min_size=d, max_size=d)
+    affine = st.builds(Affine, weights, st.floats(0.0, 2.0))
+    anchors = st.lists(st.just(0.0) | st.floats(0.5, 5.0), min_size=d, max_size=d).filter(any)
+    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    graphs = st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)).map(
+        lambda keep: GraphInstance.from_edges(d, [p for p, k in zip(pairs, keep) if k])
+    )
+    leaves = st.one_of(
+        st.builds(PowerSum, weights, st.lists(st.sampled_from(EXPONENTS), min_size=d, max_size=d)),
+        affine,
+        st.builds(MinOfAffine, st.lists(affine, min_size=1, max_size=3)),
+        st.builds(Leontief, anchors, st.floats(0.5, 5.0)),
+        st.builds(GraphMinCost, graphs),
+    )
+    return st.recursive(
+        leaves,
+        lambda kids: st.lists(kids, min_size=2, max_size=3).map(Sum)
+        | st.builds(Scale, st.just(0.0) | st.floats(0.1, 3.0), kids),
+        max_leaves=6,
+    )
+
+
+@st.composite
+def general_costs_and_bundles(draw):
+    """A general-shape tree over all seven node kinds and its bundles: the
+    zero bundle, then rows on [0, 10]^d, some scaled by 1e-7 or 1e7."""
+    d = draw(st.integers(1, 4))
+    convex = st.builds(PowerSum, st.lists(st.floats(0.01, 0.3), min_size=d, max_size=d),
+                       st.lists(st.sampled_from((1.5, 2.0, 3.0)), min_size=d, max_size=d))
+    c = Sum([draw(convex), draw(node_trees(d))])
+    if c.shape is not Shape.GENERAL:  # convex so far: add a concave leaf
+        anchor = [draw(st.floats(0.5, 5.0)) for _ in range(d)]
+        c = Sum([c, Leontief(anchor, draw(st.floats(0.5, 5.0)))])
+    rows = draw(st.lists(st.lists(st.floats(0.0, 10.0), min_size=d, max_size=d), min_size=1, max_size=6))
+    scales = draw(st.lists(st.sampled_from((1.0, 1e-7, 1e7)), min_size=len(rows), max_size=len(rows)))
+    xs = np.vstack([np.zeros(d), np.array(rows) * np.array(scales)[:, None]])
+    return c, xs
+
+
+class TestPaymentFloor:
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(general_costs_and_bundles(), st.sampled_from(BLOCK_GRIDS), st.data())
+    def test_floor_is_below_the_payment_on_every_sub_batch(self, case, grid_n, data):
+        # the floor is taken on the whole set, the payments on sub-batches, as the pruning does
+        c, xs = case
+        assert c.shape is Shape.GENERAL
+        floor = ray_payment_floor(c, xs, grid_n)
+        lo = data.draw(st.integers(0, len(xs) - 1))
+        hi = data.draw(st.integers(lo + 1, len(xs)))
+        assert np.all(ray_payment_batch(c, xs, grid_n) >= floor)  # as floats, no slack; a NaN would fail
+        assert np.all(ray_payment_batch(c, xs[lo:hi], grid_n) >= floor[lo:hi])
+        for k in range(len(xs)):
+            assert ray_payment_batch(c, xs[k : k + 1], grid_n)[0] >= floor[k]
+
+    def test_nan_floor_is_never_pruned(self):
+        # each overflow row bounds a box whose grid reaches the overflow; where
+        # the floor is NaN the bound is too, and the grid walk must evaluate the row
+        v = Scale(20.0, SQRT)
+        nan_rows = 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for c, xs in OVERFLOW_CASES:
+                for upper in xs:
+                    box = BoxDomain(np.array(upper))
+                    pts = box.grid(65)
+                    for grid_n in (2, _BLOCK + 1):  # the whole rows of overflow make 10001 slow here
+                        evaluated = []
+
+                        def objective(ys):
+                            evaluated.extend(ys[:, 0].tolist())
+                            return v.values(ys) - ray_payment_batch(c, ys, grid_n)
+
+                        def bound(ys):
+                            return v.values(ys) - ray_payment_floor(c, ys, grid_n)
+
+                        _pruned_values(objective, bound(pts), pts.__getitem__, REFINE_TOP_K)
+                        nan = pts[np.isnan(ray_payment_floor(c, pts, grid_n)), 0]
+                        assert set(nan.tolist()) <= set(evaluated)
+                        nan_rows += nan.size
+                        cfg = SolverConfig(grid_points={1: 65}, ray_grid_n=grid_n)
+                        x_all, best_all = _maximize(objective, box, cfg)
+                        x_pruned, best_pruned = _maximize(objective, box, cfg, bound_batch=bound)
+                        assert x_pruned.tobytes() == x_all.tobytes()
+                        assert np.float64(best_pruned).tobytes() == np.float64(best_all).tobytes()
+        assert nan_rows > 0
 
 
 MIXED = Sum([SQUARE, SQRT])
