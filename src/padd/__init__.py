@@ -59,11 +59,9 @@ from .concavepricing import (
     ConcavePriceResult,
     EquivalenceReport,
     OverfitReport,
-    PricingClass,
     best_concave_price,
     equivalence_check,
     overfit_scenario,
-    seller_best_in_class,
 )
 
 __version__ = "0.1.0"

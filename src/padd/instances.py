@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .concavepricing import overfit_instance
 from .funcs import (
     Affine,
     BoxDomain,
@@ -66,7 +65,8 @@ def capped_value_demo() -> Instance:
 
     Equilibrium: bundle 0.81, payment 1.3122, seller revenue 0.6561.
     """
-    return overfit_instance()
+    v = MinOfAffine([Affine((10.0,), 0.0), Affine((0.0,), 8.1)])
+    return v, PowerSum((1.0,), (2.0,)), BoxDomain(np.array([10.0]))
 
 
 def equivalence_suite() -> list[tuple[str, FunctionExpr, FunctionExpr, BoxDomain]]:

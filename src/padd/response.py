@@ -63,14 +63,14 @@ class SolverConfig:
 
     `grid_points` (points per axis by dimension; its keys are the only
     dimensions a grid search supports): every grid search, in
-    `equilibrium._maximize`, `buyer_best_response`'s fallback,
-    `seller_optimal_linear_price` and `concavepricing`, none of which
-    runs for an anchored report; the 1-d density is also each good's
-    grid in `equilibrium._maximize_per_good`, which still requires the
-    game's own dimension.  `ray_grid_n`: the numeric ray grid of
-    `raygeom`.  `lambda_split`: the payment split of `equilibrium`'s
-    outcomes (None: even over the goods bought), which picks the
-    reported member of the optimal price family.
+    `equilibrium._maximize`, `buyer_best_response`'s fallback and
+    `seller_optimal_linear_price`, none of which runs for an anchored
+    report; the 1-d density is also each good's grid in
+    `equilibrium._maximize_per_good`, which still requires the game's own
+    dimension.  `ray_grid_n`: the numeric ray grid of `raygeom`.
+    `lambda_split`: the payment split of `equilibrium`'s outcomes (None:
+    even over the goods bought), which picks the reported member of the
+    optimal price family.
 
     Tolerances and refinement counts are constants of the modules that
     read them: the refinement schedule in `gridopt`, the buyer's utility
@@ -204,7 +204,8 @@ def _anchored_form(u: FunctionExpr) -> tuple[np.ndarray, float] | None:
             slopes[i] = float(w[i])
         else:
             return None
-    if level is None or level < 0 or not slopes:
+    # a zero level would anchor at the origin, a ray with no support
+    if level is None or level <= 0 or not slopes:
         return None
     anchor = np.zeros(u.dim)
     for i, w in slopes.items():

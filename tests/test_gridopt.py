@@ -8,8 +8,8 @@ import pytest
 import reference_kernels as ref
 from hypothesis import given, settings, strategies as st
 
-from padd import Affine, BoxDomain, Leontief, MinOfAffine, PowerSum, PreconditionError, PricingClass, SolverConfig, Sum, solve_auto
-from padd import best_concave_price, buyer_best_response, seller_best_in_class, seller_optimal_linear_price, solve_general
+from padd import Affine, BoxDomain, Leontief, MinOfAffine, PowerSum, PreconditionError, SolverConfig, Sum, solve_auto
+from padd import best_concave_price, buyer_best_response, seller_optimal_linear_price, solve_general
 from padd import concavepricing, equilibrium, gridopt, response
 from padd.gridopt import axis_rows, coordinate_refine, golden_max, grid_blocks, grid_rows, grid_scan, refine_bracket, top_k
 from padd.response import _rev_tie, _separable
@@ -164,7 +164,6 @@ def output_bits(out):
 
 SQRT2, SQUARE2 = PowerSum((8.0, 4.0), (0.5, 0.5)), PowerSum((1.0, 0.5), (2.0, 2.0))
 BOX2, SMALL = BoxDomain(np.array([3.0, 4.0])), SolverConfig(grid_points={1: 401, 2: 21})
-SQRT1, SQUARE1 = PowerSum((1.0,), (0.5,)), PowerSum((1.0,), (2.0,))
 
 # every caller of `golden_max` (the function that must be on the stack), each on a small game
 GOLDEN_CALLERS = {
@@ -174,11 +173,7 @@ GOLDEN_CALLERS = {
     )),
     "maximize_per_good": ("_maximize_per_good", lambda: solve_auto(SQRT2, SQUARE2, BOX2, SMALL)),
     "separable_buyer": ("buyer_best_response", lambda: buyer_best_response(SQRT2, (1.0, 2.0), BOX2, SQUARE2, SMALL)),
-    "ray_pick": ("_ray_pick", lambda: best_concave_price(Leontief((1.0, 2.0), 3.0), SQUARE2, BOX2, SMALL)),
-    "concave_price": ("best_concave_price", lambda: best_concave_price(SQRT2, SQUARE2, BOX2, SMALL)),
-    "price_expr_response": ("_response_to_price_expr", lambda: seller_best_in_class(
-        SQRT1, SQUARE1, BoxDomain(np.array([10.0])), PricingClass("linear_plus_extra", extra=(SQRT1,)), SMALL
-    )),
+    "ray_pick": ("_ray_pick", lambda: best_concave_price(Leontief((1.0, 2.0), 3.0), SQUARE2, BOX2)),
     "seller_refine": ("_refine", lambda: seller_optimal_linear_price(SQRT2, SQUARE2, BOX2, SMALL)),
 }
 
@@ -350,7 +345,7 @@ class TestGridRowCap:
         with pytest.raises(PreconditionError, match=r"^grid of 11\^2 = 121 rows exceeds the 100 rows a search scans$"):
             next(grid_blocks(np.ones(2), 11))
 
-    @pytest.mark.parametrize("search", ["pruned_solve", "seller", "buyer", "concave_price"])
+    @pytest.mark.parametrize("search", ["pruned_solve", "seller", "buyer"])
     def test_every_grid_search_is_refused_at_once(self, search):
         # 10^5 points per axis in 2 goods: a 10^10-row grid
         box, cfg = BoxDomain(np.full(2, 5.0)), SolverConfig(grid_points={1: 2001, 2: 100000})
@@ -361,7 +356,6 @@ class TestGridRowCap:
             "pruned_solve": lambda: solve_general(capped, general, box, cfg),
             "seller": lambda: seller_optimal_linear_price(v, c, box, cfg),
             "buyer": lambda: buyer_best_response(Sum([v, capped]), (1.0, 1.0), box, c, cfg),
-            "concave_price": lambda: best_concave_price(v, c, box, cfg),
         }[search]
         with pytest.raises(PreconditionError, match="= 10000000000 rows exceeds"):
             run()

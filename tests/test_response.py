@@ -33,6 +33,7 @@ SQUARE = PowerSum((1.0,), (2.0,))
 SQRT = PowerSum((1.0,), (0.5,))
 BOX10 = BoxDomain(np.array([10.0]))
 BOX100 = BoxDomain(np.array([100.0]))
+ZERO_LEVEL_CAP = MinOfAffine([Affine((1.0,), 0.0), Affine((0.0,), 0.0)])  # min(x, 0): no anchored report
 
 
 class TestBuyerBestResponse:
@@ -85,6 +86,11 @@ class TestBuyerBestResponse:
     def test_priced_out(self):
         x = buyer_best_response(Leontief((4.0,), 32.0), (9.0,), BOX100, SQUARE)
         assert np.allclose(x, [0.0])
+
+    def test_zero_level_cap_takes_the_concave_path(self):
+        # a zero level would anchor at the origin; the concave search buys nothing at a positive price
+        assert response._anchored_form(ZERO_LEVEL_CAP) is None
+        assert buyer_best_response(ZERO_LEVEL_CAP, (0.5,), BOX10, SQUARE).tolist() == [0.0]
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
@@ -225,6 +231,10 @@ class TestSellerOptimalLinearPrice:
     def test_revenue_definition_holds(self):
         sol = seller_optimal_linear_price(SQRT, SQUARE, BOX10)
         assert math.isclose(sol.revenue, float(sol.price @ sol.bundle) - SQUARE.value(sol.bundle), abs_tol=1e-12)
+
+    def test_zero_level_cap_means_no_trade(self):
+        sol = seller_optimal_linear_price(ZERO_LEVEL_CAP, SQUARE, BOX10)
+        assert sol.bundle.tolist() == [0.0] and sol.price.tolist() == [0.0] and sol.revenue == 0.0
 
     def test_rejects_unclassified_report(self):
         mixed = Sum([SQUARE, SQRT])
