@@ -3,8 +3,8 @@
 On the capped-line instance, augmenting linear pricing with one carefully
 shaped concave price lets the buyer switch to imitating sqrt(x): the
 seller's chosen price then earns 0.2439 - eps instead of the 0.6561 the
-plain linear class would extract.  The effect needs eps below the switch
-threshold; above it the seller falls back to a linear response and the
+plain linear class would extract.  The effect needs eps at or below the
+switch threshold; above it the seller falls back to a linear response and the
 augmentation is harmless.
 
 Run: python demos/pricing_class_overfit.py
@@ -15,7 +15,7 @@ from padd.concavepricing import OVERFIT_EPS_SWITCH
 
 
 def main():
-    print(f"switch threshold: eps < {OVERFIT_EPS_SWITCH:.4f} for the added price to win")
+    print(f"switch threshold: eps <= {OVERFIT_EPS_SWITCH!r} for the added price to win")
     print()
     header = f"{'eps':>6} {'linear rev':>11} {'rich rev':>9} {'linear surplus':>15} {'rich surplus':>13}  seller picks"
     print(header)

@@ -79,9 +79,6 @@ class ProblemConfig:
                 f"config dimensions disagree: value {config.value.dim}, "
                 f"cost {config.cost.dim}, domain {config.domain.dim}"
             )
-        split = config.solver.lambda_split
-        if split is not None and len(split) != config.domain.dim:
-            raise ValueError(f"solver option lambda_split has {len(split)} weights for {config.domain.dim} goods")
         return config
 
     def to_dict(self) -> dict:
@@ -146,7 +143,7 @@ def _cmd_fixed_bundle(args) -> int:
     bundle = as_bundle([float(t) for t in args.bundle.split(",")], config.domain.dim)
     if not config.domain.contains(bundle):
         raise PreconditionError("bundle lies outside the production box")
-    out = fixed_bundle_outcome(config.value, config.cost, bundle, config.solver)
+    out = fixed_bundle_outcome(config.value, config.cost, bundle)
     if args.json:
         payload = out.to_dict()
         print(json.dumps({key: payload[key] for key in ("payment", "imitative", "buyer_surplus")}, indent=2))

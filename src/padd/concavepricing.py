@@ -166,6 +166,7 @@ _AUGMENTED_BASE_REVENUE = Fraction(2439, 10000)  # revenue of the added price at
 _SQRT_LINEAR_REVENUE = Fraction(3, 16)  # best linear response to sqrt(x)
 
 OVERFIT_EPS_MAX = float(_AUGMENTED_BASE_REVENUE)
+# the largest float eps at which the added price wins (the exact switch 564/10000 rounds down to it)
 OVERFIT_EPS_SWITCH = float(_AUGMENTED_BASE_REVENUE - _SQRT_LINEAR_REVENUE)
 
 

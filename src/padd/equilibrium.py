@@ -11,6 +11,8 @@ there.  `raygeom` alone picks the payment formula from the cost's shape
 otherwise), so the three solvers share one body and differ only in their
 shape precondition and method tag: `general`, `convex_closed_form`,
 `concave_closed_form` (plus `fixed_bundle` for a caller-chosen bundle).
+The numeric ray form runs on `raygeom`'s fixed grid, and the outcome
+derives its payment split, so the grid densities are the one option read.
 
 That body picks its search from the game's shapes: box corners for a
 linear value against a concave cost, one good at a time when the value
@@ -66,14 +68,14 @@ class EquilibriumOutcome:
     """Full description of a solved game: trade point, payment, payoffs.
 
     `payment` is the total amount paid for the bundle.  The commitment
-    `imitative` and the unit prices of the simplex split `price_split`
-    (`unit_prices . bundle == payment`) are derived from the two.  The
-    split is a simplex over the goods bought and zero on the others.
+    `imitative`, the payment split `price_split` and its unit prices
+    (`unit_prices . bundle == payment`) are derived from the two.  Every
+    simplex split charges the same total, so the split is a display
+    choice: even over the goods bought and zero on the others.
     """
 
     bundle: np.ndarray
     payment: float
-    price_split: np.ndarray
     buyer_surplus: float
     seller_revenue: float
     method: str
@@ -84,13 +86,6 @@ class EquilibriumOutcome:
             raise PreconditionError("payment must be non-negative")
         if self.payment > 0 and not self.trade:
             raise PreconditionError("positive payment needs a non-zero bundle")
-        if np.shape(self.price_split) != self.bundle.shape:
-            raise DimensionError(f"price split has {np.size(self.price_split)} weights for {self.bundle.size} goods")
-        support = self.bundle > 0
-        if np.any(np.asarray(self.price_split)[~support] != 0):
-            raise PreconditionError("payment split puts weight on an absent good")
-        if self.trade:  # refuse, by name, a split that is no simplex over the support
-            optimal_price_family(self.bundle[support], self.payment, self.price_split[support])
 
     @property
     def trade(self) -> bool:
@@ -105,11 +100,20 @@ class EquilibriumOutcome:
         return Leontief(tuple(self.bundle), self.payment)
 
     @property
+    def price_split(self) -> np.ndarray:
+        """The even split over the goods bought, zero on the others."""
+        support = self.bundle > 0
+        lam = np.zeros(self.bundle.size)
+        if self.trade:
+            lam[support] = 1.0 / support.sum()
+        return lam
+
+    @property
     def unit_prices(self) -> np.ndarray:
         """`optimal_price_family` of the split on the support, 0 elsewhere."""
         unit = np.zeros(self.bundle.size)
         support = self.bundle > 0
-        if np.any(support):
+        if self.trade:
             unit[support] = optimal_price_family(self.bundle[support], self.payment, self.price_split[support])
         return unit
 
@@ -128,11 +132,11 @@ class EquilibriumOutcome:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "EquilibriumOutcome":
-        """Read `to_dict`'s form, less the derived `imitative` and `unit_prices`."""
+        """Read `to_dict`'s form, less the derived `imitative`, `price_split`
+        and `unit_prices`."""
         return cls(
             bundle=np.asarray(obj["bundle"], dtype=float),
             payment=float(obj["payment"]),
-            price_split=np.asarray(obj["price_split"], dtype=float),
             buyer_surplus=float(obj["buyer_surplus"]),
             seller_revenue=float(obj["seller_revenue"]),
             method=str(obj["method"]),
@@ -297,34 +301,11 @@ def _pruned_values(obj_batch, bound: np.ndarray, rows, k: int) -> np.ndarray:
 # --- outcome assembly ------------------------------------------------------
 
 
-def _split_weights(cfg: SolverConfig, dim: int) -> np.ndarray | None:
-    """`cfg.lambda_split` as an array, refused unless it has one weight per good."""
-    if cfg.lambda_split is None:
-        return None
-    lam = np.asarray(cfg.lambda_split, dtype=float)
-    if lam.shape != (dim,):
-        raise DimensionError(f"payment split has {lam.size} weights for {dim} goods")
-    return lam
-
-
-def _split_for(bundle: np.ndarray, cfg: SolverConfig) -> np.ndarray:
-    """`cfg.lambda_split` (the outcome refuses weight on an absent good), or
-    an even split over the goods bought."""
-    support = bundle > 0
-    lam = _split_weights(cfg, bundle.size)
-    if lam is not None:
-        return lam
-    lam = np.zeros(bundle.size)
-    lam[support] = 1.0 / support.sum()
-    return lam
-
-
 def _no_trade(dim: int, method: str) -> EquilibriumOutcome:
     zero = np.zeros(dim)
     return EquilibriumOutcome(
         bundle=zero,
         payment=0.0,
-        price_split=zero.copy(),
         buyer_surplus=0.0,
         seller_revenue=0.0,
         method=method,
@@ -337,7 +318,6 @@ def _trade_outcome(
     bundle: np.ndarray,
     payment: float,
     method: str,
-    cfg: SolverConfig,
 ) -> EquilibriumOutcome:
     bundle = np.where(bundle > 0, bundle, 0.0)
     if not np.any(bundle > 0):
@@ -345,7 +325,6 @@ def _trade_outcome(
     return EquilibriumOutcome(
         bundle=bundle,
         payment=payment,
-        price_split=_split_for(bundle, cfg),
         buyer_surplus=v.value(bundle) - payment,
         seller_revenue=payment - c.value(bundle),
         method=method,
@@ -369,14 +348,13 @@ def _solve(v: FunctionExpr, c: FunctionExpr, domain: BoxDomain, cfg: SolverConfi
       general costs skip the separability check);
     - every other game takes the grid of `_maximize`.
     """
-    _split_weights(cfg, domain.dim)
 
     def objective(xs):
-        return v.values(xs) - ray_payment_batch(c, xs, cfg.ray_grid_n)
+        return v.values(xs) - ray_payment_batch(c, xs)
 
     def bound(xs):
         # the payment is at least its first and last grid slopes
-        return v.values(xs) - ray_payment_floor(c, xs, cfg.ray_grid_n)
+        return v.values(xs) - ray_payment_floor(c, xs)
 
     if v.shape is Shape.LINEAR and c.shape in (Shape.CONCAVE, Shape.LINEAR):
         corners = domain.vertices()
@@ -390,8 +368,8 @@ def _solve(v: FunctionExpr, c: FunctionExpr, domain: BoxDomain, cfg: SolverConfi
         x, best = _maximize(objective, domain, cfg, bound if c.shape is Shape.GENERAL else None)
     if best <= _NO_TRADE_TOL or not np.any(x > 0):
         return _no_trade(domain.dim, method)
-    payment = float(ray_payment_batch(c, x[None, :], cfg.ray_grid_n)[0])
-    return _trade_outcome(v, c, x, payment, method, cfg)
+    payment = float(ray_payment_batch(c, x[None, :])[0])
+    return _trade_outcome(v, c, x, payment, method)
 
 
 def solve_general(v: FunctionExpr, c: FunctionExpr, domain: BoxDomain, cfg: SolverConfig | None = None) -> EquilibriumOutcome:
@@ -430,20 +408,17 @@ def solve_auto(v: FunctionExpr, c: FunctionExpr, domain: BoxDomain, cfg: SolverC
     return solve_general(v, c, domain, cfg)
 
 
-def fixed_bundle_outcome(
-    v: FunctionExpr, c: FunctionExpr, xbar, cfg: SolverConfig | None = None
-) -> EquilibriumOutcome:
+def fixed_bundle_outcome(v: FunctionExpr, c: FunctionExpr, xbar) -> EquilibriumOutcome:
     """Full outcome for a caller-chosen trade bundle (method `fixed_bundle`).
 
     Its `imitative` is the cheapest commitment that still trades exactly at
     `xbar`: the payment is the smallest level at which serving all of `xbar`
     beats serving every fraction of it, i.e. the ray-slope supremum.
     """
-    cfg = cfg or SolverConfig()
     xbar = as_bundle(xbar, v.dim)
     if np.any(xbar <= 0):
         raise PreconditionError("fixed bundle must be strictly positive in every coordinate")
-    return _trade_outcome(v, c, xbar, ray_slope_sup(c, xbar, cfg.ray_grid_n), METHOD_FIXED, cfg)
+    return _trade_outcome(v, c, xbar, ray_slope_sup(c, xbar), METHOD_FIXED)
 
 
 # --- verification ----------------------------------------------------------

@@ -18,10 +18,9 @@ seller-favoured fraction of the anchor, and read no grid density.
 from __future__ import annotations
 
 import itertools
-import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
-from numbers import Integral, Real
+from numbers import Integral
 
 import numpy as np
 
@@ -42,7 +41,6 @@ from .funcs import (
     as_price,
 )
 from .gridopt import REFINE_PASSES, axis_rows, coordinate_refine, golden_max, grid_blocks, grid_rows, grid_scan
-from .raygeom import DEFAULT_GRID_N
 
 __all__ = [
     "SolverConfig",
@@ -58,8 +56,7 @@ _TIE_TOL = 1e-8  # buyer utilities this close to the best tie; the seller breaks
 
 @dataclass
 class SolverConfig:
-    """The solver options that no layer can work out from the game, and
-    the layers that read them.
+    """The one solver option that no layer can work out from the game.
 
     `grid_points` (points per axis by dimension; its keys are the only
     dimensions a grid search supports): every grid search, in
@@ -67,38 +64,24 @@ class SolverConfig:
     `seller_optimal_linear_price`, none of which runs for an anchored
     report; the 1-d density is also each good's grid in
     `equilibrium._maximize_per_good`, which still requires the game's own
-    dimension.  `ray_grid_n`: the numeric ray grid of `raygeom`.
-    `lambda_split`: the payment split of `equilibrium`'s outcomes (None:
-    even over the goods bought), which picks the reported member of the
-    optimal price family.
+    dimension.
 
-    Tolerances and refinement counts are constants of the modules that
-    read them: the refinement schedule in `gridopt`, the buyer's utility
-    tie tolerance here, the no-trade threshold and the verification
-    tolerances in `equilibrium`, the equivalence tolerances in
-    `concavepricing`.
+    Numerical resolutions are constants of the modules that read them: the
+    ray grid in `raygeom`, the refinement schedule in `gridopt`, the
+    buyer's utility tie tolerance here, the no-trade threshold and the
+    verification tolerances in `equilibrium`, the equivalence tolerances in
+    `concavepricing`.  The payment split is no input either: every simplex
+    split charges the same total, so an outcome reports the even one.
     """
 
     grid_points: dict = field(default_factory=lambda: {1: 2001, 2: 201, 3: 51, 4: 21})
-    ray_grid_n: int = DEFAULT_GRID_N
-    lambda_split: tuple | None = None
 
     def __post_init__(self):
-        if not (_is_number(self.ray_grid_n, Integral) and self.ray_grid_n >= 2):
-            raise ValueError("solver option ray_grid_n must be an integer of at least 2")
         if not (
             isinstance(self.grid_points, Mapping)
             and all(_is_number(d, Integral) and _is_number(n, Integral) and n >= 2 for d, n in self.grid_points.items())
         ):
             raise ValueError("solver option grid_points must map integer dimensions to integer point counts of at least 2")
-        lam = self.lambda_split
-        if lam is not None and not (
-            isinstance(lam, (tuple, list, np.ndarray))
-            and all(_is_number(w, Real) and math.isfinite(w) and w >= 0 for w in lam)
-            and abs(math.fsum(lam) - 1.0) <= 1e-9
-        ):
-            raise ValueError("solver option lambda_split must be finite, non-negative weights that sum to 1")
-        self.lambda_split = None if lam is None else tuple(lam)  # one type, so a config equals its JSON round trip
 
     def points(self, dim: int) -> int:
         """Points per axis for a `dim`-dimensional grid search."""
@@ -108,10 +91,7 @@ class SolverConfig:
             raise PreconditionError(f"no grid density configured for dimension {dim}") from None
 
     def to_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out["grid_points"] = {str(k): int(v) for k, v in self.grid_points.items()}
-        out["lambda_split"] = None if self.lambda_split is None else list(self.lambda_split)
-        return out
+        return {"grid_points": {str(k): int(v) for k, v in self.grid_points.items()}}
 
     @classmethod
     def from_dict(cls, obj: dict) -> "SolverConfig":
@@ -416,13 +396,13 @@ def _refine(u, c, domain, records, n_axis, cfg, golden):
     rev0, bundle0, _ = max(records, key=lambda rbp: rbp[0])
 
     def revenue(xs: np.ndarray) -> np.ndarray:
-        out = np.full(xs.shape[0], -np.inf)
-        costs = c.values(xs)
-        for r, x in enumerate(xs):
-            p = u.grad_max_info(x)
-            if np.all(np.isfinite(p)):
-                out[r] = p @ x - costs[r]
-        return out
+        # `vecdot` runs each row through the dot of `p @ x`, whose summation
+        # order follows the strides: on contiguous gradient rows, as
+        # `grad_max_info` gives them, a row keeps the bits of `grad_max_info(x) @ x`
+        grads = u.gradient_batch(xs)
+        finite = np.all(np.isfinite(grads), axis=1)
+        pay = np.vecdot(np.ascontiguousarray(np.where(finite[:, None], grads, 0.0)), xs)
+        return np.where(finite, pay - c.values(xs), -np.inf)
 
     spacing = domain.upper / (n_axis - 1)
     x = coordinate_refine(revenue, bundle0, spacing, domain.upper, REFINE_PASSES)[0]

@@ -145,20 +145,6 @@ class TestSolve:
         assert f"option {name} " in err
         assert "Traceback" not in err and out == ""
 
-    @pytest.mark.parametrize("value_coeff", [1.0, 4.0], ids=["no_trade", "trade"])
-    def test_split_of_wrong_length_is_io_exit(self, capsys, tmp_path, value_coeff):
-        # one good, two weights: refused whether or not the game trades
-        cfg = json.loads((CONFIGS / "concave_demo.json").read_text())
-        cfg["value"] = {"kind": "power_sum", "coeffs": [value_coeff], "exponents": [0.5]}
-        cfg["solver"]["lambda_split"] = [0.5, 0.5]
-        bad = tmp_path / "split.json"
-        bad.write_text(json.dumps(cfg))
-        for command in ("solve", "verify"):
-            code, out, err = run_cli(capsys, command, str(bad))
-            assert code == 1
-            assert err == "error: solver option lambda_split has 2 weights for 1 goods\n"
-            assert out == ""
-
     def test_removed_seed_option_is_io_exit(self, capsys, tmp_path):
         cfg = json.loads((CONFIGS / "convex_demo.json").read_text())
         cfg["solver"]["seed"] = 0
@@ -169,18 +155,24 @@ class TestSolve:
         assert err.startswith("error: unknown solver options: ['seed']")
         assert "Traceback" not in err and out == ""
 
-    @pytest.mark.parametrize("option", [{"vertex_enumeration": True}, {"eps_limit": 1e-6}])
+    @pytest.mark.parametrize(
+        "option",
+        [{"vertex_enumeration": True}, {"eps_limit": 1e-6}, {"ray_grid_n": 10001}, {"lambda_split": None},
+         {"lambda_split": [1.0]}],
+    )
     def test_removed_solver_options_are_io_exit(self, capsys, tmp_path, option):
-        # corner enumeration follows from the game's shapes, and the ray
-        # grid's end is a constant: neither can be set
+        # corner enumeration follows from the game's shapes, the ray grid is
+        # a constant and the outcome derives its split: none can be set, not
+        # even to the value that used to be the default
         cfg = json.loads((CONFIGS / "convex_demo.json").read_text())
         cfg["solver"].update(option)
         bad = tmp_path / "removed_option.json"
         bad.write_text(json.dumps(cfg))
-        code, out, err = run_cli(capsys, "solve", str(bad))
-        assert code == 1
-        assert err.startswith(f"error: unknown solver options: ['{next(iter(option))}']")
-        assert "Traceback" not in err and out == ""
+        for command, *extra in (["solve"], ["verify"], ["fixed-bundle", "--bundle", "4"]):
+            code, out, err = run_cli(capsys, command, str(bad), *extra)
+            assert code == 1
+            assert err == f"error: unknown solver options: ['{next(iter(option))}']\n"
+            assert out == ""
 
 
 def _linear_graph_game(tmp_path, n):
@@ -211,23 +203,22 @@ class TestLinearValueGraphGames:
         assert "verification: all checks passed" in out
 
     @pytest.mark.parametrize("command", ["solve", "verify"])
-    def test_split_on_an_absent_good_is_precondition_exit(self, capsys, tmp_path, command):
-        # sum(x) against the 3-node path's cost trades (1, 0, 1); the split weighs good 2
+    def test_boundary_trade_splits_over_the_goods_bought(self, capsys, tmp_path, command):
+        # sum(x) against the 3-node path's cost trades (1, 0, 1), an
+        # independent set that costs nothing: the split is even over goods 1
+        # and 3, zero on good 2
         cfg = {
             "value": {"kind": "affine", "weights": [1.0] * 3},
             "cost": {"kind": "graph_min_cost", "graph": {"node_count": 3, "edges": [[1, 2], [2, 3]]}},
             "domain": {"upper": [1.0] * 3},
-            "solver": {"lambda_split": [0.25, 0.5, 0.25]},
         }
-        path = tmp_path / "path3_split.json"
+        path = tmp_path / "path3.json"
         path.write_text(json.dumps(cfg))
         code, out, err = run_cli(capsys, command, str(path))
-        assert (code, out) == (2, "")
-        assert err == "precondition violated: payment split puts weight on an absent good\n"
-        cfg["solver"]["lambda_split"] = [0.25, 0.0, 0.75]
-        path.write_text(json.dumps(cfg))
-        code, out, err = run_cli(capsys, command, str(path))
-        assert code == 0 and err == "" and "bundle          1, 0, 1" in out
+        assert code == 0 and err == ""
+        assert "bundle          1, 0, 1\n" in out
+        assert "price split     0.5, 0, 0.5\n" in out
+        assert "total payment   0\n" in out and "unit prices     0, 0, 0\n" in out
 
     def test_beyond_the_corner_cap_is_precondition_exit(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "solve", str(_linear_graph_game(tmp_path, 21)))
@@ -467,13 +458,15 @@ MIXED_GAME = {
         ],
     },
     "domain": {"upper": [3.0]},
-    "solver": {"grid_points": {"1": 101}, "ray_grid_n": 101},
+    "solver": {"grid_points": {"1": 101}},
 }
 
 NODE = ("value", "children", 0)
 AFFINE = ("cost", "children", 1, "child", "pieces", 0)
 # tolerances and refinement counts that used to be solver options
-REMOVED_OPTIONS = ("refine_passes", "refine_top_k", "golden_tol", "tie_tol", "bundle_tol", "no_trade_tol")
+REMOVED_OPTIONS = (
+    "refine_passes", "refine_top_k", "golden_tol", "tie_tol", "bundle_tol", "no_trade_tol", "ray_grid_n", "lambda_split"
+)
 # (path into MIXED_GAME, the value put there, a text the one stderr line must hold)
 MALFORMED = {
     "config_list": ((), [1, 2], "config must be a JSON object"),
@@ -517,8 +510,8 @@ MALFORMED = {
     "grid_points_list": (("solver", "grid_points"), [101], "grid_points"),
     "grid_points_bool": (("solver", "grid_points"), {"1": True}, "grid_points"),
     "grid_points_one": (("solver", "grid_points"), {"1": 1}, "grid_points"),
-    "ray_grid_n_string": (("solver", "ray_grid_n"), "101", "ray_grid_n"),
-    "ray_grid_n_float": (("solver", "ray_grid_n"), 101.0, "ray_grid_n"),
+    "ray_grid_n_string": (("solver", "ray_grid_n"), "101", "unknown solver options: ['ray_grid_n']"),
+    "ray_grid_n_float": (("solver", "ray_grid_n"), 101.0, "unknown solver options: ['ray_grid_n']"),
     # a removed option is refused by name, whatever its value
     "refine_passes_bool": (("solver", "refine_passes"), True, "unknown solver options: ['refine_passes']"),
     "refine_top_k_zero": (("solver", "refine_top_k"), 0, "unknown solver options: ['refine_top_k']"),
@@ -526,8 +519,8 @@ MALFORMED = {
     "tie_tol_string": (("solver", "tie_tol"), "1e-8", "unknown solver options: ['tie_tol']"),
     "bundle_tol_inf": (("solver", "bundle_tol"), math.inf, "unknown solver options: ['bundle_tol']"),
     "no_trade_tol_negative": (("solver", "no_trade_tol"), -1.0, "unknown solver options: ['no_trade_tol']"),
-    "lambda_split_string": (("solver", "lambda_split"), "1", "lambda_split"),
-    "lambda_split_bool": (("solver", "lambda_split"), [True], "lambda_split"),
+    "lambda_split_string": (("solver", "lambda_split"), "1", "unknown solver options: ['lambda_split']"),
+    "lambda_split_bool": (("solver", "lambda_split"), [True], "unknown solver options: ['lambda_split']"),
     "unknown_option": (("solver", "seed"), 0, "unknown solver options"),
 }
 
@@ -569,11 +562,7 @@ class TestMalformedConfigs:
         assert_one_line_refusal(code, out, err)
         assert says in err
 
-    @pytest.mark.parametrize(
-        "path, value",
-        [(("solver", "ray_grid_n"), 10**12), (("solver", "grid_points"), {"1": 2 * 10**10})],
-        ids=["ray_grid_n", "grid_points"],
-    )
+    @pytest.mark.parametrize("path, value", [(("solver", "grid_points"), {"1": 2 * 10**10})], ids=["grid_points"])
     def test_oversized_arrays_are_an_input_exit(self, run_capped, tmp_path, path, value):
         # each run has a 512 MB address-space cap, so nothing is really allocated
         config = _game_config(tmp_path, path, value)
@@ -766,14 +755,8 @@ class TestVerifyCommand:
 
 @st.composite
 def solver_configs(draw):
-    """`SolverConfig`s over every field: grid densities by dimension, the
-    ray grid and a payment split (as a tuple or list) or none."""
-    grid_points = draw(st.dictionaries(st.integers(1, 60), st.integers(2, 10**6), max_size=6))
-    split = None
-    if draw(st.booleans()):
-        weights = draw(st.lists(st.floats(0.0, 1e3), min_size=1, max_size=6).filter(lambda w: sum(w) > 0))
-        split = draw(st.sampled_from([tuple, list]))(w / math.fsum(weights) for w in weights)
-    return SolverConfig(grid_points=grid_points, ray_grid_n=draw(st.integers(2, 10**6)), lambda_split=split)
+    """`SolverConfig`s over their one field, the grid densities by dimension."""
+    return SolverConfig(grid_points=draw(st.dictionaries(st.integers(1, 60), st.integers(2, 10**6), max_size=6)))
 
 
 class TestConfigRoundTrip:
@@ -787,10 +770,9 @@ class TestConfigRoundTrip:
             ProblemConfig.from_dict({"value": {}, "cost": {}, "domain": {}, "extra": 1})
 
     @settings(derandomize=True, deadline=None, max_examples=60)
-    @given(solver_configs())
-    def test_solver_config_round_trips(self, cfg):
+    @given(solver_configs(), st.integers(1, 6))
+    def test_solver_config_round_trips(self, cfg, d):
         assert SolverConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
-        d = len(cfg.lambda_split) if cfg.lambda_split is not None else 2
         game = ProblemConfig(
             value=padd.PowerSum((1.0,) * d, (0.5,) * d),
             cost=padd.PowerSum((1.0,) * d, (2.0,) * d),

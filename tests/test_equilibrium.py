@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from padd import (
     MinOfAffine,
     Sum,
     BoxDomain,
-    DimensionError,
     EquilibriumOutcome,
     Leontief,
     PowerSum,
@@ -22,6 +21,7 @@ from padd import (
     bregman,
     equivalence_check,
     fixed_bundle_outcome,
+    optimal_price_family,
     seller_optimal_linear_price,
     solve_auto,
     solve_concave,
@@ -39,7 +39,7 @@ from padd.instances import (
 )
 from padd import equilibrium, gridopt, response
 from padd.equilibrium import _maximize
-from padd.raygeom import ray_payment_batch, ray_payment_floor
+from padd.raygeom import DEFAULT_GRID_N, ray_payment_batch, ray_payment_floor, ray_slope_sup
 
 SQRT = PowerSum((1.0,), (0.5,))
 
@@ -530,17 +530,16 @@ class TestVerification:
         report = verify_equilibrium(out, SQRT, SQRT, box)
         assert report.vacuous and report.passed
 
-    def test_custom_split_respected(self):
+    def test_even_split_prices_the_payment(self):
         v, c, box = (
             PowerSum((8.0, 4.0), (0.5, 0.5)),
             PowerSum((1.0, 0.5), (2.0, 2.0)),
             BoxDomain(np.array([5.0, 5.0])),
         )
-        cfg = SolverConfig(lambda_split=(0.25, 0.75))
-        out = solve_auto(v, c, box, cfg)
+        out = solve_auto(v, c, box)
+        assert out.price_split.tolist() == [0.5, 0.5]
         assert abs(float(out.unit_prices @ out.bundle) - out.payment) < 1e-12
-        report = verify_equilibrium(out, v, c, box, cfg=cfg)
-        assert report.passed
+        assert verify_equilibrium(out, v, c, box).passed
 
 
 class TestVerifyAcceptsSolvedGames:
@@ -614,22 +613,16 @@ METHODS = [equilibrium.METHOD_GENERAL, equilibrium.METHOD_CONVEX, equilibrium.ME
 @st.composite
 def outcomes(draw):
     """Trade and no-trade outcomes with 1-4 goods, signed zeros and
-    subnormals in the bundle, and a simplex split over the support."""
+    subnormals in the bundle and the payment."""
     d = draw(st.integers(1, 4))
     coordinate = st.one_of(st.sampled_from([0.0, -0.0, *SUBNORMALS]), st.floats(1e-3, 1e3))
     bundle = np.array(draw(st.lists(coordinate, min_size=d, max_size=d)))
-    split = np.array(draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=d, max_size=d)))
-    support = bundle > 0
-    if support.any():
-        raw = np.array(draw(st.lists(st.one_of(st.sampled_from([0.0, *SUBNORMALS]), st.floats(1e-3, 1.0)),
-                                     min_size=int(support.sum()), max_size=int(support.sum()))))
-        raw[draw(st.integers(0, raw.size - 1))] += 1.0  # a simplex needs a positive weight
-        split[support] = raw / raw.sum()
+    if np.any(bundle > 0):
         payment = draw(st.one_of(st.sampled_from([0.0, -0.0, *SUBNORMALS]), st.floats(1e-3, 1e3)))
     else:
         payment = draw(st.sampled_from([0.0, -0.0]))
     real = st.one_of(st.sampled_from([0.0, -0.0, *SUBNORMALS]), st.floats(-1e3, 1e3))
-    return EquilibriumOutcome(bundle, payment, split, draw(real), draw(real), draw(st.sampled_from(METHODS)))
+    return EquilibriumOutcome(bundle, payment, draw(real), draw(real), draw(st.sampled_from(METHODS)))
 
 
 class TestOutcomeSerialization:
@@ -641,11 +634,18 @@ class TestOutcomeSerialization:
         assert json.dumps(back.to_dict()) == text
         assert back.trade == out.trade
 
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(outcomes())
+    def test_drawn_split_is_even_over_the_goods_bought(self, out):
+        support = out.bundle > 0
+        want = np.where(support, 1.0 / max(int(support.sum()), 1), 0.0)
+        assert out.price_split.tobytes() == want.tobytes()
+
     def test_a_subnormal_amount_prices_without_a_warning(self):
         # its unit price overflows to inf; a good with no weight still costs 0
         bundle = np.array([5e-324, 2.0])
-        assert EquilibriumOutcome(bundle, 1.0, np.array([0.0, 1.0]), 0.0, 1.0, "grid").unit_prices.tolist() == [0.0, 0.5]
-        assert EquilibriumOutcome(bundle, 1.0, np.array([0.5, 0.5]), 0.0, 1.0, "grid").unit_prices.tolist() == [math.inf, 0.25]
+        assert EquilibriumOutcome(bundle, 1.0, 0.0, 1.0, "grid").unit_prices.tolist() == [math.inf, 0.25]
+        assert optimal_price_family(bundle, 1.0, [0.0, 1.0]).tolist() == [0.0, 0.5]
 
     def test_round_trip(self):
         v, c, box = convex_cost_demo()
@@ -658,16 +658,24 @@ class TestOutcomeSerialization:
 
     @staticmethod
     def outcomes():
-        # a trade, no trade, a boundary outcome with an absent good, a custom split, a fixed bundle
+        # a trade, no trade, a boundary outcome with an absent good, a trade of two goods, a fixed bundle
         v, c, box = convex_cost_demo()
         two = (PowerSum((8.0, 4.0), (0.5, 0.5)), PowerSum((1.0, 0.5), (2.0, 2.0)), BoxDomain(np.array([5.0, 5.0])))
         return {
             "trade": solve_auto(v, c, box),
             "no_trade": solve_auto(SQRT, SQRT, BoxDomain(np.array([100.0]))),
             "boundary": solve_concave(Affine((1.0, 1.0, 1.0), 0.0), GraphMinCost(path_graph(3)), BoxDomain(np.ones(3))),
-            "split": solve_auto(*two, SolverConfig(lambda_split=(0.25, 0.75))),
+            "two_goods": solve_auto(*two),
             "fixed_bundle": fixed_bundle_outcome(v, c, (4.0,)),
         }
+
+    @pytest.mark.parametrize("name", ["boundary", "two_goods", "no_trade"])
+    def test_dict_round_trip_is_identical(self, name):
+        # a trade with an absent good, a trade of every good, no trade
+        out = self.outcomes()[name]
+        back = EquilibriumOutcome.from_dict(out.to_dict())
+        assert back.to_dict() == out.to_dict()
+        assert back.price_split.tobytes() == out.price_split.tobytes()
 
     def test_json_round_trip_is_byte_identical(self):
         for name, out in self.outcomes().items():
@@ -684,51 +692,29 @@ class TestOutcomeSerialization:
             assert out.imitative.values(xs).tolist() == want.tolist(), name
 
     def test_derived_keys_are_not_read(self):
-        # a file whose commitment or unit prices disagree with its bundle
-        # loads the commitment and prices of the bundle it traded
-        out = self.outcomes()["split"]
+        # a file whose commitment, split or unit prices disagree with its
+        # bundle loads the commitment, split and prices of the bundle it traded
+        out = self.outcomes()["two_goods"]
         obj = out.to_dict()
         obj["imitative"] = {"anchor": [9.0, 9.0], "payment": 1.0}
+        obj["price_split"] = [0.25, 0.75]
         obj["unit_prices"] = [1.0, 2.0]
         assert EquilibriumOutcome.from_dict(obj).to_dict() == out.to_dict()
 
     @pytest.mark.parametrize(
-        "bundle, payment, split, says",
+        "bundle, payment, says",
         [
-            ([1.0], -1.0, [1.0], "payment must be non-negative"),
-            ([math.nan], 1.0, [1.0], "bundle coordinates must be finite"),
-            ([0.0, 0.0], 2.0, [0.5, 0.5], "positive payment needs a non-zero bundle"),
-            ([4.0], 32.0, [0.5, 0.5], "price split has 2 weights for 1 goods"),
-            # the convex demo's `padd solve --json` with its split edited
-            ([4.0], 32.0, [0.5], "split weights must be non-negative and sum to 1"),
-            ([2.0, 4.0], 6.0, [1.5, -0.5], "split weights must be non-negative and sum to 1"),
-            # the support's weights form a simplex, but the absent good has one too
-            ([2.0, 0.0], 6.0, [1.0, 0.5], "payment split puts weight on an absent good"),
-            ([2.0, 0.0], 6.0, [1.0, math.nan], "payment split puts weight on an absent good"),
-            ([0.0, 0.0], 0.0, [0.5, 0.5], "payment split puts weight on an absent good"),
+            ([1.0], -1.0, "payment must be non-negative"),
+            ([math.nan], 1.0, "bundle coordinates must be finite"),
+            ([0.0, 0.0], 2.0, "positive payment needs a non-zero bundle"),
         ],
-        ids=["negative_payment", "nan_bundle", "payment_without_trade", "split_length", "split_sum", "split_negative",
-             "split_on_absent_good", "nan_split_on_absent_good", "split_without_trade"],
+        ids=["negative_payment", "nan_bundle", "payment_without_trade"],
     )
-    def test_from_dict_refuses_an_inconsistent_outcome(self, bundle, payment, split, says):
+    def test_from_dict_refuses_an_inconsistent_outcome(self, bundle, payment, says):
         obj = self.outcomes()["trade"].to_dict()
-        obj.update(bundle=bundle, payment=payment, price_split=split)
+        obj.update(bundle=bundle, payment=payment)
         with pytest.raises(PreconditionError, match=says):
             EquilibriumOutcome.from_dict(obj)
-
-    @pytest.mark.parametrize("value", [SQRT, Scale(4.0, SQRT)], ids=["no_trade", "trade"])
-    @pytest.mark.parametrize("solver", [solve_general, solve_concave, solve_auto])
-    def test_split_of_wrong_length_rejected(self, value, solver):
-        cfg = SolverConfig(lambda_split=(0.5, 0.5))
-        with pytest.raises(DimensionError, match="payment split has 2 weights for 1 goods"):
-            solver(value, SQRT, BoxDomain([100.0]), cfg)
-
-    def test_split_on_absent_good_rejected(self):
-        g = path_graph(3)
-        v = Affine((1.0, 1.0, 1.0), 0.0)
-        cfg = SolverConfig(lambda_split=(0.0, 1.0, 0.0))
-        with pytest.raises(PreconditionError):
-            solve_concave(v, GraphMinCost(g), BoxDomain(np.ones(3)), cfg)
 
     def test_zero_weight_on_an_absent_good_round_trips(self):
         out = self.outcomes()["boundary"]
@@ -848,7 +834,7 @@ class TestGeneralShapeCost:
 
 REMOVED_OPTIONS = {
     "refine_top_k", "refine_passes", "golden_tol", "tie_tol", "bundle_tol", "no_trade_tol",
-    "eps_limit", "vertex_enumeration",
+    "eps_limit", "vertex_enumeration", "ray_grid_n", "lambda_split",
 }
 
 
@@ -888,8 +874,8 @@ class TestSolverConfigValidation:
         (name, value), = option.items()
         if name in REMOVED_OPTIONS:
             # no longer options: tolerances, refinement counts and the ray
-            # grid's end are module constants, and the solver derives corner
-            # enumeration from the game's shapes
+            # grid are module constants, the solver derives corner
+            # enumeration from the game's shapes and the outcome its split
             with pytest.raises(TypeError):
                 SolverConfig(**option)
             with pytest.raises(ValueError, match=rf"unknown solver options: \['{name}'\]"):
@@ -906,19 +892,23 @@ class TestSolverConfigValidation:
         with pytest.raises(ValueError, match="solver option grid_points "):
             SolverConfig.from_dict({"grid_points": {"1.5": 2001}})
 
+    def test_grid_points_is_the_one_field(self):
+        assert [f.name for f in fields(SolverConfig)] == ["grid_points"]
+        assert SolverConfig().to_dict() == {"grid_points": {"1": 2001, "2": 201, "3": 51, "4": 21}}
+
     def test_defaults_and_round_trip_accepted(self):
-        cfg = SolverConfig(ray_grid_n=2, lambda_split=(0.25, 0.75))
-        assert SolverConfig.from_dict(cfg.to_dict()).to_dict() == cfg.to_dict()
+        for cfg in (SolverConfig(), SolverConfig(grid_points={1: 3, 7: 2})):
+            assert SolverConfig.from_dict(cfg.to_dict()) == cfg
 
 
-def _general_objective(v, c, cfg):
+def _general_objective(v, c):
     """The buyer's objective and its upper bound, as `solve_general` builds them."""
 
     def batch(xs):
-        return v.values(xs) - ray_payment_batch(c, xs, cfg.ray_grid_n)
+        return v.values(xs) - ray_payment_batch(c, xs)
 
     def bound(xs):
-        return v.values(xs) - ray_payment_floor(c, xs, cfg.ray_grid_n)
+        return v.values(xs) - ray_payment_floor(c, xs)
 
     return batch, bound
 
@@ -953,6 +943,19 @@ TIGHT_2D = (
 )
 
 
+class TestDefaultRayGrid:
+    """Solves and fixed bundles pay the ray-slope supremum on `raygeom`'s
+    own grid, which no option changes."""
+
+    @pytest.mark.parametrize("instance", [MIXED_1D, KINKED_1D, MIXED_2D], ids=["mixed_1d", "kinked_1d", "mixed_2d"])
+    def test_payments_are_the_default_grid_supremum(self, instance):
+        v, c, box, grid = instance
+        out = solve_general(v, c, box, SolverConfig(grid_points=grid))
+        assert out.trade and np.all(out.bundle > 0)
+        assert out.payment == float(ray_payment_batch(c, out.bundle[None, :], DEFAULT_GRID_N)[0])
+        assert fixed_bundle_outcome(v, c, out.bundle).payment == ray_slope_sup(c, out.bundle, DEFAULT_GRID_N)
+
+
 class TestPrunedGrid:
     @pytest.mark.parametrize("instance", [MIXED_1D, KINKED_1D, MIXED_2D], ids=["mixed_1d", "kinked_1d", "mixed_2d"])
     @pytest.mark.parametrize("top_k", [1, 3], ids=["top1", "top3"])
@@ -960,7 +963,7 @@ class TestPrunedGrid:
         v, c, box, grid = instance
         monkeypatch.setattr(equilibrium, "REFINE_TOP_K", top_k)
         cfg = SolverConfig(grid_points=grid)
-        batch, bound = _general_objective(v, c, cfg)
+        batch, bound = _general_objective(v, c)
         x_all, best_all = _maximize(batch, box, cfg)
         x_pruned, best_pruned = _maximize(batch, box, cfg, bound_batch=bound)
         assert x_pruned.tobytes() == x_all.tobytes()
@@ -1016,7 +1019,7 @@ class TestPrunedGrid:
     def test_bound_is_above_objective(self, instance):
         v, c, box, grid = instance
         cfg = SolverConfig(grid_points=grid)
-        batch, bound = _general_objective(v, c, cfg)
+        batch, bound = _general_objective(v, c)
         pts = box.grid(cfg.points(box.dim))
         assert np.all(bound(pts) >= batch(pts))
 
@@ -1063,7 +1066,7 @@ class TestPrunedGrid:
     def test_tight_bound_equals_objective(self, instance):
         v, c, box, grid = instance
         cfg = SolverConfig(grid_points=grid)
-        batch, bound = _general_objective(v, c, cfg)
+        batch, bound = _general_objective(v, c)
         pts = box.grid(cfg.points(box.dim))
         assert np.array_equal(bound(pts), batch(pts))
 
@@ -1074,7 +1077,7 @@ class TestPrunedGrid:
         v, c, box, grid = instance
         monkeypatch.setattr(equilibrium, "REFINE_TOP_K", top_k)
         cfg = SolverConfig(grid_points=grid)
-        batch, bound = _general_objective(v, c, cfg)
+        batch, bound = _general_objective(v, c)
         x_all, best_all = _maximize(batch, box, cfg)
         x_pruned, best_pruned = _maximize(batch, box, cfg, bound_batch=bound)
         assert x_pruned.tobytes() == x_all.tobytes()
@@ -1085,7 +1088,7 @@ class TestPrunedGrid:
         # so REFINE_TOP_K = 2 cuts through a tie that the pruning must respect
         v, c, box, grid = TIGHT_2D
         cfg = SolverConfig(grid_points=grid)
-        batch, _ = _general_objective(v, c, cfg)
+        batch, _ = _general_objective(v, c)
         pts = box.grid(cfg.points(box.dim))
         vals = batch(pts)
         top = np.argsort(-vals, kind="stable")[:3]

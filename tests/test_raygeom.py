@@ -720,7 +720,7 @@ class TestPaymentFloor:
                         nan = pts[np.isnan(ray_payment_floor(c, pts, grid_n)), 0]
                         assert set(nan.tolist()) <= set(evaluated)
                         nan_rows += nan.size
-                        cfg = SolverConfig(grid_points={1: 65}, ray_grid_n=grid_n)
+                        cfg = SolverConfig(grid_points={1: 65})
                         x_all, best_all = _maximize(objective, box, cfg)
                         x_pruned, best_pruned = _maximize(objective, box, cfg, bound_batch=bound)
                         assert x_pruned.tobytes() == x_all.tobytes()

@@ -410,6 +410,42 @@ class TestRankedSellerSearch:
         assert sol.revenue == float(sol.price @ sol.bundle) - c.value(sol.bundle)
 
 
+class TestRefinementObjective:
+    """`_refine`'s revenue objective takes one `gradient_batch` per batch,
+    and every row keeps the bits of the one-row `grad_max_info(x) @ x - c(x)`
+    that the refinement used before; a sum in another order (`einsum`, a
+    column sum) differs from `p @ x` in about a third of the rows."""
+
+    @pytest.mark.parametrize("family", sorted(KINKED_REPORTS))
+    def test_rows_keep_the_bits_of_one_row_revenue(self, monkeypatch, family):
+        batches = []
+        refine = response.coordinate_refine
+
+        def recording(f, *args):
+            def objective(xs):
+                out = f(xs)
+                batches.append((u, c, xs.copy(), out))
+                return out
+
+            return refine(objective, *args)
+
+        monkeypatch.setattr(response, "coordinate_refine", recording)
+        cfg = SolverConfig(grid_points={1: 21, 2: 21, 3: 21, 4: 21})
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            u = KINKED_REPORTS[family](rng, 1 + seed % 3)
+            c = PowerSum(rng.uniform(0.1, 1.0, u.dim), rng.choice([1.0, 1.5, 2.0], u.dim))
+            if response._anchored_form(u) is None:
+                seller_optimal_linear_price(u, c, BoxDomain(rng.choice([1.0, 2.0, 3.0, 5.0], u.dim)), cfg)
+        assert {xs.shape[1] for _, _, xs, _ in batches} >= {2, 3}
+        for u, c, xs, out in batches:
+            want = []
+            for x in xs:
+                p = u.grad_max_info(x)
+                want.append(p @ x - c.value(x) if np.all(np.isfinite(p)) else -np.inf)
+            assert out.tobytes() == np.array(want).tobytes()
+
+
 class TestKinkedNonAnchoredReport:
     def test_graph_cost_report_yields_verified_or_zero(self):
         # a concave piecewise-linear report that is neither anchored nor a
