@@ -82,7 +82,7 @@ class EquilibriumOutcome:
 
     def __post_init__(self):
         self.bundle = as_bundle(self.bundle)
-        if self.payment < 0:
+        if not self.payment >= 0:  # NaN too
             raise PreconditionError("payment must be non-negative")
         if self.payment > 0 and not self.trade:
             raise PreconditionError("positive payment needs a non-zero bundle")
@@ -320,13 +320,16 @@ def _trade_outcome(
     method: str,
 ) -> EquilibriumOutcome:
     bundle = np.where(bundle > 0, bundle, 0.0)
-    if not np.any(bundle > 0):
-        return _no_trade(bundle.size, method)
+    with np.errstate(over="ignore", invalid="ignore"):
+        surplus, revenue = v.value(bundle) - payment, payment - c.value(bundle)
+    # both payoffs are finite exactly when the value, the cost and the payment are
+    if not np.all(np.isfinite([payment, surplus, revenue])):
+        raise PreconditionError("value, cost and payment must be finite at the trade bundle (they overflow there)")
     return EquilibriumOutcome(
         bundle=bundle,
         payment=payment,
-        buyer_surplus=v.value(bundle) - payment,
-        seller_revenue=payment - c.value(bundle),
+        buyer_surplus=surplus,
+        seller_revenue=revenue,
         method=method,
     )
 
@@ -418,7 +421,9 @@ def fixed_bundle_outcome(v: FunctionExpr, c: FunctionExpr, xbar) -> EquilibriumO
     xbar = as_bundle(xbar, v.dim)
     if np.any(xbar <= 0):
         raise PreconditionError("fixed bundle must be strictly positive in every coordinate")
-    return _trade_outcome(v, c, xbar, ray_slope_sup(c, xbar), METHOD_FIXED)
+    with np.errstate(over="ignore", invalid="ignore"):  # `_trade_outcome` refuses what overflows
+        payment = ray_slope_sup(c, xbar)
+    return _trade_outcome(v, c, xbar, payment, METHOD_FIXED)
 
 
 # --- verification ----------------------------------------------------------

@@ -7,8 +7,8 @@ the revenue-maximizing linear price against a reported value function; a
 candidate price is kept only when the buyer's best response against it is
 self-consistent with the supergradient condition that generated it.
 
-An anchored report, worth `level * min(min_i x_i / a_i, 1)`, is one ray
-problem: against a monotone price, a bundle's projection onto the
+An anchored report, a `Leontief` worth `level * min(min_i x_i / a_i, 1)`,
+is one ray problem: against a monotone price, a bundle's projection onto the
 anchor's ray has the same value, costs no more and stays in the box.  So
 an indifferent buyer, the linear-price seller and the all-concave seller
 (`concavepricing.best_concave_price`) all take `_ray_pick`, the
@@ -30,7 +30,6 @@ from .funcs import (
     BoxDomain,
     FunctionExpr,
     Leontief,
-    MinOfAffine,
     PowerSum,
     Scale,
     Shape,
@@ -157,42 +156,13 @@ def _separable(u: FunctionExpr) -> bool:
 
 
 def _anchored_form(u: FunctionExpr) -> tuple[np.ndarray, float] | None:
-    """Recognize `level * min_i(x_i / anchor_i, 1)` shapes, zeros allowed.
-
-    Anchors with zero coordinates (absent goods) arise from equilibrium
-    bundles on the boundary.  Besides `Leontief`, a min of single-coordinate
-    affine pieces plus a constant cap is the same function and is
-    recognized too.
-    """
+    """(anchor, level) of a `Leontief`, `level * min_i(x_i / anchor_i, 1)`
+    with zero anchor coordinates for absent goods (equilibrium bundles on
+    the boundary); None for every other node, which searches as the
+    concave report it is."""
     if isinstance(u, Leontief):
         return np.asarray(u.anchor, dtype=float), u.level
-    if not isinstance(u, MinOfAffine):
-        return None
-    level = None
-    slopes: dict[int, float] = {}
-    for piece in u.pieces:
-        w = np.asarray(piece.weights)
-        nz = np.nonzero(w)[0]
-        if nz.size == 0:
-            if level is not None:
-                return None
-            level = piece.intercept
-        elif nz.size == 1 and piece.intercept == 0.0:
-            i = int(nz[0])
-            if i in slopes:
-                return None
-            slopes[i] = float(w[i])
-        else:
-            return None
-    # a zero level would anchor at the origin, a ray with no support
-    if level is None or level <= 0 or not slopes:
-        return None
-    anchor = np.zeros(u.dim)
-    for i, w in slopes.items():
-        if w <= 0:
-            return None
-        anchor[i] = level / w
-    return anchor, float(level)
+    return None
 
 
 def _ray_limit(anchor: np.ndarray, domain: BoxDomain) -> float:
@@ -304,12 +274,13 @@ def seller_optimal_linear_price(
 ) -> SellerSolution:
     """Revenue-maximizing linear price against the reported value `u`.
 
-    Candidate prices are supergradients of `u` at candidate rows (for an
-    anchored `u`, the one supergradient at its `_ray_pick`).  For each
+    Candidate prices are supergradients of `u` at candidate rows.  For each
     distinct candidate the buyer's best response is computed and the pair
     (response bundle, supergradient at the response) is kept when provably
     self-consistent; the best-revenue pair wins, falling back to zero trade
-    whenever even the best verified revenue is negative.
+    whenever even the best verified revenue is negative.  An anchored `u`
+    (a `Leontief`) has one candidate, the supergradient at its
+    `_ray_pick`, whose response is that pick: one ray search per call.
 
     The buyer's response to `p` has `p` in the superdifferential of `u`
     there (Rockafellar, *Convex Analysis*, 1970, Thm 23.5), so a consistent
@@ -347,12 +318,11 @@ def seller_optimal_linear_price(
     if anchored is not None:
         # every supergradient vertex charges the level for the anchor, so the
         # seller's trade is its pick on the ray, priced at the supergradient
-        # there; a price that charges exactly the level leaves the buyer
-        # indifferent, and the buyer's response is then this same search
+        # there; that price leaves the buyer indifferent along the ray, and
+        # the seller-favoured tie response is this same pick
         anchor, level = anchored
         x = _ray_pick(anchor, domain, lambda ts: ts[:, 0] * level - c.values(ts * anchor))
-        p = u.grad_max_info(x)
-        try_price(p, x if float(p @ anchor) == level else None)
+        try_price(u.grad_max_info(x), x)
     else:
         n_axis = cfg.points(domain.dim)
         # candidate rows from index 1 on: row 0 is the origin

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -260,6 +261,26 @@ class TestFixedBundle:
         code, out, err = run_cli(capsys, "fixed-bundle", str(CONFIGS / config), "--bundle", "1,2")
         assert code == 2 and out == ""
         assert err == f"precondition violated: bundle has dimension 2, expected {dim}\n"
+
+    @pytest.mark.parametrize("bundle", ["1e200", "1e154"])
+    @pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+    def test_overflowing_commitment_is_precondition_exit(self, capsys, tmp_path, bundle, fmt):
+        # the cost overflows at 1e200, its ray payment at 1e154: both printed
+        # payment inf and buyer surplus -inf (`--json` wrote `Infinity`)
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({
+            "value": {"kind": "power_sum", "coeffs": [1.0], "exponents": [0.5]},
+            "cost": {"kind": "sum", "children": [
+                {"kind": "power_sum", "coeffs": [1.0], "exponents": [2.0]},
+                {"kind": "power_sum", "coeffs": [1.0], "exponents": [0.5]},
+            ]},
+            "domain": {"upper": [1e200]},
+        }))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "fixed-bundle", str(path), "--bundle", bundle, *fmt)
+        assert code == 2 and out == ""
+        assert err == "precondition violated: value, cost and payment must be finite at the trade bundle (they overflow there)\n"
 
 
 class TestHardness:
@@ -522,6 +543,10 @@ MALFORMED = {
     "lambda_split_string": (("solver", "lambda_split"), "1", "unknown solver options: ['lambda_split']"),
     "lambda_split_bool": (("solver", "lambda_split"), [True], "unknown solver options: ['lambda_split']"),
     "unknown_option": (("solver", "seed"), 0, "unknown solver options"),
+    **{
+        f"missing_{name}": ((), {k: v for k, v in MIXED_GAME.items() if k != name}, f"error: config is missing the {name!r} field")
+        for name in ("value", "cost", "domain")
+    },
 }
 
 
@@ -704,6 +729,16 @@ class TestVerifyCommand:
         assert code == 0
         assert "all checks passed" in out
         assert out.count("PASS") == 3
+
+    def test_no_trade_passes_vacuously(self, capsys, tmp_path):
+        # v = c = sqrt(x): the payment is at least the cost, so nothing trades
+        cfg = json.loads((CONFIGS / "concave_demo.json").read_text())
+        cfg["value"] = cfg["cost"]
+        path = tmp_path / "no_trade.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, "verify", str(path))
+        assert code == 0 and err == ""
+        assert "trade           no" in out and out.endswith("\n\nverification: no trade, all checks pass vacuously\n")
 
     def test_general_cost_with_min_of_affine(self, capsys, tmp_path):
         # x^2 + min(3x, 2) has no closed payment form, so the ray grid prices it

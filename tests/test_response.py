@@ -88,7 +88,7 @@ class TestBuyerBestResponse:
         assert np.allclose(x, [0.0])
 
     def test_zero_level_cap_takes_the_concave_path(self):
-        # a zero level would anchor at the origin; the concave search buys nothing at a positive price
+        # no cap is an anchored report; the concave search buys nothing at a positive price
         assert response._anchored_form(ZERO_LEVEL_CAP) is None
         assert buyer_best_response(ZERO_LEVEL_CAP, (0.5,), BOX10, SQUARE).tolist() == [0.0]
 
@@ -173,24 +173,27 @@ class TestRayPick:
         res = best_concave_price(u, c, box)
         assert res.bundle.tolist() == (x if at_pick >= 0.0 else np.zeros(u.dim)).tolist()
 
-    @pytest.mark.parametrize(
-        "u",
-        [
-            Leontief((1.0, 0.0, 2.0, 0.5, 3.0), 4.0),
-            MinOfAffine([Affine((2.0, 0.0, 0.0, 0.0, 0.0), 0.0), Affine((0.0, 0.0, 0.0, 4.0, 0.0), 0.0), Affine((0.0,) * 5, 3.0)]),
-        ],
-        ids=["leontief", "min_of_affine"],
-    )
-    def test_anchored_reports_read_no_grid_density(self, monkeypatch, u):
+    def test_anchored_reports_read_no_grid_density(self, monkeypatch):
         def refuse(cfg, dim):
             raise AssertionError(f"grid density read for dimension {dim}")
 
         monkeypatch.setattr(SolverConfig, "points", refuse)
+        u = Leontief((1.0, 0.0, 2.0, 0.5, 3.0), 4.0)
         c, box = PowerSum((1.0,) * 5, (2.0,) * 5), BoxDomain(np.full(5, 3.0))
         sol = seller_optimal_linear_price(u, c, box)
         assert sol.verified and sol.revenue > 0.0
         res = best_concave_price(u, c, box)
         assert res.revenue > 0.0 and np.max(np.abs(res.bundle - sol.bundle)) <= 1e-6
+
+    def test_a_cap_is_a_concave_report_not_an_anchored_one(self):
+        # min(3x, 2) is the function Leontief((2/3,), 2), searched as any concave report
+        cap, anchored = MinOfAffine([Affine((3.0,), 0.0), Affine((0.0,), 2.0)]), Leontief((2.0 / 3.0,), 2.0)
+        assert response._anchored_form(cap) is None
+        with pytest.raises(PreconditionError, match="anchored commitment"):
+            best_concave_price(cap, SQUARE, BOX10)
+        sol, ref = seller_optimal_linear_price(cap, SQUARE, BOX10), seller_optimal_linear_price(anchored, SQUARE, BOX10)
+        assert sol.verified and ref.verified
+        assert math.isclose(sol.revenue, ref.revenue, rel_tol=1e-9)
 
 
 class TestSellerOptimalLinearPrice:
