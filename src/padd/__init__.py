@@ -25,7 +25,6 @@ from .funcs import (
     as_bundle,
     as_price,
     expr_from_dict,
-    expr_to_dict,
     grad_max_info,
 )
 from .graphs import GraphInstance, parse_graph_json, parse_graph_text

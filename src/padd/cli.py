@@ -29,7 +29,7 @@ from .equilibrium import (
     verify_equilibrium,
 )
 from .errors import PreconditionError
-from .funcs import MAX_ENUM_DIM, BoxDomain, FunctionExpr, as_bundle, expr_from_dict, expr_to_dict
+from .funcs import MAX_ENUM_DIM, BoxDomain, FunctionExpr, as_bundle, expr_from_dict
 from .graphs import GraphInstance, parse_graph_json, parse_graph_text
 from .hardness import brute_force_max, derandomize, mis_brute_force, surplus_U
 from .instances import SCENARIOS, hardness_corpus
@@ -81,24 +81,9 @@ class ProblemConfig:
             )
         return config
 
-    def to_dict(self) -> dict:
-        return {
-            "value": expr_to_dict(self.value),
-            "cost": expr_to_dict(self.cost),
-            "domain": self.domain.to_dict(),
-            "solver": self.solver.to_dict(),
-        }
-
-    @classmethod
-    def from_json_text(cls, text: str) -> "ProblemConfig":
-        return cls.from_dict(json.loads(text))
-
-    def to_json_text(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-
     @classmethod
     def load(cls, path) -> "ProblemConfig":
-        return cls.from_json_text(Path(path).read_text())
+        return cls.from_dict(json.loads(Path(path).read_text()))
 
 
 def _fmt(x: float) -> str:

@@ -211,7 +211,7 @@ def _maximize(obj_batch, domain: BoxDomain, cfg: SolverConfig, bound_batch=None)
     """
     n = cfg.points(domain.dim)
     if bound_batch is None:
-        _, vals, starts, _ = grid_scan(obj_batch, domain.upper, n, REFINE_TOP_K)
+        vals, starts = grid_scan(obj_batch, domain.upper, n, REFINE_TOP_K)
     else:
         rows = partial(grid_rows, domain.upper, n)
         bound = np.concatenate([bound_batch(xs) for _, xs in grid_blocks(domain.upper, n)])
@@ -359,16 +359,18 @@ def _solve(v: FunctionExpr, c: FunctionExpr, domain: BoxDomain, cfg: SolverConfi
         # the payment is at least its first and last grid slopes
         return v.values(xs) - ray_payment_floor(c, xs)
 
-    if v.shape is Shape.LINEAR and c.shape in (Shape.CONCAVE, Shape.LINEAR):
-        corners = domain.vertices()
-        vals = objective(corners)
-        i0 = int(np.nonzero(vals >= vals.max())[0][0])
-        x, best = corners[i0], float(vals[i0])
-    elif c.shape is not Shape.GENERAL and _separable(v) and _separable(c):
-        x, best = _maximize_per_good(objective, domain, cfg)
-    else:
-        # a closed-form payment is its own floor: a bound would only add a full-grid sort
-        x, best = _maximize(objective, domain, cfg, bound if c.shape is Shape.GENERAL else None)
+    # on a large box a row's payment can overflow: it then ranks last (-inf or NaN)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if v.shape is Shape.LINEAR and c.shape in (Shape.CONCAVE, Shape.LINEAR):
+            corners = domain.vertices()
+            vals = objective(corners)
+            i0 = int(np.nonzero(vals >= vals.max())[0][0])
+            x, best = corners[i0], float(vals[i0])
+        elif c.shape is not Shape.GENERAL and _separable(v) and _separable(c):
+            x, best = _maximize_per_good(objective, domain, cfg)
+        else:
+            # a closed-form payment is its own floor: a bound would only add a full-grid sort
+            x, best = _maximize(objective, domain, cfg, bound if c.shape is Shape.GENERAL else None)
     if best <= _NO_TRADE_TOL or not np.any(x > 0):
         return _no_trade(domain.dim, method)
     payment = float(ray_payment_batch(c, x[None, :])[0])

@@ -49,7 +49,6 @@ __all__ = [
     "as_price",
     "grad_max_info",
     "expr_from_dict",
-    "expr_to_dict",
 ]
 
 GRAD_CAP = 1e12
@@ -137,9 +136,6 @@ class BoxDomain:
         shifts = np.arange(self.dim - 1, -1, -1)
         bits = ((masks[:, None] >> shifts[None, :]) & 1).astype(float)
         return bits * self.upper
-
-    def to_dict(self) -> dict:
-        return {"upper": [float(b) for b in self.upper]}
 
     @classmethod
     def from_dict(cls, obj: dict) -> "BoxDomain":
@@ -604,10 +600,6 @@ _KINDS = {
     "scale": lambda d: Scale(_field(d, "factor", _NUMBER), expr_from_dict(_field(d, "child", _OBJECT))),
     "graph_min_cost": lambda d: GraphMinCost(parse_graph_json(_field(d, "graph", _OBJECT))),
 }
-
-
-def expr_to_dict(f: FunctionExpr) -> dict:
-    return f.to_dict()
 
 
 def expr_from_dict(obj: dict) -> FunctionExpr:

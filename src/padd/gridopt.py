@@ -6,12 +6,13 @@ by a fixed schedule.
 
 Grid searches never build the whole `n^d x d` grid.  `grid_blocks` makes
 the rows of one block of `_BLOCK` flat indices at a time straight from the
-per-axis `linspace`s, and `grid_scan` evaluates the objective block by
-block, keeping a running top-k (and, optionally, the rows tied with the
-running max); `grid_rows` regenerates any row from its index.  The rows
-carry the bits of `BoxDomain.grid`, and every catalog node gives a row the
-same bits in any batch, so a scan picks exactly what one evaluation of the
-whole grid picks while holding O(block x d) rows, not O(n^d x d).
+per-axis `linspace`s.  `grid_scan` evaluates the objective block by
+block, keeping a running top-k, and `grid_ties` keeps the rows within a
+tolerance of the running max; `grid_rows` regenerates any row from its
+index.  The rows carry the bits of `BoxDomain.grid`, and every catalog
+node gives a row the same bits in any batch, so a scan picks exactly what
+one evaluation of the whole grid picks while holding O(block x d) rows,
+not O(n^d x d).
 
 `golden_max` advances k brackets in lockstep and `coordinate_refine`
 refines k starts at once.  Each golden step picks its one new position
@@ -30,13 +31,12 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import PreconditionError
 
-__all__ = ["golden_max", "refine_bracket", "coordinate_refine", "axis_rows", "top_k", "grid_rows", "grid_blocks", "grid_scan"]
+__all__ = ["golden_max", "refine_bracket", "coordinate_refine", "axis_rows", "top_k", "grid_rows", "grid_blocks", "grid_scan", "grid_ties"]
 
 # grid rows per block of a streamed grid search
 _BLOCK = 8192
@@ -45,7 +45,6 @@ _MAX_GRID_ROWS = 10**7  # rows of the largest grid a search scans (about 1.5 s a
 REFINE_TOP_K = 3  # best grid cells that a search refines
 REFINE_PASSES = 2  # coordinate passes of a refinement
 _GOLDEN_TOL = 1e-10  # bracket width at which a golden search stops
-_GOLDEN_MAX_STEPS = 200  # cap on the steps of one golden search
 _GOLDEN_LOOKAHEAD = 3  # golden steps that one objective call evaluates ahead
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -83,7 +82,7 @@ def golden_max(f, lo, hi) -> np.ndarray:
         if h <= _GOLDEN_TOL:
             brackets.append([a, h, (a + b) / 2.0, (a + b) / 2.0, 0])
         else:
-            n = min(_GOLDEN_MAX_STEPS, math.ceil(math.log(_GOLDEN_TOL / h) / math.log(_INVPHI)))
+            n = math.ceil(math.log(_GOLDEN_TOL / h) / math.log(_INVPHI))
             brackets.append([a, h, a + _INVPHI2 * h, a + _INVPHI * h, n - 1])
     ylo, yhi, yc, yd = f(np.array([lo, hi, [s[2] for s in brackets], [s[3] for s in brackets]])).tolist()
     for s, y in zip(brackets, zip(yc, yd)):
@@ -245,40 +244,37 @@ def grid_blocks(upper, n: int, start: int = 0):
         yield lo, _rows(axes, np.arange(lo, min(lo + _BLOCK, total)))
 
 
-class GridScan(NamedTuple):
-    """Result of `grid_scan`: the top-k flat indices (best first, ties by
-    index), their values and rows, and the tie pool's rows (or None)."""
-
-    idx: np.ndarray
-    vals: np.ndarray
-    rows: np.ndarray
-    pool: np.ndarray | None
-
-
-def grid_scan(f, upper, n: int, k: int, pool_tol=None) -> GridScan:
-    """Top `k` rows of the batch objective `f` over the grid, block by block.
+def grid_scan(f, upper, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(values, rows) of the top `k` rows of the batch objective `f` over
+    the grid, best first, scanned block by block.
 
     The top-k is `top_k` of the whole grid's values: each block's own top
     k is merged into the running one, which only holds lower indices, so
-    ties keep index order.  With `pool_tol` (a function of the max), the
-    pool holds the rows with `value >= max - pool_tol(max)` in index order;
-    `x - pool_tol(x)` must not decrease in x, so that a row dropped under
-    a running max is also below the final threshold (a NaN max keeps the
-    pool empty, as the whole-grid comparison does).
+    ties keep index order.
     """
     idx, vals = np.zeros(0, dtype=np.intp), np.zeros(0)
-    pool_idx, pool_vals, top = idx, vals, -np.inf
     for lo, rows in grid_blocks(upper, n):
         v = f(rows)
         best = top_k(v, k)
         idx, vals = np.concatenate([idx, lo + best]), np.concatenate([vals, v[best]])
         best = top_k(vals, k)
         idx, vals = idx[best], vals[best]
-        if pool_tol is not None:
-            top = np.maximum(top, v.max())
-            floor = top - pool_tol(top)
-            kept, new = pool_vals >= floor, np.nonzero(v >= floor)[0]
-            pool_idx = np.concatenate([pool_idx[kept], lo + new])
-            pool_vals = np.concatenate([pool_vals[kept], v[new]])
-    pool = None if pool_tol is None else grid_rows(upper, n, pool_idx)
-    return GridScan(idx, vals, grid_rows(upper, n, idx), pool)
+    return vals, grid_rows(upper, n, idx)
+
+
+def grid_ties(f, upper, n: int, tol: float) -> np.ndarray:
+    """The rows of the grid where the batch objective `f` is within `tol` of
+    its maximum (`value >= max - tol`), in index order, scanned block by block.
+
+    A row dropped under the running max is also below the final threshold,
+    which is never lower; a NaN max keeps the pool empty, as the whole-grid
+    comparison does.
+    """
+    idx, vals, top = np.zeros(0, dtype=np.intp), np.zeros(0), -np.inf
+    for lo, rows in grid_blocks(upper, n):
+        v = f(rows)
+        top = np.maximum(top, v.max())
+        floor = top - tol
+        kept, new = vals >= floor, np.nonzero(v >= floor)[0]
+        idx, vals = np.concatenate([idx[kept], lo + new]), np.concatenate([vals[kept], v[new]])
+    return grid_rows(upper, n, idx)

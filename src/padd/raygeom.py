@@ -9,8 +9,9 @@ it:
 For convex differentiable costs the supremum is the (unattained) limit
 `x . grad c(x)`; for concave costs it is attained at a = 0 and equals
 c(x); for anything else it is the largest slope on the fraction grid
-`linspace(0, 1 - 1e-6, grid_n)`, whose fixed last node `1 - _GRID_GAP`
-stands for the limit a -> 1.
+`linspace(0, 1 - 1e-6, GRID_N)`, whose fixed last node `1 - _GRID_GAP`
+stands for the limit a -> 1.  The grid is a constant of this module, not
+an argument: each function reads `GRID_N` when it is called.
 
 On that grid every catalog cost reduces, per bundle x, to a few scalars
 (`_ray_form`): PowerSum and Affine nodes give monomial weights
@@ -69,7 +70,7 @@ from .funcs import FunctionExpr, GraphMinCost, Leontief, MinOfAffine, PowerSum, 
 
 __all__ = ["ray_slope_sup", "bregman"]
 
-DEFAULT_GRID_N = 10001
+GRID_N = 10001  # points of the fraction grid
 # the fraction grid ends at 1 - _GRID_GAP, standing for the limit a -> 1
 _GRID_GAP = 1e-6
 # fraction-grid columns per block of `ray_payment_batch`'s slope bounds
@@ -78,13 +79,13 @@ _BLOCK = 64
 _PAIRS = 4096
 
 
-def ray_slope_sup(c: FunctionExpr, x, grid_n: int = DEFAULT_GRID_N) -> float:
+def ray_slope_sup(c: FunctionExpr, x) -> float:
     """Largest slope of the chord of `t -> c(t*x)` ending at t = 1: the
     payment at one non-zero bundle, `ray_payment_batch` on a one-row batch."""
     x = as_bundle(x, c.dim)
     if not np.any(x > 0):
         raise PreconditionError("ray-slope supremum is undefined at the zero bundle")
-    return float(ray_payment_batch(c, x[None, :], grid_n)[0])
+    return float(ray_payment_batch(c, x[None, :])[0])
 
 
 @lru_cache(maxsize=16)
@@ -96,8 +97,6 @@ def _grid_rows(grid_n: int, exponents: tuple) -> tuple[np.ndarray, ...]:
     One row `q_e(a) = -expm1(e * log a) / (1 - a)` per exponent; `q_e(0) = 1`
     is set directly, without taking log 0, and `q_1 = 1` exactly.
     """
-    if grid_n < 2:
-        raise PreconditionError("fraction grid needs at least 2 points")
     alphas = np.linspace(0.0, 1.0 - _GRID_GAP, grid_n)
     gaps = 1.0 - alphas
     qs = np.ones((len(exponents), grid_n))
@@ -246,7 +245,7 @@ def _closed_payments(c: FunctionExpr, xs: np.ndarray) -> np.ndarray | None:
     return None
 
 
-def ray_payment_batch(c: FunctionExpr, xs: np.ndarray, grid_n: int = DEFAULT_GRID_N) -> np.ndarray:
+def ray_payment_batch(c: FunctionExpr, xs: np.ndarray) -> np.ndarray:
     """Payments on the rows of `xs`.
 
     Exact closed forms are used when the cost's curvature is known;
@@ -260,7 +259,7 @@ def ray_payment_batch(c: FunctionExpr, xs: np.ndarray, grid_n: int = DEFAULT_GRI
     if closed is not None:
         return closed
     form = _ray_form(c)
-    qs, inv, blocks, qhi, ilo = _grid_rows(grid_n, form.exponents)  # refuses a bad grid even when every row is zero
+    qs, inv, blocks, qhi, ilo = _grid_rows(GRID_N, form.exponents)
     scalars = form.scalars(xs)
     # each row's block of largest bound first, then only its blocks whose bound exceeds the best slope found
     bound = form.slopes(scalars, qhi, ilo, np.arange(ilo.size))
@@ -277,8 +276,8 @@ def ray_payment_batch(c: FunctionExpr, xs: np.ndarray, grid_n: int = DEFAULT_GRI
     return np.where(np.any(xs > 0, axis=1), best, 0.0)
 
 
-def ray_payment_floor(c: FunctionExpr, xs: np.ndarray, grid_n: int = DEFAULT_GRID_N) -> np.ndarray:
-    """Row-wise lower bound on `ray_payment_batch(c, xs, grid_n)`, exact in floating point.
+def ray_payment_floor(c: FunctionExpr, xs: np.ndarray) -> np.ndarray:
+    """Row-wise lower bound on `ray_payment_batch(c, xs)`, exact in floating point.
 
     Without a closed form: the larger of the row's a = 0 slope `c(x) - c(0)`
     and its last grid slope (standing for the limit a -> 1), each computed by
@@ -290,8 +289,8 @@ def ray_payment_floor(c: FunctionExpr, xs: np.ndarray, grid_n: int = DEFAULT_GRI
     if closed is not None:
         return closed
     form = _ray_form(c)
-    qs, inv, *_ = _grid_rows(grid_n, form.exponents)
-    floor = form.slopes(form.scalars(xs), qs, inv, [0, grid_n - 1]).max(axis=1)
+    qs, inv, *_ = _grid_rows(GRID_N, form.exponents)
+    floor = form.slopes(form.scalars(xs), qs, inv, [0, -1]).max(axis=1)
     return np.where(np.any(xs > 0, axis=1), floor, 0.0)
 
 

@@ -39,7 +39,7 @@ from .funcs import (
     as_bundle,
     as_price,
 )
-from .gridopt import REFINE_PASSES, axis_rows, coordinate_refine, golden_max, grid_blocks, grid_rows, grid_scan
+from .gridopt import REFINE_PASSES, axis_rows, coordinate_refine, golden_max, grid_blocks, grid_rows, grid_ties
 
 __all__ = [
     "SolverConfig",
@@ -88,9 +88,6 @@ class SolverConfig:
             return int(self.grid_points[dim])
         except KeyError:
             raise PreconditionError(f"no grid density configured for dimension {dim}") from None
-
-    def to_dict(self) -> dict:
-        return {"grid_points": {str(k): int(v) for k, v in self.grid_points.items()}}
 
     @classmethod
     def from_dict(cls, obj: dict) -> "SolverConfig":
@@ -251,8 +248,8 @@ def buyer_best_response(
         return _finish_ties(np.array(list(itertools.product(*per_coord))), u, price, c)
 
     n = cfg.points(domain.dim)
-    scan = grid_scan(lambda xs: _utility(u, price, xs), domain.upper, n, 1, pool_tol=lambda top: _TIE_TOL)
-    return _finish_ties(scan.pool, u, price, c)
+    pool = grid_ties(lambda xs: _utility(u, price, xs), domain.upper, n, _TIE_TOL)
+    return _finish_ties(pool, u, price, c)
 
 
 def _consistent_record(u, p, domain, c, cfg, xbr=None):

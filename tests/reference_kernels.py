@@ -119,7 +119,7 @@ def _golden(lo, hi):
     h = b - a
     if h <= gridopt._GOLDEN_TOL:
         return (a + b) / 2.0
-    n = min(gridopt._GOLDEN_MAX_STEPS, math.ceil(math.log(gridopt._GOLDEN_TOL / h) / math.log(gridopt._INVPHI)))
+    n = math.ceil(math.log(gridopt._GOLDEN_TOL / h) / math.log(gridopt._INVPHI))
     c, d = a + gridopt._INVPHI2 * h, a + gridopt._INVPHI * h
     yc = yield c
     yd = yield d

@@ -41,7 +41,7 @@ from padd.instances import (
 )
 from padd import equilibrium, gridopt, response
 from padd.equilibrium import _maximize
-from padd.raygeom import DEFAULT_GRID_N, ray_payment_batch, ray_payment_floor, ray_slope_sup
+from padd.raygeom import ray_payment_batch, ray_payment_floor, ray_slope_sup
 
 SQRT = PowerSum((1.0,), (0.5,))
 
@@ -787,6 +787,20 @@ class TestInstancePreconditions:
             solve_concave(SQRT, PowerSum((1.0,), (2.0,)), box)
 
 
+class TestLargeBoxes:
+    def test_a_1e100_box_trades_as_the_small_one_does(self):
+        # a golden bracket of width 1e100 runs all its steps down to the tolerance,
+        # so the refinement reaches the trade bundle near 1.842 from the grid's first cell
+        v, c = Scale(20.0, SQRT), PowerSum((1.0,), (2.0,))
+        small = solve_auto(v, c, BoxDomain(np.array([10.0])))
+        box = BoxDomain(np.array([1e100]))
+        big = solve_auto(v, c, box)
+        assert small.trade and big.trade
+        assert math.isclose(big.bundle[0], small.bundle[0], rel_tol=1e-6)
+        assert abs(big.buyer_surplus - small.buyer_surplus) <= 1e-9
+        assert verify_equilibrium(big, v, c, box).passed
+
+
 class TestGeneralShapeCost:
     def test_mixed_curvature_cost_against_oracle(self):
         # cost x^2 + sqrt(x) is neither convex nor concave; check the
@@ -908,11 +922,13 @@ class TestSolverConfigValidation:
 
     def test_grid_points_is_the_one_field(self):
         assert [f.name for f in fields(SolverConfig)] == ["grid_points"]
-        assert SolverConfig().to_dict() == {"grid_points": {"1": 2001, "2": 201, "3": 51, "4": 21}}
+        assert SolverConfig().grid_points == {1: 2001, 2: 201, 3: 51, 4: 21}
 
     def test_defaults_and_round_trip_accepted(self):
         for cfg in (SolverConfig(), SolverConfig(grid_points={1: 3, 7: 2})):
-            assert SolverConfig.from_dict(cfg.to_dict()) == cfg
+            obj = {"grid_points": {str(d): n for d, n in cfg.grid_points.items()}}  # JSON object keys are strings
+            assert SolverConfig.from_dict(json.loads(json.dumps(obj))) == cfg
+        assert SolverConfig.from_dict({}) == SolverConfig()
 
 
 def _general_objective(v, c):
@@ -966,8 +982,8 @@ class TestDefaultRayGrid:
         v, c, box, grid = instance
         out = solve_general(v, c, box, SolverConfig(grid_points=grid))
         assert out.trade and np.all(out.bundle > 0)
-        assert out.payment == float(ray_payment_batch(c, out.bundle[None, :], DEFAULT_GRID_N)[0])
-        assert fixed_bundle_outcome(v, c, out.bundle).payment == ray_slope_sup(c, out.bundle, DEFAULT_GRID_N)
+        assert out.payment == float(ray_payment_batch(c, out.bundle[None, :])[0])
+        assert fixed_bundle_outcome(v, c, out.bundle).payment == ray_slope_sup(c, out.bundle)
 
 
 class TestPrunedGrid:

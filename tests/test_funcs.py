@@ -17,7 +17,6 @@ from padd import (
     Shape,
     Sum,
     expr_from_dict,
-    expr_to_dict,
     grad_max_info,
 )
 from padd.funcs import GRAD_CAP
@@ -276,14 +275,14 @@ class TestGradient:
 class TestSerialization:
     def test_round_trip_bit_faithful(self):
         for f in catalog_instances():
-            blob = json.dumps(expr_to_dict(f))
+            blob = json.dumps(f.to_dict())
             back = expr_from_dict(json.loads(blob))
-            assert expr_to_dict(back) == expr_to_dict(f)
-            assert json.dumps(expr_to_dict(back)) == blob
+            assert back.to_dict() == f.to_dict()
+            assert json.dumps(back.to_dict()) == blob
 
     def test_round_trip_preserves_values(self, rng):
         for f in catalog_instances():
-            back = expr_from_dict(json.loads(json.dumps(expr_to_dict(f))))
+            back = expr_from_dict(json.loads(json.dumps(f.to_dict())))
             xs = sample_box(domain_for(f), rng, 20)
             assert np.array_equal(back.values(xs), f.values(xs))
 
@@ -318,7 +317,7 @@ class TestLeontiefAbsentGoods:
         assert np.array_equal(grad_max_info(self.U, (3.0, 1.0, 5.0)), [0.0, 0.0, 0.0])
 
     def test_json_round_trip(self):
-        blob = json.dumps(expr_to_dict(self.U))
+        blob = json.dumps(self.U.to_dict())
         back = expr_from_dict(json.loads(blob))
         assert back.anchor == (2.0, 0.0, 4.0) and back.level == 6.0
         xs = sample_box(BoxDomain(np.full(3, 5.0)), np.random.default_rng(3), 50)

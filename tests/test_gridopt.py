@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 from padd import Affine, BoxDomain, Leontief, MinOfAffine, PowerSum, PreconditionError, SolverConfig, Sum, solve_auto
 from padd import best_concave_price, buyer_best_response, seller_optimal_linear_price, solve_general
 from padd import concavepricing, equilibrium, gridopt, response
-from padd.gridopt import axis_rows, coordinate_refine, golden_max, grid_blocks, grid_rows, grid_scan, refine_bracket, top_k
-from padd.response import _rev_tie, _separable
+from padd.gridopt import axis_rows, coordinate_refine, golden_max, grid_blocks, grid_rows, grid_scan, grid_ties, refine_bracket, top_k
+from padd.response import _separable
 
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
@@ -143,10 +143,13 @@ class TestGoldenMax:
         assert len(shapes) == 1 + math.ceil((n - 1) / 3)
         assert shapes == [(4, 2)] + [(m, 2) for m in rest]
 
-    def test_steps_are_capped(self):
+    def test_a_1e300_wide_bracket_runs_every_step(self):
         calls = []
-        golden_max(lambda t: calls.append(t) or -t, [0.0], [1e300])
-        assert len(calls) == 1 + math.ceil((gridopt._GOLDEN_MAX_STEPS - 1) / 3)
+        got = golden_max(lambda t: calls.append(t) or -np.abs(t - 3.0), [0.0], [1e300])
+        n = math.ceil(math.log(gridopt._GOLDEN_TOL / 1e300) / math.log(gridopt._INVPHI))
+        assert n > 1000  # no cap stops it short of the tolerance
+        assert abs(got[0] - 3.0) <= gridopt._GOLDEN_TOL
+        assert len(calls) == 1 + math.ceil((n - 1) / 3)
 
 
 def output_bits(out):
@@ -294,7 +297,7 @@ def scan_cases(draw):
     table = np.array(draw(st.lists(st.sampled_from(SPECIAL), min_size=n**d, max_size=n**d)))
     k = draw(st.integers(1, n**d + 3))
     block = draw(st.integers(1, n**d + 1))
-    return table, d, n, k, block, draw(st.sampled_from([lambda top: 0.6, _rev_tie]))
+    return table, d, n, k, block, draw(st.sampled_from([0.0, 0.6]))
 
 
 class TestGridScan:
@@ -315,27 +318,23 @@ class TestGridScan:
         table, d, n, k, block, tol = case
         upper = np.full(d, n - 1.0)
         grid = BoxDomain(upper).grid(n)
-        with mock.patch.object(gridopt, "_BLOCK", block), np.errstate(invalid="ignore"):  # inf - inf
-            got = grid_scan(lookup(table, n), upper, n, k, pool_tol=tol)
-            pool = grid[table >= table.max() - tol(table.max())]
+        with mock.patch.object(gridopt, "_BLOCK", block):
+            vals, rows = grid_scan(lookup(table, n), upper, n, k)
+            ties = grid_ties(lookup(table, n), upper, n, tol)
         want = top_k(table, k)
-        assert got.idx.tolist() == want.tolist()
-        assert got.vals.tobytes() == table[want].tobytes()
-        assert got.rows.tobytes() == grid[want].tobytes()
-        assert got.pool.tobytes() == pool.tobytes()
+        assert vals.tobytes() == table[want].tobytes()
+        assert rows.tobytes() == grid[want].tobytes()
+        assert ties.tobytes() == grid[table >= table.max() - tol].tobytes()
 
     def test_ties_straddling_a_block_boundary_keep_index_order(self):
         n = 10
         table = np.linspace(0.0, 1.0, n)
         table[3:7] = 5.0  # blocks of 4: rows 3 | 4 5 6 tie across the boundary
         with mock.patch.object(gridopt, "_BLOCK", 4):
-            got = grid_scan(lookup(table, n), np.array([n - 1.0]), n, 3, pool_tol=lambda top: 0.0)
-        assert got.idx.tolist() == [3, 4, 5]
-        assert got.pool[:, 0].tolist() == [3.0, 4.0, 5.0, 6.0]
-
-    def test_pool_is_none_without_a_tolerance(self):
-        got = grid_scan(lambda rows: rows[:, 0], np.array([1.0]), 5, 2)
-        assert got.pool is None and got.idx.tolist() == [4, 3]
+            _, rows = grid_scan(lookup(table, n), np.array([n - 1.0]), n, 3)
+            ties = grid_ties(lookup(table, n), np.array([n - 1.0]), n, 0.0)
+        assert rows[:, 0].tolist() == [3.0, 4.0, 5.0]
+        assert ties[:, 0].tolist() == [3.0, 4.0, 5.0, 6.0]
 
 
 class TestGridRowCap:

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from padd import (
     ray_slope_sup,
 )
 from padd.equilibrium import REFINE_TOP_K, _maximize, _pruned_values
+from padd import raygeom
 from padd.graphs import random_graph
 from padd.raygeom import _BLOCK, _RayForm, _grid_rows, _ray_form, ray_payment_batch, ray_payment_floor
 
@@ -34,6 +36,11 @@ GAP = 1e-6
 def grid_id(grid_n):
     """Test id of the n-point fraction grid: its size and its gap below 1."""
     return f"{grid_n}-{GAP:g}"
+
+
+def ray_grid(grid_n):
+    """Context in which the ray payment functions use the `grid_n`-point fraction grid."""
+    return mock.patch.object(raygeom, "GRID_N", grid_n)
 
 
 def chord_slope_sup_oracle(c, x, n=10001, eps=1e-6):
@@ -128,22 +135,6 @@ class TestBregman:
             bregman(SQRT, (1.0,), (0.0,))
 
 
-class TestAlphaGridPreconditions:
-    MIXED = Sum([SQUARE, SQRT])
-
-    @pytest.mark.parametrize("grid_n", [1, 0], ids=grid_id)
-    def test_batch_and_scalar_share_the_checks(self, grid_n):
-        xs = np.array([[1.0], [2.0]])
-        with pytest.raises(PreconditionError):
-            ray_payment_batch(self.MIXED, xs, grid_n=grid_n)
-        with pytest.raises(PreconditionError):
-            ray_slope_sup(self.MIXED, xs[0], grid_n=grid_n)
-
-    def test_batch_with_one_point_grid_raises(self):
-        with pytest.raises(PreconditionError, match="at least 2 points"):
-            ray_payment_batch(self.MIXED, np.array([[1.0]]), grid_n=1)
-
-
 # --- the monomial ray kernel ------------------------------------------------
 
 EXPONENTS = (0.3, 0.5, 1.0, 1.5, 2.0, 3.0)
@@ -210,20 +201,21 @@ def assert_floor_is_the_larger_end_slope(c, xs):
     """The floor is the larger of each row's first and last slopes on the grid, bit for bit."""
     trade = np.any(xs > 0, axis=1)
     for grid_n in (2, 11, 101, 10001):
-        floor = ray_payment_floor(c, xs, grid_n)
+        with ray_grid(grid_n):
+            floor = ray_payment_floor(c, xs)
         rows = slope_rows(c, xs, grid_n)
         ends = np.maximum(rows[:, 0], rows[:, -1])
         assert np.all(floor[~trade] == 0.0)
         assert floor[trade].tobytes() == ends[trade].tobytes()
 
 
-def assert_batch_scalar_one_row_bit_identical(c, xs, grid_n=10001):
-    batch = ray_payment_batch(c, xs, grid_n)
+def assert_batch_scalar_one_row_bit_identical(c, xs):
+    batch = ray_payment_batch(c, xs)
     trade = np.any(xs > 0, axis=1)
     assert np.all(batch[~trade] == 0.0)
-    scalar = [ray_slope_sup(c, x, grid_n) for x in xs[trade]]
+    scalar = [ray_slope_sup(c, x) for x in xs[trade]]
     assert np.array(scalar).tobytes() == batch[trade].tobytes()
-    one_row = [ray_payment_batch(c, xs[k : k + 1], grid_n)[0] for k in range(len(xs))]
+    one_row = [ray_payment_batch(c, xs[k : k + 1])[0] for k in range(len(xs))]
     assert np.array(one_row).tobytes() == batch.tobytes()
 
 
@@ -250,7 +242,8 @@ class TestMonomialRayKernel:
     @pytest.mark.parametrize("grid_n", [10001, 101], ids=grid_id)
     def test_payments_match_reference(self, grid_n):
         for c, xs in MONOMIAL_TREES:
-            got = ray_payment_batch(c, xs, grid_n)
+            with ray_grid(grid_n):
+                got = ray_payment_batch(c, xs)
             np.testing.assert_allclose(got, reference_payments(c, xs, grid_n), rtol=1e-9, atol=0.0)
 
     def test_batch_rows_equal_scalar_bit_for_bit(self):
@@ -345,7 +338,8 @@ class TestRayFormAllNodes:
 
     def test_payments_match_mpmath(self):
         for c, xs in GENERAL_TREES:
-            got = ray_payment_batch(c, xs, 101)
+            with ray_grid(101):
+                got = ray_payment_batch(c, xs)
             assert got[0] == 0.0
             for x, pay in zip(xs[1:], got[1:]):
                 assert rel_err(pay, grid_payment(c, x, 101)) <= 1e-13
@@ -365,21 +359,24 @@ class TestRayFormAllNodes:
         alphas = fractions(101)
         want = chord_slopes(INTERIOR, (1.3,), alphas)
         i = max(range(len(alphas)), key=want.__getitem__)
-        pay = ray_slope_sup(INTERIOR, (1.3,), 101)
+        with ray_grid(101):
+            pay = ray_slope_sup(INTERIOR, (1.3,))
         slopes = slope_rows(INTERIOR, np.array([[1.3]]), 101)[0]
         assert 0 < i < 100 and int(np.argmax(slopes)) == i and pay == slopes[i]
         assert rel_err(pay, want[i]) <= 1e-13
 
     def test_batch_scalar_and_one_row_bit_identical(self):
         for c, xs in GENERAL_TREES:
-            assert_batch_scalar_one_row_bit_identical(c, xs, 101)
+            with ray_grid(101):
+                assert_batch_scalar_one_row_bit_identical(c, xs)
 
     def test_floor_is_the_larger_end_slope_and_below_sub_batches(self):
         for c, xs in GENERAL_TREES:
             assert_floor_is_the_larger_end_slope(c, xs)
             floor = ray_payment_floor(c, xs)
-            assert np.all(ray_payment_batch(c, xs[1:3], 101) >= floor[1:3])
-            assert np.all(ray_payment_batch(c, xs[3:], 101) >= floor[3:])
+            with ray_grid(101):
+                assert np.all(ray_payment_batch(c, xs[1:3]) >= floor[1:3])
+                assert np.all(ray_payment_batch(c, xs[3:]) >= floor[3:])
 
 
 def shaped_monomial_trees(shape, count=12):
@@ -405,8 +402,9 @@ class TestOnePaymentPerShape:
     def test_scalar_equals_one_row_batch_bit_for_bit(self, shape):
         for c, xs in shaped_monomial_trees(shape):
             for x in xs:
-                pay = ray_slope_sup(c, x, 101)
-                assert np.float64(pay).tobytes() == ray_payment_batch(c, x[None, :], 101)[0].tobytes()
+                with ray_grid(101):
+                    pay = ray_slope_sup(c, x)
+                    assert np.float64(pay).tobytes() == ray_payment_batch(c, x[None, :])[0].tobytes()
                 if shape is Shape.CONVEX:
                     # the a -> 1 limit x . grad c(x), which the unit prices charge
                     assert math.isclose(pay, float(x @ c.grad_max_info(x)), rel_tol=1e-13)
@@ -418,8 +416,9 @@ class TestOnePaymentPerShape:
         # c(x), x . grad c(x) and the ray form avoid matrix products, so a
         # row's payment does not depend on the batch around it
         for c, xs in shaped_monomial_trees(shape):
-            batch = ray_payment_batch(c, xs, 101)
-            scalar = [ray_slope_sup(c, x, 101) for x in xs]
+            with ray_grid(101):
+                batch = ray_payment_batch(c, xs)
+                scalar = [ray_slope_sup(c, x) for x in xs]
             assert np.array(scalar).tobytes() == batch.tobytes()
 
     @pytest.mark.parametrize("grid_n", [10001, 101], ids=grid_id)
@@ -429,8 +428,9 @@ class TestOnePaymentPerShape:
             kinds |= node_kinds(c)
             shapes.add(c.shape)
             xs = xs[np.any(xs > 0, axis=1)][:30]
-            scalar = [ray_slope_sup(c, x, grid_n) for x in xs]
-            assert np.array(scalar).tobytes() == ray_payment_batch(c, xs, grid_n).tobytes()
+            with ray_grid(grid_n):
+                scalar = [ray_slope_sup(c, x) for x in xs]
+                assert np.array(scalar).tobytes() == ray_payment_batch(c, xs).tobytes()
         assert kinds == {"PowerSum", "Affine", "MinOfAffine", "Leontief", "GraphMinCost", "Sum", "Scale"}
         assert shapes == set(Shape)
 
@@ -494,7 +494,8 @@ class TestBatchInvariance:
 
     def test_ray_payment_batch_and_floor(self):
         for c, xs in INVARIANCE_TREES[:20]:
-            assert_rows_batch_invariant(lambda ys: ray_payment_batch(c, ys, 101), xs[:40])
+            with ray_grid(101):
+                assert_rows_batch_invariant(lambda ys: ray_payment_batch(c, ys), xs[:40])
             assert_rows_batch_invariant(lambda ys: ray_payment_floor(c, ys), xs)
 
 
@@ -585,7 +586,8 @@ class TestBlockBounds:
     @pytest.mark.parametrize("grid_n", BLOCK_GRIDS)
     def test_payments_are_the_whole_row_maxima_bit_for_bit(self, grid_n):
         for c, xs in BLOCK_TREES:
-            got = ray_payment_batch(c, xs, grid_n)
+            with ray_grid(grid_n):
+                got = ray_payment_batch(c, xs)
             assert got.tobytes() == whole_row_payments(c, xs, grid_n).tobytes()
 
     @pytest.mark.parametrize("grid_n", BLOCK_GRIDS)
@@ -609,7 +611,8 @@ class TestBlockBounds:
             for c, xs in OVERFLOW_CASES:
                 xs = np.array(xs)
                 for grid_n in (2, _BLOCK + 1, 10001):
-                    got = ray_payment_batch(c, xs, grid_n)
+                    with ray_grid(grid_n):
+                        got = ray_payment_batch(c, xs)
                     want = whole_row_payments(c, xs, grid_n)
                     np.testing.assert_array_equal(got, want)
                     seen |= {"inf" if np.isinf(v) else "nan" if np.isnan(v) else "finite" for v in got}
@@ -688,13 +691,14 @@ class TestPaymentFloor:
         # the floor is taken on the whole set, the payments on sub-batches, as the pruning does
         c, xs = case
         assert c.shape is Shape.GENERAL
-        floor = ray_payment_floor(c, xs, grid_n)
         lo = data.draw(st.integers(0, len(xs) - 1))
         hi = data.draw(st.integers(lo + 1, len(xs)))
-        assert np.all(ray_payment_batch(c, xs, grid_n) >= floor)  # as floats, no slack; a NaN would fail
-        assert np.all(ray_payment_batch(c, xs[lo:hi], grid_n) >= floor[lo:hi])
-        for k in range(len(xs)):
-            assert ray_payment_batch(c, xs[k : k + 1], grid_n)[0] >= floor[k]
+        with ray_grid(grid_n):
+            floor = ray_payment_floor(c, xs)
+            assert np.all(ray_payment_batch(c, xs) >= floor)  # as floats, no slack; a NaN would fail
+            assert np.all(ray_payment_batch(c, xs[lo:hi]) >= floor[lo:hi])
+            for k in range(len(xs)):
+                assert ray_payment_batch(c, xs[k : k + 1])[0] >= floor[k]
 
     def test_nan_floor_is_never_pruned(self):
         # each overflow row bounds a box whose grid reaches the overflow; where
@@ -711,18 +715,19 @@ class TestPaymentFloor:
 
                         def objective(ys):
                             evaluated.extend(ys[:, 0].tolist())
-                            return v.values(ys) - ray_payment_batch(c, ys, grid_n)
+                            return v.values(ys) - ray_payment_batch(c, ys)
 
                         def bound(ys):
-                            return v.values(ys) - ray_payment_floor(c, ys, grid_n)
+                            return v.values(ys) - ray_payment_floor(c, ys)
 
-                        _pruned_values(objective, bound(pts), pts.__getitem__, REFINE_TOP_K)
-                        nan = pts[np.isnan(ray_payment_floor(c, pts, grid_n)), 0]
-                        assert set(nan.tolist()) <= set(evaluated)
-                        nan_rows += nan.size
-                        cfg = SolverConfig(grid_points={1: 65})
-                        x_all, best_all = _maximize(objective, box, cfg)
-                        x_pruned, best_pruned = _maximize(objective, box, cfg, bound_batch=bound)
+                        with ray_grid(grid_n):
+                            _pruned_values(objective, bound(pts), pts.__getitem__, REFINE_TOP_K)
+                            nan = pts[np.isnan(ray_payment_floor(c, pts)), 0]
+                            assert set(nan.tolist()) <= set(evaluated)
+                            nan_rows += nan.size
+                            cfg = SolverConfig(grid_points={1: 65})
+                            x_all, best_all = _maximize(objective, box, cfg)
+                            x_pruned, best_pruned = _maximize(objective, box, cfg, bound_batch=bound)
                         assert x_pruned.tobytes() == x_all.tobytes()
                         assert np.float64(best_pruned).tobytes() == np.float64(best_all).tobytes()
         assert nan_rows > 0

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from padd import (
 
 from padd.graphs import cycle_graph, path_graph
 from padd.gridopt import grid_blocks
-from padd import response
+from padd import gridopt, response
 from padd.response import _revenue, _utility
 from sampling import sample_box
 
@@ -467,3 +468,38 @@ class TestKinkedNonAnchoredReport:
         )
         if sol.verified and sol.bundle.max() > 0:
             assert np.max(np.abs(grad_max_info(u, sol.bundle) - sol.price)) < 1e-6
+
+
+class TestGridFallbackTies:
+    """A concave report that is neither anchored, convex nor separable takes
+    the grid: the buyer's answer is `_finish_ties` of the rows within
+    `_TIE_TOL` of the grid's best utility, bit for bit, however the scan's
+    blocks cut the grid."""
+
+    CFG = SolverConfig(grid_points={2: 9, 3: 5})
+    CASES = [
+        # min(x1 + x2, 4) at unit prices: flat (utility 0) on the whole triangle x1 + x2 <= 4
+        (MinOfAffine([Affine((1.0, 1.0), 0.0), Affine((0.0, 0.0), 4.0)]), (1.0, 1.0), [4.0, 4.0]),
+        (MinOfAffine([Affine((1.0, 2.0, 1.0), 0.0), Affine((0.5, 0.0, 0.0), 3.0), Affine((0.0, 0.0, 0.0), 6.0)]), (1.0, 2.0, 1.0), [3.0, 2.0, 4.0]),
+        # 2 * min(x1, x2) at unit prices: flat along the diagonal
+        (GraphMinCost(path_graph(2)), (1.0, 1.0), [3.0, 3.0]),
+        (GraphMinCost(path_graph(3)), (1.0, 1.0, 1.0), [2.0, 2.0, 2.0]),
+        # 2 * min(x1, x2, 1) + x1 + x2 at unit prices: flat on the square [1, 4]^2
+        (Sum([Leontief((1.0, 1.0), 2.0), PowerSum((1.0, 1.0), (1.0, 1.0))]), (1.0, 1.0), [4.0, 4.0]),
+    ]
+
+    @pytest.mark.parametrize("block", [4, 7])
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_matches_the_whole_grid_pool(self, case, block):
+        u, price, upper = self.CASES[case]
+        price = np.array(price)
+        c = PowerSum((0.1,) * u.dim, (2.0,) * u.dim)
+        box = BoxDomain(np.array(upper))
+        grid = box.grid(self.CFG.points(u.dim))
+        utility = _utility(u, price, grid)
+        pool = grid[utility >= utility.max() - response._TIE_TOL]
+        want = response._finish_ties(pool, u, price, c)
+        with mock.patch.object(gridopt, "_BLOCK", block):
+            got = buyer_best_response(u, price, box, c, self.CFG)
+        assert got.tobytes() == want.tobytes()
+        assert len(pool) > block  # the pool straddles blocks
