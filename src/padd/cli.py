@@ -29,9 +29,9 @@ from .equilibrium import (
     verify_equilibrium,
 )
 from .errors import PreconditionError
-from .funcs import MAX_ENUM_DIM, BoxDomain, FunctionExpr, as_bundle, expr_from_dict
+from .funcs import BoxDomain, FunctionExpr, as_bundle, expr_from_dict
 from .graphs import GraphInstance, parse_graph_json, parse_graph_text
-from .hardness import brute_force_max, derandomize, mis_brute_force, surplus_U
+from .hardness import MAX_ENUM_DIM, brute_force_max, derandomize, mis_brute_force, surplus_U
 from .instances import SCENARIOS, hardness_corpus
 from .response import SolverConfig
 

@@ -14,10 +14,10 @@ shape precondition and method tag: `general`, `convex_closed_form`,
 The numeric ray form runs on `raygeom`'s fixed grid, and the outcome
 derives its payment split, so the grid densities are the one option read.
 
-That body picks its search from the game's shapes: box corners for a
-linear value against a concave cost, one good at a time when the value
-and a closed-form cost are sums of one-good terms, the grid of
-`_maximize` otherwise.
+That body picks its search from the game's shapes: the box corners (the
+2-point grid) for a linear value against a concave cost, one good at a
+time when the value and a closed-form cost are sums of one-good terms,
+the grid of `_maximize` otherwise.
 """
 
 from __future__ import annotations
@@ -343,8 +343,8 @@ def _solve(v: FunctionExpr, c: FunctionExpr, domain: BoxDomain, cfg: SolverConfi
     The search depends on the game's shapes only, never on `method`:
     - a concave (or linear) cost is its own payment, so against a linear
       value the objective `v - c` is convex and its maximum sits at a box
-      corner: those games enumerate the corners (first maximal corner in
-      lexicographic order);
+      corner: the corners are the 2-point grid, and `grid_scan` streams
+      them and keeps the first maximal one in lexicographic order;
     - the closed payment of a separable cost (`x . grad c(x)` or `c(x)`)
       is separable too, so against a separable value `_maximize_per_good`
       solves one good at a time (the cost's shape is tested first, so
@@ -362,10 +362,8 @@ def _solve(v: FunctionExpr, c: FunctionExpr, domain: BoxDomain, cfg: SolverConfi
     # on a large box a row's payment can overflow: it then ranks last (-inf or NaN)
     with np.errstate(over="ignore", invalid="ignore"):
         if v.shape is Shape.LINEAR and c.shape in (Shape.CONCAVE, Shape.LINEAR):
-            corners = domain.vertices()
-            vals = objective(corners)
-            i0 = int(np.nonzero(vals >= vals.max())[0][0])
-            x, best = corners[i0], float(vals[i0])
+            vals, rows = grid_scan(objective, domain.upper, 2, 1)
+            x, best = rows[0], float(vals[0])
         elif c.shape is not Shape.GENERAL and _separable(v) and _separable(c):
             x, best = _maximize_per_good(objective, domain, cfg)
         else:

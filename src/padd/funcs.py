@@ -44,7 +44,6 @@ __all__ = [
     "Scale",
     "GraphMinCost",
     "BoxDomain",
-    "MAX_ENUM_DIM",
     "as_bundle",
     "as_price",
     "grad_max_info",
@@ -52,8 +51,6 @@ __all__ = [
 ]
 
 GRAD_CAP = 1e12
-# largest dimension whose 2^d box corners (or graph node subsets) are enumerated
-MAX_ENUM_DIM = 20
 
 
 class Shape(enum.Enum):
@@ -126,16 +123,6 @@ class BoxDomain:
         axes = [np.linspace(0.0, b, points_per_axis) for b in self.upper]
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=1)
-
-    def vertices(self) -> np.ndarray:
-        """The 2^d box corners, in lexicographic row order."""
-        if self.dim > MAX_ENUM_DIM:
-            raise PreconditionError(f"vertex enumeration capped at dimension {MAX_ENUM_DIM}")
-        n = 1 << self.dim
-        masks = np.arange(n, dtype=np.int64)
-        shifts = np.arange(self.dim - 1, -1, -1)
-        bits = ((masks[:, None] >> shifts[None, :]) & 1).astype(float)
-        return bits * self.upper
 
     @classmethod
     def from_dict(cls, obj: dict) -> "BoxDomain":

@@ -41,10 +41,10 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import PreconditionError
-from .funcs import MAX_ENUM_DIM
 from .graphs import GraphInstance
 
 __all__ = [
+    "MAX_ENUM_DIM",
     "RoundingState",
     "surplus_U",
     "surplus_exact",
@@ -97,7 +97,8 @@ def surplus_U(g: GraphInstance, x) -> float:
 
 # Subsets of the d nodes are uint32 masks with node i at bit d - 1 - i, so
 # ascending masks are the 0/1 cube rows in lexicographic order.  The cap
-# MAX_ENUM_DIM = 20 (<= 32) is what keeps every mask inside a uint32.
+# MAX_ENUM_DIM (<= 32) is what keeps every mask inside a uint32.
+MAX_ENUM_DIM = 20
 _LOW_BITS = 16
 
 

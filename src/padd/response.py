@@ -213,7 +213,9 @@ def buyer_best_response(
     Among bundles whose utility is within `_TIE_TOL` of the maximum, the one
     maximizing the seller's revenue `price . x - c(x)` is returned (the
     cost enters only through this tie-break); remaining ties go to the
-    lexicographically largest bundle.
+    lexicographically largest bundle.  A convex report is maximized at a
+    box corner, and the corners are the 2-point grid, which the grid
+    search scans in place of the configured one.
     """
     cfg = cfg or SolverConfig()
     price = as_price(price, u.dim)
@@ -231,11 +233,8 @@ def buyer_best_response(
         if level - pay_full < -_TIE_TOL:
             return np.zeros(u.dim)
         return _ray_pick(anchor, domain, lambda ts: ts[:, 0] * pay_full - c.values(ts * anchor))
-    if u.shape is Shape.CONVEX:
-        # convex reports are maximized at a box corner
-        return _finish_ties(domain.vertices(), u, price, c)
-
-    if u.dim == 1 or _separable(u):
+    convex = u.shape is Shape.CONVEX
+    if not convex and (u.dim == 1 or _separable(u)):
         # one golden search per coordinate, all in lockstep
         def utility(ts: np.ndarray) -> np.ndarray:
             return u.values(axis_rows(ts, np.arange(u.dim), u.dim)).reshape(ts.shape) - price * ts
@@ -247,7 +246,7 @@ def buyer_best_response(
         per_coord = [sorted(set(ts[keep[:, i], i].tolist())) for i in range(u.dim)]
         return _finish_ties(np.array(list(itertools.product(*per_coord))), u, price, c)
 
-    n = cfg.points(domain.dim)
+    n = 2 if convex else cfg.points(domain.dim)
     pool = grid_ties(lambda xs: _utility(u, price, xs), domain.upper, n, _TIE_TOL)
     return _finish_ties(pool, u, price, c)
 
@@ -283,11 +282,12 @@ def seller_optimal_linear_price(
     there (Rockafellar, *Convex Analysis*, 1970, Thm 23.5), so a consistent
     record's revenue is the potential `grad_max_info(x) . x - c(x)` at its
     response `x`, smooth or kinked.  Candidate rows, where responses land
-    (the box corners for a convex report, else the grid), are tried best
-    potential first until it is at most the best revenue.  A 1-d response
-    is a golden search that can land a cell off its row, so 1-d rows rank
-    by `p . x_next - c(x_prev)` (costs are monotone); separable reports
-    reach such responses only through `_refine`.
+    (the grid; for a convex report the box corners, and the corners are
+    the 2-point grid), are tried best potential first until it is at most
+    the best revenue.  A 1-d response is a golden search that can land a
+    cell off its row, so 1-d rows rank by `p . x_next - c(x_prev)` (costs
+    are monotone); separable reports reach such responses only through
+    `_refine`.
     """
     cfg = cfg or SolverConfig()
     _check_dims(u, domain, c)
@@ -322,13 +322,11 @@ def seller_optimal_linear_price(
         try_price(u.grad_max_info(x), x)
     else:
         n_axis = cfg.points(domain.dim)
+        convex = u.shape is Shape.CONVEX
         # candidate rows from index 1 on: row 0 is the origin
-        if u.shape is Shape.CONVEX:
-            corners = domain.vertices()
-            blocks, row = [(1, corners[1:])], lambda j: corners[j + 1]
-        else:
-            blocks, row = grid_blocks(domain.upper, n_axis, 1), lambda j: grid_rows(domain.upper, n_axis, [j + 1])[0]
-        golden = u.dim == 1 and u.shape is not Shape.CONVEX
+        n = 2 if convex else n_axis
+        blocks, row = grid_blocks(domain.upper, n, 1), lambda j: grid_rows(domain.upper, n, [j + 1])[0]
+        golden = u.dim == 1 and not convex
         cell = domain.upper / (n_axis - 1) if golden else 0.0
 
         def key_at(xs: np.ndarray) -> np.ndarray:

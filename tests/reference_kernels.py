@@ -6,14 +6,16 @@ batch does not need; these functions recompute everything from the node's
 stored tuples, so the library must give the same bits (compared as int64
 views, so -0.0 and NaN payloads count).  `golden_max` is the golden search
 that evaluates one position per bracket and call, which the library's
-three-steps-ahead search must match bit for bit.
+three-steps-ahead search must match bit for bit.  `box_vertices` builds
+the box corners as one dense matrix, and the corner searches over it are
+what the streamed 2-point grid searches must match.
 """
 
 import math
 
 import numpy as np
 
-from padd import gridopt
+from padd import equilibrium, gridopt, response
 from padd.errors import DimensionError, PreconditionError
 from padd.funcs import GRAD_CAP, as_bundle
 
@@ -179,3 +181,61 @@ def sample_curve_rows(v, c, u_expr, x_hi, n=101):
     for x in np.linspace(0.0, x_hi, n):
         pt = np.array([x])
         yield ["curve", repr(float(x)), repr(v.value(pt)), repr(c.value(pt)), repr(u_expr.value(pt)), "", "", ""]
+
+
+def box_vertices(upper):
+    """The 2^d corners of the box `[0, upper]` as one dense (2^d, d) matrix,
+    in lexicographic row order: the 2-point grid, built whole."""
+    upper = np.asarray(upper, dtype=float)
+    dim = upper.size
+    n = 1 << dim
+    masks = np.arange(n, dtype=np.int64)
+    shifts = np.arange(dim - 1, -1, -1)
+    bits = ((masks[:, None] >> shifts[None, :]) & 1).astype(float)
+    return bits * upper
+
+
+def corner_solve(v, c, upper):
+    """The bundle of a linear value against a concave or linear cost: the
+    first maximal corner of `v - c` (whose payment is `c`), or no trade."""
+    corners = box_vertices(upper)
+    vals = v.values(corners) - c.values(corners)
+    i0 = int(np.nonzero(vals >= vals.max())[0][0])
+    x = corners[i0]
+    return x if vals[i0] > equilibrium._NO_TRADE_TOL and np.any(x > 0) else np.zeros(x.size)
+
+
+def corner_response(u, price, upper, c):
+    """A convex report's best response: the seller-favoured tie over every corner."""
+    return response._finish_ties(box_vertices(upper), u, price, c)
+
+
+def corner_seller(u, c, domain, cfg):
+    """(price, bundle, revenue, verified) of a convex report's seller search
+    over the dense corners: the supergradients at the non-origin corners,
+    best potential first until it is at most the best consistent revenue,
+    then `response._refine` at the configured density and the seller's pick."""
+    corners = box_vertices(domain.upper)[1:]
+    grads = np.where(corners > 0.0, u.gradient_batch(corners), 0.0)
+    keys = np.einsum("ij,ij->i", grads, corners) - c.values(corners)
+    records, best_rev, seen = [], -np.inf, set()
+    for j in np.argsort(-keys):
+        if keys[j] <= max(best_rev, 0.0) + 1e-12:
+            break
+        p = u.grad_max_info(corners[j])
+        if tuple(p) in seen or not np.all(np.isfinite(p)):
+            continue
+        seen.add(tuple(p))
+        rec = response._consistent_record(u, p, domain, c, cfg, corner_response(u, p, domain.upper, c))
+        if rec is not None:
+            records.append(rec)
+            best_rev = max(best_rev, rec[0])
+    if records:
+        response._refine(u, c, domain, records, cfg.points(domain.dim), cfg, False)
+        revs = np.array([r for r, _, _ in records])
+        bundles = np.array([b for _, b, _ in records])
+        rev, bundle, price = records[response._seller_pick(bundles, revs, response._rev_tie(float(revs.max())))]
+        if rev >= 0.0:
+            return price, bundle, rev, True
+    zero = np.zeros(u.dim)
+    return zero, zero.copy(), 0.0, bool(records)

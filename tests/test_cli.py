@@ -221,10 +221,31 @@ class TestLinearValueGraphGames:
         assert "price split     0.5, 0, 0.5\n" in out
         assert "total payment   0\n" in out and "unit prices     0, 0, 0\n" in out
 
-    def test_beyond_the_corner_cap_is_precondition_exit(self, capsys, tmp_path):
-        code, out, err = run_cli(capsys, "solve", str(_linear_graph_game(tmp_path, 21)))
+    def test_mis_reduction_fixture_trades_a_maximum_independent_set(self, capsys):
+        # `sum(x)` against the 5-cycle's graph cost: the payment is the cost,
+        # 0 on an independent set, so the buyer's surplus is the MIS size
+        path = CONFIGS / "mis_reduction.json"
+        mis = padd.mis_brute_force(padd.parse_graph_json(json.loads(path.read_text())["cost"]["graph"]))
+        code, out, err = run_cli(capsys, "solve", str(path))
+        assert code == 0 and err == "" and mis == 2
+        assert "bundle          0, 0, 1, 0, 1\n" in out
+        assert "total payment   0\n" in out and f"buyer surplus   {mis}\n" in out
+        code, out, err = run_cli(capsys, "verify", str(path))
+        assert code == 0 and err == ""
+        assert "verification: all checks passed" in out
+
+    def test_twenty_one_goods_solve_on_the_streamed_corners(self, capsys, tmp_path):
+        # the corners are the 2-point grid, streamed in blocks: no cap below the grid's row cap
+        code, out, err = run_cli(capsys, "solve", str(_linear_graph_game(tmp_path, 21)), "--json")
+        assert code == 0 and err == ""
+        outcome = json.loads(out)
+        assert outcome["bundle"] == [1.0] * 21 and outcome["payment"] == 21.0
+
+    def test_beyond_the_grid_row_cap_is_precondition_exit(self, capsys, tmp_path):
+        # 2^24 corners are more rows than any grid search scans
+        code, out, err = run_cli(capsys, "solve", str(_linear_graph_game(tmp_path, 24)))
         assert code == 2 and out == ""
-        assert err.startswith("precondition violated:") and "20" in err
+        assert err.startswith("precondition violated:") and "exceeds the 10000000 rows a search scans" in err
         assert "Traceback" not in err
 
 
