@@ -38,11 +38,14 @@ columns are computed.  Scale factors and coefficients are non-negative
 in `1 / (1 - a)`, and rounding is monotone (a product by a fixed scalar, a
 sum, a max).  So `slopes` at a block's extreme virtual column, its largest
 `q_e` and smallest `1 / (1 - a)`, bounds every slope it computes in that
-block, exactly.  `ray_payment_batch` computes the block of the largest
-bound, then only the blocks whose bound exceeds the best slope found
-there; the skipped columns cannot beat it, so the maximum is the whole
-row's bit for bit.  A row with a NaN or infinite bound or best is computed
-whole, so it keeps the row maximum's NaN or inf.
+block, exactly.  The best slope usually sits at an end of the range, so
+`ray_payment_batch` first computes every block's bound and both end blocks
+in one `slopes` call (`_end_table`); a row whose values are all finite and
+whose interior bounds do not exceed its best end slope is done.  Other rows
+compute the block of the largest bound, then only the blocks whose bound
+exceeds the best slope found.  The skipped columns cannot beat it, so the
+maximum is the whole row's bit for bit.  A row with a NaN or infinite value
+is computed whole, so it keeps the row maximum's NaN or inf.
 
 `ray_payment_batch` is the one payment code path: `_closed_payments`
 is the one place that maps a cost's shape to its payment formula, and
@@ -66,7 +69,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import PreconditionError
-from .funcs import FunctionExpr, GraphMinCost, Leontief, MinOfAffine, PowerSum, Scale, Shape, Sum, as_bundle
+from .funcs import FunctionExpr, GraphMinCost, Leontief, MinOfAffine, PowerSum, Scale, Shape, Sum, _column_sum, _read_only, as_bundle
 
 __all__ = ["ray_slope_sup", "bregman"]
 
@@ -111,6 +114,15 @@ def _grid_rows(grid_n: int, exponents: tuple) -> tuple[np.ndarray, ...]:
     for r in rows:
         r.flags.writeable = False
     return rows
+
+
+@lru_cache(maxsize=16)
+def _end_table(grid_n: int, exponents: tuple) -> tuple[np.ndarray, ...]:
+    """`_grid_rows`' block extrema, then the columns of its first and last block:
+    the rows `q_e`, `1 / (1 - a)` and the column indices of one `slopes` call (read-only)."""
+    qs, inv, blocks, qhi, ilo = _grid_rows(grid_n, exponents)
+    ends = blocks[[0, -1]].ravel()
+    return _read_only(np.hstack([qhi, qs[:, ends]]), np.concatenate([ilo, inv[ends]]), np.arange(ilo.size + ends.size))
 
 
 @dataclass(frozen=True)
@@ -181,11 +193,8 @@ def _pieces(node: MinOfAffine | Leontief, xs: np.ndarray) -> tuple[np.ndarray, n
             if a > 0:
                 r = xs[:, i] / a if r is None else np.minimum(r, xs[:, i] / a)
         return np.array([0.0, node.level]), np.stack([node.level * r, np.zeros_like(r)], axis=1)
-    s = np.zeros((xs.shape[0], len(node.pieces)))
-    for k, piece in enumerate(node.pieces):
-        for i, w in enumerate(piece.weights):
-            s[:, k] += w * xs[:, i]
-    return np.array([piece.intercept for piece in node.pieces]), s
+    cols, intercepts, *_ = node._matrices
+    return intercepts.T, _column_sum(cols, xs, 0.0).T
 
 
 def _ray_form(c: FunctionExpr) -> _RayForm:
@@ -250,29 +259,37 @@ def ray_payment_batch(c: FunctionExpr, xs: np.ndarray) -> np.ndarray:
 
     Exact closed forms are used when the cost's curvature is known;
     otherwise the supremum is taken over the fraction grid, whose last node
-    stands for the limit a -> 1, computing only the blocks of columns whose
-    exact bound can beat the best slope found.  Rows equal to the zero
-    bundle get payment 0 (no trade).
+    stands for the limit a -> 1, computing its first and last blocks of
+    columns, then only the blocks whose exact bound can beat the best slope
+    found.  Rows equal to the zero bundle get payment 0 (no trade).
     """
     xs = np.asarray(xs, dtype=float)
     closed = _closed_payments(c, xs)
     if closed is not None:
         return closed
     form = _ray_form(c)
-    qs, inv, blocks, qhi, ilo = _grid_rows(GRID_N, form.exponents)
+    qs, inv, blocks, *_ = _grid_rows(GRID_N, form.exponents)
     scalars = form.scalars(xs)
-    # each row's block of largest bound first, then only its blocks whose bound exceeds the best slope found
-    bound = form.slopes(scalars, qhi, ilo, np.arange(ilo.size))
+    # every block's bound, then the slopes of the first and the last block
+    out = form.slopes(scalars, *_end_table(GRID_N, form.exponents))
+    bound, best = out[:, : len(blocks)], out[:, len(blocks) :].max(axis=1)
+    if np.isfinite(out).all() and (bound[:, 1:-1] <= best[:, None]).all():
+        return np.where(np.any(xs > 0, axis=1), best, 0.0)
+    whole = ~np.isfinite(out).all(axis=1)  # NaN or inf: the whole row
+    # where an interior bound beats the end slope: the block of largest bound,
+    # then only the blocks whose bound exceeds the best slope found
+    (redo,) = np.nonzero(whole | (bound[:, 1:-1] > best[:, None]).any(axis=1))
+    sub, bound = [s[redo] for s in scalars], bound[redo]
     top = bound.argmax(axis=1)
-    best = form.slopes(scalars, qs, inv, blocks[top]).max(axis=1)
-    todo = bound > best[:, None]
-    todo[np.arange(top.size), top] = False
-    todo[~(np.isfinite(best) & np.isfinite(bound).all(axis=1))] = True  # NaN or inf: the whole row
+    best[redo] = np.maximum(best[redo], form.slopes(sub, qs, inv, blocks[top]).max(axis=1))
+    todo = bound > best[redo, None]
+    todo[np.arange(top.size), top] = todo[:, [0, -1]] = False
+    todo[whole[redo]] = True
     rows, ids = np.nonzero(todo)
     for lo in range(0, rows.size, _PAIRS):
         r = rows[lo : lo + _PAIRS]
-        slopes = form.slopes([s[r] for s in scalars], qs, inv, blocks[ids[lo : lo + _PAIRS]])
-        np.maximum.at(best, r, slopes.max(axis=1))
+        slopes = form.slopes([s[r] for s in sub], qs, inv, blocks[ids[lo : lo + _PAIRS]])
+        np.maximum.at(best, redo[r], slopes.max(axis=1))
     return np.where(np.any(xs > 0, axis=1), best, 0.0)
 
 

@@ -25,7 +25,7 @@ from padd import (
 from padd.equilibrium import REFINE_TOP_K, _maximize, _pruned_values
 from padd import raygeom
 from padd.graphs import random_graph
-from padd.raygeom import _BLOCK, _RayForm, _grid_rows, _ray_form, ray_payment_batch, ray_payment_floor
+from padd.raygeom import _BLOCK, _RayForm, _end_table, _grid_rows, _ray_form, ray_payment_batch, ray_payment_floor
 
 SQUARE = PowerSum((1.0,), (2.0,))
 SQRT = PowerSum((1.0,), (0.5,))
@@ -640,6 +640,55 @@ class TestBlockBounds:
             ray_payment_floor(c, np.array([[1.0]]))
 
 
+# --- the end blocks first ---------------------------------------------------
+
+
+ALL_KINDS = {"PowerSum", "Affine", "MinOfAffine", "Leontief", "GraphMinCost", "Sum", "Scale"}
+
+
+@st.composite
+def mixed_batches(draw):
+    """A cost over all seven node kinds, KINKED on the first good plus a
+    general tree scaled by 1e-6, and a shuffled batch that mixes the zero
+    bundle, rows whose best slope is interior (first good near 0.8), rows
+    whose best slope is at an end, and an overflowing row (first good 1e200)."""
+    d = draw(st.integers(1, 4))
+    pad = (0.0,) * (d - 1)
+    kinked = Sum([PowerSum((1.0,) + pad, (2.0,) * d), MinOfAffine([Affine((3.0,) + pad, 0.0), Affine((0.0,) * d, 2.0)])])
+    path = GraphInstance.from_edges(d, [(i, i + 1) for i in range(d - 1)])
+    tree = Sum([draw(node_trees(d)), Affine((1.0,) * d, 0.5), Leontief((1.0,) * d, 1.0), GraphMinCost(path)])
+    c = Sum([kinked, Scale(1e-6, tree)])
+    rest = st.lists(st.floats(0.0, 10.0), min_size=d - 1, max_size=d - 1)
+    interior = st.tuples(st.floats(0.7, 0.9), rest).map(lambda r: [r[0], *r[1]])
+    end = st.tuples(st.floats(1.0, 10.0), rest, st.sampled_from((1.0, 1e-7, 1e7))).map(lambda r: [r[2] * r[0], *r[1]])
+    rows = [[0.0] * d, [1e200, *pad]] + draw(st.lists(interior, min_size=1, max_size=3))
+    rows += draw(st.lists(end, min_size=1, max_size=3))
+    return c, np.array(draw(st.permutations(rows)))
+
+
+class TestEndFirstSearch:
+    @pytest.mark.parametrize("grid_n", BLOCK_GRIDS)
+    @settings(derandomize=True, deadline=None, max_examples=12)
+    @given(mixed_batches())
+    def test_mixed_batches_are_the_whole_row_maxima_bit_for_bit(self, grid_n, case):
+        c, xs = case
+        assert node_kinds(c) == ALL_KINDS and c.shape is Shape.GENERAL
+        with np.errstate(over="ignore", invalid="ignore"):
+            with ray_grid(grid_n):
+                got = ray_payment_batch(c, xs)
+            want = whole_row_payments(c, xs, grid_n)
+            rows = slope_rows(c, xs, grid_n)
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan) and got[~nan].tobytes() == want[~nan].tobytes()
+        assert not np.all(np.isfinite(want))
+        if grid_n == 10001:
+            # the batch has rows whose best slope is in an interior block and rows whose best is in an end block
+            finite = np.isfinite(rows).all(axis=1) & np.any(xs > 0, axis=1)
+            block = rows[finite].argmax(axis=1) // _BLOCK
+            interior = (block > 0) & (block < (grid_n - 1) // _BLOCK)
+            assert interior.any() and not interior.all()
+
+
 # --- the payment floor that prunes the outer grid ----------------------------
 
 
@@ -739,18 +788,22 @@ MIXED_2D = Sum([PowerSum((1.0, 1.0), (2.0, 2.0)), PowerSum((1.0, 1.0), (0.5, 0.5
 
 class TestFewColumnsPerPayment:
     """Counts the fraction-grid columns `slopes` computes per one-row
-    payment, so that a silent fall-back to whole rows fails here; the block
+    payment, so that a silent fall-back to whole rows fails here: those of
+    the grid rows and the two end blocks of the end table.  The block
     bounds, which `slopes` computes on the blocks' extrema, are not counted."""
 
     def columns(self, monkeypatch, c, x):
         computed = []
         slopes = _RayForm.slopes
-        grid_inv = _grid_rows(10001, _ray_form(c).exponents)[1]
+        _, grid_inv, blocks, *_ = _grid_rows(10001, _ray_form(c).exponents)
+        end_inv = _end_table(10001, _ray_form(c).exponents)[1]
 
         def counting(form, scalars, qs, inv, cols):
             out = slopes(form, scalars, qs, inv, cols)
             if inv is grid_inv:
                 computed.append(out.size)
+            elif inv is end_inv:
+                computed.append(out.size - len(scalars[0]) * len(blocks))
             return out
 
         with monkeypatch.context() as m:
