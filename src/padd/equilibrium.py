@@ -194,8 +194,7 @@ def _maximize(obj_batch, domain: BoxDomain, cfg: SolverConfig, bound_batch=None)
     """Maximize over the box; returns (bundle, value).
 
     Grid argmax with lexicographically-smallest tie-breaking, followed by
-    cyclic per-coordinate golden refinement of the top cells, in every
-    dimension alike, all top cells in one lockstep `coordinate_refine`.
+    golden refinement of all top cells in one lockstep `coordinate_refine`.
     The grid is scanned in blocks (`gridopt.grid_scan`); since the
     objective gives a row the same bits in any batch, the top cells are
     those of one evaluation of the whole grid, bit for bit.
@@ -242,17 +241,18 @@ def _maximize_per_good(obj_batch, domain: BoxDomain, cfg: SolverConfig):
     `_maximize` searches one good: the `cfg.points(1)` grid on `[0,
     upper_i]`, golden refinement of its top `REFINE_TOP_K` points, then
     the smallest t within `_NO_TRADE_TOL` of the good's best (`_pick`).
-    All goods' grids are one objective call and each golden step one call
-    for all k * d brackets; the value is the sum of the goods' bests.  The
-    d-dimensional density is still required, so the grid and this search
-    accept the same games.
+    One good is `_maximize` itself; else all goods' grids are one objective
+    call and each golden step (`REFINE_PASSES` passes of ±1 cell) one call
+    for all k * d brackets, and the value is the sum of the goods' bests.
+    The d-dimensional density is still required, so the grid and this
+    search accept the same games.
     """
-    d, n = domain.dim, cfg.points(1)
-    cfg.points(d)
-    goods = np.arange(d)[:, None]
+    if domain.dim == 1:
+        return _maximize(obj_batch, domain, cfg)
+    d, n, _ = domain.dim, cfg.points(1), cfg.points(domain.dim)
     upper = domain.upper[:, None]
     ts = np.stack([np.linspace(0.0, b, n) for b in domain.upper])  # (d, n), the 1-d grid rows of each good
-    vals = obj_batch(axis_rows(ts, goods, d)).reshape(d, n)
+    vals = obj_batch(axis_rows(ts, np.arange(d)[:, None], d)).reshape(d, n)
     idx = np.stack([top_k(row, REFINE_TOP_K) for row in vals])
     starts = np.take_along_axis(ts, idx, axis=1)  # (d, k)
     goods_k = np.repeat(np.arange(d), starts.shape[1])  # the good of each of the k * d brackets

@@ -15,16 +15,16 @@ one evaluation of the whole grid picks while holding O(block x d) rows,
 not O(n^d x d).
 
 `golden_max` advances k brackets in lockstep and `coordinate_refine`
-refines k starts at once.  Each golden step picks its one new position
-from one comparison of values already known, so a call of the objective
-can evaluate the next three steps of every bracket under both outcomes
-of the comparisons still open (7 positions per bracket), and the steps
-are then replayed with the real values: a search of n steps makes
-`1 + ceil((n - 1) / 3)` calls instead of one per step.  A bracket keeps
-the positions, float operations and comparisons it has alone, so with an
-objective that gives a row the same bits in any batch (as every catalog
-node's `values` does), each start gets exactly the bits it gets alone,
-whatever else shares its calls.
+refines k starts at once (one golden pass if d = 1).  Each golden step
+picks its one new position from one comparison of values already known,
+so a call of the objective can evaluate the next three steps of every
+bracket under both outcomes of the comparisons still open (7 positions
+per bracket), and the steps are then replayed with the real values: a
+search of n steps makes `1 + ceil((n - 1) / 3)` calls instead of one per
+step.  A bracket keeps the positions, float operations and comparisons
+it has alone, so with an objective that gives a row the same bits in any
+batch (as every catalog node's `values` does), each start gets exactly
+the bits it gets alone, whatever else shares its calls.
 """
 
 from __future__ import annotations
@@ -155,9 +155,9 @@ def refine_bracket(x, spacing, upper):
     """The refinement bracket `[max(0, x - spacing), min(upper, x + spacing)]`,
     elementwise, with an upper end within 4 ulps of `upper` snapped to it.
 
-    From the grid point next to the upper face, `x + spacing` can round a
-    few ulps below `upper`; a golden search on that bracket would return
-    the rounded end instead of the face itself.
+    From a grid point `spacing` below the upper face, `x + spacing` can
+    round a few ulps below `upper`; a golden search on that bracket would
+    return the rounded end instead of the face itself.
     """
     hi = x + spacing
     return np.maximum(0.0, x - spacing), np.where(hi >= upper - 4.0 * np.spacing(upper), upper, hi)
@@ -168,12 +168,14 @@ def coordinate_refine(f, starts, spacing, upper, passes: int) -> np.ndarray:
 
     Each pass golden-maximizes the batch objective `f` ((m, d) rows to m
     values) along every coordinate i in turn, over the `refine_bracket`
-    of `x_i` for all k rows at once.
+    of `x_i` for all k rows at once.  With one coordinate, one pass
+    covers the ±`passes`-cell bracket that `passes` such passes can reach.
     """
     x = np.array(starts, dtype=float, ndmin=2)
+    cells, passes = (passes, 1) if x.shape[1] == 1 else (1, passes)
     for _ in range(passes):
         for i in range(x.shape[1]):
-            lo, hi = refine_bracket(x[:, i], spacing[i], float(upper[i]))
+            lo, hi = refine_bracket(x[:, i], cells * spacing[i], float(upper[i]))
 
             def along(ts, _i=i):
                 ys = np.concatenate([x] * (ts.size // len(x)))

@@ -40,12 +40,13 @@ sum, a max).  So `slopes` at a block's extreme virtual column, its largest
 `q_e` and smallest `1 / (1 - a)`, bounds every slope it computes in that
 block, exactly.  The best slope usually sits at an end of the range, so
 `ray_payment_batch` first computes every block's bound and both end blocks
-in one `slopes` call (`_end_table`); a row whose values are all finite and
-whose interior bounds do not exceed its best end slope is done.  Other rows
-compute the block of the largest bound, then only the blocks whose bound
-exceeds the best slope found.  The skipped columns cannot beat it, so the
-maximum is the whole row's bit for bit.  A row with a NaN or infinite value
-is computed whole, so it keeps the row maximum's NaN or inf.
+in one `slopes` call (`_end_table`); a row whose interior bounds do not
+exceed its best end slope is done.  Other rows compute the block of the
+largest bound, then only the blocks whose bound exceeds the best slope
+found.  The skipped columns cannot beat it, so the maximum is the whole
+row's bit for bit, NaN and inf too: a NaN slope needs a non-finite scalar
+(`s_k >= 0`, and the active piece has `D_k = 0`), which puts a NaN in both
+end blocks, and an inf slope's block bound is inf.
 
 `ray_payment_batch` is the one payment code path: `_closed_payments`
 is the one place that maps a cost's shape to its payment formula, and
@@ -273,23 +274,20 @@ def ray_payment_batch(c: FunctionExpr, xs: np.ndarray) -> np.ndarray:
     # every block's bound, then the slopes of the first and the last block
     out = form.slopes(scalars, *_end_table(GRID_N, form.exponents))
     bound, best = out[:, : len(blocks)], out[:, len(blocks) :].max(axis=1)
-    if np.isfinite(out).all() and (bound[:, 1:-1] <= best[:, None]).all():
-        return np.where(np.any(xs > 0, axis=1), best, 0.0)
-    whole = ~np.isfinite(out).all(axis=1)  # NaN or inf: the whole row
     # where an interior bound beats the end slope: the block of largest bound,
     # then only the blocks whose bound exceeds the best slope found
-    (redo,) = np.nonzero(whole | (bound[:, 1:-1] > best[:, None]).any(axis=1))
-    sub, bound = [s[redo] for s in scalars], bound[redo]
-    top = bound.argmax(axis=1)
-    best[redo] = np.maximum(best[redo], form.slopes(sub, qs, inv, blocks[top]).max(axis=1))
-    todo = bound > best[redo, None]
-    todo[np.arange(top.size), top] = todo[:, [0, -1]] = False
-    todo[whole[redo]] = True
-    rows, ids = np.nonzero(todo)
-    for lo in range(0, rows.size, _PAIRS):
-        r = rows[lo : lo + _PAIRS]
-        slopes = form.slopes([s[r] for s in sub], qs, inv, blocks[ids[lo : lo + _PAIRS]])
-        np.maximum.at(best, redo[r], slopes.max(axis=1))
+    (redo,) = np.nonzero((bound[:, 1:-1] > best[:, None]).any(axis=1))
+    if redo.size:
+        sub, bound = [s[redo] for s in scalars], bound[redo]
+        top = bound.argmax(axis=1)
+        best[redo] = np.maximum(best[redo], form.slopes(sub, qs, inv, blocks[top]).max(axis=1))
+        todo = bound > best[redo, None]
+        todo[np.arange(top.size), top] = todo[:, [0, -1]] = False
+        rows, ids = np.nonzero(todo)
+        for lo in range(0, rows.size, _PAIRS):
+            r = rows[lo : lo + _PAIRS]
+            slopes = form.slopes([s[r] for s in sub], qs, inv, blocks[ids[lo : lo + _PAIRS]])
+            np.maximum.at(best, redo[r], slopes.max(axis=1))
     return np.where(np.any(xs > 0, axis=1), best, 0.0)
 
 

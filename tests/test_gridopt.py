@@ -229,6 +229,50 @@ class TestCoordinateRefine:
         assert len(calls[3]) == len(calls[1])
         assert sum(calls[3]) == 3 * sum(calls[1])
 
+    def test_one_coordinate_is_one_golden_pass_over_the_span_of_its_passes(self):
+        # two ±1-cell passes reach ±2 cells; with no other coordinate to move
+        # between them, one golden search over that bracket stands for both
+        f = separable_objective([8.0], [1.0])
+        upper, spacing = np.array([5.0]), np.array([5.0 / 2000])
+        starts = np.array([[1.0], [2.5], [5.0 - 5.0 / 2000]])  # the last bracket is cut at the face
+        calls = []
+
+        def counting(xs):
+            calls.append(len(xs))
+            return f(xs)
+
+        got = coordinate_refine(counting, starts, spacing, upper, 2)
+        lo, hi = refine_bracket(starts[:, 0], 2 * spacing[0], upper[0])
+        want = golden_max(lambda ts: f(ts.reshape(-1, 1)).reshape(ts.shape), lo, hi)
+        assert got.shape == (3, 1) and got[:, 0].tobytes() == want.tobytes()
+        # 39 steps on the widest bracket, 4 * spacing: 1 + ceil(38 / 3) calls, not 2 * 13
+        steps = math.ceil(math.log(gridopt._GOLDEN_TOL / (4 * spacing[0])) / math.log(INVPHI))
+        assert steps == 39 and len(calls) == 1 + math.ceil((steps - 1) / 3) == 14
+
+    def test_several_coordinates_keep_their_cyclic_one_cell_passes(self):
+        f = separable_objective([8.0, 6.0], [1.0, 2.0])
+        upper = np.array([5.0, 5.0])
+        starts, spacing = np.array([[1.0, 2.0], [2.5, 1.5], [5.0, 0.0]]), upper / 20
+        calls = {"reference": [], "refine": []}
+
+        def counting(xs, side):
+            calls[side].append(len(xs))
+            return f(xs)
+
+        want = starts.copy()
+        for _ in range(2):
+            for i in range(2):
+
+                def along(ts, i=i):
+                    ys = np.tile(want, (ts.shape[0], 1))
+                    ys[:, i] = ts.ravel()
+                    return counting(ys, "reference").reshape(ts.shape)
+
+                want[:, i] = golden_max(along, *refine_bracket(want[:, i], spacing[i], upper[i]))
+        got = coordinate_refine(lambda xs: counting(xs, "refine"), starts, spacing, upper, 2)
+        assert got.tobytes() == want.tobytes()
+        assert calls["refine"] == calls["reference"]  # four golden searches, one per pass and coordinate
+
 
 class TestRefineBracket:
     @pytest.mark.parametrize("upper", [1.0, 2.3, 3.71, 5.0, 100.0])

@@ -538,6 +538,16 @@ OVERFLOW_CASES = [
     (Sum([SQUARE, MinOfAffine([Affine((1e308,), 0.0), Affine((1e308,), 1.0)])]), [[10.0], [1e-3]]),
 ]
 BLOCK_GRIDS = (2, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1, 10001)
+# rows of finite scalars whose slopes overflow on part of the fraction grid:
+# from a = 0 on (weights of exponents below 1, whose q_e falls as a rises, or
+# a falling piece term), inside (x^2 + min(3x, 2) peaks near a = 0.2 at 0.8),
+# or up to the last column (W_2 finite at 1.3e154, W_2 * q_2 not)
+PARTIAL_OVERFLOW = {
+    "prefix_weights": (Sum([PowerSum((1.7e308,), (0.5,)), PowerSum((2e307,), (0.25,)), SQUARE]), [[1.0]]),
+    "prefix_piece": (Sum([SQUARE, Scale(2.0, MinOfAffine([Affine((1.7e308,), 0.0), Affine((0.0,), 1e308)]))]), [[1.0]]),
+    "interior": (Scale(6.75e307, KINKED), [[0.8]]),
+    "suffix": (Sum([SQUARE, SQRT]), [[1.3e154]]),
+}
 
 
 def whole_row_payments(c, xs, grid_n):
@@ -620,6 +630,30 @@ class TestBlockBounds:
                     finite = np.isfinite(bound)
                     assert np.all(top[finite] <= bound[finite])
         assert seen == {"inf", "nan", "finite"}
+
+    def test_overflow_on_part_of_a_row_needs_no_whole_row_pass(self):
+        # the inf columns of a row need not reach an end, but each lies in a
+        # block of inf bound, which the search computes; a NaN column needs a
+        # non-finite scalar, and then both end blocks hold a NaN
+        seen = set()
+        with np.errstate(over="ignore", invalid="ignore"):
+            for name, (c, xs) in [*PARTIAL_OVERFLOW.items(), *(("whole", case) for case in OVERFLOW_CASES)]:
+                xs = np.array(xs)
+                assert c.shape is Shape.GENERAL
+                for grid_n in (_BLOCK + 1, 10001):
+                    rows = slope_rows(c, xs, grid_n)
+                    last = (grid_n - 1) // _BLOCK * _BLOCK
+                    nan = np.isnan(rows).any(axis=1)
+                    assert np.isnan(rows[nan, :_BLOCK]).any(axis=1).all() and np.isnan(rows[nan, last:]).any(axis=1).all()
+                    top, bound = block_maxima(c, xs, grid_n)
+                    assert np.all(bound[np.isposinf(top)] == np.inf)
+                    with ray_grid(grid_n):
+                        np.testing.assert_array_equal(ray_payment_batch(c, xs), whole_row_payments(c, xs, grid_n))
+                if name != "whole":
+                    (cols,) = np.nonzero(~np.isfinite(rows[0]))
+                    assert np.isposinf(rows[0, cols]).all() and all(np.isfinite(s).all() for s in _ray_form(c).scalars(xs))
+                    seen.add({(True, False): "prefix", (False, True): "suffix", (False, False): "interior"}[cols[0] == 0, cols[-1] == grid_n - 1])
+        assert sorted(seen) == ["interior", "prefix", "suffix"]
 
     @pytest.mark.parametrize(
         "c,name",
