@@ -25,7 +25,6 @@ from .funcs import (
     as_bundle,
     as_price,
     expr_from_dict,
-    grad_max_info,
 )
 from .graphs import GraphInstance, parse_graph_json, parse_graph_text
 from .raygeom import bregman, ray_slope_sup

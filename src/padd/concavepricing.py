@@ -192,14 +192,15 @@ class OverfitReport:
     rich_revenue: float
     rich_buyer_surplus: float
     rich_bundle: float
-    rich_equilibrium_u: FunctionExpr
+    rich_equilibrium_u: PowerSum
     chosen_price_tag: str
     seller_prefers_augmented: bool
     note: str
 
     def to_dict(self) -> dict:
         out = {k: v for k, v in self.__dict__.items() if k != "rich_equilibrium_u"}
-        out["rich_equilibrium_u"] = self.rich_equilibrium_u.to_dict()
+        u = self.rich_equilibrium_u
+        out["rich_equilibrium_u"] = {"kind": "power_sum", "coeffs": list(u.coeffs), "exponents": list(u.exponents)}
         return out
 
     CSV_FIELDS = ("pricing_class", "bundle", "payment", "seller_revenue", "buyer_surplus")

@@ -46,7 +46,6 @@ __all__ = [
     "BoxDomain",
     "as_bundle",
     "as_price",
-    "grad_max_info",
     "expr_from_dict",
 ]
 
@@ -148,37 +147,23 @@ def _column_sum(weights, cols: np.ndarray, intercept) -> np.ndarray:
 
 
 class FunctionExpr:
-    """Base class for catalog expression nodes."""
+    """Base class for catalog expression nodes.
 
-    @property
-    def dim(self) -> int:
-        raise NotImplementedError
+    Each node class defines `dim`, `values` (evaluation on an (n, d) array
+    of bundles), `_structural_shape` and `gradient_batch` (the derivative,
+    see the module docstring, at each row of an (n, d) batch)."""
 
     def value(self, x) -> float:
         """Evaluation at one bundle: `values` on a one-row batch."""
         return float(self.values(as_bundle(x, self.dim)[None, :])[0])
 
-    def values(self, xs: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation on an (n, d) array of bundles."""
-        raise NotImplementedError
-
     @cached_property
     def shape(self) -> Shape:
         return self._structural_shape()
 
-    def _structural_shape(self) -> Shape:
-        raise NotImplementedError
-
     def grad_max_info(self, x) -> np.ndarray:
         """The derivative at one bundle: `gradient_batch` on a one-row batch."""
         return self.gradient_batch(as_bundle(x, self.dim)[None, :])[0]
-
-    def gradient_batch(self, xs: np.ndarray) -> np.ndarray:
-        """The derivative (see the module docstring) at each row of an (n, d) batch."""
-        raise NotImplementedError
-
-    def to_dict(self) -> dict:
-        raise NotImplementedError
 
 
 @dataclass
@@ -239,13 +224,6 @@ class PowerSum(FunctionExpr):
             np.copyto(g, cap, where=zero & below)
         return g
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "power_sum",
-            "coeffs": list(self.coeffs),
-            "exponents": list(self.exponents),
-        }
-
 
 @dataclass
 class Affine(FunctionExpr):
@@ -279,13 +257,6 @@ class Affine(FunctionExpr):
     def gradient_batch(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
         return np.broadcast_to(np.asarray(self.weights), xs.shape).copy()
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "affine",
-            "weights": list(self.weights),
-            "intercept": self.intercept,
-        }
 
 
 @dataclass
@@ -349,9 +320,6 @@ class Leontief(FunctionExpr):
         g[rows, support[pick[rows]]] = slopes[pick[rows]]
         return g
 
-    def to_dict(self) -> dict:
-        return {"kind": "leontief", "anchor": list(self.anchor), "level": self.level}
-
 
 @dataclass
 class MinOfAffine(FunctionExpr):
@@ -404,9 +372,6 @@ class MinOfAffine(FunctionExpr):
         scores[vals > vals.min(axis=0)] = -np.inf
         return weights[np.argmax(scores, axis=0)]
 
-    def to_dict(self) -> dict:
-        return {"kind": "min_of_affine", "pieces": [p.to_dict() for p in self.pieces]}
-
 
 @dataclass
 class Sum(FunctionExpr):
@@ -450,9 +415,6 @@ class Sum(FunctionExpr):
             out = out + c.gradient_batch(xs)
         return out
 
-    def to_dict(self) -> dict:
-        return {"kind": "sum", "children": [c.to_dict() for c in self.children]}
-
 
 @dataclass
 class Scale(FunctionExpr):
@@ -480,9 +442,6 @@ class Scale(FunctionExpr):
 
     def gradient_batch(self, xs: np.ndarray) -> np.ndarray:
         return self.factor * self.child.gradient_batch(xs)
-
-    def to_dict(self) -> dict:
-        return {"kind": "scale", "factor": self.factor, "child": self.child.to_dict()}
 
 
 @dataclass
@@ -529,28 +488,8 @@ class GraphMinCost(FunctionExpr):
                 counts[:, j] += takes
         return counts
 
-    def to_dict(self) -> dict:
-        return {"kind": "graph_min_cost", "graph": self.graph.to_dict()}
 
-
-# --- module-level operations with a shape precondition -------------------
-
-
-def grad_max_info(f: FunctionExpr, x) -> np.ndarray:
-    """Supergradient maximizing `g . x`, for concave or linear expressions.
-
-    Ties between polytope vertices are broken toward the lexicographically
-    greatest vector.  Entries that blow up at a zero coordinate are clamped
-    to `GRAD_CAP`.
-    """
-    if f.shape not in (Shape.CONCAVE, Shape.LINEAR):
-        raise PreconditionError(
-            f"payment-maximizing supergradients need a concave or linear expression, got {f.shape.value}"
-        )
-    return f.grad_max_info(x)
-
-
-# --- serialization --------------------------------------------------------
+# --- JSON reader ----------------------------------------------------------
 
 def _is_number(value, kind=Real) -> bool:
     """`value` is a `kind` (`Real` or `Integral`) number; booleans are not."""
@@ -590,6 +529,10 @@ _KINDS = {
 
 
 def expr_from_dict(obj: dict) -> FunctionExpr:
+    """The node that a JSON object spells out: `kind` names the node class in
+    snake case (`power_sum`, `graph_min_cost`, ...) and the other fields are
+    its constructor's arguments, a child node as its own object and a graph
+    as `graphs.parse_graph_json` reads it."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError("expression object needs a 'kind' field")
     kind = _field(obj, "kind", _STRING)

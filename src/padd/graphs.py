@@ -88,10 +88,6 @@ class GraphInstance:
             a[i, j] = a[j, i] = 1
         return a
 
-    def to_dict(self) -> dict:
-        """JSON form; edge ids are 1-based to match the text format."""
-        return {"node_count": self.node_count, "edges": [[i + 1, j + 1] for i, j in self.edges]}
-
 
 def parse_graph_text(text: str) -> GraphInstance:
     """Parse the plain-text format: first line ``d m``, then ``m`` lines ``i j``.
@@ -118,7 +114,8 @@ def parse_graph_text(text: str) -> GraphInstance:
 
 
 def parse_graph_json(obj: dict) -> GraphInstance:
-    """Parse the JSON form of `GraphInstance.to_dict` (1-based integer ids)."""
+    """Parse the JSON form ``{"node_count": d, "edges": [[i, j], ...]}``:
+    integer fields, edge ids 1-based as in the text format."""
     if not isinstance(obj, dict):
         raise ValueError("graph must be a JSON object")
     missing = [name for name in ("node_count", "edges") if name not in obj]

@@ -58,12 +58,12 @@ class SolverConfig:
     """The one solver option that no layer can work out from the game.
 
     `grid_points` (points per axis by dimension; its keys are the only
-    dimensions a grid search supports): every grid search, in
-    `equilibrium._maximize`, `buyer_best_response`'s fallback and
-    `seller_optimal_linear_price`, none of which runs for an anchored
-    report; the 1-d density is also each good's grid in
-    `equilibrium._maximize_per_good`, which still requires the game's own
-    dimension.
+    dimensions a grid search supports): every grid search but a scan of
+    the box corners (the 2-point grid), in `equilibrium._maximize`,
+    `buyer_best_response`'s fallback and `seller_optimal_linear_price`,
+    none of which runs for an anchored report; the 1-d density is also
+    each good's grid in `equilibrium._maximize_per_good`, which still
+    requires the game's own dimension.
 
     Numerical resolutions are constants of the modules that read them: the
     ray grid in `raygeom`, the refinement schedule in `gridopt`, the
@@ -281,18 +281,20 @@ def seller_optimal_linear_price(
     The buyer's response to `p` has `p` in the superdifferential of `u`
     there (Rockafellar, *Convex Analysis*, 1970, Thm 23.5), so a consistent
     record's revenue is the potential `grad_max_info(x) . x - c(x)` at its
-    response `x`, smooth or kinked.  Candidate rows, where responses land
-    (the grid; for a convex report the box corners, and the corners are
-    the 2-point grid), are tried best potential first until it is at most
+    response `x`, smooth or kinked.  Candidate rows, the grid where
+    responses land, are tried best potential first until it is at most
     the best revenue.  A 1-d response is a golden search that can land a
     cell off its row, so 1-d rows rank by `p . x_next - c(x_prev)` (costs
     are monotone); separable reports reach such responses only through
     `_refine`.
+
+    A convex report is refused by name: a strictly convex good's response
+    leaves the corner that priced it, so no candidate would be consistent.
     """
     cfg = cfg or SolverConfig()
     _check_dims(u, domain, c)
-    if u.shape is Shape.GENERAL:
-        raise PreconditionError("reported value function must be concave, linear, or convex")
+    if u.shape not in (Shape.CONCAVE, Shape.LINEAR):
+        raise PreconditionError(f"the seller's price search needs a concave or linear report, got {u.shape.value}")
     if abs(u.value(np.zeros(u.dim))) > 1e-12:
         raise PreconditionError("reported value function must vanish at the origin")
 
@@ -322,11 +324,9 @@ def seller_optimal_linear_price(
         try_price(u.grad_max_info(x), x)
     else:
         n_axis = cfg.points(domain.dim)
-        convex = u.shape is Shape.CONVEX
         # candidate rows from index 1 on: row 0 is the origin
-        n = 2 if convex else n_axis
-        blocks, row = grid_blocks(domain.upper, n, 1), lambda j: grid_rows(domain.upper, n, [j + 1])[0]
-        golden = u.dim == 1 and not convex
+        blocks, row = grid_blocks(domain.upper, n_axis, 1), lambda j: grid_rows(domain.upper, n_axis, [j + 1])[0]
+        golden = u.dim == 1
         cell = domain.upper / (n_axis - 1) if golden else 0.0
 
         def key_at(xs: np.ndarray) -> np.ndarray:

@@ -209,33 +209,3 @@ def corner_response(u, price, upper, c):
     """A convex report's best response: the seller-favoured tie over every corner."""
     return response._finish_ties(box_vertices(upper), u, price, c)
 
-
-def corner_seller(u, c, domain, cfg):
-    """(price, bundle, revenue, verified) of a convex report's seller search
-    over the dense corners: the supergradients at the non-origin corners,
-    best potential first until it is at most the best consistent revenue,
-    then `response._refine` at the configured density and the seller's pick."""
-    corners = box_vertices(domain.upper)[1:]
-    grads = np.where(corners > 0.0, u.gradient_batch(corners), 0.0)
-    keys = np.einsum("ij,ij->i", grads, corners) - c.values(corners)
-    records, best_rev, seen = [], -np.inf, set()
-    for j in np.argsort(-keys):
-        if keys[j] <= max(best_rev, 0.0) + 1e-12:
-            break
-        p = u.grad_max_info(corners[j])
-        if tuple(p) in seen or not np.all(np.isfinite(p)):
-            continue
-        seen.add(tuple(p))
-        rec = response._consistent_record(u, p, domain, c, cfg, corner_response(u, p, domain.upper, c))
-        if rec is not None:
-            records.append(rec)
-            best_rev = max(best_rev, rec[0])
-    if records:
-        response._refine(u, c, domain, records, cfg.points(domain.dim), cfg, False)
-        revs = np.array([r for r, _, _ in records])
-        bundles = np.array([b for _, b, _ in records])
-        rev, bundle, price = records[response._seller_pick(bundles, revs, response._rev_tie(float(revs.max())))]
-        if rev >= 0.0:
-            return price, bundle, rev, True
-    zero = np.zeros(u.dim)
-    return zero, zero.copy(), 0.0, bool(records)

@@ -12,6 +12,7 @@ import padd
 from padd import (
     BoxDomain,
     PowerSum,
+    PreconditionError,
     bregman,
     brute_force_max,
     derandomize,
@@ -199,12 +200,17 @@ def test_criterion_7_property_suite():
         dominates &= out.buyer_surplus >= truthful - 1e-6
     checks.append(("imitation_dominates_truth", dominates))
 
-    # (iv) imitating the cost forces zero trade on both benchmarks
-    zero_trade = True
-    for _, c, box in (convex_cost_demo(), concave_cost_demo()):
-        sol = seller_optimal_linear_price(c, c, box)
-        zero_trade &= abs(sol.revenue) < 1e-6 and float(np.max(sol.bundle)) < 1e-6
-    checks.append(("imitating_cost_zero_trade", zero_trade))
+    # (iv) imitating the concave benchmark's cost forces zero trade; the
+    # convex benchmark's cost is a convex report, which the seller refuses
+    _, c, box = concave_cost_demo()
+    sol = seller_optimal_linear_price(c, c, box)
+    checks.append(("imitating_cost_zero_trade", abs(sol.revenue) < 1e-6 and float(np.max(sol.bundle)) < 1e-6))
+    _, c, box = convex_cost_demo()
+    try:
+        seller_optimal_linear_price(c, c, box)
+        checks.append(("imitating_convex_cost_refused", False))
+    except PreconditionError as err:
+        checks.append(("imitating_convex_cost_refused", "concave or linear report" in str(err)))
 
     # (v) general solver agrees with the closed-form specializations
     agree = True

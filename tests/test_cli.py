@@ -12,6 +12,7 @@ import pytest
 from fraction_rounding import fraction_derandomize, fraction_surplus
 from hypothesis import given, settings, strategies as st
 from mp_reference import grid_payment, rel_err
+from sampling import assert_spelled_out
 
 import padd
 from padd import cli
@@ -682,6 +683,9 @@ class TestOverfit:
         assert abs(payload["rich_revenue"] - 0.1939) < 1e-6
         assert abs(payload["rich_buyer_surplus"] - 7.25) < 1e-6
         assert payload["seller_prefers_augmented"] is True
+        # the square-root commitment, as the object that a config would spell it
+        assert payload["rich_equilibrium_u"] == {"kind": "power_sum", "coeffs": [1.0], "exponents": [0.5]}
+        assert_spelled_out(padd.expr_from_dict(payload["rich_equilibrium_u"]), payload["rich_equilibrium_u"])
 
     def test_seller_prefers_linear_at_large_epsilon(self, capsys):
         code, out, _ = run_cli(capsys, "overfit", "--epsilon", "0.10", "--json")
@@ -841,8 +845,8 @@ def solver_configs(draw):
 
 def assert_fields_match(config, obj):
     """Each field of the parsed `config` is the one its JSON object `obj` spells out."""
-    assert config.value.to_dict() == obj["value"]
-    assert config.cost.to_dict() == obj["cost"]
+    assert_spelled_out(config.value, obj["value"])
+    assert_spelled_out(config.cost, obj["cost"])
     assert config.domain.upper.tolist() == obj["domain"]["upper"]
     assert config.solver.grid_points == {int(d): n for d, n in obj["solver"]["grid_points"].items()}
 

@@ -17,11 +17,11 @@ from padd import (
     Shape,
     Sum,
     expr_from_dict,
-    grad_max_info,
 )
-from padd.funcs import GRAD_CAP
+from padd import funcs
+from padd.funcs import GRAD_CAP, FunctionExpr
 from padd.graphs import clique_graph, cycle_graph, path_graph, random_graph
-from sampling import check_monotone, check_shape_by_sampling, check_supergradient, sample_box
+from sampling import assert_spelled_out, check_monotone, check_shape_by_sampling, check_supergradient, sample_box
 
 
 def catalog_instances():
@@ -39,6 +39,36 @@ def catalog_instances():
         GraphMinCost(clique_graph(3)),
         GraphMinCost(path_graph(4)),
     ]
+
+
+SQRT_OBJ = {"kind": "power_sum", "coeffs": [1.0], "exponents": [0.5]}
+
+# the JSON object of each `catalog_instances()` node, in order, spelled out by hand
+CATALOG_OBJECTS = [
+    {"kind": "power_sum", "coeffs": [64.0], "exponents": [0.5]},
+    {"kind": "power_sum", "coeffs": [1.0], "exponents": [2.0]},
+    {"kind": "power_sum", "coeffs": [4.0], "exponents": [0.25]},
+    {"kind": "power_sum", "coeffs": [2.0, 3.0], "exponents": [0.5, 1.0]},
+    {"kind": "affine", "weights": [1.0, 1.0], "intercept": 0.0},
+    {"kind": "leontief", "anchor": [4.0], "level": 32.0},
+    {"kind": "leontief", "anchor": [2.0, 4.0], "level": 6.0},
+    {"kind": "min_of_affine", "pieces": [{"kind": "affine", "weights": [10.0]}, {"kind": "affine", "weights": [0.0], "intercept": 8.1}]},
+    {"kind": "sum", "children": [SQRT_OBJ, {"kind": "affine", "weights": [0.25]}]},
+    {"kind": "scale", "factor": 3.0, "child": SQRT_OBJ},
+    {"kind": "graph_min_cost", "graph": {"node_count": 3, "edges": [[1, 2], [1, 3], [2, 3]]}},
+    {"kind": "graph_min_cost", "graph": {"node_count": 4, "edges": [[1, 2], [2, 3], [3, 4]]}},
+]
+
+
+NODE_METHODS = {"dim", "values", "_structural_shape", "gradient_batch"}
+
+
+def test_each_node_class_defines_the_node_methods():
+    # `FunctionExpr` has no stubs for them: a node class is whole on its own
+    nodes = [v for v in vars(funcs).values() if isinstance(v, type) and issubclass(v, FunctionExpr) and v is not FunctionExpr]
+    assert {cls.__name__ for cls in nodes} == {"PowerSum", "Affine", "Leontief", "MinOfAffine", "Sum", "Scale", "GraphMinCost"}
+    assert [cls.__name__ for cls in nodes if not NODE_METHODS <= set(vars(cls))] == []
+    assert NODE_METHODS.isdisjoint(vars(FunctionExpr))
 
 
 def domain_for(f):
@@ -117,18 +147,18 @@ class TestGradMax:
     def test_leontief_interior_segment(self, rng):
         # supergradient of the 8x segment on [0, 4]
         f = Leontief((4.0,), 32.0)
-        g = grad_max_info(f, (2.0,))
+        g = f.grad_max_info((2.0,))
         assert np.allclose(g, [8.0])
         assert check_supergradient(f, (2.0,), g, domain_for(f), rng)
 
     def test_power_sum_derivative(self):
-        g = grad_max_info(PowerSum((64.0,), (0.5,)), (16.0,))
+        g = PowerSum((64.0,), (0.5,)).grad_max_info((16.0,))
         assert np.allclose(g, [8.0])
 
     def test_leontief_active_coordinate(self, rng):
         # fractions 1/2 < 4/4: coordinate 1 is active with entry level/anchor_1
         f = Leontief((2.0, 4.0), 6.0)
-        g = grad_max_info(f, (1.0, 4.0))
+        g = f.grad_max_info((1.0, 4.0))
         assert np.allclose(g, [3.0, 0.0])
         assert check_supergradient(f, (1.0, 4.0), g, domain_for(f), rng)
 
@@ -138,7 +168,7 @@ class TestGradMax:
                 continue
             dom = domain_for(f)
             for x in sample_box(dom, rng, 10):
-                g = grad_max_info(f, x)
+                g = f.grad_max_info(x)
                 if not np.all(np.isfinite(g)) or np.any(np.abs(g) >= 1e12):
                     continue
                 assert check_supergradient(f, x, g, dom, rng, n=100, tol=1e-9)
@@ -146,15 +176,11 @@ class TestGradMax:
     def test_clamped_at_axis(self):
         # the derivative is unbounded there, so the entry takes the cap, in a batch too
         assert PowerSum((1.0,), (0.5,)).gradient_batch(np.zeros((1, 1)))[0, 0] == GRAD_CAP
-        assert grad_max_info(PowerSum((1.0,), (0.5,)), (0.0,)).tolist() == [1e12]
+        assert PowerSum((1.0,), (0.5,)).grad_max_info((0.0,)).tolist() == [1e12]
 
     def test_flat_region_above_anchor(self):
-        g = grad_max_info(Leontief((2.0,), 5.0), (3.0,))
+        g = Leontief((2.0,), 5.0).grad_max_info((3.0,))
         assert np.allclose(g, [0.0])
-
-    def test_rejects_convex(self):
-        with pytest.raises(PreconditionError):
-            grad_max_info(PowerSum((1.0,), (2.0,)), (1.0,))
 
     @pytest.mark.parametrize("graph", [clique_graph(4), path_graph(5), cycle_graph(6), random_graph(12, 0.3, 2)],
                              ids=["clique4", "path5", "cycle6", "random12"])
@@ -273,18 +299,32 @@ class TestGradient:
 
 
 class TestSerialization:
-    def test_round_trip_bit_faithful(self):
-        for f in catalog_instances():
-            blob = json.dumps(f.to_dict())
-            back = expr_from_dict(json.loads(blob))
-            assert back.to_dict() == f.to_dict()
-            assert json.dumps(back.to_dict()) == blob
+    def test_each_parsed_field_is_the_one_its_object_spells_out(self):
+        assert len(CATALOG_OBJECTS) == len(catalog_instances())
+        for obj, f in zip(CATALOG_OBJECTS, catalog_instances()):
+            assert_spelled_out(f, obj)
+            assert_spelled_out(expr_from_dict(json.loads(json.dumps(obj))), obj)
 
-    def test_round_trip_preserves_values(self, rng):
-        for f in catalog_instances():
-            back = expr_from_dict(json.loads(json.dumps(f.to_dict())))
+    def test_parsed_node_computes_the_bits_of_the_constructed_one(self, rng):
+        for obj, f in zip(CATALOG_OBJECTS, catalog_instances()):
+            back = expr_from_dict(obj)
             xs = sample_box(domain_for(f), rng, 20)
-            assert np.array_equal(back.values(xs), f.values(xs))
+            assert back.values(xs).tobytes() == f.values(xs).tobytes()
+            assert back.gradient_batch(xs).tobytes() == f.gradient_batch(xs).tobytes()
+
+    @pytest.mark.parametrize("obj", [
+        {"kind": "power_sum", "coeffs": [1.0], "exponents": [2.0]},
+        {"kind": "affine", "weights": [1.0], "intercept": 0.0},
+        {"kind": "scale", "factor": 3.0, "child": SQRT_OBJ},
+        {"kind": "sum", "children": [SQRT_OBJ, SQRT_OBJ]},
+        {"kind": "graph_min_cost", "graph": {"node_count": 4, "edges": [[1, 2], [2, 3]]}},
+    ], ids=["exponent", "kind", "factor", "child", "edges"])
+    def test_checker_catches_a_field_that_differs(self, obj):
+        sqrt = PowerSum((1.0,), (0.5,))
+        f = {"power_sum": sqrt, "affine": PowerSum((1.0,), (1.0,)), "scale": Scale(2.0, sqrt),
+             "sum": Sum([sqrt, Affine((0.25,), 0.0)]), "graph_min_cost": GraphMinCost(path_graph(4))}[obj["kind"]]
+        with pytest.raises(AssertionError):
+            assert_spelled_out(f, obj)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -310,16 +350,16 @@ class TestLeontiefAbsentGoods:
         assert self.U.value((1.0, 7.0, 2.0)) == 3.0
 
     def test_grad_max_prices_only_present_goods(self):
-        assert np.array_equal(grad_max_info(self.U, (1.0, 5.0, 4.0)), [3.0, 0.0, 0.0])
-        assert np.array_equal(grad_max_info(self.U, (2.0, 5.0, 1.0)), [0.0, 0.0, 1.5])
+        assert np.array_equal(self.U.grad_max_info((1.0, 5.0, 4.0)), [3.0, 0.0, 0.0])
+        assert np.array_equal(self.U.grad_max_info((2.0, 5.0, 1.0)), [0.0, 0.0, 1.5])
         # at the anchor both present goods score the level; the lex-greatest wins
-        assert np.array_equal(grad_max_info(self.U, (2.0, 0.0, 4.0)), [3.0, 0.0, 0.0])
-        assert np.array_equal(grad_max_info(self.U, (3.0, 1.0, 5.0)), [0.0, 0.0, 0.0])
+        assert np.array_equal(self.U.grad_max_info((2.0, 0.0, 4.0)), [3.0, 0.0, 0.0])
+        assert np.array_equal(self.U.grad_max_info((3.0, 1.0, 5.0)), [0.0, 0.0, 0.0])
 
-    def test_json_round_trip(self):
-        blob = json.dumps(self.U.to_dict())
-        back = expr_from_dict(json.loads(blob))
-        assert back.anchor == (2.0, 0.0, 4.0) and back.level == 6.0
+    def test_json_object_parses_field_by_field(self):
+        obj = {"kind": "leontief", "anchor": [2.0, 0.0, 4.0], "level": 6.0}
+        back = expr_from_dict(obj)
+        assert_spelled_out(back, obj)
         xs = sample_box(BoxDomain(np.full(3, 5.0)), np.random.default_rng(3), 50)
         assert np.array_equal(back.values(xs), self.U.values(xs))
 

@@ -253,8 +253,8 @@ class TestGraphParsing:
         assert g.node_count == 3 and g.edges == [(0, 1), (1, 2)]
 
     def test_json_mirror(self):
-        g = path_graph(4)
-        assert parse_graph_json(g.to_dict()).edges == g.edges
+        g = parse_graph_json({"node_count": 4, "edges": [[1, 2], [2, 3], [3, 4]]})
+        assert (g.node_count, g.edges) == (4, path_graph(4).edges)
 
     def test_self_loop_rejected(self):
         with pytest.raises(PreconditionError):

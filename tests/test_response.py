@@ -19,7 +19,6 @@ from padd import (
     Sum,
     best_concave_price,
     buyer_best_response,
-    grad_max_info,
     optimal_price_family,
     seller_optimal_linear_price,
 )
@@ -217,10 +216,16 @@ class TestSellerOptimalLinearPrice:
         assert np.allclose(sol.bundle, [0.0], atol=1e-6)
         assert abs(sol.revenue) < 1e-6
 
-    def test_imitating_convex_cost_forces_zero_trade(self):
-        sol = seller_optimal_linear_price(SQUARE, SQUARE, BOX100)
-        assert np.allclose(sol.bundle, [0.0], atol=1e-6)
-        assert abs(sol.revenue) < 1e-6
+    @pytest.mark.parametrize("u, c, box", [
+        (SQUARE, SQUARE, BOX100),
+        # price 1 sells the whole box for revenue 0.99, which no candidate's
+        # response could reproduce: each leaves the corner that priced it
+        (SQUARE, Affine((0.01,), 0.0), BoxDomain([1.0])),
+        (Sum([PowerSum((1.0, 0.0), (2.0, 3.0)), Affine((1.0, 2.0), 0.0)]), PowerSum((0.5, 0.5), (0.5, 1.0)), BoxDomain([1.0, 2.0])),
+    ], ids=["imitating_its_cost", "linear_cost", "two_goods"])
+    def test_refuses_a_convex_report_by_name(self, u, c, box):
+        with pytest.raises(PreconditionError, match="concave or linear report, got convex"):
+            seller_optimal_linear_price(u, c, box)
 
     def test_price_matches_supergradient_at_bundle(self):
         for u, c, dom in [
@@ -230,7 +235,7 @@ class TestSellerOptimalLinearPrice:
         ]:
             sol = seller_optimal_linear_price(u, c, dom)
             assert sol.verified and sol.bundle.max() > 0
-            assert np.max(np.abs(sol.price - grad_max_info(u, sol.bundle))) < 1e-9
+            assert np.max(np.abs(sol.price - u.grad_max_info(sol.bundle))) < 1e-9
 
     def test_revenue_definition_holds(self):
         sol = seller_optimal_linear_price(SQRT, SQUARE, BOX10)
@@ -410,7 +415,7 @@ class TestRankedSellerSearch:
         sol = seller_optimal_linear_price(u, c, box)
         assert len(calls) <= 10
         assert sol.verified and sol.revenue > 2.6
-        assert np.max(np.abs(sol.price - grad_max_info(u, sol.bundle))) <= 1e-6 * np.max(sol.price)
+        assert np.max(np.abs(sol.price - u.grad_max_info(sol.bundle))) <= 1e-6 * np.max(sol.price)
         assert sol.revenue == float(sol.price @ sol.bundle) - c.value(sol.bundle)
 
 
@@ -467,7 +472,7 @@ class TestKinkedNonAnchoredReport:
             sol.revenue, float(sol.price @ sol.bundle) - c.value(sol.bundle), abs_tol=1e-9
         )
         if sol.verified and sol.bundle.max() > 0:
-            assert np.max(np.abs(grad_max_info(u, sol.bundle) - sol.price)) < 1e-6
+            assert np.max(np.abs(u.grad_max_info(sol.bundle) - sol.price)) < 1e-6
 
 
 class TestGridFallbackTies:

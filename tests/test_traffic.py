@@ -9,7 +9,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # public names that only tests reached, deleted so that no caller can set or call them
 DELETED = ("to_json_text", "from_json_text", "expr_to_dict", "GridScan", "ProblemConfig.to_dict",
-           "SolverConfig.to_dict", "BoxDomain.to_dict", "BoxDomain.vertices")
+           "SolverConfig.to_dict", "BoxDomain.to_dict", "BoxDomain.vertices", "funcs.grad_max_info",
+           "FunctionExpr.dim", "FunctionExpr.values", "PowerSum.to_dict", "Affine.to_dict", "Leontief.to_dict",
+           "MinOfAffine.to_dict", "Sum.to_dict", "Scale.to_dict", "GraphMinCost.to_dict", "GraphInstance.to_dict")
 
 
 def traffic() -> dict[str, str]:
